@@ -453,7 +453,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: config value or 1)")
+                        help="worker processes (default: config value, else os.cpu_count())")
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed (overrides config)")
     args = parser.parse_args(argv)

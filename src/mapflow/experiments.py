@@ -21,7 +21,8 @@ from .hamiltonian import (
     optimal_order,
     reconstruct_hamiltonian,
 )
-from .maps import MapModel, PhasePoint, _picard_batch, orbit_arrays
+from . import maps
+from .maps import MapModel, PhasePoint, _picard, orbit_arrays, propagate
 from .resonance import BlockMap, ResonanceSite, resonant_action, scaled_block
 
 
@@ -111,7 +112,7 @@ class SnDecomposition:
             out = b.apply(np.concatenate([y, phi], axis=-1))
             return y - out[..., : b.d]
 
-        J = _picard_batch(g, Jbar)
+        J = _picard(g, Jbar)
         out = b.apply(np.concatenate([J, phi], axis=-1))
         return J, out[..., b.d:]
 
@@ -239,79 +240,52 @@ class StabilityRecord:
     status: str = "ok"
 
 
-#: steps buffered per window before bookkeeping is applied (amortizes the
-#: excursion / exit / domain checks to a handful of array ops per window)
-SCAN_WINDOW = 2048
-
-
 def stability_scan(model: MapModel, I0: np.ndarray, phi0: np.ndarray,
-                   horizon: int, confinement_radius: Optional[float] = None,
-                   window: int = SCAN_WINDOW) -> list[StabilityRecord]:
+                   horizon: int, confinement_radius: Optional[float] = None
+                   ) -> list[StabilityRecord]:
     """Vectorized long-horizon scan of action excursions for many seeds.
 
-    Seeds run in a single batch; trajectories are buffered in windows and all
+    Seeds run in one batch, ``maps.WINDOW`` steps per `propagate` call; the
     per-seed statistics (running excursion, first confinement exit, first
-    escape from the extended action domain) are reduced per window, which
-    keeps the per-step cost at a few vector operations.  A seed that leaves
-    the extended domain is frozen at its escape state and marked, without
-    aborting the others; results are per-seed deterministic and independent
-    of batch composition for catalog maps (element-wise stepping only).
+    state outside the extended action domain) are reduced per window.  A seed
+    that leaves the domain is marked and dropped from the batch at its escape
+    state without aborting the others; for catalog maps (element-wise
+    stepping) results do not depend on batch composition.
     """
-    I = np.atleast_2d(np.asarray(I0, dtype=float)).copy()
-    phi = np.atleast_2d(np.asarray(phi0, dtype=float)).copy()
-    nseeds, d = I.shape
-    Iinit = I.copy()
+    I = np.atleast_2d(np.asarray(I0, dtype=float))
+    phi = np.atleast_2d(np.asarray(phi0, dtype=float))
+    Iinit, phi_init = I, phi
+    nseeds = I.shape[0]
     exc = np.zeros(nseeds)
     step_drift = np.zeros(nseeds)
     exit_idx = np.full(nseeds, -1, dtype=np.int64)
     escape_idx = np.full(nseeds, -1, dtype=np.int64)
-    frozen_I = I.copy()
-    frozen_phi = phi.copy()
-    dom = model.domain
-    sigma = dom.sigma
+    live = np.arange(nseeds)  # seeds still inside the domain
 
     done = 0
-    while done < horizon:
-        W = min(window, horizon - done)
-        traj = np.empty((W + 1, nseeds, d))
-        traj[0] = I
-        for k in range(W):
-            I, phi = _scan_step(model, I, phi)
-            traj[k + 1] = I
+    while done < horizon and live.size:
+        Is, ps, first = propagate(model, I, phi, min(maps.WINDOW, horizon - done))
         # statistics over the window (step indices done+1 .. done+W)
-        dev = np.max(np.abs(traj[1:] - Iinit[None]), axis=-1)      # (W, nseeds)
-        dstep = np.max(np.abs(np.diff(traj, axis=0)), axis=-1)     # (W, nseeds)
-        live = escape_idx < 0
-        # domain escape: first step whose action leaves the extended ball
-        bad = ~(dom.dist_to_ball(traj[1:]) <= sigma)               # catches NaN too
-        hit = bad.any(axis=0) & live
-        if np.any(hit):
-            first = np.argmax(bad[:, hit], axis=0)                 # 0-based in window
-            escape_idx[hit] = done + 1 + first
-            # statistics stop at the escape step (the frozen state)
-            cols = np.where(hit)[0]
-            for c, f in zip(cols, first):
-                dev[f + 1:, c] = -np.inf
-                dstep[f + 1:, c] = -np.inf
-            frozen_I[cols] = traj[first + 1, cols]  # state at the escape step
-            frozen_phi[cols] = phi[cols]            # angle freeze is cosmetic
-        dev_max = dev.max(axis=0)
-        np.maximum(exc, np.where(live, dev_max, exc), out=exc)
-        np.maximum(step_drift, np.where(live, dstep.max(axis=0), step_drift),
-                   out=step_drift)
-        if confinement_radius is not None and np.any(exit_idx < 0):
+        dev = np.max(np.abs(Is[1:] - Iinit[live]), axis=-1)          # (W, live)
+        dstep = np.max(np.abs(np.diff(Is, axis=0)), axis=-1)         # (W, live)
+        left = first >= 0
+        for c in np.flatnonzero(left):  # statistics stop at the escape state
+            dev[first[c]:, c] = -np.inf
+            dstep[first[c]:, c] = -np.inf
+        escape_idx[live[left]] = done + first[left]
+        exc[live] = np.maximum(exc[live], dev.max(axis=0, initial=-np.inf))
+        step_drift[live] = np.maximum(step_drift[live], dstep.max(axis=0, initial=-np.inf))
+        if confinement_radius is not None:
             crossed = dev > confinement_radius
-            newly = crossed.any(axis=0) & (exit_idx < 0) & live
+            newly = crossed.any(axis=0) & (exit_idx[live] < 0)
             if np.any(newly):
-                exit_idx[newly] = done + 1 + np.argmax(crossed[:, newly], axis=0)
-        # frozen seeds keep their escape-time state
-        if not np.all(live):
-            mask = (escape_idx >= 0)[:, None]
-            I = np.where(mask, frozen_I, I)
-            phi = np.where(mask, frozen_phi, phi)
-        done += W
+                exit_idx[live[newly]] = done + 1 + np.argmax(crossed[:, newly], axis=0)
+        done += Is.shape[0] - 1
+        live, I, phi = live[~left], Is[-1, ~left], ps[-1, ~left]
+        del Is, ps  # free this window's buffers before the next is written
+    # the final state is an escape too when it lies outside the domain
+    escape_idx[live[~model.domain.contains_extended(I)]] = horizon
 
-    phi_init = np.atleast_2d(np.asarray(phi0, dtype=float))
     out = []
     for i in range(nseeds):
         status = "ok" if escape_idx[i] < 0 else f"domain_escape@{escape_idx[i]}"
@@ -321,21 +295,6 @@ def stability_scan(model: MapModel, I0: np.ndarray, phi0: np.ndarray,
             exit_index=None if exit_idx[i] < 0 else int(exit_idx[i]),
             max_step_drift=float(step_drift[i]), status=status))
     return out
-
-
-def _scan_step(model: MapModel, I, phi):
-    """One unguarded vectorized step (domain checks handled by the scan)."""
-    ph = phi - np.floor(phi)
-    if model.eps == 0.0:
-        return I.copy(), phi + model.omega(I)
-    if model.form == "explicit":
-        return (I + model.eps * model.a(I, ph),
-                phi + model.omega(I) + model.eps * model.b(I, ph))
-    if model.s_action_independent:
-        In = I - model.eps * model.s_phi(I, ph)
-    else:
-        In = _picard_batch(lambda y: -model.eps * model.s_phi(y, ph), I)
-    return In, phi + model.omega(In) + model.eps * model.s_I(In, ph)
 
 
 #: safety factor applied to the pilot excursion estimate; the pilot probes

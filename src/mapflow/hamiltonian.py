@@ -29,7 +29,7 @@ from .errors import (
     StepFailure,
 )
 from .interp import M_MAX, _as_flat_map, interpolating_vf
-from .maps import MapModel, PhasePoint, _frac, _picard_batch, jacobian, symplectic_matrix
+from .maps import MapModel, PhasePoint, _frac, _picard, jacobian, symplectic_matrix
 
 SIX_E = 6.0 * math.e
 
@@ -40,7 +40,6 @@ class FieldEvaluator:
 
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
-    cost_hint: int = 1  # map iterates consumed per evaluation
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.eval(x)
@@ -55,8 +54,7 @@ def interpolating_field(map_like, m: int, scheme: str = "newton") -> FieldEvalua
     def ev(x):
         return interpolating_vf(map_like, x, m, scheme)
 
-    # gauss consumes j backward plus j forward iterates, newton m forward
-    return FieldEvaluator(dim=dim, eval=ev, cost_hint=m)
+    return FieldEvaluator(dim=dim, eval=ev)
 
 
 @dataclass(frozen=True)
@@ -202,9 +200,10 @@ def embedding_error(map_like, m: int, box: Box, grid_n: int,
     eps_hat = 0.0
     for i, x in enumerate(pts):
         try:
-            eps_hat = max(eps_hat, float(np.max(np.abs(fwd(x) - x))))
+            fx = fwd(x)
+            eps_hat = max(eps_hat, float(np.max(np.abs(fx - x))))
             y = flow_map(X, x, 1.0, tol)
-            errors[i] = float(np.max(np.abs(y - fwd(x))))
+            errors[i] = float(np.max(np.abs(y - fx)))
         except (StepFailure, DomainEscape) as exc:
             failures.append((i, str(exc)))
     if np.all(np.isnan(errors)):
@@ -332,8 +331,7 @@ class HamiltonianField:
             v[:d] = v[:d] + c
             return v
 
-        return FieldEvaluator(dim=2 * d, eval=ev,
-                              cost_hint=getattr(self.X, "cost_hint", 1))
+        return FieldEvaluator(dim=2 * d, eval=ev)
 
 
 def reconstruct_hamiltonian(X, base: np.ndarray, queries: Sequence[np.ndarray],
@@ -395,7 +393,7 @@ def cross_form_fields(model: MapModel):
     else:
         def _old_action(pbar, q):
             # pbar = p + e a(p, q)  solved for p
-            return _picard_batch(lambda y: -e * model.a(y, _frac(q)), pbar)
+            return _picard(lambda y: -e * model.a(y, _frac(q)), pbar)
 
         def u(pbar, q):
             return _old_action(pbar, q) - pbar

@@ -18,6 +18,9 @@ reduce their angle argument internally.  Two representations are supported:
 The implicit step is resolved by plain Picard iteration, which contracts
 whenever sup|g| over the search ball is below R/(d+1); see `implicit_solve`.
 
+All stepping is built on one unguarded step body, `_step`, and one windowed
+loop, `propagate`, which checks the domain once per window.
+
 All coefficient callables are expected to broadcast over leading axes, i.e.
 accept arrays of shape (..., d).
 """
@@ -39,6 +42,9 @@ from .errors import (
 
 MAX_PICARD_ITER = 100
 PICARD_TOL = 1e-14
+
+#: map steps per `propagate` call in the confinement scan and block orbits
+WINDOW = 2048
 
 
 @dataclass(frozen=True)
@@ -114,11 +120,12 @@ class DomainSpec:
 
     def dist_to_ball(self, I: np.ndarray) -> np.ndarray:
         """Euclidean distance from actions I (..., d) to the ball B(center, R)."""
-        rad = np.linalg.norm(np.asarray(I) - self.center, axis=-1)
-        return np.maximum(rad - self.R, 0.0)
+        x = np.asarray(I) - self.center
+        return np.maximum(np.sqrt(np.add.reduce(x * x, axis=-1)) - self.R, 0.0)
 
     def contains_extended(self, I: np.ndarray) -> np.ndarray:
-        return self.dist_to_ball(I) <= self.sigma + 1e-12
+        """The domain rule: dist(I, ball) <= sigma.  NaN actions are outside."""
+        return self.dist_to_ball(I) <= self.sigma
 
     @property
     def C1(self) -> float:
@@ -195,32 +202,15 @@ class MapModel:
         In, pn = inverse_step_arrays(self, I, phi)
         return np.concatenate([In, pn], axis=-1)
 
-    def with_eps(self, eps: float) -> "MapModel":
-        return replace(self, eps=float(eps))
-
 
 def _frac(phi):
     """Reduce an angle lift to the fundamental domain [0, 1)."""
     return phi - np.floor(phi)
 
 
-def implicit_solve(
-    g: Callable[[np.ndarray], np.ndarray],
-    y0: np.ndarray,
-    R: float,
-    tol: float = PICARD_TOL,
-    max_iter: int = MAX_PICARD_ITER,
-) -> np.ndarray:
-    """Solve y = y0 + g(y) by Picard iteration inside the ball B(y0, R).
-
-    The contraction precondition sup|g| < R/(d+1) is estimated by probing g
-    at y0 and at y0 +- R/2 along each axis, with a safety factor of 2 on the
-    maximum (the true sup of a black-box g is not computable).  A runtime
-    residual check backstops the probe estimate.
-
-    Returns y with |y - y0 - g(y)|_inf <= tol.
-    """
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+def _check_contraction(g, y0: np.ndarray, R: float) -> None:
+    """Probe sup|g| < R/(d+1) at y0 and y0 +- R/2 along each axis, with a
+    safety factor of 2 (the true sup of a black-box g is not computable)."""
     d = y0.shape[-1]
     probes = [y0]
     for j in range(d):
@@ -233,31 +223,91 @@ def implicit_solve(
         raise ContractionViolated(
             f"probe estimate M={M:.3g} violates M < R/(d+1) = {R / (d + 1):.3g}"
         )
-    y = y0 + g(y0)
-    for _ in range(max_iter):
-        y_next = y0 + g(y)
-        res = float(np.max(np.abs(y_next - y)))
-        y = y_next
-        if res <= tol:
-            final = float(np.max(np.abs(y - y0 - g(y))))
-            if final <= max(tol, 4.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(y)))):
-                return y
-    raise NoConvergence(f"Picard iteration did not reach tol={tol:g} in {max_iter} steps")
 
 
-def _picard_batch(g, y0, tol=PICARD_TOL, max_iter=MAX_PICARD_ITER):
-    """Batched Picard iteration for y = y0 + g(y), no probe precondition.
+def _picard(g, y0, tol=PICARD_TOL, max_iter=MAX_PICARD_ITER):
+    """Picard iteration for y = y0 + g(y), batched over leading axes.
 
-    Used on hot paths; the residual check still guards convergence.
+    Returns the iterate y whose residual |y0 + g(y) - y|_inf (max over the
+    batch) was just measured at or below tol, so the result is certified
+    without a further evaluation of g.
     """
     y = y0 + g(y0)
     for _ in range(max_iter):
         y_next = y0 + g(y)
-        res = float(np.max(np.abs(y_next - y)))
-        y = y_next
-        if res <= tol:
+        if float(np.max(np.abs(y_next - y))) <= tol:
             return y
-    raise NoConvergence(f"batched Picard did not reach tol={tol:g} in {max_iter} steps")
+        y = y_next
+    raise NoConvergence(f"Picard iteration did not reach tol={tol:g} in {max_iter} steps")
+
+
+def implicit_solve(
+    g: Callable[[np.ndarray], np.ndarray],
+    y0: np.ndarray,
+    R: float,
+    tol: float = PICARD_TOL,
+    max_iter: int = MAX_PICARD_ITER,
+) -> np.ndarray:
+    """Solve y = y0 + g(y) by Picard iteration inside the ball B(y0, R).
+
+    The contraction precondition sup|g| < R/(d+1) is estimated by probing
+    (see `_check_contraction`); the measured residual of the returned
+    iterate backstops the probe estimate.
+
+    Returns y with |y - y0 - g(y)|_inf <= tol.
+    """
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    _check_contraction(g, y0, R)
+    return _picard(g, y0, tol, max_iter)
+
+
+def _step(model: MapModel, I: np.ndarray, phi: np.ndarray):
+    """One unguarded map step on arrays of shape (..., d); angles stay lifts."""
+    ph = _frac(phi)
+    if model.eps == 0.0:
+        return I.copy(), phi + model.omega(I)
+    if model.form == "explicit":
+        return (I + model.eps * model.a(I, ph),
+                phi + model.omega(I) + model.eps * model.b(I, ph))
+    if model.s_action_independent:
+        # s does not depend on the action, so its derivative s_I vanishes
+        In = I - model.eps * model.s_phi(I, ph)
+        return In, phi + model.omega(In)
+    In = _picard(lambda y: -model.eps * model.s_phi(y, ph), I)
+    return In, phi + model.omega(In) + model.eps * model.s_I(In, ph)
+
+
+def _first_outside(domain: DomainSpec, Is: np.ndarray) -> np.ndarray:
+    """Per seed, the index along axis 0 of the first state outside, or -1."""
+    inside = domain.contains_extended(Is)
+    if inside.all():
+        return np.full(inside.shape[1:], -1)
+    return np.where(inside.all(axis=0), -1, inside.argmin(axis=0))
+
+
+def propagate(model: MapModel, I: np.ndarray, phi: np.ndarray, steps: int):
+    """Take ``steps`` unguarded map steps from states of shape (..., d).
+
+    Returns the orbit buffers ``Is``, ``ps`` of shape (steps+1, ..., d) and,
+    per seed, the index of the first state outside the sigma-extended domain
+    from which a step was taken (-1 if none); callers decide what an escape
+    means.  A NoConvergence after an escape ends the buffers at the failing
+    step's source state and is dropped, so the escape is reported first.
+    """
+    I = np.asarray(I, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    Is = np.empty((steps + 1,) + I.shape)
+    ps = np.empty((steps + 1,) + phi.shape)
+    Is[0], ps[0] = I, phi
+    for k in range(steps):
+        try:
+            Is[k + 1], ps[k + 1] = _step(model, Is[k], ps[k])
+        except NoConvergence:
+            first = _first_outside(model.domain, Is[: k + 1])
+            if np.all(first < 0):
+                raise
+            return Is[: k + 1], ps[: k + 1], first
+    return Is, ps, _first_outside(model.domain, Is[:steps])
 
 
 def step_arrays(model: MapModel, I: np.ndarray, phi: np.ndarray):
@@ -269,22 +319,9 @@ def step_arrays(model: MapModel, I: np.ndarray, phi: np.ndarray):
     """
     I = np.asarray(I, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    dom = model.domain
-    if not np.all(dom.contains_extended(I)):
+    if not np.all(model.domain.contains_extended(I)):
         raise DomainEscape("action outside the sigma-extended ball")
-    ph = _frac(phi)
-    if model.eps == 0.0:
-        return I.copy(), phi + model.omega(I)
-    if model.form == "explicit":
-        In = I + model.eps * model.a(I, ph)
-        pn = phi + model.omega(I) + model.eps * model.b(I, ph)
-        return In, pn
-    if model.s_action_independent:
-        In = I - model.eps * model.s_phi(I, ph)
-    else:
-        In = _picard_batch(lambda y: -model.eps * model.s_phi(y, ph), I)
-    pn = phi + model.omega(In) + model.eps * model.s_I(In, ph)
-    return In, pn
+    return _step(model, I, phi)
 
 
 def inverse_step_arrays(model: MapModel, I: np.ndarray, phi: np.ndarray):
@@ -302,7 +339,7 @@ def inverse_step_arrays(model: MapModel, I: np.ndarray, phi: np.ndarray):
     if model.form != "generating":
         raise FormMismatch("inverse step requires a generating-form map (or an integrable one)")
     base = phi - model.omega(I)
-    ph_prev = _picard_batch(lambda y: -model.eps * model.s_I(I, _frac(y)), base)
+    ph_prev = _picard(lambda y: -model.eps * model.s_I(I, _frac(y)), base)
     I_prev = I + model.eps * model.s_phi(I, _frac(ph_prev))
     return I_prev, ph_prev
 
@@ -313,22 +350,16 @@ def step(model: MapModel, x: PhasePoint) -> PhasePoint:
     Raises DomainEscape outside the sigma-extended action ball and
     NoConvergence when the implicit solve cannot be certified or stalls.
     """
+    if not np.all(model.domain.contains_extended(x.I)):
+        raise DomainEscape("action outside the sigma-extended ball")
     if model.form == "generating" and model.eps > 0:
-        # scalar path goes through the certified implicit solver
-        dom = model.domain
-        if not np.all(dom.contains_extended(x.I)):
-            raise DomainEscape("action outside the sigma-extended ball")
         ph = _frac(x.phi)
         try:
-            In = implicit_solve(lambda y: -model.eps * model.s_phi(y, ph), x.I,
-                                R=dom.sigma)
+            _check_contraction(lambda y: -model.eps * model.s_phi(y, ph), x.I,
+                               model.domain.sigma)
         except ContractionViolated as exc:
             raise NoConvergence(f"implicit step not certified: {exc}") from exc
-        pn = x.phi + model.omega(In) + model.eps * model.s_I(In, ph)
-        out = PhasePoint(In, pn)
-    else:
-        In, pn = step_arrays(model, x.I, x.phi)
-        out = PhasePoint(In, pn)
+    out = PhasePoint(*_step(model, x.I, x.phi))
     if not out.is_finite():
         raise DomainEscape("map produced non-finite phase point")
     return out
@@ -354,17 +385,14 @@ def iterate(model: MapModel, x0: PhasePoint, n: int) -> list[PhasePoint]:
 
 
 def orbit_arrays(model: MapModel, I0: np.ndarray, phi0: np.ndarray, n: int):
-    """Batched orbit: returns arrays of shape (n+1, ..., d) for I and phi."""
-    I0 = np.asarray(I0, dtype=float)
-    phi0 = np.asarray(phi0, dtype=float)
-    Is = np.empty((n + 1,) + I0.shape)
-    ps = np.empty((n + 1,) + phi0.shape)
-    Is[0], ps[0] = I0, phi0
-    for k in range(n):
-        try:
-            Is[k + 1], ps[k + 1] = step_arrays(model, Is[k], ps[k])
-        except DomainEscape as exc:
-            raise DomainEscape(f"orbit left the domain at step {k + 1}", index=k + 1) from exc
+    """Batched orbit: returns arrays of shape (n+1, ..., d) for I and phi.
+
+    Raises DomainEscape indexed by the first step taken from outside the domain.
+    """
+    Is, ps, first = propagate(model, I0, phi0, n)
+    if first.max() >= 0:
+        k = int(first[first >= 0].min()) + 1
+        raise DomainEscape(f"orbit left the domain at step {k}", index=k)
     return Is, ps
 
 

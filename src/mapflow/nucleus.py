@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import FormMismatch
-from .maps import MapModel, _frac, step_arrays
-from .resonance import ResonanceSite
+from .maps import MapModel, _frac
+from .resonance import BlockMap, ResonanceSite
 
 
 class NucleusRadii(NamedTuple):
@@ -142,34 +142,24 @@ def trapped_orbit(model: MapModel, site: ResonanceSite, J0: np.ndarray,
                                   max_step_dE=0.0,
                                   max_abs_J=float(np.linalg.norm(J)), budget=budget)
     r1 = nmodel.radii.r1
-    n = site.n
-    rho = nmodel.sqrt_eps
-    shift = n * site.omega_star
-    I_star = site.I_star
-    J = np.atleast_1d(np.asarray(J0, dtype=float)).copy()
-    phi = np.atleast_1d(np.asarray(phi0, dtype=float)).copy()
-    Js = np.empty((budget + 1, d))
-    ps = np.empty((budget + 1, d))
-    Js[0], ps[0] = J, phi
-    exit_index = None
-    steps = budget
-    for k in range(budget):
-        I, ph = I_star + rho * J, phi
-        for _ in range(n):
-            I, ph = step_arrays(model, I, ph)
-        J, phi = (I - I_star) / rho, ph - shift
-        Js[k + 1], ps[k + 1] = J, phi
-        if float(J @ J) > r1 * r1:
-            exit_index = k + 1
-            steps = k + 1
+    x0 = np.concatenate([np.atleast_1d(np.asarray(J0, dtype=float)),
+                         np.atleast_1d(np.asarray(phi0, dtype=float))])
+    parts, exit_index = [x0[None]], None
+    for part in BlockMap(model, site, "nucleus").windows(x0, budget):
+        outside = np.sum(part[:, :d] ** 2, axis=-1) > r1 * r1
+        if np.any(outside):
+            parts.append(part[: np.argmax(outside) + 1])
+            exit_index = sum(len(p) for p in parts) - 1
             break
-    Js, ps = Js[: steps + 1], ps[: steps + 1]
-    normsJ = np.linalg.norm(Js, axis=-1)
-    centered = ps - 0.5 * n * rho * (Js @ nmodel.hessian.T)
+        parts.append(part)
+    X = np.concatenate(parts)
+    Js, ps = X[:, :d], X[:, d:]
+    centered = ps - 0.5 * site.n * nmodel.sqrt_eps * (Js @ nmodel.hessian.T)
     Es = nmodel.K(Js) + nmodel.V_star(centered)
-    max_step = float(np.max(np.abs(np.diff(Es)))) if steps >= 1 else 0.0
+    max_step = float(np.max(np.abs(np.diff(Es)))) if len(Es) > 1 else 0.0
     return TrappedOrbitRecord(J=Js, phi=ps, energy=Es, exit_index=exit_index,
-                              max_step_dE=max_step, max_abs_J=float(np.max(normsJ)),
+                              max_step_dE=max_step,
+                              max_abs_J=float(np.max(np.linalg.norm(Js, axis=-1))),
                               budget=budget)
 
 

@@ -19,8 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoConvergence, NotResonant, OutOfDomain, SearchExhausted
-from .maps import MapModel, orbit_arrays
+from . import maps
+from .errors import DomainEscape, NoConvergence, NotResonant, OutOfDomain, SearchExhausted
+from .maps import MapModel, inverse_step_arrays, orbit_arrays, propagate
 
 #: slack added to the Dirichlet inequality against ties at machine precision
 DIRICHLET_SLACK = 1e-15
@@ -124,7 +125,7 @@ def resonant_action(model: MapModel, omega_star: np.ndarray,
                 break
             step_scale *= 0.5
         I, res, rnorm = trial, trial_res, trial_norm
-        if dom.dist_to_ball(I) > dom.sigma:
+        if not dom.contains_extended(I):
             raise OutOfDomain("Newton iterate left the sigma-extended ball")
     if rnorm <= tol:
         return I
@@ -148,11 +149,6 @@ def covering_params(model: MapModel, eps: float, gamma: float) -> CoveringParams
     r0 = math.sqrt(dom.nu / (6.0 * d * dom.norm_h0pp))
     return CoveringParams(eps=eps, gamma=gamma, d=d, N_eps=N_eps, rho_eps=rho_eps,
                           gamma0=gamma0, r0=r0, gamma_below_threshold=gamma < gamma0)
-
-
-def covering_threshold_N0(nu: float, d: int, delta_width: float) -> float:
-    """Covering applicability threshold N0 with N0^{-1/d} = nu d^{-1/2} delta."""
-    return (math.sqrt(d) / (nu * delta_width)) ** d
 
 
 def c4_estimate(model: MapModel, eps: float, gamma: float) -> float:
@@ -226,8 +222,6 @@ class BlockMap:
         return self.apply(x)
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
-        from .maps import inverse_step_arrays
-
         J, phi = self._split(x)
         I = self.site.I_star + self.rho * J
         ph = phi + self.n * self.site.omega_star
@@ -235,13 +229,38 @@ class BlockMap:
             I, ph = inverse_step_arrays(self.model, I, ph)
         return np.concatenate([(I - self.site.I_star) / self.rho, ph], axis=-1)
 
+    def windows(self, x0: np.ndarray, blocks: int):
+        """Yield B(x0), ..., B^blocks(x0) as arrays (k, ..., 2d), one per window.
+
+        A window is one `propagate` call over at most ``maps.WINDOW`` map steps
+        (at least one block), sampled every n-th state.  The orbit is stepped
+        unscaled, with k n omega_* taken off block k only when sampling, so it
+        does not depend on the window length.  After a step from outside the
+        domain, the blocks completed before it are yielded, then DomainEscape
+        is raised with the index of the block that could not be completed.
+        """
+        J, phi = self._split(x0)
+        I = self.site.I_star + self.rho * J
+        n, shift = self.n, self.n * self.site.omega_star
+        per = max(1, maps.WINDOW // n)
+        for lo in range(0, blocks, per):
+            Is, ps, first = propagate(self.model, I, phi, min(per, blocks - lo) * n)
+            k = np.arange(lo + 1, lo + 1 + (Is.shape[0] - 1) // n)
+            out = np.concatenate([(Is[n::n] - self.site.I_star) / self.rho,
+                                  ps[n::n] - k.reshape((-1,) + (1,) * phi.ndim) * shift],
+                                 axis=-1)
+            if first.max() >= 0:
+                ok = int(first[first >= 0].min()) // n
+                yield out[:ok]
+                raise DomainEscape(f"block orbit left the domain in block {lo + ok + 1}",
+                                   index=lo + ok + 1)
+            yield out
+            I, phi = Is[-1], ps[-1]
+
     def orbit(self, x0: np.ndarray, blocks: int) -> np.ndarray:
         """Block orbit [x0, B(x0), ..., B^blocks(x0)], shape (blocks+1, ..., 2d)."""
-        out = np.empty((blocks + 1,) + np.shape(x0))
-        out[0] = x0
-        for k in range(blocks):
-            out[k + 1] = self.apply(out[k])
-        return out
+        x0 = np.asarray(x0, dtype=float)
+        return np.concatenate([x0[None], *self.windows(x0, blocks)])
 
 
 def scaled_block(model: MapModel, site: ResonanceSite, scaling: str = "lochak") -> BlockMap:

@@ -19,6 +19,7 @@ from mapflow import (
     stability_scan,
     unit_box,
 )
+from mapflow import maps, nonexact_shear
 from mapflow.experiments import SnDecomposition
 
 
@@ -145,6 +146,27 @@ class TestStabilityScan:
         assert recs[0].status.startswith("domain_escape")
         assert recs[1].status == "ok"
         assert recs[1].excursion == pytest.approx(100 * 0.01, abs=1e-12)
+
+    def test_escape_at_last_step(self):
+        # I_k = 1.455 + 0.01 k leaves |I| <= 1.5 at k = 5, the final state
+        m = nonexact_shear(0.01)
+        recs = stability_scan(m, np.array([[1.455], [0.0]]), np.array([[0.2], [0.3]]), 5)
+        assert [r.status for r in recs] == ["domain_escape@5", "ok"]
+
+    @pytest.mark.parametrize("window", [1, 7, maps.WINDOW])
+    def test_window_invariance(self, window, rng, monkeypatch):
+        I0 = np.vstack([rng.uniform(-0.5, 0.5, (6, 1)), [[1.455]], [[1.305]]])
+        phi0 = rng.uniform(0, 1, (8, 1))
+        cases = [(catalog("standard", 5e-3), 300, 0.01), (nonexact_shear(0.01), 300, 0.05),
+                 (nonexact_shear(0.01), 20, 0.05)]
+
+        def fields(recs):
+            return [(r.excursion, r.exit_index, r.max_step_drift, r.status) for r in recs]
+
+        want = [fields(stability_scan(m, I0, phi0, h, r)) for m, h, r in cases]
+        monkeypatch.setattr(maps, "WINDOW", window)
+        assert [fields(stability_scan(m, I0, phi0, h, r)) for m, h, r in cases] == want
+        assert want[1][6][3] == "domain_escape@5" and want[1][7][3] == "domain_escape@20"
 
     def test_pilot_calibration_scales(self):
         m = catalog("standard", 1e-3)

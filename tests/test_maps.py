@@ -1,5 +1,7 @@
 """Map kernel: stepping, lifts, implicit solver, catalog invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,16 +14,18 @@ from mapflow import (
     iterate,
     jacobian,
     shifted_lift,
+    stability_scan,
     step,
     symplectic_matrix,
 )
+from mapflow import maps
 from mapflow.errors import (
     ContractionViolated,
     DomainEscape,
     NoConvergence,
     NotResonant,
 )
-from mapflow.maps import orbit_arrays
+from mapflow.maps import orbit_arrays, propagate, step_arrays
 
 from oracles import FIXED_POINT_SIN, STD_STEP_I, bisect
 
@@ -93,14 +97,65 @@ class TestIterate:
         I, phi = np.array([0.23]), np.array([0.71])
         Ir, phir = I.copy(), phi.copy()
         Is, ps = orbit_arrays(m, I, phi, 1000)
-        from mapflow.maps import step_arrays
-
         for _ in range(1000):
             Ir, phir = step_arrays(m, Ir, phir)
             phir -= np.floor(phir)
         gap = (ps[-1] - phir) - np.round(ps[-1] - phir)
         assert np.max(np.abs(gap)) <= 1e-10
         assert np.allclose(Is[-1], Ir, atol=1e-12)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("name,eps,params", [
+        ("twist", 0.01, {"d": 2}), ("standard", 0.1, {}), ("froeschle2", 0.05, {"eta": 0.3})])
+    def test_iterate_orbit_arrays_scan_bitwise(self, name, eps, params, rng, monkeypatch):
+        m = catalog(name, eps, **params)
+        I0 = rng.uniform(-0.5, 0.5, (4, m.d))
+        phi0 = rng.uniform(0, 1, (4, m.d))
+        Is, ps = orbit_arrays(m, I0, phi0, 200)
+        for i in range(4):
+            orb = iterate(m, PhasePoint(I0[i], phi0[i]), 200)
+            assert np.array_equal(np.array([p.I for p in orb]), Is[:, i])
+            assert np.array_equal(np.array([p.phi for p in orb]), ps[:, i])
+        monkeypatch.setattr(maps, "WINDOW", 7)  # the scan restarts 28 times
+        recs = stability_scan(m, I0, phi0, 200)
+        assert [r.excursion for r in recs] == list(np.max(np.abs(Is[1:] - Is[0]), axis=(0, 2)))
+        assert ([r.max_step_drift for r in recs]
+                == list(np.max(np.abs(np.diff(Is, axis=0)), axis=(0, 2))))
+
+    def test_contains_extended_rejects_nan(self, standard_map):
+        dom = standard_map.domain
+        assert not dom.contains_extended(np.array([np.nan]))
+        assert list(dom.contains_extended(np.array([[0.1], [np.nan], [1.5], [1.6]]))) == [
+            True, False, True, False]
+        with pytest.raises(DomainEscape):
+            step_arrays(standard_map, np.array([np.nan]), np.array([0.2]))
+
+    def test_propagate_reports_first_state_outside(self):
+        from mapflow import nonexact_shear
+
+        m = nonexact_shear(0.01)  # I_k = I_0 + 0.01 k leaves |I| <= 1.5 at k = 5
+        Is, ps, first = propagate(m, np.array([[1.455], [0.0]]), np.array([[0.2], [0.3]]), 10)
+        assert Is.shape == ps.shape == (11, 2, 1)
+        assert list(first) == [5, -1]
+        # the last state is not a step source, so it is never reported
+        assert list(propagate(m, np.array([[1.455]]), np.array([[0.2]]), 5)[2]) == [-1]
+        with pytest.raises(DomainEscape) as exc:
+            orbit_arrays(m, np.array([1.455]), np.array([0.2]), 10)
+        assert exc.value.index == 6
+
+    def test_escape_reported_before_later_solver_failure(self):
+        # Picard solve fails (NaN) once |I| >= 2, 50 steps after the escape
+        def s_phi(I, phi):
+            return np.where(np.abs(I) < 2.0, -1.0, np.nan)
+
+        m = replace(catalog("standard", 0.01), s_phi=s_phi, s_action_independent=False)
+        with pytest.raises(DomainEscape) as exc:
+            orbit_arrays(m, np.array([1.455]), np.array([0.2]), 100)
+        assert exc.value.index == 6
+        with pytest.raises(NoConvergence):
+            orbit_arrays(replace(m, s_phi=lambda I, p: np.full_like(I, np.nan)),
+                         np.array([0.1]), np.array([0.2]), 5)
 
 
 class TestShiftedLift:

@@ -1,12 +1,14 @@
 """Nucleus pendulum model: averaged potential, radii, trapped orbits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mapflow import (
     ResonanceSite,
+    maps,
     build_nucleus,
     catalog,
     is_resonant_mode,
@@ -16,7 +18,8 @@ from mapflow import (
     resonant_fourier_check,
     trapped_orbit,
 )
-from mapflow.errors import FormMismatch
+from mapflow.errors import DomainEscape, FormMismatch
+from mapflow.maps import step_arrays
 
 TWO_PI = 2 * math.pi
 
@@ -155,6 +158,67 @@ class TestTrappedOrbit:
         rec = trapped_orbit(m, std_site(), np.array([0.1]), np.array([0.2]), 5000)
         # bounded oscillation, linear-in-k worst case
         assert np.max(np.abs(rec.energy - rec.energy[0])) <= rec.max_step_dE * len(rec.energy)
+
+
+def per_block_exit(model, site, J0, phi0, budget):
+    """Exit index of a trapped orbit stepped block by block, guarded per step."""
+    r1 = nucleus_radii(model).r1
+    rho = math.sqrt(model.eps)
+    J, phi = np.asarray(J0, dtype=float), np.asarray(phi0, dtype=float)
+    for k in range(budget):
+        I, ph = site.I_star + rho * J, phi
+        for _ in range(site.n):
+            I, ph = step_arrays(model, I, ph)
+        J, phi = (I - site.I_star) / rho, ph - site.n * site.omega_star
+        if J @ J > r1 * r1:
+            return k + 1
+    return None
+
+
+# (model, site, J0, phi0, budget): a trapped orbit and two that leave the r1 ball
+WINDOW_CASES = [
+    (catalog("standard", 1e-4), std_site(), [0.1], [0.2], 300),
+    (catalog("standard", 1e-4), std_site(), [0.4], [0.5], 300),
+    (catalog("froeschle2", 1e-4, eta=0.3), fro_site_n2(), [0.7, 0.0], [0.5, 0.5], 700),
+]
+
+
+class TestTrappedOrbitWindows:
+    @pytest.mark.parametrize("window", [1, 7, maps.WINDOW])
+    def test_window_invariance(self, window, monkeypatch):
+        want = [trapped_orbit(m, site, np.array(J0), np.array(p0), b)
+                for m, site, J0, p0, b in WINDOW_CASES]
+        monkeypatch.setattr(maps, "WINDOW", window)
+        for case, ref in zip(WINDOW_CASES, want):
+            m, site, J0, p0, b = case
+            rec = trapped_orbit(m, site, np.array(J0), np.array(p0), b)
+            assert rec.exit_index == ref.exit_index
+            for f in ("J", "phi", "energy"):
+                assert np.array_equal(getattr(rec, f), getattr(ref, f))
+            assert (rec.max_step_dE, rec.max_abs_J) == (ref.max_step_dE, ref.max_abs_J)
+
+    def test_exit_index_matches_per_block_loop(self):
+        exits = []
+        for m, site, J0, p0, b in WINDOW_CASES:
+            rec = trapped_orbit(m, site, np.array(J0), np.array(p0), b)
+            assert rec.exit_index == per_block_exit(m, site, J0, p0, b)
+            assert rec.J.shape[0] == (b if rec.exit_index is None else rec.exit_index) + 1
+            exits.append(rec.exit_index)
+        assert exits[0] is None and exits[1] > 1 and exits[2] > 1
+
+    def test_exit_wins_over_later_escape_in_window(self):
+        # the action drifts by eps per step: J crosses r1 in block 6 and the
+        # orbit leaves the action domain near block 150, inside the same window
+        m = replace(catalog("standard", 0.01), s_phi=lambda I, p: -np.ones_like(I))
+        rec = trapped_orbit(m, std_site(), np.array([0.0]), np.array([0.2]), 1000)
+        assert rec.exit_index == 6
+
+    def test_escape_before_exit_raises(self):
+        m = replace(catalog("standard", 0.01), s_phi=lambda I, p: -np.ones_like(I))
+        # 100 steps per block from I = 1.49: the first block leaves the domain
+        site = ResonanceSite(n=100, omega_star=[1.49], I_star=[1.49], rho_n=0.1)
+        with pytest.raises(DomainEscape):
+            trapped_orbit(m, site, np.array([0.0]), np.array([0.2]), 10)
 
 
 class TestFourier:
