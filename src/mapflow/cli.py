@@ -5,8 +5,8 @@ a CSV (17-significant-digit floats, LF endings, stable column order) plus a
 run manifest.  Identical config and seed give byte-identical CSV bodies
 regardless of the worker count.
 
-Exit codes: 0 success, 2 config/validation error, 3 numerical failure (with
-any partial outputs preserved).
+Exit codes: 0 success, 2 config/validation error (one-line message, no
+CSV), 3 numerical failure (only the manifest is written, recording it).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .experiments import (
     stability_scan,
 )
 from .hamiltonian import default_delta, embedding_error, recover_generating, unit_box
-from .interp import interpolating_vf
+from .interp import M_MAX, interpolating_vf
 from .maps import MapModel, catalog
 from .nucleus import build_nucleus, resonant_fourier_check, trapped_orbit
 from .resonance import ResonanceSite, covering_params, dirichlet, resonant_action, scaled_block
@@ -106,6 +106,32 @@ def build_site(model: MapModel, cfg: dict) -> tuple[ResonanceSite, str]:
     return ResonanceSite(n=n, omega_star=omega_star, I_star=I_star, rho_n=rho_n), scaling
 
 
+def _int_at_least(cfg: dict, key: str, lo: int, where: str, default: Optional[int] = None):
+    if default is not None and key not in cfg:
+        return default
+    val = _require(cfg, key, int, where)
+    if val < lo:
+        raise ConfigError(f"{where}.{key} must be an integer >= {lo}, got {val}")
+    return val
+
+
+def _orders(cfg: dict, where: str) -> list:
+    m_list = _require(cfg, "m_list", list, where)
+    for m in m_list:
+        if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= M_MAX:
+            raise ConfigError(f"{where}.m_list entries must be integers in 1..{M_MAX}, "
+                              f"got {m!r}")
+    return m_list
+
+
+def _vector(cfg: dict, key: str, n: int, where: str) -> np.ndarray:
+    val = _require(cfg, key, list, where)
+    if len(val) != n or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                                for v in val):
+        raise ConfigError(f"{where}.{key} must be a list of {n} numbers")
+    return np.asarray(val, dtype=float)
+
+
 def _tolerances_positive(cfg: dict, keys: tuple, where: str):
     for k in keys:
         if k in cfg and (not isinstance(cfg[k], (int, float)) or cfg[k] <= 0):
@@ -134,9 +160,10 @@ def run_embed_error(cfg: dict, out: str, workers: int) -> list[str]:
     sub = _require(cfg, "embed-error", dict, "config")
     _check_known(sub, {"m_list", "grid_n", "tol", "delta", "J_radius", "site"}, "embed-error")
     _tolerances_positive(sub, ("tol", "delta", "J_radius"), "embed-error")
-    m_list = _require(sub, "m_list", list, "embed-error")
+    m_list = _orders(sub, "embed-error")
+    _int_at_least(sub, "grid_n", 2, "embed-error", default=4)
     _require(sub, "site", dict, "embed-error")
-    tasks = [(cfg, int(m)) for m in m_list]
+    tasks = [(cfg, m) for m in m_list]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             rows = list(ex.map(_embed_one, tasks))
@@ -186,14 +213,14 @@ def run_energy(cfg: dict, out: str, workers: int) -> list[str]:
     _tolerances_positive(sub, ("quad_tol",), "energy")
     model = build_model(cfg)
     site, scaling = build_site(model, _require(sub, "site", dict, "energy"))
-    m_list = _require(sub, "m_list", list, "energy")
+    m_list = _orders(sub, "energy")
     blocks = _require(sub, "blocks", int, "energy")
     x0 = np.asarray(_require(sub, "x0", list, "energy"), dtype=float)
     quad_tol = float(sub.get("quad_tol", 1e-12))
     rows = []
     for m in m_list:
-        rep = energy_drift(model, site, int(m), blocks, x0, scaling, quad_tol)
-        rows.append([int(m), blocks, rep.max_increment, rep.total, rep.identity_residual])
+        rep = energy_drift(model, site, m, blocks, x0, scaling, quad_tol)
+        rows.append([m, blocks, rep.max_increment, rep.total, rep.identity_residual])
     path = os.path.join(out, "energy.csv")
     write_csv(path, ["m", "blocks", "max_increment", "total", "identity_residual"], rows)
     return [path]
@@ -236,10 +263,10 @@ def run_nucleus(cfg: dict, out: str, workers: int) -> list[str]:
                        "record_every"}, "nucleus")
     model = build_model(cfg)
     site, _ = build_site(model, _require(sub, "site", dict, "nucleus"))
-    J0 = np.asarray(_require(sub, "J0", list, "nucleus"), dtype=float)
-    phi0 = np.asarray(_require(sub, "phi0", list, "nucleus"), dtype=float)
-    budget = _require(sub, "budget", int, "nucleus")
-    every = int(sub.get("record_every", 1))
+    J0 = _vector(sub, "J0", model.d, "nucleus")
+    phi0 = _vector(sub, "phi0", model.d, "nucleus")
+    budget = _int_at_least(sub, "budget", 0, "nucleus")
+    every = _int_at_least(sub, "record_every", 1, "nucleus", default=1)
     nm = build_nucleus(model, site)
     rec = trapped_orbit(model, site, J0, phi0, budget, nmodel=nm)
     rows = []
@@ -330,7 +357,7 @@ def run_gen_recover(cfg: dict, out: str, workers: int) -> list[str]:
     _tolerances_positive(sub, ("quad_tol", "J_radius"), "gen-recover")
     model = build_model(cfg)
     base = np.asarray(_require(sub, "base", list, "gen-recover"), dtype=float)
-    grid_n = int(sub.get("grid_n", 5))
+    grid_n = _int_at_least(sub, "grid_n", 2, "gen-recover", default=5)
     J_radius = float(sub.get("J_radius", 0.4))
     quad_tol = float(sub.get("quad_tol", 1e-11))
     box = unit_box(model.d, J_radius)
@@ -394,10 +421,13 @@ def run(command: str, config_path: str, out: Optional[str] = None,
         if needs_rng and seed_val is None:
             raise ConfigError(f"command {command!r} requires an RNG seed")
         rng = np.random.default_rng(seed_val) if seed_val is not None else None
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(out_dir, exist_ok=True)
     try:
         if command == "interp":
             paths = run_interp(cfg, out_dir, nworkers)

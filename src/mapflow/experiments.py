@@ -15,7 +15,8 @@ import numpy as np
 
 from .hamiltonian import (
     Box,
-    EmbeddingReport,
+    _staircase,
+    distance_to_identity,
     embedding_error,
     interpolating_field,
     optimal_order,
@@ -129,32 +130,11 @@ class SnDecomposition:
 
     def w_n(self, Jbar: np.ndarray, phi: np.ndarray) -> float:
         """Path integral of v . dJbar - u . dphi along the staircase from 0."""
-        from .hamiltonian import _quad_segment
-
         d = self.block.d
         target = np.concatenate([np.atleast_1d(np.asarray(Jbar, dtype=float)),
                                  np.atleast_1d(np.asarray(phi, dtype=float))])
-        cur = np.zeros(2 * d)
-        total = 0.0
-        for axis in range(2 * d):
-            t1 = target[axis]
-            if t1 == cur[axis]:
-                continue
-            a0 = cur[axis]
-            basept = cur.copy()
-            if axis < d:
-                def integrand(t, axis=axis, a0=a0, t1=t1, basept=basept):
-                    p = basept.copy()
-                    p[axis] = a0 + t * (t1 - a0)
-                    return self.v(p[:d], p[d:])[axis] * (t1 - a0)
-            else:
-                def integrand(t, axis=axis, a0=a0, t1=t1, basept=basept):
-                    p = basept.copy()
-                    p[axis] = a0 + t * (t1 - a0)
-                    return -self.u(p[:d], p[d:])[axis - d] * (t1 - a0)
-            total += _quad_segment(integrand, self.quad_tol)
-            cur[axis] = t1
-        return total
+        return _staircase(lambda x: self.v(x[:d], x[d:]), lambda x: -self.u(x[:d], x[d:]),
+                          np.zeros(2 * d), target, self.quad_tol)
 
     def S_n(self, Jbar: np.ndarray, phi: np.ndarray) -> float:
         return float(self.h_n(np.atleast_1d(Jbar))) + self.w_n(Jbar, phi)
@@ -424,8 +404,6 @@ def error_law_fit(blocks, box: Box, mode: str, m_list: Optional[Sequence[int]] =
     if mode == "vs_eps":
         reports = []
         for blk in blocks:
-            from .hamiltonian import distance_to_identity
-
             eh = distance_to_identity(blk, box, grid_n)
             m_opt = optimal_order(delta, eh, box.d)
             reports.append(embedding_error(blk, m_opt.m, box, grid_n, tol, delta))

@@ -47,7 +47,7 @@ class FieldEvaluator:
 
 def interpolating_field(map_like, m: int, scheme: str = "newton") -> FieldEvaluator:
     """Wrap X_m of a map as a reusable field evaluator."""
-    dim = map_like.dim if isinstance(map_like, MapModel) else getattr(map_like, "dim", None)
+    dim = getattr(map_like, "dim", None)
     if dim is None:
         raise ValueError("map must expose its phase-space dimension")
 
@@ -100,12 +100,11 @@ def unit_box(d: int, J_radius: float = 1.0) -> Box:
 
 def flow_map(X, x: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
     """Time-t flow of the field X from x, adaptive RK with local error tol."""
-    fn = X.eval if isinstance(X, FieldEvaluator) else X
     x = np.asarray(x, dtype=float)
     if t == 0.0:
         return x.copy()
     rtol = max(tol, 1e-13)
-    sol = solve_ivp(lambda _, y: fn(y), (0.0, t), x, method="DOP853",
+    sol = solve_ivp(lambda _, y: X(y), (0.0, t), x, method="DOP853",
                     rtol=rtol, atol=tol)
     if sol.status != 0:
         raise StepFailure(f"flow integration failed: {sol.message}")
@@ -226,19 +225,21 @@ def symmetry_defect(X, x: np.ndarray, h_fd: float = 1e-5) -> float:
     largest entry of |M - M^T|; Hamiltonian fields give zero up to the
     finite-difference floor.
     """
-    fn = X.eval if isinstance(X, FieldEvaluator) else X
+    DX = _fd_jacobian(X, x, h_fd)
+    M = -symplectic_matrix(DX.shape[0] // 2) @ DX  # J^{-1} = -J
+    return float(np.max(np.abs(M - M.T)))
+
+
+def _fd_jacobian(fn, x: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference Jacobian of fn at x, step h * max(1, |x_j|) per axis."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    d = n // 2
-    DX = np.empty((n, n))
+    J = np.empty((n, n))
     for j in range(n):
-        h = h_fd * max(1.0, abs(x[j]))
         e = np.zeros(n)
-        e[j] = h
-        DX[:, j] = (fn(x + e) - fn(x - e)) / (2.0 * h)
-    Jmat = symplectic_matrix(d)
-    M = -Jmat @ DX  # J^{-1} = -J
-    return float(np.max(np.abs(M - M.T)))
+        e[j] = h * max(1.0, abs(x[j]))
+        J[:, j] = (fn(x + e) - fn(x - e)) / (2.0 * e[j])
+    return J
 
 
 def _quad_segment(scalar_fn, quad_tol: float) -> float:
@@ -248,40 +249,42 @@ def _quad_segment(scalar_fn, quad_tol: float) -> float:
     return val
 
 
-def _staircase_integral(X, start: np.ndarray, stop: np.ndarray, d: int,
-                        quad_tol: float) -> float:
-    """Integral of X_phi.dI - X_I.dphi along the axis staircase start->stop.
+def _staircase(a, b, start: np.ndarray, stop: np.ndarray, quad_tol: float) -> float:
+    """Integral of the 1-form a(x) . dI + b(x) . dphi along the axis staircase.
 
-    Axes are traversed in index order, actions first; a fixed order keeps the
-    periodicity correction well-defined.
+    The path runs from start to stop one axis at a time in index order,
+    actions first, then angles; a fixed order keeps the periodicity
+    correction well-defined.  ``a`` and ``b`` map a point of R^{2d} to d
+    components.  A DomainEscape on the path is raised as PathExit.
     """
-    fn = X.eval if isinstance(X, FieldEvaluator) else X
-    total = 0.0
     cur = np.array(start, dtype=float)
+    stop = np.asarray(stop, dtype=float)
+    d = cur.shape[0] // 2
+    total = 0.0
     for axis in range(2 * d):
-        target = stop[axis]
-        if target == cur[axis]:
+        a0, a1 = cur[axis], stop[axis]
+        if a1 == a0:
             continue
-        a0, a1 = cur[axis], target
         base = cur.copy()
+        form, k = (a, axis) if axis < d else (b, axis - d)
 
-        if axis < d:
-            def integrand(t, axis=axis, a0=a0, a1=a1, base=base):
-                p = base.copy()
-                p[axis] = a0 + t * (a1 - a0)
-                return fn(p)[d + axis] * (a1 - a0)
-        else:
-            def integrand(t, axis=axis, a0=a0, a1=a1, base=base):
-                p = base.copy()
-                p[axis] = a0 + t * (a1 - a0)
-                return -fn(p)[axis - d] * (a1 - a0)
+        def integrand(t):
+            p = base.copy()
+            p[axis] = a0 + t * (a1 - a0)
+            return form(p)[k] * (a1 - a0)
 
         try:
             total += _quad_segment(integrand, quad_tol)
         except DomainEscape as exc:
             raise PathExit(f"integration path left the evaluable region: {exc}") from exc
-        cur[axis] = target
+        cur[axis] = a1
     return total
+
+
+def _staircase_integral(X, start: np.ndarray, stop: np.ndarray, d: int,
+                        quad_tol: float) -> float:
+    """Integral of dH = X_phi . dI - X_I . dphi along the staircase start -> stop."""
+    return _staircase(lambda x: X(x)[d:], lambda x: -X(x)[:d], start, stop, quad_tol)
 
 
 @dataclass
@@ -299,7 +302,6 @@ class HamiltonianField:
     quad_tol: float
     X: object
     d: int
-    values: dict = field(default_factory=dict)
 
     def raw(self, x: np.ndarray) -> float:
         return _staircase_integral(self.X, self.base_point, np.asarray(x, dtype=float),
@@ -307,11 +309,8 @@ class HamiltonianField:
 
     def evaluate(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
-        key = tuple(np.round(x, 15))
-        if key not in self.values:
-            lin = float(np.dot(self.correction, x[self.d:] - self.base_point[self.d:]))
-            self.values[key] = self.raw(x) - lin
-        return self.values[key]
+        lin = float(np.dot(self.correction, x[self.d:] - self.base_point[self.d:]))
+        return self.raw(x) - lin
 
     def __call__(self, x) -> float:
         return self.evaluate(x)
@@ -322,12 +321,10 @@ class HamiltonianField:
         Equals the underlying X with the angle-linear correction folded into
         the action components: (X_I + c, X_phi).
         """
-        fn = self.X.eval if isinstance(self.X, FieldEvaluator) else self.X
-        c = self.correction
-        d = self.d
+        X, c, d = self.X, self.correction, self.d
 
         def ev(x):
-            v = np.array(fn(x), dtype=float)
+            v = np.array(X(x), dtype=float)
             v[:d] = v[:d] + c
             return v
 
@@ -341,6 +338,10 @@ def reconstruct_hamiltonian(X, base: np.ndarray, queries: Sequence[np.ndarray],
     H(x) = int (X_phi . dI - X_I . dphi) along base -> (x_I, base_phi) -> x,
     then the linear-in-angle part l(phi) = c . (phi - base_phi) with
     c_l = H_raw(base + e_l) is subtracted to restore periodicity.
+
+    Values are not stored: each query is evaluated once only to check that
+    it is reachable, so an unreachable query raises PathExit or
+    QuadratureFailure here rather than at a later ``evaluate``.
     """
     base = np.asarray(base, dtype=float)
     dim = base.shape[0]
@@ -413,34 +414,10 @@ def recover_generating(model: MapModel, base: np.ndarray, query: np.ndarray,
     result is normalized to s(base) = 0; path independence holds exactly when
     the map is symplectic, and periodicity in q certifies exactness.
     """
-    base = np.asarray(base, dtype=float)
-    query = np.asarray(query, dtype=float)
     d = model.d
     u, v = cross_form_fields(model)
-    total = 0.0
-    cur = base.copy()
-    for axis in range(2 * d):
-        target = query[axis]
-        if target == cur[axis]:
-            continue
-        a0, a1 = cur[axis], target
-        basept = cur.copy()
-        if axis < d:
-            def integrand(t, axis=axis, a0=a0, a1=a1, basept=basept):
-                p = basept.copy()
-                p[axis] = a0 + t * (a1 - a0)
-                return v(p[:d], p[d:])[..., axis] * (a1 - a0)
-        else:
-            def integrand(t, axis=axis, a0=a0, a1=a1, basept=basept):
-                p = basept.copy()
-                p[axis] = a0 + t * (a1 - a0)
-                return u(p[:d], p[d:])[..., axis - d] * (a1 - a0)
-        try:
-            total += _quad_segment(integrand, quad_tol)
-        except DomainEscape as exc:
-            raise PathExit(f"recovery path left the domain: {exc}") from exc
-        cur[axis] = target
-    return total
+    return _staircase(lambda x: v(x[:d], x[d:]), lambda x: u(x[:d], x[d:]),
+                      base, query, quad_tol)
 
 
 @dataclass(frozen=True)
@@ -492,18 +469,7 @@ def _map_jacobian_fn(map_like, h: float = 1e-6):
         except FormMismatch:
             pass
     fwd, _ = _as_flat_map(map_like)
-
-    def jac_fd(x):
-        x = np.asarray(x, dtype=float)
-        n = x.shape[0]
-        J = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h * max(1.0, abs(x[j]))
-            J[:, j] = (fwd(x + e) - fwd(x - e)) / (2.0 * e[j])
-        return J
-
-    return jac_fd
+    return lambda x: _fd_jacobian(fwd, x, h)
 
 
 def loop_action(map_like, loop: Loop, quad_tol: float = 1e-11) -> tuple[float, float]:

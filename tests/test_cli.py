@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from mapflow.cli import run
 
@@ -20,6 +21,19 @@ def base_cfg(**extra):
 
 
 SITE = {"n": 1, "omega_star": [0.0], "gamma": 2.0, "scaling": "nucleus"}
+EMBED = {"m_list": [1], "grid_n": 3, "site": SITE}
+NUCLEUS = {"J0": [0.1], "phi0": [0.2], "budget": 20, "site": SITE}
+
+# (id, command, subcommand config, whether --out lies under a regular file)
+BAD_INPUTS = [
+    ("m_list_not_int", "embed-error", {**EMBED, "m_list": [1, "x"]}, False),
+    ("m_list_zero", "embed-error", {**EMBED, "m_list": [0]}, False),
+    ("grid_n_not_int", "embed-error", {**EMBED, "grid_n": "abc"}, False),
+    ("budget_negative", "nucleus", {**NUCLEUS, "budget": -5}, False),
+    ("record_every_zero", "nucleus", {**NUCLEUS, "record_every": 0}, False),
+    ("J0_wrong_length", "nucleus", {**NUCLEUS, "J0": [0.1, 0.2]}, False),
+    ("out_not_creatable", "nucleus", NUCLEUS, True),
+]
 
 
 class TestValidation:
@@ -55,6 +69,20 @@ class TestValidation:
         cfg = base_cfg(**{"embed-error": {"m_list": [1], "site": SITE, "tol": -1.0}})
         path = write_cfg(tmp_path, "c.json", cfg)
         assert run("embed-error", path, out=str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("command, sub, out_under_file",
+                             [case[1:] for case in BAD_INPUTS],
+                             ids=[case[0] for case in BAD_INPUTS])
+    def test_bad_input_exits_2(self, tmp_path, capsys, command, sub, out_under_file):
+        path = write_cfg(tmp_path, "c.json", base_cfg(**{command: sub}))
+        out = tmp_path / "o"
+        if out_under_file:
+            (tmp_path / "f").write_text("")
+            out = tmp_path / "f" / "o"
+        assert run(command, path, out=str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_numerical_failure_exits_3(self, tmp_path):
         # a non-resonant site certificate fails inside the run: exit 3 and

@@ -93,6 +93,17 @@ class TestSnDecomposition:
             assert abs(sn - h1) <= 5e-4  # eps_hat^2 scale at eps_hat ~ 1e-2
 
 
+    def test_wn_path_exit_outside_domain(self):
+        # at Jbar = 10 the lochak block leaves the sigma-extended domain
+        from mapflow.errors import PathExit
+
+        m = catalog("standard", 1e-4)
+        site = ResonanceSite(n=1, omega_star=[0.0], I_star=[0.0], rho_n=0.2)
+        dec = SnDecomposition(block=scaled_block(m, site, "lochak"))
+        with pytest.raises(PathExit):
+            dec.w_n(np.array([10.0]), np.array([0.3]))
+
+
 class TestEnergyDrift:
     def test_integrable_increments_vanish(self):
         m = catalog("standard", 0.0)

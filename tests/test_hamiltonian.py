@@ -283,6 +283,41 @@ class TestReconstruction:
         assert abs(got - want) <= 50 * mu**3
 
 
+def poly_F(x):
+    # a polynomial mixing every action and angle coordinate, d = len(x) // 2
+    d = x.shape[0] // 2
+    I, phi = x[:d], x[d:]
+    return float(I.sum() ** 3 - 2.0 * I.sum() * phi.prod() + (phi**2).sum() * I[0]
+                 + phi[-1] * I[-1] ** 2)
+
+
+def poly_F_grad(x):
+    d = x.shape[0] // 2
+    I, phi = x[:d], x[d:]
+    gI = np.full(d, 3.0 * I.sum() ** 2 - 2.0 * phi.prod())
+    gI[0] += (phi**2).sum()
+    gI[-1] += 2.0 * phi[-1] * I[-1]
+    gphi = np.array([-2.0 * I.sum() * np.prod(np.delete(phi, l)) for l in range(d)])
+    gphi += 2.0 * phi * I[0]
+    gphi[-1] += I[-1] ** 2
+    return np.concatenate([gI, gphi])
+
+
+class TestStaircase:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_gradient_form_gives_difference(self, d):
+        from mapflow.hamiltonian import _staircase
+
+        rng = np.random.default_rng(d)
+        quad_tol = 1e-11
+        for _ in range(3):
+            start, stop = rng.uniform(-1.0, 1.0, (2, 2 * d))
+            got = _staircase(lambda x: poly_F_grad(x)[:d], lambda x: poly_F_grad(x)[d:],
+                             start, stop, quad_tol)
+            want = poly_F(stop) - poly_F(start)
+            assert abs(got - want) <= 2 * d * quad_tol
+
+
 class TestGeneratingRecovery:
     def test_integrable_gives_h0(self):
         m = catalog("twist", 0.0)
