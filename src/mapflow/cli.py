@@ -93,13 +93,13 @@ def build_model(cfg: dict) -> MapModel:
 
 def build_site(model: MapModel, cfg: dict) -> tuple[ResonanceSite, str]:
     _check_known(cfg, {"n", "omega_star", "gamma", "scaling", "I_guess"}, "site")
-    n = _require(cfg, "n", int, "site")
-    omega_star = np.asarray(_require(cfg, "omega_star", list, "site"), dtype=float)
+    n = _int_at_least(cfg, "n", 1, "site")
+    omega_star = _vector(cfg, "omega_star", model.d, "site")
     gamma = float(cfg.get("gamma", 2.0))
     scaling = cfg.get("scaling", "nucleus")
     if scaling not in ("nucleus", "lochak"):
         raise ConfigError(f"site.scaling must be 'nucleus' or 'lochak', got {scaling!r}")
-    I_guess = np.asarray(cfg.get("I_guess", omega_star), dtype=float)
+    I_guess = _vector(cfg, "I_guess", model.d, "site") if "I_guess" in cfg else omega_star
     I_star = resonant_action(model, omega_star, I_guess)
     cp = covering_params(model, model.eps, gamma) if model.eps > 0 else None
     rho_n = cp.rho_n(n) if cp else 1.0
@@ -152,11 +152,13 @@ def _embed_one(args):
     delta = float(block_cfg.get("delta", default_delta(model.domain.r)))
     rep = embedding_error(blk, m, box, int(block_cfg.get("grid_n", 4)),
                           float(block_cfg.get("tol", 1e-12)), delta)
-    return [m, rep.eps_hat, rep.max_error, rep.bound, int(rep.precondition_ok),
-            "" if rep.bound_satisfied is None else int(rep.bound_satisfied)]
+    row = [m, rep.eps_hat, rep.max_error, rep.bound, int(rep.precondition_ok),
+           "" if rep.bound_satisfied is None else int(rep.bound_satisfied)]
+    return row, len(rep.failures)
 
 
-def run_embed_error(cfg: dict, out: str, workers: int) -> list[str]:
+def run_embed_error(cfg: dict, out: str, workers: int) -> tuple[list[str], list[str]]:
+    """Write embed-error.csv; returns its path and the manifest's flow_failures line."""
     sub = _require(cfg, "embed-error", dict, "config")
     _check_known(sub, {"m_list", "grid_n", "tol", "delta", "J_radius", "site"}, "embed-error")
     _tolerances_positive(sub, ("tol", "delta", "J_radius"), "embed-error")
@@ -166,21 +168,22 @@ def run_embed_error(cfg: dict, out: str, workers: int) -> list[str]:
     tasks = [(cfg, m) for m in m_list]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(_embed_one, tasks))
+            results = list(ex.map(_embed_one, tasks))
     else:
-        rows = [_embed_one(t) for t in tasks]
-    rows.sort(key=lambda r: r[0])
+        results = [_embed_one(t) for t in tasks]
+    results.sort(key=lambda r: r[0][0])
     path = os.path.join(out, "embed-error.csv")
     write_csv(path, ["m", "eps_hat", "max_error", "bound", "precondition_ok",
-                     "bound_satisfied"], rows)
-    return [path]
+                     "bound_satisfied"], [row for row, _ in results])
+    failures = " ".join(f"m{row[0]}={n}" for row, n in results)
+    return [path], [f"flow_failures: {failures}"]
 
 
 def run_interp(cfg: dict, out: str, workers: int) -> list[str]:
     sub = _require(cfg, "interp", dict, "config")
     _check_known(sub, {"points", "m_list", "scheme", "site"}, "interp")
     pts = _require(sub, "points", list, "interp")
-    m_list = _require(sub, "m_list", list, "interp")
+    m_list = _orders(sub, "interp")
     scheme = sub.get("scheme", "newton")
     model = build_model(cfg)
     target = model
@@ -195,10 +198,10 @@ def run_interp(cfg: dict, out: str, workers: int) -> list[str]:
             raise ConfigError(f"interp point {i} must have length {2 * d}")
         for m in m_list:
             try:
-                X = interpolating_vf(target, x, int(m), scheme)
-                rows.append(list(x) + [int(m), *X, "ok"])
+                X = interpolating_vf(target, x, m, scheme)
+                rows.append(list(x) + [m, *X, "ok"])
             except MapflowError as exc:
-                rows.append(list(x) + [int(m)] + [float("nan")] * (2 * d)
+                rows.append(list(x) + [m] + [float("nan")] * (2 * d)
                             + [type(exc).__name__])
     header = ([f"x{j}" for j in range(2 * d)] + ["m"]
               + [f"X{j}" for j in range(2 * d)] + ["status"])
@@ -212,10 +215,10 @@ def run_energy(cfg: dict, out: str, workers: int) -> list[str]:
     _check_known(sub, {"m_list", "blocks", "x0", "quad_tol", "site"}, "energy")
     _tolerances_positive(sub, ("quad_tol",), "energy")
     model = build_model(cfg)
-    site, scaling = build_site(model, _require(sub, "site", dict, "energy"))
     m_list = _orders(sub, "energy")
-    blocks = _require(sub, "blocks", int, "energy")
-    x0 = np.asarray(_require(sub, "x0", list, "energy"), dtype=float)
+    blocks = _int_at_least(sub, "blocks", 1, "energy")
+    x0 = _vector(sub, "x0", 2 * model.d, "energy")
+    site, scaling = build_site(model, _require(sub, "site", dict, "energy"))
     quad_tol = float(sub.get("quad_tol", 1e-12))
     rows = []
     for m in m_list:
@@ -239,7 +242,7 @@ def run_resonance(cfg: dict, out: str, workers: int,
     if "I0_list" in sub:
         seeds = np.asarray(sub["I0_list"], dtype=float).reshape(-1, d)
     else:
-        count = _require(sub, "count", int, "resonance")
+        count = _int_at_least(sub, "count", 1, "resonance")
         if rng is None:
             raise ConfigError("resonance with random seeds requires an RNG seed")
         seeds = rng.uniform(-I_box / np.sqrt(d), I_box / np.sqrt(d), size=(count, d))
@@ -307,8 +310,8 @@ def run_stability(cfg: dict, out: str, workers: int, rng: np.random.Generator) -
     _check_known(sub, {"seeds", "horizon", "I_box", "confinement_radius",
                        "pilot_horizon"}, "stability")
     model = build_model(cfg)
-    nseeds = _require(sub, "seeds", int, "stability")
-    horizon = _require(sub, "horizon", int, "stability")
+    nseeds = _int_at_least(sub, "seeds", 1, "stability")
+    horizon = _int_at_least(sub, "horizon", 1, "stability")
     I_box = float(sub.get("I_box", 0.9))
     d = model.d
     I0 = rng.uniform(-I_box / np.sqrt(d), I_box / np.sqrt(d), size=(nseeds, d))
@@ -356,7 +359,7 @@ def run_gen_recover(cfg: dict, out: str, workers: int) -> list[str]:
     _check_known(sub, {"base", "grid_n", "J_radius", "quad_tol"}, "gen-recover")
     _tolerances_positive(sub, ("quad_tol", "J_radius"), "gen-recover")
     model = build_model(cfg)
-    base = np.asarray(_require(sub, "base", list, "gen-recover"), dtype=float)
+    base = _vector(sub, "base", 2 * model.d, "gen-recover")
     grid_n = _int_at_least(sub, "grid_n", 2, "gen-recover", default=5)
     J_radius = float(sub.get("J_radius", 0.4))
     quad_tol = float(sub.get("quad_tol", 1e-11))
@@ -428,11 +431,12 @@ def run(command: str, config_path: str, out: Optional[str] = None,
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    notes = []
     try:
         if command == "interp":
             paths = run_interp(cfg, out_dir, nworkers)
         elif command == "embed-error":
-            paths = run_embed_error(cfg, out_dir, nworkers)
+            paths, notes = run_embed_error(cfg, out_dir, nworkers)
         elif command == "energy":
             paths = run_energy(cfg, out_dir, nworkers)
         elif command == "resonance":
@@ -452,11 +456,12 @@ def run(command: str, config_path: str, out: Optional[str] = None,
                         status=f"failed: {type(exc).__name__}")
         return 3
     _write_manifest(out_dir, command, cfg, model, seed_val, time.time() - t0,
-                    status="ok", paths=paths)
+                    status="ok", paths=paths, notes=notes)
     return 0
 
 
-def _write_manifest(out_dir, command, cfg, model, seed_val, wall, status, paths=()):
+def _write_manifest(out_dir, command, cfg, model, seed_val, wall, status, paths=(),
+                    notes=()):
     dom = model.domain
     lines = [
         f"command: {command}",
@@ -469,6 +474,7 @@ def _write_manifest(out_dir, command, cfg, model, seed_val, wall, status, paths=
          f"a={fmt(dom.norm_a)} b={fmt(dom.norm_b)} omega_prime={fmt(dom.norm_omega_prime)} "
          f"s={fmt(dom.norm_s)} h0pp={fmt(dom.norm_h0pp)} nu={fmt(dom.nu)} nu2={fmt(dom.nu2)}"),
         "outputs: " + " ".join(os.path.basename(p) for p in paths),
+        *notes,
         "config: " + json.dumps(cfg, sort_keys=True),
     ]
     with open(os.path.join(out_dir, f"{command}_manifest.txt"), "w") as fh:

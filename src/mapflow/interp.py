@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DegenerateFit, FitFailed, OrderTooLarge
-from .maps import MapModel
+from .maps import MapModel, orbit_arrays
 
 M_MAX = 30
 #: differences below this magnitude are considered numerically degenerate
@@ -49,6 +49,24 @@ def _as_flat_map(map_like) -> tuple[FlatMap, Optional[FlatMap]]:
     if callable(map_like):
         return map_like, None
     raise TypeError(f"cannot interpret {type(map_like).__name__} as a map")
+
+
+def _flat_orbit(map_like) -> Optional[Callable[[np.ndarray, int], np.ndarray]]:
+    """One-call orbit ``(x0, steps) -> [x0, ..., F^steps(x0)]``, shape (steps+1, 2d).
+
+    A MapModel steps through `maps.orbit_arrays`, a block map through its own
+    ``orbit``.  Returns None for a plain callable, which may accept only one
+    point and is stepped point by point.
+    """
+    if isinstance(map_like, MapModel):
+        d = map_like.d
+
+        def orbit(x0, steps):
+            Is, ps = orbit_arrays(map_like, x0[:d], x0[d:], steps)
+            return np.concatenate([Is, ps], axis=-1)
+
+        return orbit
+    return getattr(map_like, "orbit", None)
 
 
 @dataclass(frozen=True)
@@ -82,40 +100,53 @@ def orbit_window(map_like, x0, m: int, scheme: str = "newton",
                  verify_tol: float = 1e-12) -> OrbitWindow:
     """Build a window of iterates around x0 and verify its consistency.
 
-    The gauss scheme needs backward iterates, obtained from the map's inverse
+    The forward iterates come from one orbit call (`_flat_orbit`): x_0..x_m
+    for the newton scheme, x_0..x_j for the gauss scheme, whose backward
+    iterates x_{-1}..x_{-j} come from the map's inverse, one step at a time
     (generating-form maps are invertible by exchanging the roles of old and
-    new coordinates in the implicit step).
+    new coordinates in the implicit step).  The window is then checked with
+    one batched map call, F(x_k) against x_{k+1} for every k, so every
+    window is verified at ``verify_tol`` relative to its largest entry.  A
+    block map's orbit is stepped unscaled while its ``apply`` rescales every
+    block, so the check compares two computations.  A plain callable is
+    stepped and checked point by point.
     """
     if m < 1:
         raise OrderTooLarge("order must be at least 1")
     if m > M_MAX:
         raise OrderTooLarge(f"order {m} exceeds m_max = {M_MAX}")
+    if scheme not in ("newton", "gauss"):
+        raise ValueError(f"unknown scheme {scheme!r}")
     fwd, inv = _as_flat_map(map_like)
+    orbit = _flat_orbit(map_like)
     x0 = np.asarray(x0, dtype=float)
-    if scheme == "newton":
-        pts = [x0]
-        for _ in range(m):
-            pts.append(fwd(pts[-1]))
-        win = OrbitWindow(np.array(pts), "newton", m)
-    elif scheme == "gauss":
+    back = []
+    steps = m
+    if scheme == "gauss":
         if m % 2 != 0:
             raise ValueError("gauss scheme needs even m")
         if inv is None:
             raise ValueError("gauss scheme needs an invertible map")
-        j = m // 2
-        back = [x0]
-        for _ in range(j):
-            back.append(inv(back[-1]))
-        pts = back[::-1]
-        for _ in range(j):
-            pts.append(fwd(pts[-1]))
-        win = OrbitWindow(np.array(pts), "gauss", m)
+        steps = m // 2
+        x = x0
+        for _ in range(steps):
+            x = inv(x)
+            back.append(x)
+    if orbit is not None:
+        ahead = orbit(x0, steps)
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        ahead = [x0]
+        for _ in range(steps):
+            ahead.append(fwd(ahead[-1]))
+    win = OrbitWindow(np.vstack([*back[::-1], ahead]), scheme, m)
     # consecutive points must be images under the same map
-    res = max(float(np.max(np.abs(fwd(win.points[i]) - win.points[i + 1])))
-              for i in range(win.points.shape[0] - 1))
-    if res > verify_tol * max(1.0, float(np.max(np.abs(win.points)))):
+    pts = win.points
+    if orbit is not None:
+        res = float(np.max(np.abs(fwd(pts[:-1]) - pts[1:])))
+    else:
+        res = max(float(np.max(np.abs(fwd(pts[i]) - pts[i + 1])))
+                  for i in range(pts.shape[0] - 1))
+    if res > verify_tol * max(1.0, float(np.max(np.abs(pts)))):
         raise ValueError(f"window verification failed, residual {res:.3g}")
     return win
 
@@ -129,7 +160,8 @@ def difference_table(points: np.ndarray) -> list[np.ndarray]:
     pts = np.asarray(points, dtype=float)
     table = [pts]
     for _ in range(pts.shape[0] - 1):
-        table.append(np.diff(table[-1], axis=0))
+        prev = table[-1]
+        table.append(prev[1:] - prev[:-1])
     return table
 
 

@@ -23,6 +23,8 @@ def base_cfg(**extra):
 SITE = {"n": 1, "omega_star": [0.0], "gamma": 2.0, "scaling": "nucleus"}
 EMBED = {"m_list": [1], "grid_n": 3, "site": SITE}
 NUCLEUS = {"J0": [0.1], "phi0": [0.2], "budget": 20, "site": SITE}
+ENERGY = {"m_list": [1], "blocks": 3, "x0": [0.1, 0.1], "site": SITE}
+STABILITY = {"seeds": 2, "horizon": 10}
 
 # (id, command, subcommand config, whether --out lies under a regular file)
 BAD_INPUTS = [
@@ -33,6 +35,14 @@ BAD_INPUTS = [
     ("record_every_zero", "nucleus", {**NUCLEUS, "record_every": 0}, False),
     ("J0_wrong_length", "nucleus", {**NUCLEUS, "J0": [0.1, 0.2]}, False),
     ("out_not_creatable", "nucleus", NUCLEUS, True),
+    ("blocks_zero", "energy", {**ENERGY, "blocks": 0}, False),
+    ("x0_wrong_length", "energy", {**ENERGY, "x0": [0.1, 0.1, 0.1]}, False),
+    ("site_n_zero", "energy", {**ENERGY, "site": {**SITE, "n": 0}}, False),
+    ("interp_m_list_not_int", "interp", {"points": [[0.1, 0.2]], "m_list": ["x"]}, False),
+    ("count_negative", "resonance", {"count": -1}, False),
+    ("base_wrong_length", "gen-recover", {"base": [0.0, 0.0, 0.0]}, False),
+    ("horizon_negative", "stability", {**STABILITY, "horizon": -1}, False),
+    ("seeds_zero", "stability", {**STABILITY, "seeds": 0}, False),
 ]
 
 
@@ -163,6 +173,7 @@ class TestCommands:
         m1 = float(lines[1].split(",")[2])
         m2 = float(lines[2].split(",")[2])
         assert m2 < m1
+        assert "flow_failures: m1=0 m2=0\n" in (out / "embed-error_manifest.txt").read_text()
 
     def test_nucleus_runs(self, tmp_path):
         cfg = base_cfg(nucleus={"J0": [0.1], "phi0": [0.2], "budget": 200,

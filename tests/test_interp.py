@@ -15,8 +15,11 @@ from mapflow import (
     orbit_window,
     order_scaling_check,
 )
-from mapflow.errors import DegenerateFit, OrderTooLarge
+from mapflow import ResonanceSite, scaled_block
+from mapflow.errors import DegenerateFit, DomainEscape, OrderTooLarge
+from mapflow.hamiltonian import Box, embedding_error
 from mapflow.interp import M_MAX, field_from_window, weighted_field
+from mapflow.resonance import BlockMap
 
 from oracles import binomial_difference, binomial_weights
 
@@ -185,6 +188,90 @@ class TestInterpolatingVF:
         Xf = interpolating_vf(model, x0, m_order)
         Xg = interpolating_vf(conj, A @ x0 + shift, m_order)
         assert np.max(np.abs(Xg - A @ Xf)) <= 1e-10
+
+
+def _blocks():
+    """Block maps at both scalings, with sites of period 1, 2 and 3."""
+    std = catalog("standard", 1e-4)
+    fro = catalog("froeschle2", 1e-4, eta=0.3)
+    return [
+        scaled_block(std, ResonanceSite(n=1, omega_star=[0.0], I_star=[0.0], rho_n=0.2),
+                     "nucleus"),
+        scaled_block(std, ResonanceSite(n=2, omega_star=[0.5], I_star=[0.5], rho_n=0.1),
+                     "lochak"),
+        scaled_block(fro, ResonanceSite(n=3, omega_star=[1 / 3, 2 / 3],
+                                        I_star=[1 / 3, 2 / 3], rho_n=0.05), "lochak"),
+    ]
+
+
+class TestOrbitWindow:
+    @pytest.mark.parametrize("name, x0", [("standard", [0.31, 0.42]),
+                                          ("froeschle2", [0.2, -0.3, 0.1, 0.7])])
+    def test_map_model_window_bitwise_equals_repeated_steps(self, name, x0):
+        model = catalog(name, 0.05)
+        for m in (1, 2, 5, 9):
+            pts = [np.array(x0)]
+            for _ in range(m):
+                pts.append(model.apply_flat(pts[-1]))
+            assert np.array_equal(orbit_window(model, x0, m).points, np.array(pts))
+
+    @pytest.mark.parametrize("blk", _blocks(), ids=["nucleus_n1", "lochak_n2", "lochak_n3"])
+    def test_block_window_matches_repeated_apply(self, blk, rng):
+        verify_tol = 1e-12
+        for _ in range(3):
+            x0 = np.concatenate([rng.uniform(-1, 1, blk.d), rng.uniform(0, 1, blk.d)])
+            for m in (1, 4, 6):
+                pts = [x0]
+                for _ in range(m):
+                    pts.append(blk.apply(pts[-1]))
+                win = orbit_window(blk, x0, m, verify_tol=verify_tol).points
+                scale = max(1.0, float(np.max(np.abs(win))))
+                assert np.max(np.abs(win - np.array(pts))) <= verify_tol * scale
+            for m in (2, 4, 6):
+                back = [x0]
+                for _ in range(m // 2):
+                    back.append(blk.inverse(back[-1]))
+                pts = back[::-1]
+                for _ in range(m // 2):
+                    pts.append(blk.apply(pts[-1]))
+                win = orbit_window(blk, x0, m, "gauss", verify_tol=verify_tol).points
+                scale = max(1.0, float(np.max(np.abs(win))))
+                assert np.max(np.abs(win - np.array(pts))) <= verify_tol * scale
+
+    def test_escaping_window_raises_and_is_recorded(self):
+        # the kick at phi = 0.75 pushes the action across |I| = 1.5 within one step
+        with pytest.raises(DomainEscape):
+            orbit_window(catalog("standard", 0.1), np.array([1.499, 0.75]), 3)
+        site = ResonanceSite(n=1, omega_star=[0.0], I_star=[0.0], rho_n=0.1)
+        blk = scaled_block(catalog("standard", 0.01), site, "nucleus")
+        x = np.array([14.99, 0.75])            # I = 1.499, inside the domain
+        blk.apply(x)
+        with pytest.raises(DomainEscape):
+            orbit_window(blk, x, 3)
+        rep = embedding_error(blk, 3, Box(lo=[14.0, 0.0], hi=[14.99, 1.0], d=1), 3,
+                              tol=1e-10)
+        assert [i for i, _ in rep.failures] == [6, 7, 8]    # the J = 14.99 row
+        assert np.all(np.isnan(rep.errors[6:])) and np.all(np.isfinite(rep.errors[:6]))
+
+    def test_one_block_map_call_per_field(self, monkeypatch):
+        calls = [0]
+        apply = BlockMap.apply
+
+        def counted(self, x):
+            calls[0] += 1
+            return apply(self, x)
+
+        monkeypatch.setattr(BlockMap, "apply", counted)
+        blk = _blocks()[1]
+        x = np.array([0.3, 0.4])
+        for m in range(1, 7):
+            calls[0] = 0
+            interpolating_vf(blk, x, m)
+            assert calls[0] == 1
+            if m % 2 == 0:
+                calls[0] = 0
+                interpolating_vf(blk, x, m, scheme="gauss")
+                assert calls[0] == 1
 
 
 class TestOrderScaling:
