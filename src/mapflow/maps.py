@@ -538,8 +538,11 @@ def _froeschle_s_factory(eta):
     return s, s_phi, s_phiphi
 
 
+CATALOG = ("twist", "standard", "froeschle2")
+
+
 def catalog(name: str, eps: float, **params) -> MapModel:
-    """Construct a catalog map: "twist", "standard" or "froeschle2".
+    """Construct the catalog map of a name in CATALOG: "twist", "standard" or "froeschle2".
 
     All catalog entries use h0 = |I|^2/2 (so omega is the identity), the
     Euclidean action ball B(0, 1) widened by sigma = 0.5, angle strip r = 1,

@@ -1,11 +1,18 @@
 """CLI: strict config validation, exit codes, CSV determinism."""
 
+import copy
 import json
+import pathlib
+import tempfile
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mapflow.cli import run
+from mapflow.cli import COMMANDS, SCHEMA, build_model, run, validate
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -26,23 +33,54 @@ NUCLEUS = {"J0": [0.1], "phi0": [0.2], "budget": 20, "site": SITE}
 ENERGY = {"m_list": [1], "blocks": 3, "x0": [0.1, 0.1], "site": SITE}
 STABILITY = {"seeds": 2, "horizon": 10}
 
-# (id, command, subcommand config, whether --out lies under a regular file)
+RESONANCE = {"count": 3, "N": 5.0}
+INTERP = {"points": [[0.3, 0.2]], "m_list": [1, 2], "site": SITE}
+GEN_RECOVER = {"base": [0.0, 0.0], "grid_n": 3, "J_radius": 0.4}
+TWIST0 = {"name": "twist", "eps": 0.0}
+
+# (id, command, command block, top-level keys replaced, whether --out lies
+# under a regular file)
 BAD_INPUTS = [
-    ("m_list_not_int", "embed-error", {**EMBED, "m_list": [1, "x"]}, False),
-    ("m_list_zero", "embed-error", {**EMBED, "m_list": [0]}, False),
-    ("grid_n_not_int", "embed-error", {**EMBED, "grid_n": "abc"}, False),
-    ("budget_negative", "nucleus", {**NUCLEUS, "budget": -5}, False),
-    ("record_every_zero", "nucleus", {**NUCLEUS, "record_every": 0}, False),
-    ("J0_wrong_length", "nucleus", {**NUCLEUS, "J0": [0.1, 0.2]}, False),
-    ("out_not_creatable", "nucleus", NUCLEUS, True),
-    ("blocks_zero", "energy", {**ENERGY, "blocks": 0}, False),
-    ("x0_wrong_length", "energy", {**ENERGY, "x0": [0.1, 0.1, 0.1]}, False),
-    ("site_n_zero", "energy", {**ENERGY, "site": {**SITE, "n": 0}}, False),
-    ("interp_m_list_not_int", "interp", {"points": [[0.1, 0.2]], "m_list": ["x"]}, False),
-    ("count_negative", "resonance", {"count": -1}, False),
-    ("base_wrong_length", "gen-recover", {"base": [0.0, 0.0, 0.0]}, False),
-    ("horizon_negative", "stability", {**STABILITY, "horizon": -1}, False),
-    ("seeds_zero", "stability", {**STABILITY, "seeds": 0}, False),
+    ("m_list_not_int", "embed-error", {**EMBED, "m_list": [1, "x"]}, {}, False),
+    ("m_list_zero", "embed-error", {**EMBED, "m_list": [0]}, {}, False),
+    ("grid_n_not_int", "embed-error", {**EMBED, "grid_n": "abc"}, {}, False),
+    ("budget_negative", "nucleus", {**NUCLEUS, "budget": -5}, {}, False),
+    ("record_every_zero", "nucleus", {**NUCLEUS, "record_every": 0}, {}, False),
+    ("J0_wrong_length", "nucleus", {**NUCLEUS, "J0": [0.1, 0.2]}, {}, False),
+    ("out_not_creatable", "nucleus", NUCLEUS, {}, True),
+    ("blocks_zero", "energy", {**ENERGY, "blocks": 0}, {}, False),
+    ("x0_wrong_length", "energy", {**ENERGY, "x0": [0.1, 0.1, 0.1]}, {}, False),
+    ("site_n_zero", "energy", {**ENERGY, "site": {**SITE, "n": 0}}, {}, False),
+    ("interp_m_list_not_int", "interp", {"points": [[0.1, 0.2]], "m_list": ["x"]}, {}, False),
+    ("count_negative", "resonance", {"count": -1}, {}, False),
+    ("base_wrong_length", "gen-recover", {"base": [0.0, 0.0, 0.0]}, {}, False),
+    ("horizon_negative", "stability", {**STABILITY, "horizon": -1}, {}, False),
+    ("seeds_zero", "stability", {**STABILITY, "seeds": 0}, {}, False),
+    ("resonance_gamma_negative", "resonance", {**RESONANCE, "gamma": -1.0}, {}, False),
+    ("resonance_N_below_1", "resonance", {**RESONANCE, "N": 0.5}, {}, False),
+    ("I0_list_not_number", "resonance", {"I0_list": [[0.1, "x"]]}, {}, False),
+    ("resonance_block_not_object", "resonance", 5, {}, False),
+    ("resonance_twist_eps_0", "resonance", RESONANCE, {"map": TWIST0}, False),
+    ("I_box_not_number", "stability", {**STABILITY, "I_box": "a"}, {}, False),
+    ("site_gamma_not_number", "energy", {**ENERGY, "site": {**SITE, "gamma": "x"}}, {},
+     False),
+    ("scheme_unknown", "interp", {**INTERP, "scheme": "bogus"}, {}, False),
+    ("gauss_odd_m", "interp", {**INTERP, "scheme": "gauss", "m_list": [1]}, {}, False),
+    ("fourier_mode_wrong_length", "nucleus", {**NUCLEUS, "fourier_modes": [[1, 2]]}, {},
+     False),
+    ("fourier_mode_zero", "nucleus", {**NUCLEUS, "fourier_modes": [[0]]}, {}, False),
+    ("nucleus_twist", "nucleus", NUCLEUS, {"map": {"name": "twist", "eps": 1e-4}}, False),
+    ("seed_not_int", "stability", STABILITY, {"seed": "abc"}, False),
+    ("workers_not_int", "stability", STABILITY, {"workers": "two"}, False),
+    ("I0_list_wrong_length", "resonance", {"I0_list": [[0.1, 0.2, 0.3]]}, {}, False),
+    ("count_with_I0_list", "resonance", {**RESONANCE, "I0_list": [[0.1]]}, {}, False),
+    ("pilot_horizon_negative", "stability", {**STABILITY, "pilot_horizon": -1}, {}, False),
+    ("confinement_radius_negative", "stability",
+     {**STABILITY, "confinement_radius": -1.0}, {}, False),
+    ("quad_n_zero", "nucleus", {**NUCLEUS, "fourier_modes": [[1]], "quad_n": 0}, {}, False),
+    ("tol_bool", "embed-error", {**EMBED, "tol": True}, {}, False),
+    ("workers_negative", "stability", STABILITY, {"workers": -3}, False),
+    ("workers_fraction", "stability", STABILITY, {"workers": 1.5}, False),
 ]
 
 
@@ -80,11 +118,11 @@ class TestValidation:
         path = write_cfg(tmp_path, "c.json", cfg)
         assert run("embed-error", path, out=str(tmp_path / "o")) == 2
 
-    @pytest.mark.parametrize("command, sub, out_under_file",
+    @pytest.mark.parametrize("command, sub, top, out_under_file",
                              [case[1:] for case in BAD_INPUTS],
                              ids=[case[0] for case in BAD_INPUTS])
-    def test_bad_input_exits_2(self, tmp_path, capsys, command, sub, out_under_file):
-        path = write_cfg(tmp_path, "c.json", base_cfg(**{command: sub}))
+    def test_bad_input_exits_2(self, tmp_path, capsys, command, sub, top, out_under_file):
+        path = write_cfg(tmp_path, "c.json", base_cfg(**{command: sub, **top}))
         out = tmp_path / "o"
         if out_under_file:
             (tmp_path / "f").write_text("")
@@ -93,6 +131,19 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not list(tmp_path.rglob("*.csv"))
+        assert not out.exists()
+
+    def test_error_names_key_rule_and_value(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "c.json", base_cfg(resonance={**RESONANCE, "gamma": -1.0}))
+        assert run("resonance", path, out=str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == (
+            "config error: resonance.gamma must be a number > 0, got -1.0\n")
+
+    @pytest.mark.parametrize("flags", [{"workers": 0}, {"workers": -3}, {"seed": -1}])
+    def test_bad_flag_exits_2(self, tmp_path, flags):
+        path = write_cfg(tmp_path, "c.json", base_cfg(stability=STABILITY))
+        assert run("stability", path, out=str(tmp_path / "o"), **flags) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_numerical_failure_exits_3(self, tmp_path):
         # a non-resonant site certificate fails inside the run: exit 3 and
@@ -247,3 +298,85 @@ class TestIntegrableExample:
         assert run("stability", path, out=str(out)) == 0
         rows = (out / "stability.csv").read_text().strip().splitlines()[1:]
         assert all(float(r.split(",")[3]) == 0.0 for r in rows)
+
+
+def _workloads():
+    """perfbench/workloads.py, executed from its source without writing a bytecode cache."""
+    path = ROOT / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def _shipped_configs():
+    found = []
+    for path in sorted((ROOT / "scripts" / "configs").glob("*.json")):
+        cfg = json.loads(path.read_text())
+        found += [(path.name, command, cfg) for command in COMMANDS if command in cfg]
+    workloads = _workloads()
+    for name in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            found += [(f"{name}:{seed}", command, cfg)
+                      for command, cfg in workloads.configs(name, seed)]
+    return found
+
+
+class TestSchema:
+    def test_accepts_every_shipped_config(self):
+        shipped = _shipped_configs()
+        assert sum(1 for name, _, _ in shipped if name.endswith(".json")) == 8
+        for name, command, cfg in shipped:
+            checked = validate(command, cfg, build_model(cfg))
+            assert set(checked[command]) == set(SCHEMA[command]), name
+
+    def test_readme_table_lists_the_schema_keys(self):
+        text = (ROOT / "README.md").read_text()
+        section = text[text.index("### Config schema"):]
+        section = section[:section.index("\n## ")]
+        listed = {}
+        for line in section.splitlines():
+            cells = [c.strip() for c in line.split("|")[1:-1]]
+            if len(cells) == 4 and cells[1].startswith("`"):
+                block = "config" if cells[0] == "top level" else cells[0].strip("`")
+                listed.setdefault(block, set()).add(cells[1].strip("`"))
+        assert listed == {block: set(table) for block, table in SCHEMA.items()}
+
+
+# small configs for the fuzz test; each run takes well under a second
+FUZZ_BASES = {"embed-error": EMBED, "nucleus": NUCLEUS, "energy": ENERGY,
+              "stability": STABILITY, "resonance": RESONANCE, "interp": INTERP,
+              "gen-recover": GEN_RECOVER}
+FUZZ_POOL = ["x", "", True, False, None, 0, -1, 0.5, [], [[]], {}, [0.1, 0.2, 0.3],
+             [[0.1, 0.2, 0.3]], TWIST0]
+
+
+def _key_paths(node, prefix=()):
+    for key, val in node.items():
+        yield prefix + (key,)
+        if isinstance(val, dict):
+            yield from _key_paths(val, prefix + (key,))
+
+
+@st.composite
+def _mutated_config(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    cfg = base_cfg(**{command: copy.deepcopy(FUZZ_BASES[command])})
+    *parents, key = draw(st.sampled_from(sorted(_key_paths(cfg))))
+    node = cfg
+    for parent in parents:
+        node = node[parent]
+    node[key] = copy.deepcopy(draw(st.sampled_from(FUZZ_POOL)))
+    return command, cfg
+
+
+class TestNoTraceback:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(_mutated_config())
+    def test_one_bad_key_never_raises(self, case):
+        command, cfg = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            code = run(command, write_cfg(tmp, "c.json", cfg), out=str(tmp / "o"), workers=1)
+            assert code in (0, 2, 3)
+            if code == 2:
+                assert not (tmp / "o").exists()
