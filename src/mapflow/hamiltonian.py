@@ -28,7 +28,7 @@ from .errors import (
     QuadratureFailure,
     StepFailure,
 )
-from .interp import M_MAX, _as_flat_map, interpolating_vf
+from .interp import M_MAX, as_map, interpolating_vf
 from .maps import MapModel, PhasePoint, _frac, _picard, jacobian, symplectic_matrix
 
 SIX_E = 6.0 * math.e
@@ -117,16 +117,8 @@ def distance_to_identity(map_like, box: Box, grid_n: int) -> float:
     For scaled resonance blocks the displacement is measured directly in the
     block's own (J, phi) units.
     """
-    fwd, _ = _as_flat_map(map_like)
     pts = box.grid(grid_n)
-    try:
-        img = fwd(pts)
-        if img.shape != pts.shape:
-            raise TypeError
-        disp = np.max(np.abs(img - pts))
-    except Exception:
-        disp = max(float(np.max(np.abs(fwd(p) - p))) for p in pts)
-    return float(disp)
+    return float(np.max(np.abs(as_map(map_like).apply(pts) - pts)))
 
 
 def default_delta(r: float) -> float:
@@ -190,7 +182,7 @@ def embedding_error(map_like, m: int, box: Box, grid_n: int,
     m < delta/(6 eps_hat) - d holds, and never clipped in either case.
     Per-point flow failures are collected instead of aborting the sweep.
     """
-    fwd, _ = _as_flat_map(map_like)
+    fwd = as_map(map_like).apply
     pts = box.grid(grid_n)
     d = box.d
     X = interpolating_field(map_like, m, scheme)
@@ -209,7 +201,8 @@ def embedding_error(map_like, m: int, box: Box, grid_n: int,
         raise StepFailure("flow failed at every grid point")
     max_error = float(np.nanmax(errors))
     C_m = 6.0 * (m + d) / delta
-    bound = 3.0 * C_m**m * eps_hat ** (m + 1)
+    with np.errstate(over="ignore"):    # saturates at inf for absurd eps_hat
+        bound = float(3.0 * np.float64(C_m) ** m * np.float64(eps_hat) ** (m + 1))
     precondition_ok = eps_hat > 0 and m < delta / (6.0 * eps_hat) - d
     bound_satisfied = bool(max_error <= bound) if precondition_ok else None
     return EmbeddingReport(m=m, eps_hat=eps_hat, max_error=max_error, bound=bound,
@@ -468,7 +461,7 @@ def _map_jacobian_fn(map_like, h: float = 1e-6):
             return jac
         except FormMismatch:
             pass
-    fwd, _ = _as_flat_map(map_like)
+    fwd = as_map(map_like).apply
     return lambda x: _fd_jacobian(fwd, x, h)
 
 
@@ -479,7 +472,7 @@ def loop_action(map_like, loop: Loop, quad_tol: float = 1e-11) -> tuple[float, f
     carry derivative callbacks, central finite differences otherwise.  Equal
     values certify exactness of the map on this homotopy class.
     """
-    fwd, _ = _as_flat_map(map_like)
+    fwd = as_map(map_like).apply
     jac = _map_jacobian_fn(map_like)
     probe = loop.point(0.0)
     d = probe.shape[0] // 2

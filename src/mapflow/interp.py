@@ -18,18 +18,23 @@ The even-order symmetric variant uses the centered window x_{-j}, ..., x_j:
 
 Differences are computed by the recursive in-place scheme; the raw
 binomial-sum form is kept in the test suite as an independent oracle.
+
+Every map is stepped through one flat-map protocol on phase vectors of
+shape (..., 2d): ``apply`` (one step), ``inverse`` (one inverse step) and
+``orbit(x0, steps)`` (shape (steps+1, ..., 2d)).  `MapModel` and `BlockMap`
+implement it; `as_map` wraps a plain function of one (2d,) vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .errors import DegenerateFit, FitFailed, OrderTooLarge
-from .maps import MapModel, orbit_arrays
+from .maps import MapModel
 
 M_MAX = 30
 #: differences below this magnitude are considered numerically degenerate
@@ -38,35 +43,42 @@ DIFF_FLOOR = 1e-15
 FlatMap = Callable[[np.ndarray], np.ndarray]
 
 
-def _as_flat_map(map_like) -> tuple[FlatMap, Optional[FlatMap]]:
-    """Normalize a MapModel / block / callable into (forward, inverse)."""
-    if isinstance(map_like, MapModel):
-        fwd = map_like.apply_flat
-        inv = map_like.inverse_flat
-        return fwd, inv
-    if hasattr(map_like, "apply") and callable(map_like.apply):
-        return map_like.apply, getattr(map_like, "inverse", None)
-    if callable(map_like):
-        return map_like, None
-    raise TypeError(f"cannot interpret {type(map_like).__name__} as a map")
+class _PointwiseMap:
+    """Flat-map protocol for a plain function of one (2d,) phase vector.
 
-
-def _flat_orbit(map_like) -> Optional[Callable[[np.ndarray, int], np.ndarray]]:
-    """One-call orbit ``(x0, steps) -> [x0, ..., F^steps(x0)]``, shape (steps+1, 2d).
-
-    A MapModel steps through `maps.orbit_arrays`, a block map through its own
-    ``orbit``.  Returns None for a plain callable, which may accept only one
-    point and is stepped point by point.
+    ``apply`` calls the function once per row, ``orbit`` steps one point at a
+    time, and there is no ``inverse``.
     """
-    if isinstance(map_like, MapModel):
-        d = map_like.d
 
-        def orbit(x0, steps):
-            Is, ps = orbit_arrays(map_like, x0[:d], x0[d:], steps)
-            return np.concatenate([Is, ps], axis=-1)
+    inverse = None
 
-        return orbit
-    return getattr(map_like, "orbit", None)
+    def __init__(self, fn: FlatMap):
+        self.fn = fn
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        rows = x.reshape(-1, x.shape[-1])
+        return np.array([self.fn(row) for row in rows], dtype=float).reshape(x.shape)
+
+    def orbit(self, x0: np.ndarray, steps: int) -> np.ndarray:
+        pts = [np.asarray(x0, dtype=float)]
+        for _ in range(steps):
+            pts.append(self.apply(pts[-1]))
+        return np.stack(pts)
+
+
+def as_map(map_like):
+    """The flat-map protocol of a map: ``apply``, ``inverse`` and ``orbit``.
+
+    A `MapModel` or a `BlockMap` (anything with ``orbit``) is returned
+    unchanged; any other callable is taken as a function of one (2d,) phase
+    vector and wrapped pointwise.
+    """
+    if hasattr(map_like, "orbit"):
+        return map_like
+    if callable(map_like):
+        return _PointwiseMap(map_like)
+    raise TypeError(f"cannot interpret {type(map_like).__name__} as a map")
 
 
 @dataclass(frozen=True)
@@ -100,16 +112,15 @@ def orbit_window(map_like, x0, m: int, scheme: str = "newton",
                  verify_tol: float = 1e-12) -> OrbitWindow:
     """Build a window of iterates around x0 and verify its consistency.
 
-    The forward iterates come from one orbit call (`_flat_orbit`): x_0..x_m
-    for the newton scheme, x_0..x_j for the gauss scheme, whose backward
-    iterates x_{-1}..x_{-j} come from the map's inverse, one step at a time
-    (generating-form maps are invertible by exchanging the roles of old and
-    new coordinates in the implicit step).  The window is then checked with
-    one batched map call, F(x_k) against x_{k+1} for every k, so every
-    window is verified at ``verify_tol`` relative to its largest entry.  A
-    block map's orbit is stepped unscaled while its ``apply`` rescales every
-    block, so the check compares two computations.  A plain callable is
-    stepped and checked point by point.
+    The forward iterates come from one ``orbit`` call of the map's flat-map
+    protocol (`as_map`): x_0..x_m for the newton scheme, x_0..x_j for the
+    gauss scheme, whose backward iterates x_{-1}..x_{-j} come from the map's
+    ``inverse``, one step at a time (generating-form maps are invertible by
+    exchanging the roles of old and new coordinates in the implicit step).
+    The window is then checked with one ``apply`` call on all but its last
+    point, F(x_k) against x_{k+1} for every k, at ``verify_tol`` relative to
+    its largest entry.  A block map's orbit is stepped unscaled while its
+    ``apply`` rescales every block, so the check compares two computations.
     """
     if m < 1:
         raise OrderTooLarge("order must be at least 1")
@@ -117,35 +128,24 @@ def orbit_window(map_like, x0, m: int, scheme: str = "newton",
         raise OrderTooLarge(f"order {m} exceeds m_max = {M_MAX}")
     if scheme not in ("newton", "gauss"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    fwd, inv = _as_flat_map(map_like)
-    orbit = _flat_orbit(map_like)
+    F = as_map(map_like)
     x0 = np.asarray(x0, dtype=float)
     back = []
     steps = m
     if scheme == "gauss":
         if m % 2 != 0:
             raise ValueError("gauss scheme needs even m")
-        if inv is None:
+        if F.inverse is None:
             raise ValueError("gauss scheme needs an invertible map")
         steps = m // 2
         x = x0
         for _ in range(steps):
-            x = inv(x)
+            x = F.inverse(x)
             back.append(x)
-    if orbit is not None:
-        ahead = orbit(x0, steps)
-    else:
-        ahead = [x0]
-        for _ in range(steps):
-            ahead.append(fwd(ahead[-1]))
-    win = OrbitWindow(np.vstack([*back[::-1], ahead]), scheme, m)
+    win = OrbitWindow(np.vstack([*back[::-1], F.orbit(x0, steps)]), scheme, m)
     # consecutive points must be images under the same map
     pts = win.points
-    if orbit is not None:
-        res = float(np.max(np.abs(fwd(pts[:-1]) - pts[1:])))
-    else:
-        res = max(float(np.max(np.abs(fwd(pts[i]) - pts[i + 1])))
-                  for i in range(pts.shape[0] - 1))
+    res = float(np.max(np.abs(F.apply(pts[:-1]) - pts[1:])))
     if res > verify_tol * max(1.0, float(np.max(np.abs(pts)))):
         raise ValueError(f"window verification failed, residual {res:.3g}")
     return win

@@ -187,20 +187,27 @@ class MapModel:
     def dim(self) -> int:
         return 2 * self.d
 
-    # -- flat-vector interface used by the interpolation/flow machinery ----
+    # -- flat-map protocol on phase vectors of shape (..., 2d) ---------------
 
-    def apply_flat(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray) -> np.ndarray:
         """One map step on flat phase vectors of shape (..., 2d)."""
         x = np.asarray(x, dtype=float)
         I, phi = x[..., : self.d], x[..., self.d:]
         In, pn = step_arrays(self, I, phi)
         return np.concatenate([In, pn], axis=-1)
 
-    def inverse_flat(self, x: np.ndarray) -> np.ndarray:
+    def inverse(self, x: np.ndarray) -> np.ndarray:
+        """One inverse map step on flat phase vectors of shape (..., 2d)."""
         x = np.asarray(x, dtype=float)
         I, phi = x[..., : self.d], x[..., self.d:]
         In, pn = inverse_step_arrays(self, I, phi)
         return np.concatenate([In, pn], axis=-1)
+
+    def orbit(self, x0: np.ndarray, steps: int) -> np.ndarray:
+        """Orbit [x0, F(x0), ..., F^steps(x0)], shape (steps+1, ..., 2d)."""
+        x0 = np.asarray(x0, dtype=float)
+        Is, ps = orbit_arrays(self, x0[..., : self.d], x0[..., self.d:], steps)
+        return np.concatenate([Is, ps], axis=-1)
 
 
 def _frac(phi):

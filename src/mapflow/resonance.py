@@ -185,8 +185,8 @@ class BlockMap:
     Maps (J, phi) -> (Jbar, phibar) with I = I_* + rho J and the angle lift
     shifted by n omega_* per application.  ``scaling`` chooses rho:
     "lochak" uses the covering radius rho_n, "nucleus" uses sqrt(eps).
-    Callable on flat vectors of shape (..., 2d); provides the inverse when
-    the underlying model is invertible.
+    Implements the flat-map protocol (``apply``, ``inverse``, ``orbit``) on
+    phase vectors of shape (..., 2d); ``inverse`` needs an invertible model.
     """
 
     def __init__(self, model: MapModel, site: ResonanceSite, scaling: str = "lochak"):
@@ -217,9 +217,6 @@ class BlockMap:
         Jn = (Is[-1] - self.site.I_star) / self.rho
         pn = ps[-1] - self.n * self.site.omega_star
         return np.concatenate([Jn, pn], axis=-1)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x)
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
         J, phi = self._split(x)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mapflow.cli import COMMANDS, SCHEMA, build_model, run, validate
+from mapflow.cli import COMMANDS, REQUIRED, SCHEMA, build_model, run, validate
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -117,6 +117,12 @@ class TestValidation:
         cfg = base_cfg(**{"embed-error": {"m_list": [1], "site": SITE, "tol": -1.0}})
         path = write_cfg(tmp_path, "c.json", cfg)
         assert run("embed-error", path, out=str(tmp_path / "o")) == 2
+
+    def test_absurd_eps_saturates_the_bound(self, tmp_path):
+        # the embedding bound 3 C_m^m eps_hat^(m+1) overflows a double here
+        cfg = {"map": {"name": "standard", "eps": 1e300}, "seed": 7, "embed-error": EMBED}
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert run("embed-error", path, out=str(tmp_path / "o"), workers=1) in (0, 3)
 
     @pytest.mark.parametrize("command, sub, top, out_under_file",
                              [case[1:] for case in BAD_INPUTS],
@@ -338,8 +344,22 @@ class TestSchema:
             cells = [c.strip() for c in line.split("|")[1:-1]]
             if len(cells) == 4 and cells[1].startswith("`"):
                 block = "config" if cells[0] == "top level" else cells[0].strip("`")
-                listed.setdefault(block, set()).add(cells[1].strip("`"))
-        assert listed == {block: set(table) for block, table in SCHEMA.items()}
+                listed.setdefault(block, {})[cells[1].strip("`")] = cells[2:]
+        assert ({block: set(keys) for block, keys in listed.items()}
+                == {block: set(table) for block, table in SCHEMA.items()})
+        for block, table in SCHEMA.items():
+            for key, rule in table.items():
+                if rule.kind not in ("int", "number"):
+                    continue
+                value, default = listed[block][key]
+                kind = "integer" if rule.kind == "int" else "number"
+                assert value.startswith(f"{kind} {rule.bound or ''}".rstrip()), (block, key)
+                if rule.default is REQUIRED:
+                    assert default.startswith("required"), (block, key)
+                elif rule.default is None:
+                    assert not default.startswith("required"), (block, key)
+                else:
+                    assert float(default.split()[0]) == rule.default, (block, key)
 
 
 # small configs for the fuzz test; each run takes well under a second

@@ -15,10 +15,10 @@ from mapflow import (
     orbit_window,
     order_scaling_check,
 )
-from mapflow import ResonanceSite, scaled_block
+from mapflow import ResonanceSite, distance_to_identity, scaled_block
 from mapflow.errors import DegenerateFit, DomainEscape, OrderTooLarge
 from mapflow.hamiltonian import Box, embedding_error
-from mapflow.interp import M_MAX, field_from_window, weighted_field
+from mapflow.interp import M_MAX, as_map, field_from_window, weighted_field
 from mapflow.resonance import BlockMap
 
 from oracles import binomial_difference, binomial_weights
@@ -143,8 +143,8 @@ class TestInterpolatingVF:
         m = catalog("standard", 1e-3)
         x = np.array([0.05, 0.21])
         Xg = interpolating_vf(m, x, 2, scheme="gauss")
-        x_fwd = m.apply_flat(x)
-        x_back = m.inverse_flat(x)
+        x_fwd = m.apply(x)
+        x_back = m.inverse(x)
         assert np.allclose(Xg, 0.5 * (x_fwd - x_back), atol=1e-13)
 
     def test_norm_bounded_by_twice_distance(self):
@@ -181,7 +181,7 @@ class TestInterpolatingVF:
         Ainv = np.linalg.inv(A)
 
         def conj(y):
-            return A @ model.apply_flat(Ainv @ (y - shift)) + shift
+            return A @ model.apply(Ainv @ (y - shift)) + shift
 
         x0 = np.array([0.21, 0.43])
         m_order = 4
@@ -212,7 +212,7 @@ class TestOrbitWindow:
         for m in (1, 2, 5, 9):
             pts = [np.array(x0)]
             for _ in range(m):
-                pts.append(model.apply_flat(pts[-1]))
+                pts.append(model.apply(pts[-1]))
             assert np.array_equal(orbit_window(model, x0, m).points, np.array(pts))
 
     @pytest.mark.parametrize("blk", _blocks(), ids=["nucleus_n1", "lochak_n2", "lochak_n3"])
@@ -272,6 +272,50 @@ class TestOrbitWindow:
                 calls[0] = 0
                 interpolating_vf(blk, x, m, scheme="gauss")
                 assert calls[0] == 1
+
+
+def _one_point_only(model, calls):
+    """A map that accepts exactly one (2d,) vector: a conjugate of ``model``."""
+    A = np.array([[2.0, 0.3], [-0.4, 1.5]])
+    Ainv = np.linalg.inv(A)
+    shift = np.array([0.05, -0.1])
+
+    def conj(y):
+        assert y.shape == (2,)
+        calls[0] += 1
+        return A @ model.apply(Ainv @ (y - shift)) + shift
+
+    return conj
+
+
+class TestFlatMapProtocol:
+    def test_models_and_blocks_pass_unchanged(self):
+        model = catalog("standard", 0.05)
+        assert as_map(model) is model
+        for blk in _blocks():
+            assert as_map(blk) is blk
+
+    def test_pointwise_apply_calls_once_per_row(self, rng):
+        calls = [0]
+        F = as_map(_one_point_only(catalog("standard", 0.05), calls))
+        x = np.column_stack([rng.uniform(-0.1, 0.1, 7), rng.uniform(0, 0.2, 7)])
+        out = F.apply(x)
+        assert calls[0] == 7 and out.shape == (7, 2)
+        for row, img in zip(x, out):
+            assert np.array_equal(img, F.apply(row))
+
+    def test_distance_to_identity_of_one_point_map(self):
+        calls = [0]
+        conj = _one_point_only(catalog("standard", 0.05), calls)
+        box = Box(lo=[-0.1, 0.0], hi=[0.1, 0.2], d=1)
+        want = max(float(np.max(np.abs(conj(x) - x))) for x in box.grid(4))
+        calls[0] = 0
+        assert distance_to_identity(conj, box, 4) == want
+        assert calls[0] == 16
+
+    def test_gauss_needs_an_inverse(self):
+        with pytest.raises(ValueError, match="invertible"):
+            orbit_window(lambda x: x + 0.01, np.array([0.1, 0.2]), 2, "gauss")
 
 
 class TestOrderScaling:

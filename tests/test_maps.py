@@ -123,6 +123,19 @@ class TestKernel:
         assert ([r.max_step_drift for r in recs]
                 == list(np.max(np.abs(np.diff(Is, axis=0)), axis=(0, 2))))
 
+    @pytest.mark.parametrize("name, x0", [("standard", [[0.31, 0.42], [-0.2, 0.9]]),
+                                          ("froeschle2", [[0.2, -0.3, 0.1, 0.7]])])
+    def test_flat_orbit_bitwise_equals_repeated_apply(self, name, x0):
+        m = catalog(name, 0.05)
+        x0 = np.array(x0)
+        for x in (x0, x0[0]):  # a batch of points and one (2d,) point
+            orb = m.orbit(x, 9)
+            assert orb.shape == (10,) + x.shape
+            y = x
+            for k in range(1, 10):
+                y = m.apply(y)
+                assert np.array_equal(orb[k], y)
+
     def test_contains_extended_rejects_nan(self, standard_map):
         dom = standard_map.domain
         assert not dom.contains_extended(np.array([np.nan]))
@@ -245,7 +258,7 @@ class TestSymplecticity:
                 for j in range(2 * d):
                     e = np.zeros(2 * d)
                     e[j] = h
-                    Df[:, j] = (m.apply_flat(x + e) - m.apply_flat(x - e)) / (2 * h)
+                    Df[:, j] = (m.apply(x + e) - m.apply(x - e)) / (2 * h)
                 assert np.max(np.abs(Df.T @ J @ Df - J)) <= 1e-6
 
     def test_analytic_jacobian_matches_fd(self, rng):
@@ -258,7 +271,7 @@ class TestSymplecticity:
             for j in range(4):
                 e = np.zeros(4)
                 e[j] = h
-                Jfd[:, j] = (m.apply_flat(x + e) - m.apply_flat(x - e)) / (2 * h)
+                Jfd[:, j] = (m.apply(x + e) - m.apply(x - e)) / (2 * h)
             assert np.max(np.abs(Ja - Jfd)) <= 1e-8
 
     def test_inverse_roundtrip(self, rng):
@@ -266,8 +279,8 @@ class TestSymplecticity:
         for _ in range(20):
             I = rng.uniform(-0.8, 0.8, 2)
             phi = rng.uniform(0, 3, 2)
-            In, pn = m.apply_flat(np.concatenate([I, phi])), None
-            back = m.inverse_flat(In)
+            In, pn = m.apply(np.concatenate([I, phi])), None
+            back = m.inverse(In)
             assert np.allclose(back, np.concatenate([I, phi]), atol=1e-12)
 
 
