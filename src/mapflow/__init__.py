@@ -4,15 +4,11 @@ from . import errors
 from .maps import (
     DomainSpec,
     MapModel,
-    PhasePoint,
     catalog,
     implicit_solve,
-    iterate,
     jacobian,
     near_identity_family,
     nonexact_shear,
-    shifted_lift,
-    step,
     symplectic_matrix,
 )
 from .interp import (

@@ -30,7 +30,7 @@ from .experiments import energy_drift, pilot_confinement, stability_scan
 from .hamiltonian import default_delta, embedding_error, recover_generating, unit_box
 from .interp import M_MAX, interpolating_vf
 from .maps import CATALOG, MapModel, catalog
-from .nucleus import build_nucleus, resonant_fourier_check, trapped_orbit
+from .nucleus import build_nucleus, is_resonant_mode, resonant_fourier_check, trapped_orbit
 from .resonance import (DIRICHLET_BUDGET, ResonanceSite, covering_params, dirichlet,
                         resonant_action, scaled_block)
 
@@ -338,8 +338,7 @@ def run_nucleus(cfg, model, out, workers, rng):
         frows = []
         for j in sub["fourier_modes"]:
             mag = resonant_fourier_check(nm, j, sub["quad_n"])
-            res = float(np.dot(j, site.omega_star))
-            frows.append([*j, mag, int(abs(res - round(res)) <= 1e-9)])
+            frows.append([*j, mag, int(is_resonant_mode(j, site.omega_star))])
         fheader = [f"j{i}" for i in range(d)] + ["magnitude", "resonant"]
         paths.append(write_csv(os.path.join(out, "nucleus_fourier.csv"), fheader, frows))
     return paths, []

@@ -23,7 +23,7 @@ from .hamiltonian import (
     reconstruct_hamiltonian,
 )
 from . import maps
-from .maps import MapModel, PhasePoint, _picard, orbit_arrays, propagate
+from .maps import MapModel, _picard, propagate
 from .resonance import BlockMap, ResonanceSite, resonant_action, scaled_block
 
 
@@ -46,9 +46,11 @@ class AprioriMargins:
                 and self.angle_dev <= self.angle_bound + 1e-12)
 
 
-def apriori_check(model: MapModel, x0: PhasePoint, n: int) -> AprioriMargins:
-    """Check |I_n - I_0| <= C1 n eps and |phi_n - phi_0 - n omega(I_0)| <= C2 n^2 eps."""
-    Is, ps = orbit_arrays(model, x0.I, x0.phi, n)
+def apriori_check(model: MapModel, x0: np.ndarray, n: int) -> AprioriMargins:
+    """Check |I_n - I_0| <= C1 n eps and |phi_n - phi_0 - n omega(I_0)| <= C2 n^2 eps
+    on the orbit of the phase vector x0 of shape (2d,)."""
+    orb = model.orbit(x0, n)
+    Is, ps = orb[..., : model.d], orb[..., model.d:]
     dom = model.domain
     action_dev = float(np.max(np.abs(Is[-1] - Is[0])))
     angle_dev = float(np.max(np.abs(ps[-1] - ps[0] - n * model.omega(Is[0]))))

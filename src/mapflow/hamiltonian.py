@@ -29,7 +29,7 @@ from .errors import (
     StepFailure,
 )
 from .interp import M_MAX, as_map, interpolating_vf
-from .maps import MapModel, PhasePoint, _frac, _picard, jacobian, symplectic_matrix
+from .maps import MapModel, _frac, _picard, jacobian, symplectic_matrix
 
 SIX_E = 6.0 * math.e
 
@@ -451,14 +451,9 @@ def circle_loop(I0: np.ndarray, phi0: Optional[np.ndarray] = None,
 
 def _map_jacobian_fn(map_like, h: float = 1e-6):
     if isinstance(map_like, MapModel):
-        model = map_like
-
-        def jac(x):
-            return jacobian(model, PhasePoint.from_flat(x))
-
         try:
-            jac(np.zeros(2 * model.d))
-            return jac
+            jacobian(map_like, np.zeros(2 * map_like.d))
+            return lambda x: jacobian(map_like, x)
         except FormMismatch:
             pass
     fwd = as_map(map_like).apply

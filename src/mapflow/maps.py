@@ -21,6 +21,11 @@ whenever sup|g| over the search ball is below R/(d+1); see `implicit_solve`.
 All stepping is built on one unguarded step body, `_step`, and one windowed
 loop, `propagate`, which checks the domain once per window.
 
+Public functions take flat phase vectors of shape (..., 2d), ordered
+(I, phi); `MapModel.apply`, `inverse` and `orbit` step them.  Separate
+action and angle arrays appear only inside this kernel: `_step`,
+`propagate`, `step_arrays`, `inverse_step_arrays` and `orbit_arrays`.
+
 All coefficient callables are expected to broadcast over leading axes, i.e.
 accept arrays of shape (..., d).
 """
@@ -37,7 +42,6 @@ from .errors import (
     DomainEscape,
     FormMismatch,
     NoConvergence,
-    NotResonant,
 )
 
 MAX_PICARD_ITER = 100
@@ -45,42 +49,6 @@ PICARD_TOL = 1e-14
 
 #: map steps per `propagate` call in the confinement scan and block orbits
 WINDOW = 2048
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A lifted action-angle state.
-
-    ``I`` holds actions, ``phi`` the angle lift in full turns.  The angle is
-    deliberately not reduced mod 1 so that rotation numbers and n-step
-    displacements remain observable.
-    """
-
-    I: np.ndarray
-    phi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "I", np.atleast_1d(np.asarray(self.I, dtype=float)))
-        object.__setattr__(self, "phi", np.atleast_1d(np.asarray(self.phi, dtype=float)))
-        if self.I.shape != self.phi.shape:
-            raise ValueError(f"I and phi must share a shape, got {self.I.shape} vs {self.phi.shape}")
-
-    @property
-    def d(self) -> int:
-        return self.I.shape[-1]
-
-    def as_flat(self) -> np.ndarray:
-        """Concatenate to a phase vector (I_1..I_d, phi_1..phi_d)."""
-        return np.concatenate([self.I, self.phi], axis=-1)
-
-    @staticmethod
-    def from_flat(x: np.ndarray) -> "PhasePoint":
-        x = np.asarray(x, dtype=float)
-        d = x.shape[-1] // 2
-        return PhasePoint(x[..., :d], x[..., d:])
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.I)) and np.all(np.isfinite(self.phi)))
 
 
 @dataclass(frozen=True)
@@ -351,51 +319,13 @@ def inverse_step_arrays(model: MapModel, I: np.ndarray, phi: np.ndarray):
     return I_prev, ph_prev
 
 
-def step(model: MapModel, x: PhasePoint) -> PhasePoint:
-    """Apply the map once to a phase point, keeping the angle lift.
-
-    Raises DomainEscape outside the sigma-extended action ball and
-    NoConvergence when the implicit solve cannot be certified or stalls.
-    """
-    if not np.all(model.domain.contains_extended(x.I)):
-        raise DomainEscape("action outside the sigma-extended ball")
-    if model.form == "generating" and model.eps > 0:
-        ph = _frac(x.phi)
-        try:
-            _check_contraction(lambda y: -model.eps * model.s_phi(y, ph), x.I,
-                               model.domain.sigma)
-        except ContractionViolated as exc:
-            raise NoConvergence(f"implicit step not certified: {exc}") from exc
-    out = PhasePoint(*_step(model, x.I, x.phi))
-    if not out.is_finite():
-        raise DomainEscape("map produced non-finite phase point")
-    return out
-
-
-def iterate(model: MapModel, x0: PhasePoint, n: int) -> list[PhasePoint]:
-    """Orbit segment [x0, F(x0), ..., F^n(x0)] with lifted angles.
-
-    Step failures propagate with the failing orbit index attached.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out = [x0]
-    for k in range(n):
-        try:
-            out.append(step(model, out[-1]))
-        except DomainEscape as exc:
-            raise DomainEscape(f"orbit left the domain at step {k + 1}: {exc}",
-                               index=k + 1) from exc
-        except NoConvergence as exc:
-            raise NoConvergence(f"implicit solve failed at step {k + 1}: {exc}") from exc
-    return out
-
-
 def orbit_arrays(model: MapModel, I0: np.ndarray, phi0: np.ndarray, n: int):
     """Batched orbit: returns arrays of shape (n+1, ..., d) for I and phi.
 
     Raises DomainEscape indexed by the first step taken from outside the domain.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     Is, ps, first = propagate(model, I0, phi0, n)
     if first.max() >= 0:
         k = int(first[first >= 0].min()) + 1
@@ -403,32 +333,17 @@ def orbit_arrays(model: MapModel, I0: np.ndarray, phi0: np.ndarray, n: int):
     return Is, ps
 
 
-def shifted_lift(model: MapModel, x0: PhasePoint, n: int, omega_star: np.ndarray) -> PhasePoint:
-    """n-step lift shifted by the resonant rotation: (I_n, phi_n - n*omega_star).
-
-    Requires n * omega_star to be integer to 1e-9; near a fully resonant
-    torus the result stays close to x0.
-    """
-    omega_star = np.atleast_1d(np.asarray(omega_star, dtype=float))
-    if n < 1:
-        raise ValueError("n must be positive")
-    res = np.abs(n * omega_star - np.round(n * omega_star))
-    if np.max(res) > 1e-9:
-        raise NotResonant(f"n*omega_star is not integer to 1e-9 (residual {np.max(res):.3g})")
-    xs = iterate(model, x0, n)
-    xn = xs[-1]
-    return PhasePoint(xn.I, xn.phi - n * omega_star)
-
-
-def jacobian(model: MapModel, x: PhasePoint) -> np.ndarray:
-    """Analytic Jacobian of one map step, ordered as d(I', phi')/d(I, phi).
+def jacobian(model: MapModel, x: np.ndarray) -> np.ndarray:
+    """Analytic Jacobian of one map step at a phase vector x of shape (2d,),
+    ordered as d(I', phi')/d(I, phi).
 
     Requires derivative callbacks: a_I/a_phi/b_I/b_phi for the explicit form,
     the second derivatives of s for the generating form (implicit
     differentiation of the generating system).
     """
     d = model.d
-    I, ph = x.I, _frac(x.phi)
+    x = np.asarray(x, dtype=float)
+    I, ph = x[:d], _frac(x[d:])
     Om = model.hess(I).reshape(d, d)
     if model.eps == 0.0:
         J = np.eye(2 * d)

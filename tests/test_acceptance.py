@@ -15,7 +15,6 @@ import pytest
 from mapflow import (
     Box,
     OrbitWindow,
-    PhasePoint,
     ResonanceSite,
     apriori_check,
     build_nucleus,
@@ -328,7 +327,7 @@ def test_criterion_11_apriori_bounds():
             model = catalog("standard", float(rng.uniform(1e-5, 0.05)))
         else:
             model = catalog("froeschle2", float(rng.uniform(1e-5, 0.05)), eta=0.3)
-        x0 = PhasePoint(rng.uniform(-0.3, 0.3, model.d), rng.uniform(0, 1, model.d))
+        x0 = np.concatenate([rng.uniform(-0.3, 0.3, model.d), rng.uniform(0, 1, model.d)])
         n = int(rng.integers(1, 101))
         rep = apriori_check(model, x0, n)
         ok = ok and rep.ok

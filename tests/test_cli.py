@@ -3,6 +3,7 @@
 import copy
 import json
 import pathlib
+import re
 import tempfile
 import types
 
@@ -122,7 +123,8 @@ class TestValidation:
         # the embedding bound 3 C_m^m eps_hat^(m+1) overflows a double here
         cfg = {"map": {"name": "standard", "eps": 1e300}, "seed": 7, "embed-error": EMBED}
         path = write_cfg(tmp_path, "c.json", cfg)
-        assert run("embed-error", path, out=str(tmp_path / "o"), workers=1) in (0, 3)
+        with pytest.warns(RuntimeWarning):  # overflow in the domain check and the flow
+            assert run("embed-error", path, out=str(tmp_path / "o"), workers=1) in (0, 3)
 
     @pytest.mark.parametrize("command, sub, top, out_under_file",
                              [case[1:] for case in BAD_INPUTS],
@@ -349,9 +351,15 @@ class TestSchema:
                 == {block: set(table) for block, table in SCHEMA.items()})
         for block, table in SCHEMA.items():
             for key, rule in table.items():
+                value, default = listed[block][key]
+                if rule.kind == "enum":
+                    assert re.findall(r'`"([^"`]+)"`', value) == list(rule.bound), (block, key)
+                    expected = "required" if rule.default is REQUIRED else f'`"{rule.default}"`'
+                    assert default == expected, (block, key)
+                if rule.kind in ("vector", "vectors", "modes"):
+                    assert re.findall(r"\b(2?d)-vectors?\b", value) == [rule.bound], (block, key)
                 if rule.kind not in ("int", "number"):
                     continue
-                value, default = listed[block][key]
                 kind = "integer" if rule.kind == "int" else "number"
                 assert value.startswith(f"{kind} {rule.bound or ''}".rstrip()), (block, key)
                 if rule.default is REQUIRED:
@@ -360,6 +368,15 @@ class TestSchema:
                     assert not default.startswith("required"), (block, key)
                 else:
                     assert float(default.split()[0]) == rule.default, (block, key)
+
+
+def test_readme_quick_start_runs(capsys):
+    text = (ROOT / "README.md").read_text()
+    start = text.index("```python\n") + len("```python\n")
+    code = text[start:text.index("```", start)]
+    exec(compile(code, "README.md quick start", "exec"), {})
+    max_error, bound = map(float, capsys.readouterr().out.split())
+    assert max_error <= bound
 
 
 # small configs for the fuzz test; each run takes well under a second

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mapflow import (
-    PhasePoint,
     ResonanceSite,
     apriori_check,
     catalog,
@@ -31,14 +30,14 @@ def std_site(gamma=2.0, eps=1e-4, n=1):
 class TestApriori:
     def test_integrable_zero(self):
         m = catalog("standard", 0.0)
-        rep = apriori_check(m, PhasePoint([0.3], [0.11]), 25)
+        rep = apriori_check(m, np.array([0.3, 0.11]), 25)
         assert rep.action_dev == 0.0
         assert rep.angle_dev <= 1e-12
         assert rep.ok
 
     def test_standard_example(self):
         m = catalog("standard", 0.05)
-        rep = apriori_check(m, PhasePoint([0.3], [0.11]), 10)
+        rep = apriori_check(m, np.array([0.3, 0.11]), 10)
         assert rep.action_bound == pytest.approx(10 * 0.05 / (2 * math.pi))
         assert rep.ok
 
@@ -47,7 +46,7 @@ class TestApriori:
             name = rng.choice(["standard", "froeschle2"])
             kw = {} if name == "standard" else {"eta": 0.3}
             m = catalog(name, float(rng.uniform(1e-4, 0.05)), **kw)
-            x = PhasePoint(rng.uniform(-0.3, 0.3, m.d), rng.uniform(0, 1, m.d))
+            x = np.concatenate([rng.uniform(-0.3, 0.3, m.d), rng.uniform(0, 1, m.d)])
             rep = apriori_check(m, x, int(rng.integers(1, 100)))
             assert rep.ok
 

@@ -8,23 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapflow import (
-    PhasePoint,
     catalog,
     implicit_solve,
-    iterate,
     jacobian,
-    shifted_lift,
+    nonexact_shear,
     stability_scan,
-    step,
     symplectic_matrix,
 )
 from mapflow import maps
-from mapflow.errors import (
-    ContractionViolated,
-    DomainEscape,
-    NoConvergence,
-    NotResonant,
-)
+from mapflow.errors import ContractionViolated, DomainEscape, NoConvergence
 from mapflow.maps import orbit_arrays, propagate, step_arrays
 
 from oracles import FIXED_POINT_SIN, STD_STEP_I, bisect
@@ -36,60 +28,64 @@ class TestStep:
         for _ in range(10):
             I = rng.uniform(-1, 1, 1)
             phi = rng.uniform(0, 1, 1)
-            y = step(m, PhasePoint(I, phi))
-            assert np.allclose(y.I, I)
-            assert np.allclose(y.phi, phi + I)
+            y = m.apply(np.concatenate([I, phi]))
+            assert np.allclose(y[:1], I)
+            assert np.allclose(y[1:], phi + I)
 
     def test_standard_step_zero_phase(self, standard_map):
-        y = step(standard_map, PhasePoint([0.3], [0.0]))
-        assert y.I[0] == pytest.approx(0.3, abs=1e-15)
-        assert y.phi[0] == pytest.approx(0.3, abs=1e-15)
+        y = standard_map.apply(np.array([0.3, 0.0]))
+        assert y[0] == pytest.approx(0.3, abs=1e-15)
+        assert y[1] == pytest.approx(0.3, abs=1e-15)
 
     def test_standard_step_quarter_phase(self, standard_map):
         # sin(2 pi / 4) = 1 makes the implicit step closed form
-        y = step(standard_map, PhasePoint([0.3], [0.25]))
-        assert y.I[0] == pytest.approx(STD_STEP_I, abs=1e-14)
-        assert y.phi[0] == pytest.approx(0.25 + STD_STEP_I, abs=1e-14)
+        y = standard_map.apply(np.array([0.3, 0.25]))
+        assert y[0] == pytest.approx(STD_STEP_I, abs=1e-14)
+        assert y[1] == pytest.approx(0.25 + STD_STEP_I, abs=1e-14)
 
     def test_domain_escape(self, standard_map):
         with pytest.raises(DomainEscape):
-            step(standard_map, PhasePoint([1.7], [0.0]))
+            standard_map.apply(np.array([1.7, 0.0]))
 
     def test_periodicity_of_coefficients(self, standard_map, froeschle_map):
         for m in (standard_map, froeschle_map):
             phi = np.full(m.d, 0.37)
             I = np.full(m.d, 0.2)
-            a = step(m, PhasePoint(I, phi))
-            b = step(m, PhasePoint(I, phi + 1.0))
-            assert np.allclose(a.I, b.I, atol=1e-14)
-            assert np.allclose(a.phi + 1.0, b.phi, atol=1e-14)
+            a = m.apply(np.concatenate([I, phi]))
+            b = m.apply(np.concatenate([I, phi + 1.0]))
+            assert np.allclose(a[:m.d], b[:m.d], atol=1e-14)
+            assert np.allclose(a[m.d:] + 1.0, b[m.d:], atol=1e-14)
 
 
 class TestIterate:
     def test_zero_steps(self, standard_map):
-        x0 = PhasePoint([0.1], [0.2])
-        orb = iterate(standard_map, x0, 0)
-        assert len(orb) == 1 and orb[0] is x0
+        x0 = np.array([0.1, 0.2])
+        orb = standard_map.orbit(x0, 0)
+        assert orb.shape == (1, 2) and np.array_equal(orb[0], x0)
+        with pytest.raises(ValueError):
+            standard_map.orbit(x0, -1)
 
     def test_twist_angles(self):
         m = catalog("twist", 0.0)
-        orb = iterate(m, PhasePoint([0.5], [0.0]), 3)
-        assert [float(p.phi[0]) for p in orb] == pytest.approx([0.0, 0.5, 1.0, 1.5])
+        orb = m.orbit(np.array([0.5, 0.0]), 3)
+        assert list(orb[:, 1]) == pytest.approx([0.0, 0.5, 1.0, 1.5])
 
     def test_action_bound_along_orbit(self):
         m = catalog("standard", 0.05)
-        orb = iterate(m, PhasePoint([0.3], [0.11]), 10)
+        orb = m.orbit(np.array([0.3, 0.11]), 10)
         bound = m.domain.norm_a * 10 * 0.05
-        dev = max(abs(float(p.I[0]) - 0.3) for p in orb)
+        dev = float(np.max(np.abs(orb[:, 0] - 0.3)))
         assert dev <= bound
 
     def test_escape_reports_index(self):
-        from mapflow import nonexact_shear
-
         m = nonexact_shear(0.3)  # action grows by eps every step
         with pytest.raises(DomainEscape) as exc:
-            iterate(m, PhasePoint([1.3], [0.23]), 2000)
+            m.orbit(np.array([1.3, 0.23]), 2000)
         assert exc.value.index == 2  # I hits 1.6 > R + sigma on the second step
+        # the single-step path refuses the same second step
+        I, phi = step_arrays(m, np.array([1.3]), np.array([0.23]))
+        with pytest.raises(DomainEscape):
+            step_arrays(m, I, phi)
 
     def test_lift_consistency(self):
         # reducing after iterating equals reducing every step
@@ -113,10 +109,9 @@ class TestKernel:
         I0 = rng.uniform(-0.5, 0.5, (4, m.d))
         phi0 = rng.uniform(0, 1, (4, m.d))
         Is, ps = orbit_arrays(m, I0, phi0, 200)
-        for i in range(4):
-            orb = iterate(m, PhasePoint(I0[i], phi0[i]), 200)
-            assert np.array_equal(np.array([p.I for p in orb]), Is[:, i])
-            assert np.array_equal(np.array([p.phi for p in orb]), ps[:, i])
+        for i in range(4):  # one seed alone steps as it does in the batch
+            orb = m.orbit(np.concatenate([I0[i], phi0[i]]), 200)
+            assert np.array_equal(orb, np.concatenate([Is[:, i], ps[:, i]], axis=-1))
         monkeypatch.setattr(maps, "WINDOW", 7)  # the scan restarts 28 times
         recs = stability_scan(m, I0, phi0, 200)
         assert [r.excursion for r in recs] == list(np.max(np.abs(Is[1:] - Is[0]), axis=(0, 2)))
@@ -145,8 +140,6 @@ class TestKernel:
             step_arrays(standard_map, np.array([np.nan]), np.array([0.2]))
 
     def test_propagate_reports_first_state_outside(self):
-        from mapflow import nonexact_shear
-
         m = nonexact_shear(0.01)  # I_k = I_0 + 0.01 k leaves |I| <= 1.5 at k = 5
         Is, ps, first = propagate(m, np.array([[1.455], [0.0]]), np.array([[0.2], [0.3]]), 10)
         assert Is.shape == ps.shape == (11, 2, 1)
@@ -156,6 +149,14 @@ class TestKernel:
         with pytest.raises(DomainEscape) as exc:
             orbit_arrays(m, np.array([1.455]), np.array([0.2]), 10)
         assert exc.value.index == 6
+
+    def test_non_finite_state_is_an_escape(self):
+        # the step from I > 0.255 returns NaN (I_16 = 0.26); a NaN action is outside
+        m = replace(catalog("standard", 0.01),
+                    s_phi=lambda I, p: np.where(I > 0.255, np.nan, -1.0))
+        with pytest.raises(DomainEscape) as exc:
+            m.orbit(np.array([0.1, 0.2]), 30)
+        assert exc.value.index == 18
 
     def test_escape_reported_before_later_solver_failure(self):
         # Picard solve fails (NaN) once |I| >= 2, 50 steps after the escape
@@ -172,32 +173,25 @@ class TestKernel:
 
 
 class TestShiftedLift:
+    """The n-step lift shifted by the resonant rotation, (I_n, phi_n - n omega_*),
+    here with n = 2 and omega_* = 1/2."""
+
     def test_fixed_point_on_resonant_torus(self):
         m = catalog("twist", 0.0)
-        x = PhasePoint([0.5], [0.3])
-        y = shifted_lift(m, x, 2, np.array([0.5]))
-        assert np.allclose(y.I, x.I) and np.allclose(y.phi, x.phi)
-
-    def test_n1_zero_frequency_is_plain_step(self, standard_map):
-        x = PhasePoint([0.2], [0.4])
-        y = shifted_lift(standard_map, x, 1, np.array([0.0]))
-        z = step(standard_map, x)
-        assert np.allclose(y.as_flat(), z.as_flat())
-
-    def test_rejects_nonresonant(self, standard_map):
-        with pytest.raises(NotResonant):
-            shifted_lift(standard_map, PhasePoint([0.2], [0.0]), 3, np.array([0.4]))
+        x = np.array([0.5, 0.3])
+        y = m.orbit(x, 2)[-1] - np.array([0.0, 2 * 0.5])
+        assert np.allclose(y, x)
 
     def test_near_identity_at_resonance(self):
         from mapflow import c4_estimate
 
         eps, gamma = 1e-4, 2.0
         m = catalog("standard", eps)
-        x = PhasePoint([0.5 + 1e-3], [0.37])
-        y = shifted_lift(m, x, 2, np.array([0.5]))
+        x = np.array([0.5 + 1e-3, 0.37])
+        y = m.orbit(x, 2)[-1] - np.array([0.0, 2 * 0.5])
         rho_2 = gamma * eps**0.25 / 2
         bound = c4_estimate(m, eps, gamma) * 2 * rho_2
-        disp = np.max(np.abs(y.as_flat() - x.as_flat()))
+        disp = np.max(np.abs(y - x))
         assert disp <= bound
 
 
@@ -265,7 +259,7 @@ class TestSymplecticity:
         m = catalog("froeschle2", 0.15, eta=0.4)
         for _ in range(10):
             x = np.concatenate([rng.uniform(-0.5, 0.5, 2), rng.uniform(0, 1, 2)])
-            Ja = jacobian(m, PhasePoint.from_flat(x))
+            Ja = jacobian(m, x)
             h = 1e-6
             Jfd = np.empty((4, 4))
             for j in range(4):

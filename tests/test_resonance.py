@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapflow import (
-    PhasePoint,
     ResonanceSite,
     catalog,
     covering_params,
