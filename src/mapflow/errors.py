@@ -50,7 +50,16 @@ class PathExit(MapflowError):
 
 
 class StepFailure(MapflowError):
-    """ODE step size underflowed (field evaluation failing mid-flow)."""
+    """A flow integration failed at one or more points.
+
+    A batched flow sets ``failures``, ((point index, message), ...), and
+    ``y``, the results with NaN at the failed points.
+    """
+
+    def __init__(self, msg, failures=(), y=None):
+        super().__init__(msg)
+        self.failures = failures
+        self.y = y
 
 
 class FormMismatch(MapflowError):

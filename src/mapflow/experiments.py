@@ -15,12 +15,12 @@ import numpy as np
 
 from .hamiltonian import (
     Box,
+    _reconstruct,
     _staircase,
     distance_to_identity,
     embedding_error,
     interpolating_field,
     optimal_order,
-    reconstruct_hamiltonian,
 )
 from . import maps
 from .maps import MapModel, _picard, propagate
@@ -106,7 +106,7 @@ class SnDecomposition:
         return b.n * (b.model.omega(I) - b.model.omega(b.site.I_star))
 
     def _solve_orbit(self, Jbar: np.ndarray, phi: np.ndarray):
-        """Find the block preimage action J of (Jbar, phi) by contraction."""
+        """Find the block preimage action J of (Jbar, phi), each (..., d), by contraction."""
         b = self.block
         Jbar = np.atleast_1d(np.asarray(Jbar, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
@@ -130,13 +130,20 @@ class SnDecomposition:
         return (phibar - np.atleast_1d(np.asarray(phi, dtype=float))
                 - self.h_n_grad(Jbar))
 
-    def w_n(self, Jbar: np.ndarray, phi: np.ndarray) -> float:
-        """Path integral of v . dJbar - u . dphi along the staircase from 0."""
+    def w_n(self, Jbar: np.ndarray, phi: np.ndarray):
+        """Path integral of v . dJbar - u . dphi along the staircase from 0.
+
+        Jbar and phi are (d,) (a float) or (N, d), one path per row.
+        """
         d = self.block.d
         target = np.concatenate([np.atleast_1d(np.asarray(Jbar, dtype=float)),
-                                 np.atleast_1d(np.asarray(phi, dtype=float))])
-        return _staircase(lambda x: self.v(x[:d], x[d:]), lambda x: -self.u(x[:d], x[d:]),
-                          np.zeros(2 * d), target, self.quad_tol)
+                                 np.atleast_1d(np.asarray(phi, dtype=float))], axis=-1)
+
+        def form(x):
+            return np.concatenate([self.v(x[..., :d], x[..., d:]),
+                                   -self.u(x[..., :d], x[..., d:])], axis=-1)
+
+        return _staircase(form, np.zeros(2 * d), target, self.quad_tol)
 
     def S_n(self, Jbar: np.ndarray, phi: np.ndarray) -> float:
         return float(self.h_n(np.atleast_1d(Jbar))) + self.w_n(Jbar, phi)
@@ -148,7 +155,7 @@ class SnDecomposition:
         box = Box(lo=np.concatenate([-np.ones(b.d), np.zeros(b.d)]),
                   hi=np.concatenate([np.ones(b.d), np.ones(b.d)]), d=b.d)
         pts = box.grid(grid_n)
-        vals = np.array([self.w_n(p[: b.d], p[b.d:]) for p in pts])
+        vals = self.w_n(pts[:, : b.d], pts[:, b.d:])
         eps = b.model.eps
         bound = (b.d * dom.C2 * b.n**2 * eps + b.d * dom.C1 * b.n * eps / b.rho)
         return WnReport(sup_w=float(np.max(np.abs(vals))), bound=bound,
@@ -188,14 +195,14 @@ def energy_drift(model: MapModel, site: ResonanceSite, m: int, blocks: int,
     """Evaluate the order-m interpolating Hamiltonian along a block orbit.
 
     The Hamiltonian is reconstructed from X_m by path integration with the
-    periodicity correction; increments are H_m differences between
-    consecutive block boundaries.
+    periodicity correction; the correction and the values at every orbit
+    point come from one batched path integral.  Increments are H_m
+    differences between consecutive block boundaries.
     """
     block = scaled_block(model, site, scaling)
     X = interpolating_field(block, m)
-    H = reconstruct_hamiltonian(X, np.zeros(block.dim), [], quad_tol=quad_tol)
     orbit = block.orbit(np.asarray(x0, dtype=float), blocks)
-    vals = np.array([H.evaluate(x) for x in orbit])
+    _, vals = _reconstruct(X, np.zeros(block.dim), orbit, quad_tol)
     inc = np.diff(vals)
     total = float(np.sum(inc))
     direct = float(vals[-1] - vals[0])

@@ -23,6 +23,8 @@ Every map is stepped through one flat-map protocol on phase vectors of
 shape (..., 2d): ``apply`` (one step), ``inverse`` (one inverse step) and
 ``orbit(x0, steps)`` (shape (steps+1, ..., 2d)).  `MapModel` and `BlockMap`
 implement it; `as_map` wraps a plain function of one (2d,) vector.
+Windows and fields take one point (2d,) or a batch (..., 2d): a batch is
+stepped by one ``orbit`` call and checked by one ``apply`` call.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class OrbitWindow:
     symmetric (gauss) scheme it holds x_{-j}..x_j with m = 2j even.
     """
 
-    points: np.ndarray  # (len, dim)
+    points: np.ndarray  # (len, ..., dim)
     scheme: str  # "newton" | "gauss"
     m: int
 
@@ -112,15 +114,19 @@ def orbit_window(map_like, x0, m: int, scheme: str = "newton",
                  verify_tol: float = 1e-12) -> OrbitWindow:
     """Build a window of iterates around x0 and verify its consistency.
 
-    The forward iterates come from one ``orbit`` call of the map's flat-map
-    protocol (`as_map`): x_0..x_m for the newton scheme, x_0..x_j for the
-    gauss scheme, whose backward iterates x_{-1}..x_{-j} come from the map's
-    ``inverse``, one step at a time (generating-form maps are invertible by
-    exchanging the roles of old and new coordinates in the implicit step).
-    The window is then checked with one ``apply`` call on all but its last
-    point, F(x_k) against x_{k+1} for every k, at ``verify_tol`` relative to
-    its largest entry.  A block map's orbit is stepped unscaled while its
-    ``apply`` rescales every block, so the check compares two computations.
+    ``x0`` is one phase vector (2d,) or a batch (..., 2d); the window
+    points then have shape (m+1, ..., 2d).  The forward iterates come
+    from one ``orbit`` call of the map's flat-map protocol (`as_map`):
+    x_0..x_m for the newton scheme, x_0..x_j for the gauss scheme, whose
+    backward iterates x_{-1}..x_{-j} come from the map's ``inverse``, one
+    step at a time (generating-form maps are invertible by exchanging the
+    roles of old and new coordinates in the implicit step).  The window is
+    then checked with one ``apply`` call on all but its last point, F(x_k)
+    against x_{k+1} for every k: per point, the residual must be at most
+    ``verify_tol`` relative to the point's largest window entry, and a
+    non-finite residual fails.  A block map's orbit is stepped unscaled while
+    its ``apply`` rescales every block, so the check compares two
+    computations.
     """
     if m < 1:
         raise OrderTooLarge("order must be at least 1")
@@ -142,12 +148,15 @@ def orbit_window(map_like, x0, m: int, scheme: str = "newton",
         for _ in range(steps):
             x = F.inverse(x)
             back.append(x)
-    win = OrbitWindow(np.vstack([*back[::-1], F.orbit(x0, steps)]), scheme, m)
-    # consecutive points must be images under the same map
+    win = OrbitWindow(np.concatenate([*(x[None] for x in back[::-1]), F.orbit(x0, steps)]),
+                      scheme, m)
+    # consecutive points must be images under the same map, point by point
     pts = win.points
-    res = float(np.max(np.abs(F.apply(pts[:-1]) - pts[1:])))
-    if res > verify_tol * max(1.0, float(np.max(np.abs(pts)))):
-        raise ValueError(f"window verification failed, residual {res:.3g}")
+    axes = (0, pts.ndim - 1)
+    res = np.max(np.abs(F.apply(pts[:-1]) - pts[1:]), axis=axes)
+    ok = res <= verify_tol * np.maximum(1.0, np.max(np.abs(pts), axis=axes))
+    if not np.all(ok):
+        raise ValueError(f"window verification failed, residual {float(np.max(res[~ok])):.3g}")
     return win
 
 
@@ -166,7 +175,7 @@ def difference_table(points: np.ndarray) -> list[np.ndarray]:
 
 
 def finite_differences(window: OrbitWindow) -> np.ndarray:
-    """Differences D_0..D_m anchored at the window's first point, shape (m+1, dim)."""
+    """Differences D_0..D_m anchored at the window's first point, shape (m+1, ..., dim)."""
     table = difference_table(window.points)
     return np.array([table[k][0] for k in range(window.m + 1)])
 
@@ -238,7 +247,12 @@ def weighted_field(points: np.ndarray, m: int) -> np.ndarray:
 
 
 def interpolating_vf(map_like, x0, m: int, scheme: str = "newton") -> np.ndarray:
-    """Interpolating vector field X_m at x0, a vector in R^{2d}."""
+    """Interpolating vector field X_m at x0, of shape (2d,) or (..., 2d).
+
+    A batch is one window of shape (m+1, ..., 2d); for maps that step every
+    point element-wise (the catalog maps and their blocks) each row equals
+    the field of that point alone, bit for bit.
+    """
     win = orbit_window(map_like, x0, m, scheme)
     return field_from_window(win)
 

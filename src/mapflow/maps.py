@@ -87,9 +87,13 @@ class DomainSpec:
                 raise ValueError(f"DomainSpec.{name} must be nonnegative")
 
     def dist_to_ball(self, I: np.ndarray) -> np.ndarray:
-        """Euclidean distance from actions I (..., d) to the ball B(center, R)."""
+        """Euclidean distance from actions I (..., d) to the ball B(center, R).
+
+        A distance too large for a double is inf, which is outside anyway.
+        """
         x = np.asarray(I) - self.center
-        return np.maximum(np.sqrt(np.add.reduce(x * x, axis=-1)) - self.R, 0.0)
+        with np.errstate(over="ignore"):
+            return np.maximum(np.sqrt(np.add.reduce(x * x, axis=-1)) - self.R, 0.0)
 
     def contains_extended(self, I: np.ndarray) -> np.ndarray:
         """The domain rule: dist(I, ball) <= sigma.  NaN actions are outside."""
@@ -322,7 +326,9 @@ def inverse_step_arrays(model: MapModel, I: np.ndarray, phi: np.ndarray):
 def orbit_arrays(model: MapModel, I0: np.ndarray, phi0: np.ndarray, n: int):
     """Batched orbit: returns arrays of shape (n+1, ..., d) for I and phi.
 
-    Raises DomainEscape indexed by the first step taken from outside the domain.
+    Raises DomainEscape indexed by the first step taken from outside the
+    domain.  A non-finite last state is an escape too, indexed n + 1: the
+    step from it is the first one that could not be taken.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -330,6 +336,8 @@ def orbit_arrays(model: MapModel, I0: np.ndarray, phi0: np.ndarray, n: int):
     if first.max() >= 0:
         k = int(first[first >= 0].min()) + 1
         raise DomainEscape(f"orbit left the domain at step {k}", index=k)
+    if not (np.isfinite(Is[-1]).all() and np.isfinite(ps[-1]).all()):
+        raise DomainEscape(f"orbit reached a non-finite state at step {n}", index=n + 1)
     return Is, ps
 
 

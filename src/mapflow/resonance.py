@@ -255,9 +255,17 @@ class BlockMap:
             I, phi = Is[-1], ps[-1]
 
     def orbit(self, x0: np.ndarray, blocks: int) -> np.ndarray:
-        """Block orbit [x0, B(x0), ..., B^blocks(x0)], shape (blocks+1, ..., 2d)."""
+        """Block orbit [x0, B(x0), ..., B^blocks(x0)], shape (blocks+1, ..., 2d).
+
+        As for `maps.orbit_arrays`, a non-finite last state is an escape,
+        indexed blocks + 1.
+        """
         x0 = np.asarray(x0, dtype=float)
-        return np.concatenate([x0[None], *self.windows(x0, blocks)])
+        out = np.concatenate([x0[None], *self.windows(x0, blocks)])
+        if not np.isfinite(out[-1]).all():
+            raise DomainEscape(f"block orbit reached a non-finite state in block {blocks}",
+                               index=blocks + 1)
+        return out
 
 
 def scaled_block(model: MapModel, site: ResonanceSite, scaling: str = "lochak") -> BlockMap:

@@ -56,3 +56,38 @@ CUBIC_FREQ_ROOT = 0.46622052391077373
 
 #: standard map, eps=0.1, (I, phi) = (0.3, 0.25): the kick is closed form
 STD_STEP_I = 0.3 - 0.1 / (2 * math.pi)
+
+
+# Frozen time-one flows, computed once with scipy 1.17.1:
+#   solve_ivp(lambda t, y: X(y), (0.0, 1.0), x0, method="DOP853",
+#             rtol=1e-13, atol=1e-14).y[:, -1]
+# which is the controller of mapflow.flow_map at tol = 1e-14 (rtol is
+# floored at 1e-13).  X is `pendulum_field` or `coupled_pendulum_field`.
+
+def pendulum_field(y):
+    """(p, q) -> (-sin(2 pi q) / 2 pi, p), on arrays (..., 2)."""
+    return np.stack([-np.sin(2 * math.pi * y[..., 1]) / (2 * math.pi), y[..., 0]], axis=-1)
+
+
+def coupled_pendulum_field(y):
+    """The froeschle2-type field on (I1, I2, phi1, phi2), arrays (..., 4), eta = 0.3."""
+    I1, I2, p1, p2 = np.moveaxis(y, -1, 0)
+    cross = 0.3 * np.sin(2 * math.pi * (p1 + p2))
+    return np.stack([-(np.sin(2 * math.pi * p1) + cross) / (2 * math.pi),
+                     -(np.sin(2 * math.pi * p2) + cross) / (2 * math.pi), I1, I2], axis=-1)
+
+
+#: (field, start points, time-one images)
+DOP853_FLOWS = {
+    "pendulum": (pendulum_field,
+                 [[0.2, 0.1], [-0.35, 0.7], [0.05, 0.45]],
+                 [[0.06056850769865993, 0.235358939621019],
+                  [-0.3148711347140304, 0.38988420697622334],
+                  [0.018731536999271083, 0.4818138503625585]]),
+    "coupled": (coupled_pendulum_field,
+                [[0.2, -0.1, 0.3, 0.8], [-0.25, 0.15, 0.05, 0.5]],
+                [[0.05159638312235112, 0.02043052502101237, 0.42044980442371716,
+                  0.7609741589448591],
+                 [-0.18336646735994178, 0.22811568824587813, -0.18203440699041212,
+                  0.6782868592964626]]),
+}

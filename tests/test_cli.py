@@ -2,8 +2,11 @@
 
 import copy
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 import types
 
@@ -123,8 +126,8 @@ class TestValidation:
         # the embedding bound 3 C_m^m eps_hat^(m+1) overflows a double here
         cfg = {"map": {"name": "standard", "eps": 1e300}, "seed": 7, "embed-error": EMBED}
         path = write_cfg(tmp_path, "c.json", cfg)
-        with pytest.warns(RuntimeWarning):  # overflow in the domain check and the flow
-            assert run("embed-error", path, out=str(tmp_path / "o"), workers=1) in (0, 3)
+        # no RuntimeWarning either: the suite turns every one into an error
+        assert run("embed-error", path, out=str(tmp_path / "o"), workers=1) in (0, 3)
 
     @pytest.mark.parametrize("command, sub, top, out_under_file",
                              [case[1:] for case in BAD_INPUTS],
@@ -377,6 +380,15 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(code, "README.md quick start", "exec"), {})
     max_error, bound = map(float, capsys.readouterr().out.split())
     assert max_error <= bound
+
+
+def test_import_leaves_scipy_out():
+    code = ("import sys, mapflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 # small configs for the fuzz test; each run takes well under a second

@@ -26,6 +26,11 @@ from mapflow import (
     symmetry_defect,
     unit_box,
 )
+from mapflow.errors import DomainEscape, QuadratureFailure, StepFailure
+from mapflow.hamiltonian import MAX_PANELS, _gauss_kronrod
+
+from oracles import DOP853_FLOWS
+
 TWO_PI = 2 * math.pi
 
 
@@ -38,7 +43,7 @@ def std_block(eps, scaling="nucleus"):
 
 class TestFlowMap:
     def test_zero_field(self):
-        X = FieldEvaluator(dim=2, eval=lambda y: np.zeros(2))
+        X = FieldEvaluator(dim=2, eval=lambda y: np.zeros_like(y))
         x = np.array([0.3, 0.4])
         assert np.array_equal(flow_map(X, x, 1.0), x)
 
@@ -49,12 +54,13 @@ class TestFlowMap:
         assert np.max(np.abs(y - np.array([1.2, 0.9]))) <= 1e-12
 
     def test_rotation_quarter_turn(self):
-        X = FieldEvaluator(dim=2, eval=lambda y: np.array([-y[1], y[0]]))
+        X = FieldEvaluator(dim=2, eval=lambda y: np.stack([-y[..., 1], y[..., 0]], axis=-1))
         y = flow_map(X, np.array([1.0, 0.0]), math.pi / 2, tol=1e-12)
         assert np.max(np.abs(y - np.array([0.0, 1.0]))) <= 1e-11
 
     def test_tol_insensitivity(self):
-        X = FieldEvaluator(dim=2, eval=lambda y: np.array([np.sin(y[1]), np.cos(y[0])]))
+        X = FieldEvaluator(dim=2, eval=lambda y: np.stack([np.sin(y[..., 1]), np.cos(y[..., 0])],
+                                                     axis=-1))
         x = np.array([0.2, 0.4])
         a = flow_map(X, x, 1.0, tol=1e-10)
         b = flow_map(X, x, 1.0, tol=5e-11)
@@ -137,9 +143,9 @@ class TestEmbedding:
         from mapflow.errors import DomainEscape, PathExit
 
         def guarded(x):
-            if abs(x[0]) > 0.2:
+            if np.any(np.abs(x[..., 0]) > 0.2):
                 raise DomainEscape("outside")
-            return np.array([0.0, x[0]])
+            return np.stack([np.zeros_like(x[..., 0]), x[..., 0]], axis=-1)
 
         X = FieldEvaluator(dim=2, eval=guarded)
         H = reconstruct_hamiltonian(X, np.zeros(2), [], quad_tol=1e-11)
@@ -184,7 +190,7 @@ class TestEmbedding:
 class TestSymmetryDefect:
     def test_hamiltonian_field(self):
         # X = J grad H for H = (p^2 + q^2)/2 is (-q, p)
-        X = FieldEvaluator(dim=2, eval=lambda y: np.array([-y[1], y[0]]))
+        X = FieldEvaluator(dim=2, eval=lambda y: np.stack([-y[..., 1], y[..., 0]], axis=-1))
         assert symmetry_defect(X, np.array([0.3, 0.7])) <= 1e-9
 
     def test_non_hamiltonian_defect_two(self):
@@ -201,7 +207,8 @@ class TestSymmetryDefect:
 class TestReconstruction:
     def test_quadratic_hamiltonian(self):
         # X = J grad H for H = p^2 / 2: X = (0, p)
-        X = FieldEvaluator(dim=2, eval=lambda y: np.array([0.0, y[0]]))
+        X = FieldEvaluator(dim=2, eval=lambda y: np.stack([np.zeros_like(y[..., 0]), y[..., 0]],
+                                                     axis=-1))
         H = reconstruct_hamiltonian(X, np.array([0.0, 0.0]), [], quad_tol=1e-11)
         for p, q in ((0.5, 0.3), (-0.4, 0.9)):
             assert H.evaluate(np.array([p, q])) == pytest.approx(p * p / 2, abs=1e-11)
@@ -242,7 +249,7 @@ class TestReconstruction:
     def test_energy_conservation_loop_closure(self):
         # pendulum field: reconstruction then flow of the induced field
         def pend(y):
-            return np.array([-np.sin(TWO_PI * y[1]) / TWO_PI, y[0]])
+            return np.stack([-np.sin(TWO_PI * y[..., 1]) / TWO_PI, y[..., 0]], axis=-1)
 
         X = FieldEvaluator(dim=2, eval=pend)
         H = reconstruct_hamiltonian(X, np.zeros(2), [], quad_tol=1e-12)
@@ -312,7 +319,7 @@ class TestStaircase:
         quad_tol = 1e-11
         for _ in range(3):
             start, stop = rng.uniform(-1.0, 1.0, (2, 2 * d))
-            got = _staircase(lambda x: poly_F_grad(x)[:d], lambda x: poly_F_grad(x)[d:],
+            got = _staircase(lambda x: np.apply_along_axis(poly_F_grad, -1, x),
                              start, stop, quad_tol)
             want = poly_F(stop) - poly_F(start)
             assert abs(got - want) <= 2 * d * quad_tol
@@ -369,3 +376,130 @@ class TestLoopAction:
         loop = circle_loop(np.array([0.3]))
         A0, A1 = loop_action(m, loop, quad_tol=1e-12)
         assert A1 - A0 == pytest.approx(eps, abs=1e-10)
+
+
+def _one_point_flows(X, pts, t, tol):
+    """flow_map point by point: the image, or None where it fails."""
+    out = []
+    for x in pts:
+        try:
+            out.append(flow_map(X, x, t, tol))
+        except StepFailure:
+            out.append(None)
+    return out
+
+
+class TestBatchedFlow:
+    def test_grid_flow_bitwise_equals_point_flows(self):
+        X = interpolating_field(std_block(1e-4), 3)
+        pts = unit_box(1).grid(3)
+        got = flow_map(X, pts, 1.0, tol=1e-12)
+        assert got.shape == pts.shape
+        assert np.array_equal(got, np.array(_one_point_flows(X, pts, 1.0, 1e-12)))
+
+    def test_failing_points_fail_alone(self):
+        # the action drifts upwards; the field leaves its domain at I > 0.6,
+        # which the points starting at I = 0.3 and 0.5 reach within t = 1
+        def drift(y):
+            if np.any(y[..., 0] > 0.6):
+                raise DomainEscape("outside the toy domain")
+            return np.stack([0.5 + 0.3 * np.sin(TWO_PI * y[..., 1]), y[..., 0]], axis=-1)
+
+        X = FieldEvaluator(dim=2, eval=drift)
+        pts = np.array([[-0.3, 0.1], [0.3, 0.2], [0.0, 0.7], [0.5, 0.4], [-0.6, 0.9]])
+        want = _one_point_flows(X, pts, 1.0, 1e-11)
+        with pytest.raises(StepFailure) as exc:
+            flow_map(X, pts, 1.0, tol=1e-11)
+        failed = [i for i, y in enumerate(want) if y is None]
+        assert failed == [1, 3]
+        assert [i for i, _ in exc.value.failures] == failed
+        assert np.all(np.isnan(exc.value.y[failed]))
+        for i, y in enumerate(want):
+            if y is not None:
+                assert np.array_equal(exc.value.y[i], y)
+
+    def test_non_finite_stage_fails_the_point(self):
+        X = FieldEvaluator(dim=2, eval=lambda y: np.stack(
+            [np.where(y[..., 0] > 0.0, np.nan, 1.0), y[..., 0]], axis=-1))
+        with pytest.raises(StepFailure, match="non-finite") as exc:
+            flow_map(X, np.array([[-2.0, 0.0], [-0.5, 0.0]]), 1.0)
+        assert [i for i, _ in exc.value.failures] == [1]
+        assert np.allclose(exc.value.y[0], [-1.0, -1.5], atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_twist_and_linear_shear_closed_form(self, d, rng):
+        x = np.concatenate([rng.uniform(-1, 1, (6, d)), rng.uniform(0, 1, (6, d))], axis=-1)
+        a = np.linspace(-0.5, 0.5, d)
+        twist = FieldEvaluator(dim=2 * d, eval=lambda y: np.concatenate(
+            [np.zeros_like(y[..., :d]), y[..., :d]], axis=-1))
+        shear = FieldEvaluator(dim=2 * d, eval=lambda y: np.concatenate(
+            [np.broadcast_to(a, y[..., :d].shape), y[..., :d]], axis=-1))
+        t = 1.3
+        I, phi = x[:, :d], x[:, d:]
+        got = flow_map(twist, x, t, tol=1e-12)
+        assert np.max(np.abs(got - np.concatenate([I, phi + t * I], axis=-1))) <= 1e-14
+        got = flow_map(shear, x, t, tol=1e-12)
+        want = np.concatenate([I + t * a, phi + t * I + 0.5 * t * t * a], axis=-1)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_rotation_closed_form(self):
+        X = FieldEvaluator(dim=2, eval=lambda y: np.stack([-y[..., 1], y[..., 0]], axis=-1))
+        ang = np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False)
+        r = np.linspace(0.5, 2.0, 7)
+        x = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
+        t = 2.1
+        want = np.column_stack([r * np.cos(ang + t), r * np.sin(ang + t)])
+        assert np.max(np.abs(flow_map(X, x, t, tol=1e-12) - want)) <= 1e-10
+
+    @pytest.mark.parametrize("name", sorted(DOP853_FLOWS))
+    def test_matches_frozen_dop853(self, name):
+        field, x, want = DOP853_FLOWS[name]
+        X = FieldEvaluator(dim=len(x[0]), eval=field)
+        x, want = np.array(x), np.array(want)
+        tol = 1e-12
+        # the frozen values use the controller of tol / 100, so the steps agree
+        assert np.max(np.abs(flow_map(X, x, 1.0, tol=tol / 100) - want)) <= tol / 100
+        assert np.max(np.abs(flow_map(X, x, 1.0, tol=tol) - want)) <= 10 * tol
+
+
+class TestGaussKronrod:
+    def test_bisects_only_where_needed(self):
+        # a narrow peak at t = 0.3: int_0^1 dt / (a + (t - 0.3)^2)
+        a = 1e-4
+        nodes = []
+
+        def peak(k, t):
+            nodes.append(t.size)
+            return 1.0 / (a + (t - 0.3) ** 2)
+
+        want = (math.atan(0.7 / math.sqrt(a)) + math.atan(0.3 / math.sqrt(a))) / math.sqrt(a)
+        got = _gauss_kronrod(peak, 1, 1e-11)[0]
+        assert abs(got - want) <= 10 * 1e-11 * abs(want) + 1e-9
+        assert len(nodes) > 2 and nodes[0] == 21
+        assert sum(nodes) < 21 * 2 * MAX_PANELS
+
+    def test_integrals_are_independent(self):
+        # a smooth integrand next to the peak is accepted in the first round
+        def two(k, t):
+            return np.where(k == 0, np.cos(t), 1.0 / (1e-4 + (t - 0.3) ** 2))
+
+        both = _gauss_kronrod(two, 2, 1e-11)
+        assert both[0] == _gauss_kronrod(lambda k, t: np.cos(t), 1, 1e-11)[0]
+        assert abs(both[0] - math.sin(1.0)) <= 1e-15
+
+    def test_panel_limit(self):
+        # 150 jumps: each needs panels of its own, down to the width of a double
+        with pytest.raises(QuadratureFailure, match="panels"):
+            _gauss_kronrod(lambda k, t: np.sign(np.sin(2 * math.pi * 150.3 * t)), 1, 1e-11)
+
+    def test_non_finite_integrand(self):
+        with pytest.raises(QuadratureFailure, match="not finite"):
+            _gauss_kronrod(lambda k, t: np.where(t > 0.5, np.inf, 0.0), 1, 1e-11)
+
+    def test_batched_evaluate_bitwise_equals_points(self):
+        X = interpolating_field(std_block(1e-4), 2)
+        H = reconstruct_hamiltonian(X, np.zeros(2), [], quad_tol=1e-12)
+        pts = np.array([[0.2, 0.15], [-0.4, 0.55], [0.0, 0.3], [0.1, 0.0], [0.0, 0.0]])
+        got = H.evaluate(pts)
+        assert got.shape == (5,)
+        assert np.array_equal(got, [H.evaluate(p) for p in pts])

@@ -1,5 +1,7 @@
 """Discrete averaging: weights, differences, exactness, order scaling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -272,6 +274,53 @@ class TestOrbitWindow:
                 calls[0] = 0
                 interpolating_vf(blk, x, m, scheme="gauss")
                 assert calls[0] == 1
+
+
+def _bad_standard():
+    """Standard map, eps = 1, whose kick is NaN above I = 0.255: from
+    (0.24, 0.2) the orbit reaches the first NaN state at step 16."""
+    std = catalog("standard", 1.0)
+    return replace(std, s_phi=lambda I, p: np.where(I > 0.255, np.nan, std.s_phi(I, p)))
+
+
+class TestBatchedField:
+    @pytest.mark.parametrize("scheme", ["newton", "gauss"])
+    @pytest.mark.parametrize("case", ["standard", "froeschle2", "nucleus_n1", "lochak_n2",
+                                      "lochak_n3"])
+    def test_batch_bitwise_equals_one_point(self, case, scheme, rng):
+        if case in ("standard", "froeschle2"):
+            F = catalog(case, 0.05)
+        else:
+            F = _blocks()[["nucleus_n1", "lochak_n2", "lochak_n3"].index(case)]
+        d = F.dim // 2
+        x = np.concatenate([rng.uniform(-0.3, 0.3, (7, d)), rng.uniform(0, 1, (7, d))], axis=-1)
+        for m in ((2, 4, 6) if scheme == "gauss" else (1, 3, 6)):
+            got = interpolating_vf(F, x, m, scheme)
+            assert got.shape == x.shape
+            assert np.array_equal(got, np.array([interpolating_vf(F, p, m, scheme) for p in x]))
+
+    def test_window_of_a_batch_is_checked_per_point(self):
+        # residuals of about 1e-8 pass at points of size 1e6, not at one of size 1
+        calls = [0]
+
+        def drifting(x):
+            calls[0] += 1
+            return x + 1e-3 + 1e-9 * calls[0]
+
+        orbit_window(drifting, np.array([[1e6, 0.2], [2e6, 0.3]]), 3)
+        with pytest.raises(ValueError, match="verification"):
+            orbit_window(drifting, np.array([[1e6, 0.2], [0.1, 0.3]]), 3)
+
+    def test_non_finite_window_is_rejected(self):
+        bad, x0 = _bad_standard(), np.array([0.24, 0.2])
+        assert np.isfinite(bad.orbit(x0, 15)).all()
+        with pytest.raises(DomainEscape):
+            bad.orbit(x0, 16)
+        with pytest.raises(DomainEscape):
+            interpolating_vf(bad, x0, 16)
+        # stepped one point at a time, the NaN state reaches the window check
+        with pytest.raises(ValueError, match="verification"):
+            interpolating_vf(lambda x: bad.apply(x), x0, 16)
 
 
 def _one_point_only(model, calls):

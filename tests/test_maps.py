@@ -18,6 +18,7 @@ from mapflow import (
 from mapflow import maps
 from mapflow.errors import ContractionViolated, DomainEscape, NoConvergence
 from mapflow.maps import orbit_arrays, propagate, step_arrays
+from mapflow.resonance import BlockMap, ResonanceSite
 
 from oracles import FIXED_POINT_SIN, STD_STEP_I, bisect
 
@@ -156,6 +157,22 @@ class TestKernel:
                     s_phi=lambda I, p: np.where(I > 0.255, np.nan, -1.0))
         with pytest.raises(DomainEscape) as exc:
             m.orbit(np.array([0.1, 0.2]), 30)
+        assert exc.value.index == 18
+
+    def test_non_finite_last_state_is_an_escape(self):
+        # as above, but the orbit ends at the first NaN state, I_17
+        m = replace(catalog("standard", 0.01),
+                    s_phi=lambda I, p: np.where(I > 0.255, np.nan, -1.0))
+        assert np.isfinite(m.orbit(np.array([0.1, 0.2]), 16)).all()
+        with pytest.raises(DomainEscape) as exc:
+            m.orbit(np.array([0.1, 0.2]), 17)
+        assert exc.value.index == 18
+        blk = BlockMap(m, ResonanceSite(n=1, omega_star=[0.0], I_star=[0.0], rho_n=0.1),
+                       "nucleus")
+        x = np.array([0.1 / blk.rho, 0.2])
+        assert np.isfinite(blk.orbit(x, 16)).all()
+        with pytest.raises(DomainEscape) as exc:
+            blk.orbit(x, 17)
         assert exc.value.index == 18
 
     def test_escape_reported_before_later_solver_failure(self):
