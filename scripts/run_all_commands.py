@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Run every CLI command once on its sample config.
+"""Run every sample config in scripts/configs/ once, through its CLI command.
 
-Outputs land in runs/<command>/.  Useful as a smoke check and as a template
-for custom experiment configs.
+Outputs land in runs/<config name>/, e.g. runs/stability_froeschle/, so
+that two configs of one command keep apart.  Useful as a smoke check and
+as a template for custom experiment configs.
 """
 
 import pathlib
@@ -20,6 +21,7 @@ JOBS = [
     ("resonance", "resonance_standard.json"),
     ("nucleus", "nucleus_standard.json"),
     ("stability", "stability_standard.json"),
+    ("stability", "stability_froeschle.json"),
     ("gen-recover", "genrecover_standard.json"),
 ]
 
@@ -27,7 +29,7 @@ JOBS = [
 def main() -> int:
     worst = 0
     for command, cfg in JOBS:
-        out = RUNS / command
+        out = RUNS / pathlib.Path(cfg).stem
         code = run(command, str(HERE / "configs" / cfg), out=str(out))
         print(f"{command:<12} exit={code}  ->  {out}")
         worst = max(worst, code)

@@ -257,7 +257,8 @@ def _embed_one(args):
     rep = embedding_error(blk, m, unit_box(model.d, sub["J_radius"]), sub["grid_n"],
                           sub["tol"], delta)
     row = [m, rep.eps_hat, rep.max_error, rep.bound, int(rep.precondition_ok),
-           "" if rep.bound_satisfied is None else int(rep.bound_satisfied)]
+           "" if rep.bound_satisfied is None else int(rep.bound_satisfied),
+           int(np.count_nonzero(~np.isnan(rep.errors)))]
     return row, len(rep.failures)
 
 
@@ -266,7 +267,8 @@ def run_embed_error(cfg, model, out, workers, rng):
     results = _pool_map(_embed_one, [(cfg, m) for m in cfg["embed-error"]["m_list"]], workers)
     results.sort(key=lambda r: r[0][0])
     path = write_csv(os.path.join(out, "embed-error.csv"),
-                     ["m", "eps_hat", "max_error", "bound", "precondition_ok", "bound_satisfied"],
+                     ["m", "eps_hat", "max_error", "bound", "precondition_ok", "bound_satisfied",
+                      "points_measured"],
                      [row for row, _ in results])
     return [path], ["flow_failures: " + " ".join(f"m{row[0]}={n}" for row, n in results)]
 

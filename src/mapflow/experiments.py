@@ -229,6 +229,19 @@ class StabilityRecord:
     status: str = "ok"
 
 
+def _max_abs_diff(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """max over the last axis of |A - B|, built one column at a time: numpy
+    reduces over a short last axis on a slow path."""
+    out = np.subtract(A[..., 0], B[..., 0])
+    np.abs(out, out=out)
+    col = np.empty_like(out)
+    for j in range(1, A.shape[-1]):
+        np.subtract(A[..., j], B[..., j], out=col)
+        np.abs(col, out=col)
+        np.maximum(out, col, out=out)
+    return out
+
+
 def stability_scan(model: MapModel, I0: np.ndarray, phi0: np.ndarray,
                    horizon: int, confinement_radius: Optional[float] = None
                    ) -> list[StabilityRecord]:
@@ -255,8 +268,8 @@ def stability_scan(model: MapModel, I0: np.ndarray, phi0: np.ndarray,
     while done < horizon and live.size:
         Is, ps, first = propagate(model, I, phi, min(maps.WINDOW, horizon - done))
         # statistics over the window (step indices done+1 .. done+W)
-        dev = np.max(np.abs(Is[1:] - Iinit[live]), axis=-1)          # (W, live)
-        dstep = np.max(np.abs(np.diff(Is, axis=0)), axis=-1)         # (W, live)
+        dev = _max_abs_diff(Is[1:], Iinit[live])       # (W, live)
+        dstep = _max_abs_diff(Is[1:], Is[:-1])         # (W, live)
         left = first >= 0
         for c in np.flatnonzero(left):  # statistics stop at the escape state
             dev[first[c]:, c] = -np.inf

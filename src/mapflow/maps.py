@@ -19,7 +19,10 @@ The implicit step is resolved by plain Picard iteration, which contracts
 whenever sup|g| over the search ball is below R/(d+1); see `implicit_solve`.
 
 All stepping is built on one unguarded step body, `_step`, and one windowed
-loop, `propagate`, which checks the domain once per window.
+loop, `propagate`, which checks the domain once per window.  Generating
+terms that are trigonometric polynomials are held as data (`TrigTerm`);
+for those maps `propagate` runs the same arithmetic as `_step` in one fused
+body that writes into preallocated component-major rows.
 
 Public functions take flat phase vectors of shape (..., 2d), ordered
 (I, phi); `MapModel.apply`, `inverse` and `orbit` step them.  Separate
@@ -33,7 +36,7 @@ accept arrays of shape (..., d).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -91,9 +94,14 @@ class DomainSpec:
 
         A distance too large for a double is inf, which is outside anyway.
         """
-        x = np.asarray(I) - self.center
+        I = np.asarray(I)
+        c = self.center
         with np.errstate(over="ignore"):
-            return np.maximum(np.sqrt(np.add.reduce(x * x, axis=-1)) - self.R, 0.0)
+            # column by column: a reduction over the short last axis is slow
+            ss = np.square(I[..., 0] - c[0])
+            for j in range(1, c.shape[0]):
+                ss += np.square(I[..., j] - c[j])
+            return np.maximum(np.sqrt(ss) - self.R, 0.0)
 
     def contains_extended(self, I: np.ndarray) -> np.ndarray:
         """The domain rule: dist(I, ball) <= sigma.  NaN actions are outside."""
@@ -145,6 +153,9 @@ class MapModel:
     #: collapses to one explicit evaluation (holds for all catalog maps) and
     #: batched stepping involves no cross-batch reductions
     s_action_independent: bool = False
+    #: the generating term as data; `propagate` steps with a fused body while
+    #: s_phi is this term's own callback and omega is the identity
+    trig: Optional["TrigTerm"] = None
     name: str = "custom"
 
     def __post_init__(self):
@@ -264,6 +275,49 @@ def _first_outside(domain: DomainSpec, Is: np.ndarray) -> np.ndarray:
     return np.where(inside.all(axis=0), -1, inside.argmin(axis=0))
 
 
+def _fused_term(model: MapModel) -> Optional[TrigTerm]:
+    """The model's `TrigTerm` when `_step` reduces to the fused trig body:
+    its own s_phi and the identity omega in place (a `replace` that swaps
+    either callback falls back to `_step`)."""
+    t = model.trig
+    if (t is not None and model.form == "generating" and model.eps > 0.0
+            and model.s_action_independent and model.s_phi == t.s_phi
+            and model.omega is _identity_omega):
+        return t
+    return None
+
+
+def _propagate_trig(eps: float, term: TrigTerm, I: np.ndarray, phi: np.ndarray, steps: int):
+    """`_step` of a fused-trig model, on preallocated component-major rows.
+
+    The orbit is stored as (steps+1, d, n) and returned as (steps+1, ..., d)
+    views.  The operations and their order are those of `_step` with the
+    term's callbacks (frac, s_phi, times eps, I - ., phi + I'), so every
+    state is bitwise equal to stepping `_step`, at any batch size.
+    """
+    shape = I.shape
+    d = shape[-1]
+    n = I.size // d
+    Is = np.empty((steps + 1, d, n))
+    ps = np.empty((steps + 1, d, n))
+    I0, p0 = Is[0], ps[0]
+    I0[...], p0[...] = I.reshape(n, d).T, phi.reshape(n, d).T
+    work = _KickWork(term._plan, n)
+    # outside `kick`, grad and the consumed angles serve as scratch rows
+    ang, grad, kick, eps = work.angles, work.grad, work.kick, np.array(eps)
+    for k in range(1, steps + 1):
+        I1, p1 = Is[k], ps[k]
+        np.floor(p0, grad)
+        np.subtract(p0, grad, ang)
+        kick()
+        np.multiply(grad, eps, ang)
+        np.subtract(I0, ang, I1)
+        np.add(p0, I1, p1)
+        I0, p0 = I1, p1
+    full = (steps + 1,) + shape
+    return Is.transpose(0, 2, 1).reshape(full), ps.transpose(0, 2, 1).reshape(full)
+
+
 def propagate(model: MapModel, I: np.ndarray, phi: np.ndarray, steps: int):
     """Take ``steps`` unguarded map steps from states of shape (..., d).
 
@@ -272,9 +326,14 @@ def propagate(model: MapModel, I: np.ndarray, phi: np.ndarray, steps: int):
     from which a step was taken (-1 if none); callers decide what an escape
     means.  A NoConvergence after an escape ends the buffers at the failing
     step's source state and is dropped, so the escape is reported first.
+    Models with a `TrigTerm` in place step through `_propagate_trig`.
     """
     I = np.asarray(I, dtype=float)
     phi = np.asarray(phi, dtype=float)
+    term = _fused_term(model)
+    if term is not None:
+        Is, ps = _propagate_trig(model.eps, term, I, phi, steps)
+        return Is, ps, _first_outside(model.domain, Is[:steps])
     Is = np.empty((steps + 1,) + I.shape)
     ps = np.empty((steps + 1,) + phi.shape)
     Is[0], ps[0] = I, phi
@@ -422,50 +481,216 @@ def _identity_hess_factory(d):
     return hess
 
 
-def _standard_s(I, phi):
-    return -np.cos(TWO_PI * phi[..., 0]) / TWO_PI**2
-
-def _standard_s_phi(I, phi):
-    return np.sin(TWO_PI * phi) / TWO_PI
-
-def _standard_s_I(I, phi):
-    return np.zeros_like(np.asarray(I, dtype=float))
-
 def _zero_matrix(I, phi):
     I = np.asarray(I)
     d = I.shape[-1]
     return np.zeros(I.shape[:-1] + (d, d))
 
-def _standard_s_phiphi(I, phi):
-    out = _zero_matrix(I, phi)
-    out[..., 0, 0] = np.cos(TWO_PI * phi[..., 0])
-    return out
+
+def _lincomb(terms, out, tmp):
+    """out = sum of w * x over the (x, w) in terms, left to right.
+
+    A weight of +-1 is never multiplied out and a lone unit term is copied,
+    so that a sum over a catalog term's modes keeps the bits of its closed
+    form.  ``tmp`` is scratch of out's shape.  Outputs are positional (see
+    `_KickWork`).
+    """
+    acc = None
+    for x, w in terms:
+        if acc is None:
+            if w != 1:
+                np.multiply(x, w, out)
+                x = out
+            acc = x
+            continue
+        if abs(w) != 1:
+            np.multiply(x, abs(w), tmp)
+            x = tmp
+        (np.add if w >= 0 else np.subtract)(acc, x, out)
+        acc = out
+    if acc is not out:
+        np.copyto(out, acc)
 
 
-def _froeschle_s_factory(eta):
-    def s(I, phi):
-        p1, p2 = phi[..., 0], phi[..., 1]
-        return -(np.cos(TWO_PI * p1) + np.cos(TWO_PI * p2)
-                 + eta * np.cos(TWO_PI * (p1 + p2))) / TWO_PI**2
+@dataclass(frozen=True)
+class TrigTerm:
+    """An action-independent trigonometric generating term, held as data::
 
-    def s_phi(I, phi):
-        p1, p2 = phi[..., 0], phi[..., 1]
-        cross = eta * np.sin(TWO_PI * (p1 + p2))
-        g1 = (np.sin(TWO_PI * p1) + cross) / TWO_PI
-        g2 = (np.sin(TWO_PI * p2) + cross) / TWO_PI
-        return np.stack([g1, g2], axis=-1)
+        s(phi) = -sum_j c_j cos(2 pi k_j . phi) / (2 pi)^2
 
-    def s_phiphi(I, phi):
-        p1, p2 = phi[..., 0], phi[..., 1]
-        cc = eta * np.cos(TWO_PI * (p1 + p2))
-        out = _zero_matrix(I, phi)
-        out[..., 0, 0] = np.cos(TWO_PI * p1) + cc
-        out[..., 0, 1] = cc
-        out[..., 1, 0] = cc
-        out[..., 1, 1] = np.cos(TWO_PI * p2) + cc
+    with integer modes k_j (the rows of ``modes``, shape (J, d)) and real
+    coefficients c_j (``coeffs``, shape (J,)).  The callbacks `s`, `s_I`,
+    `s_phi`, `s_phiphi` and the sup norms derive from (K, c).  Phases
+    k_j . phi and the sums over modes run left to right over the nonzero
+    entries and never multiply by a unit factor.
+    """
+
+    modes: np.ndarray
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        K = np.asarray(self.modes, dtype=float)
+        c = np.asarray(self.coeffs, dtype=float)
+        if K.ndim != 2 or K.shape[0] == 0 or c.shape != K.shape[:1]:
+            raise ValueError("modes must have shape (J, d) and coeffs (J,), J >= 1")
+        if not (np.all(K == np.round(K)) and np.all(np.any(K != 0, axis=1))
+                and np.all(np.isfinite(c))):
+            raise ValueError("modes must be nonzero integer vectors and coeffs finite")
+        object.__setattr__(self, "modes", K.astype(np.int64))
+        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "_plan", _KickPlan.of(self.modes, c))
+
+    @property
+    def d(self) -> int:
+        return self.modes.shape[1]
+
+    @property
+    def norm_s(self) -> float:
+        """sup |s| = sum_j |c_j| / (2 pi)^2."""
+        return sum(abs(float(cj)) for cj in self.coeffs) / TWO_PI**2
+
+    @property
+    def norm_a(self) -> float:
+        """Bound on sup |s_phi|_inf: max_i sum_j |c_j k_ji| / (2 pi)."""
+        return max(sum(abs(float(cj) * int(k[i])) for cj, k in zip(self.coeffs, self.modes))
+                   for i in range(self.d)) / TWO_PI
+
+    def _cosines(self, phi: np.ndarray) -> list:
+        """cos(2 pi k_j . phi) for every mode j, each of shape phi.shape[:-1]."""
+        out = []
+        for k in self.modes:
+            theta, tmp = np.empty(phi.shape[:-1]), np.empty(phi.shape[:-1])
+            _lincomb([(phi[..., i], k[i]) for i in np.flatnonzero(k)], theta, tmp)
+            out.append(np.cos(TWO_PI * theta))
         return out
 
-    return s, s_phi, s_phiphi
+    def s(self, I, phi):
+        phi = np.asarray(phi, dtype=float)
+        acc, tmp = np.empty(phi.shape[:-1]), np.empty(phi.shape[:-1])
+        _lincomb(list(zip(self._cosines(phi), self.coeffs)), acc, tmp)
+        return -acc / TWO_PI**2
+
+    def s_I(self, I, phi):
+        return np.zeros_like(np.asarray(I, dtype=float))
+
+    def s_phi(self, I, phi):
+        phi = np.asarray(phi, dtype=float)
+        work = _KickWork(self._plan, phi.size // self.d)
+        work.angles[...] = phi.reshape(-1, self.d).T
+        work.kick()
+        return work.grad.T.reshape(phi.shape)
+
+    def s_phiphi(self, I, phi):
+        phi = np.asarray(phi, dtype=float)
+        cos = [x if cj == 1 else cj * x for x, cj in zip(self._cosines(phi), self.coeffs)]
+        tmp = np.empty(phi.shape[:-1])
+        out = np.zeros(phi.shape[:-1] + (self.d, self.d))
+        for i in range(self.d):
+            for l in range(self.d):
+                terms = [(x, k[i] * k[l]) for x, k in zip(cos, self.modes) if k[i] * k[l]]
+                if terms:
+                    _lincomb(terms, out[..., i, l], tmp)
+        return out
+
+
+class _KickPlan(NamedTuple):
+    """Row indices of `_KickWork`, fixed per term.
+
+    Rows of Y: the d angles, one phase row per mode that is not a unit
+    vector e_i (a unit mode reads its angle row), then one row per mode
+    whose coefficient is not 1.  X mirrors the angle and phase rows.
+    """
+
+    d: int
+    rows: int                   # rows of Y
+    sin_rows: int               # rows of X, the angle and phase rows of Y
+    phases: list                # (row, [(angle row, k_ji)]) per non-unit mode
+    scales: list                # (sine row, c_j as a 0-d array, row)
+    sums: Optional[list]        # [(row, k_ji)] per component; None: row i alone
+
+    @classmethod
+    def of(cls, K: np.ndarray, c: np.ndarray) -> "_KickPlan":
+        d = K.shape[1]
+        unit = {j: int(np.argmax(k)) for j, k in enumerate(K)
+                if np.count_nonzero(k) == 1 and k.sum() == 1}
+        extra = [j for j in range(len(K)) if j not in unit]
+        row = {**unit, **{j: d + r for r, j in enumerate(extra)}}
+        phases = [(row[j], [(int(i), K[j, i]) for i in np.flatnonzero(K[j])]) for j in extra]
+        scaled = [j for j in range(len(K)) if c[j] != 1]
+        top = d + len(extra)
+        scales = [(row[j], np.array(c[j]), top + t) for t, j in enumerate(scaled)]
+        row.update((j, top + t) for t, j in enumerate(scaled))  # now c_j sin(2 pi theta_j)
+        sums = [[(row[j], K[j, i]) for j in range(len(K)) if K[j, i]] for i in range(d)]
+        if all(s_i == [(i, 1)] for i, s_i in enumerate(sums)):
+            sums = None  # s_phi_i is the sine of angle i alone
+        return cls(d, top + len(scaled), top, phases, scales, sums)
+
+
+class _KickWork:
+    """Work rows for s_phi of a `TrigTerm` on component-major arrays.
+
+    Component i of the angles and of s_phi is the row ``angles[i]``, resp.
+    ``grad[i]``, of n points, so every operation is one element-wise ufunc
+    on contiguous rows: no reduction over a short axis, and no dot or
+    matmul, whose BLAS kernels could make a row depend on the batch.  At
+    batch 1 the per-call cost of a ufunc dominates, so no operation writes
+    over its own input (numpy's overlap check would double its cost), the
+    outputs are passed positionally and the constants are 0-d arrays.
+    """
+
+    two_pi = np.array(TWO_PI)
+
+    def __init__(self, plan: _KickPlan, n: int):
+        # one buffer: the rows of Y, of X, of the sums G (if any), scratch
+        d, rows, top = plan.d, plan.rows, plan.sin_rows
+        g = rows + top
+        buf = np.empty((g + (0 if plan.sums is None else d) + 1, n))
+        self.Y, self.X, self.tmp = buf[:top], buf[rows:g], buf[-1]
+        self.angles, self.grad = buf[:d], buf[rows:rows + d]
+        self.G = self.angles if plan.sums is None else buf[g:g + d]
+        self.phases, self.scales, self.sums = (), (), ()
+        if plan.phases or plan.scales or plan.sums:
+            r = list(buf)
+            self.phases = [(r[o], [(r[i], k) for i, k in terms]) for o, terms in plan.phases]
+            self.scales = [(r[src], cj, r[dst]) for src, cj, dst in plan.scales]
+            self.sums = [(r[g + i], [(r[j], k) for j, k in s_i])
+                         for i, s_i in enumerate(plan.sums or ())]
+
+    def kick(self):
+        """s_phi into ``grad`` from the reduced angles in ``angles``; the
+        angles are consumed."""
+        X, Y = self.X, self.Y
+        for out, terms in self.phases:
+            _lincomb(terms, out, self.tmp)
+        np.multiply(Y, self.two_pi, X)
+        np.sin(X, Y)
+        for x, cj, out in self.scales:
+            np.multiply(x, cj, out)
+        for out, terms in self.sums:
+            _lincomb(terms, out, self.tmp)
+        np.divide(self.G, self.two_pi, self.grad)
+
+
+def _catalog_domain(d: int, norm_a: float = 0.0, norm_b: float = 0.0,
+                    norm_s: float = 0.0) -> DomainSpec:
+    """B(0, 1) widened by sigma = 0.5, strip r = 1, and the bounds of
+    h0 = |I|^2/2, whose Hessian is the identity."""
+    return DomainSpec(center=np.zeros(d), R=1.0, sigma=0.5, r=1.0, nu=1.0, nu2=float(d),
+                      norm_a=norm_a, norm_b=norm_b, norm_omega_prime=1.0, norm_s=norm_s,
+                      norm_h0pp=1.0)
+
+
+def _trig_model(name: str, eps: float, modes, coeffs) -> MapModel:
+    """A catalog generating-form map with h0 = |I|^2/2 and a `TrigTerm`."""
+    term = TrigTerm(np.array(modes), np.array(coeffs))
+    d = term.d
+    # omega is the identity, so the angle kick -eps s_phi has the action kick's norm
+    dom = _catalog_domain(d, norm_a=term.norm_a, norm_b=term.norm_a, norm_s=term.norm_s)
+    return MapModel(d=d, form="generating", eps=float(eps), h0=_quad_h0,
+                    omega=_identity_omega, hess=_identity_hess_factory(d), domain=dom,
+                    s=term.s, s_I=term.s_I, s_phi=term.s_phi, s_II=_zero_matrix,
+                    s_Iphi=_zero_matrix, s_phiphi=term.s_phiphi, s_action_independent=True,
+                    trig=term, name=name)
 
 
 CATALOG = ("twist", "standard", "froeschle2")
@@ -475,46 +700,29 @@ def catalog(name: str, eps: float, **params) -> MapModel:
     """Construct the catalog map of a name in CATALOG: "twist", "standard" or "froeschle2".
 
     All catalog entries use h0 = |I|^2/2 (so omega is the identity), the
-    Euclidean action ball B(0, 1) widened by sigma = 0.5, angle strip r = 1,
-    and carry closed-form sup-norm bounds for the perturbation data.
+    Euclidean action ball B(0, 1) widened by sigma = 0.5 and angle strip
+    r = 1.  "standard" and "froeschle2" hold their generating terms as a
+    `TrigTerm`, from which the callbacks and sup-norm bounds derive.
     """
     if name == "twist":
         d = int(params.pop("d", 1))
         if params:
             raise ValueError(f"unknown twist parameters {sorted(params)}")
-        dom = DomainSpec(center=np.zeros(d), R=1.0, sigma=0.5, r=1.0, nu=1.0, nu2=float(d),
-                         norm_a=0.0, norm_b=0.0, norm_omega_prime=1.0, norm_s=0.0,
-                         norm_h0pp=1.0)
         return MapModel(d=d, form="explicit", eps=float(eps), h0=_quad_h0,
-                        omega=_identity_omega, hess=_identity_hess_factory(d), domain=dom,
+                        omega=_identity_omega, hess=_identity_hess_factory(d),
+                        domain=_catalog_domain(d),
                         a=lambda I, p: np.zeros_like(I), b=lambda I, p: np.zeros_like(I),
                         a_I=_zero_matrix, a_phi=_zero_matrix, b_I=_zero_matrix,
                         b_phi=_zero_matrix, name="twist")
     if name == "standard":
         if params:
             raise ValueError(f"unknown standard-map parameters {sorted(params)}")
-        dom = DomainSpec(center=np.zeros(1), R=1.0, sigma=0.5, r=1.0, nu=1.0, nu2=1.0,
-                         norm_a=1.0 / TWO_PI, norm_b=1.0 / TWO_PI, norm_omega_prime=1.0,
-                         norm_s=1.0 / TWO_PI**2, norm_h0pp=1.0)
-        return MapModel(d=1, form="generating", eps=float(eps), h0=_quad_h0,
-                        omega=_identity_omega, hess=_identity_hess_factory(1), domain=dom,
-                        s=_standard_s, s_I=_standard_s_I, s_phi=_standard_s_phi,
-                        s_II=_zero_matrix, s_Iphi=_zero_matrix, s_phiphi=_standard_s_phiphi,
-                        s_action_independent=True, name="standard")
+        return _trig_model("standard", eps, [[1]], [1.0])
     if name == "froeschle2":
         eta = float(params.pop("eta", 0.3))
         if params:
             raise ValueError(f"unknown froeschle2 parameters {sorted(params)}")
-        s, s_phi, s_phiphi = _froeschle_s_factory(eta)
-        dom = DomainSpec(center=np.zeros(2), R=1.0, sigma=0.5, r=1.0, nu=1.0, nu2=2.0,
-                         norm_a=(1.0 + abs(eta)) / TWO_PI, norm_b=(1.0 + abs(eta)) / TWO_PI,
-                         norm_omega_prime=1.0, norm_s=(2.0 + abs(eta)) / TWO_PI**2,
-                         norm_h0pp=1.0)
-        return MapModel(d=2, form="generating", eps=float(eps), h0=_quad_h0,
-                        omega=_identity_omega, hess=_identity_hess_factory(2), domain=dom,
-                        s=s, s_I=lambda I, p: np.zeros_like(np.asarray(I, dtype=float)),
-                        s_phi=s_phi, s_II=_zero_matrix, s_Iphi=_zero_matrix,
-                        s_phiphi=s_phiphi, s_action_independent=True, name="froeschle2")
+        return _trig_model("froeschle2", eps, [[1, 0], [0, 1], [1, 1]], [1.0, 1.0, eta])
     raise ValueError(f"unknown catalog map {name!r}")
 
 
@@ -525,10 +733,9 @@ def nonexact_shear(eps: float) -> MapModel:
     which makes it the reference counterexample for exactness diagnostics.
     """
     d = 1
-    dom = DomainSpec(center=np.zeros(d), R=1.0, sigma=0.5, r=1.0, nu=1.0, nu2=1.0,
-                     norm_a=1.0, norm_b=0.0, norm_omega_prime=1.0, norm_h0pp=1.0)
     return MapModel(d=d, form="explicit", eps=float(eps), h0=_quad_h0,
-                    omega=_identity_omega, hess=_identity_hess_factory(d), domain=dom,
+                    omega=_identity_omega, hess=_identity_hess_factory(d),
+                    domain=_catalog_domain(d, norm_a=1.0),
                     a=lambda I, p: np.ones_like(I), b=lambda I, p: np.zeros_like(I),
                     a_I=_zero_matrix, a_phi=_zero_matrix, b_I=_zero_matrix,
                     b_phi=_zero_matrix, name="nonexact_shear")

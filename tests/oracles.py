@@ -91,3 +91,62 @@ DOP853_FLOWS = {
                  [-0.18336646735994178, 0.22811568824587813, -0.18203440699041212,
                   0.6782868592964626]]),
 }
+
+
+# Closed forms of the catalog generating terms and their hand-entered sup
+# norms, as the catalog wrote them before the terms were held as (modes,
+# coefficients).  The derived callbacks and norms must reproduce them.
+
+TWO_PI = 2.0 * math.pi
+
+
+def standard_closed_forms():
+    """(s, s_phi, s_phiphi) of the standard map, on (..., 1) phases."""
+    def s(I, phi):
+        return -np.cos(TWO_PI * phi[..., 0]) / TWO_PI**2
+
+    def s_phi(I, phi):
+        return np.sin(TWO_PI * phi) / TWO_PI
+
+    def s_phiphi(I, phi):
+        out = np.zeros(phi.shape[:-1] + (1, 1))
+        out[..., 0, 0] = np.cos(TWO_PI * phi[..., 0])
+        return out
+
+    return s, s_phi, s_phiphi
+
+
+def froeschle_closed_forms(eta):
+    """(s, s_phi, s_phiphi) of froeschle2, on (..., 2) phases."""
+    def s(I, phi):
+        p1, p2 = phi[..., 0], phi[..., 1]
+        return -(np.cos(TWO_PI * p1) + np.cos(TWO_PI * p2)
+                 + eta * np.cos(TWO_PI * (p1 + p2))) / TWO_PI**2
+
+    def s_phi(I, phi):
+        p1, p2 = phi[..., 0], phi[..., 1]
+        cross = eta * np.sin(TWO_PI * (p1 + p2))
+        return np.stack([(np.sin(TWO_PI * p1) + cross) / TWO_PI,
+                         (np.sin(TWO_PI * p2) + cross) / TWO_PI], axis=-1)
+
+    def s_phiphi(I, phi):
+        p1, p2 = phi[..., 0], phi[..., 1]
+        cc = eta * np.cos(TWO_PI * (p1 + p2))
+        out = np.zeros(phi.shape[:-1] + (2, 2))
+        out[..., 0, 0] = np.cos(TWO_PI * p1) + cc
+        out[..., 0, 1] = cc
+        out[..., 1, 0] = cc
+        out[..., 1, 1] = np.cos(TWO_PI * p2) + cc
+        return out
+
+    return s, s_phi, s_phiphi
+
+
+def catalog_norms(name, eta=None):
+    """The hand-entered DomainSpec norms of a catalog trig map."""
+    if name == "standard":
+        return {"norm_a": 1.0 / TWO_PI, "norm_b": 1.0 / TWO_PI, "norm_s": 1.0 / TWO_PI**2,
+                "norm_omega_prime": 1.0, "norm_h0pp": 1.0, "nu": 1.0, "nu2": 1.0}
+    return {"norm_a": (1.0 + abs(eta)) / TWO_PI, "norm_b": (1.0 + abs(eta)) / TWO_PI,
+            "norm_s": (2.0 + abs(eta)) / TWO_PI**2, "norm_omega_prime": 1.0,
+            "norm_h0pp": 1.0, "nu": 1.0, "nu2": 2.0}

@@ -1,6 +1,7 @@
 """CLI: strict config validation, exit codes, CSV determinism."""
 
 import copy
+import csv
 import json
 import os
 import pathlib
@@ -127,7 +128,12 @@ class TestValidation:
         cfg = {"map": {"name": "standard", "eps": 1e300}, "seed": 7, "embed-error": EMBED}
         path = write_cfg(tmp_path, "c.json", cfg)
         # no RuntimeWarning either: the suite turns every one into an error
-        assert run("embed-error", path, out=str(tmp_path / "o"), workers=1) in (0, 3)
+        assert run("embed-error", path, out=str(tmp_path / "o"), workers=1) == 0
+        # max_error comes from the few points whose flow survived, and says so
+        with open(tmp_path / "o" / "embed-error.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["bound"] for r in rows] == ["inf"]
+        assert 1 <= int(rows[0]["points_measured"]) < EMBED["grid_n"] ** 2
 
     @pytest.mark.parametrize("command, sub, top, out_under_file",
                              [case[1:] for case in BAD_INPUTS],
@@ -236,6 +242,7 @@ class TestCommands:
         m2 = float(lines[2].split(",")[2])
         assert m2 < m1
         assert "flow_failures: m1=0 m2=0\n" in (out / "embed-error_manifest.txt").read_text()
+        assert lines[0].endswith(",points_measured") and lines[1].endswith(",9")
 
     def test_nucleus_runs(self, tmp_path):
         cfg = base_cfg(nucleus={"J0": [0.1], "phi0": [0.2], "budget": 200,

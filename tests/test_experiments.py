@@ -27,6 +27,30 @@ def std_site(gamma=2.0, eps=1e-4, n=1):
     return ResonanceSite(n=n, omega_star=[0.0], I_star=[0.0], rho_n=rho)
 
 
+def _scan_by_last_axis_formulas(model, I0, phi0, horizon, radius):
+    """Scan statistics by reductions over the action axis, on one orbit.
+
+    Per seed: the first state outside the domain (dist by np.add.reduce) is
+    its escape, and its statistics stop at that state.
+    """
+    Is, _, _ = maps.propagate(model, I0, phi0, horizon)
+    dom = model.domain
+    x = Is - dom.center
+    inside = np.maximum(np.sqrt(np.add.reduce(x * x, axis=-1)) - dom.R, 0.0) <= dom.sigma
+    dev = np.max(np.abs(Is[1:] - Is[0]), axis=-1)
+    dstep = np.max(np.abs(np.diff(Is, axis=0)), axis=-1)
+    out = []
+    for c in range(Is.shape[1]):
+        outside = np.flatnonzero(~inside[:, c])
+        stop = int(outside[0]) if outside.size else horizon
+        crossed = np.flatnonzero(dev[:stop, c] > radius)
+        out.append((float(max(0.0, dev[:stop, c].max(initial=-np.inf))),
+                    int(crossed[0]) + 1 if crossed.size else None,
+                    float(max(0.0, dstep[:stop, c].max(initial=-np.inf))),
+                    f"domain_escape@{stop}" if outside.size else "ok"))
+    return out
+
+
 class TestApriori:
     def test_integrable_zero(self):
         m = catalog("standard", 0.0)
@@ -177,6 +201,21 @@ class TestStabilityScan:
         monkeypatch.setattr(maps, "WINDOW", window)
         assert [fields(stability_scan(m, I0, phi0, h, r)) for m, h, r in cases] == want
         assert want[1][6][3] == "domain_escape@5" and want[1][7][3] == "domain_escape@20"
+
+    @pytest.mark.parametrize("window", [1, 7, maps.WINDOW])
+    def test_d2_statistics_match_last_axis_formulas(self, window, monkeypatch):
+        # froeschle2 at d = 2: seed 1 leaves the domain at step 5, seed 3
+        # crosses the radius at step 13; neither is on a window boundary
+        m = catalog("froeschle2", 0.05, eta=0.3)
+        I0 = np.array([[0.2, -0.3], [1.0, 1.05], [-0.4, 0.1], [0.0, 0.6], [-1.4, 0.3]])
+        phi0 = np.array([[0.22, 0.16], [0.87, 0.66], [0.04, 0.51], [0.47, 0.92],
+                         [0.63, 0.51]])
+        horizon, radius = 60, 0.05
+        want = _scan_by_last_axis_formulas(m, I0, phi0, horizon, radius)
+        assert want[1][3] == "domain_escape@5" and want[3][1] == 13
+        monkeypatch.setattr(maps, "WINDOW", window)
+        recs = stability_scan(m, I0, phi0, horizon, radius)
+        assert [(r.excursion, r.exit_index, r.max_step_drift, r.status) for r in recs] == want
 
     def test_pilot_calibration_scales(self):
         m = catalog("standard", 1e-3)

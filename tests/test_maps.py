@@ -11,16 +11,47 @@ from mapflow import (
     catalog,
     implicit_solve,
     jacobian,
+    near_identity_family,
     nonexact_shear,
     stability_scan,
     symplectic_matrix,
 )
 from mapflow import maps
 from mapflow.errors import ContractionViolated, DomainEscape, NoConvergence
-from mapflow.maps import orbit_arrays, propagate, step_arrays
+from mapflow.maps import (
+    TrigTerm,
+    _fused_term,
+    _step,
+    _trig_model,
+    orbit_arrays,
+    propagate,
+    step_arrays,
+)
 from mapflow.resonance import BlockMap, ResonanceSite
 
-from oracles import FIXED_POINT_SIN, STD_STEP_I, bisect
+from oracles import (
+    FIXED_POINT_SIN,
+    STD_STEP_I,
+    bisect,
+    catalog_norms,
+    froeschle_closed_forms,
+    standard_closed_forms,
+)
+
+
+def _stepped(model, I, phi, steps):
+    """The orbit by `_step` called once per step."""
+    Is, ps = [I], [phi]
+    for _ in range(steps):
+        I, phi = _step(model, I, phi)
+        Is.append(I)
+        ps.append(phi)
+    return np.stack(Is), np.stack(ps)
+
+
+#: a term beyond the catalog: weights other than 1, a negative mode entry,
+#: three entries in one phase and three terms in one sum
+GENERAL_TERM = ([[2, -1, 0], [0, 3, 1], [1, 1, 1], [0, 0, 1]], [0.5, -1.2, 0.7, 1.0])
 
 
 class TestStep:
@@ -132,6 +163,33 @@ class TestKernel:
                 y = m.apply(y)
                 assert np.array_equal(orb[k], y)
 
+    @pytest.mark.parametrize("model", [
+        catalog("standard", 0.3), catalog("froeschle2", 0.3, eta=-0.7),
+        _trig_model("general", 0.2, *GENERAL_TERM)], ids=["standard", "froeschle2", "general"])
+    def test_fused_body_bitwise_equals_step(self, model, rng):
+        assert _fused_term(model) is model.trig
+        for shape in [(1,), (10,), (50,), (100,), (), (2, 3)]:
+            I0 = rng.uniform(-0.5, 0.5, shape + (model.d,))
+            phi0 = rng.uniform(-2.0, 2.0, shape + (model.d,))
+            Is, ps, first = propagate(model, I0, phi0, 60)
+            want_I, want_p = _stepped(model, I0, phi0, 60)
+            assert Is.shape == want_I.shape and first.shape == shape
+            assert np.array_equal(Is, want_I) and np.array_equal(ps, want_p)
+
+    def test_replaced_callbacks_fall_back_to_step(self, rng):
+        base = catalog("standard", 0.5)
+        member = near_identity_family(base)(0.3)
+        doubled = replace(base, s_phi=lambda I, p: 2.0 * base.s_phi(I, p))
+        twisted = replace(base, omega=lambda I: 2.0 * np.asarray(I))
+        I0, phi0 = rng.uniform(-0.5, 0.5, (5, 1)), rng.uniform(0.0, 1.0, (5, 1))
+        fused = np.concatenate(propagate(base, I0, phi0, 40)[:2], axis=-1)
+        for m in (member, doubled, twisted):
+            assert m.trig is base.trig and _fused_term(m) is None
+            Is, ps, _ = propagate(m, I0, phi0, 40)
+            want_I, want_p = _stepped(m, I0, phi0, 40)
+            assert np.array_equal(Is, want_I) and np.array_equal(ps, want_p)
+            assert not np.array_equal(np.concatenate([Is, ps], axis=-1), fused)
+
     def test_contains_extended_rejects_nan(self, standard_map):
         dom = standard_map.domain
         assert not dom.contains_extended(np.array([np.nan]))
@@ -187,6 +245,58 @@ class TestKernel:
         with pytest.raises(NoConvergence):
             orbit_arrays(replace(m, s_phi=lambda I, p: np.full_like(I, np.nan)),
                          np.array([0.1]), np.array([0.2]), 5)
+
+
+class TestTrigTerm:
+    """The catalog's generating terms as (modes, coefficients) against the
+    closed forms the catalog used to hold."""
+
+    CASES = [("standard", {}, standard_closed_forms()),
+             ("froeschle2", {"eta": 0.3}, froeschle_closed_forms(0.3)),
+             ("froeschle2", {"eta": -0.7}, froeschle_closed_forms(-0.7))]
+
+    @pytest.mark.parametrize("name, params, forms", CASES, ids=["std", "fro0.3", "fro-0.7"])
+    def test_callbacks_and_norms_match_closed_forms(self, name, params, forms, rng):
+        m = catalog(name, 0.1, **params)
+        for shape in [(200,), ()]:
+            I = rng.uniform(-1.0, 1.0, shape + (m.d,))
+            phi = rng.uniform(-3.0, 3.0, shape + (m.d,))
+            for derived, closed in zip((m.s, m.s_phi, m.s_phiphi), forms):
+                assert np.array_equal(derived(I, phi), closed(I, phi))
+        want = catalog_norms(name, params.get("eta"))
+        assert {k: getattr(m.domain, k) for k in want} == want
+
+    @pytest.mark.parametrize("name, params, forms", CASES, ids=["std", "fro0.3", "fro-0.7"])
+    def test_jacobian_matches_closed_form_model(self, name, params, forms, rng):
+        m = catalog(name, 0.15, **params)
+        s, s_phi, s_phiphi = forms
+        old = replace(m, s=s, s_phi=s_phi, s_phiphi=s_phiphi)
+        for _ in range(10):
+            x = np.concatenate([rng.uniform(-0.5, 0.5, m.d), rng.uniform(0.0, 1.0, m.d)])
+            assert np.array_equal(jacobian(m, x), jacobian(old, x))
+
+    def test_general_term_derivatives_and_norms(self, rng):
+        term = TrigTerm(*map(np.array, GENERAL_TERM))
+        phi = rng.uniform(0.0, 1.0, (50, 3))
+        I = np.zeros_like(phi)
+        h = 1e-6
+        for j in range(3):
+            e = np.zeros(3)
+            e[j] = h
+            fd = (term.s(I, phi + e) - term.s(I, phi - e)) / (2 * h)
+            assert np.max(np.abs(fd - term.s_phi(I, phi)[:, j])) <= 1e-8
+            fd2 = (term.s_phi(I, phi + e) - term.s_phi(I, phi - e)) / (2 * h)
+            assert np.max(np.abs(fd2 - term.s_phiphi(I, phi)[:, :, j])) <= 1e-6
+        grid = rng.uniform(0.0, 1.0, (20000, 3))
+        assert np.max(np.abs(term.s(I[:1], grid))) <= term.norm_s
+        assert np.max(np.abs(term.s_phi(I[:1], grid))) <= term.norm_a
+        assert np.array_equal(term.s_I(I, phi), np.zeros_like(I))
+
+    @pytest.mark.parametrize("modes, coeffs", [([[1.5]], [1.0]), ([[0, 0]], [1.0]),
+                                               ([[1], [2]], [1.0]), ([[1]], [np.nan])])
+    def test_malformed_term_rejected(self, modes, coeffs):
+        with pytest.raises(ValueError):
+            TrigTerm(np.array(modes), np.array(coeffs))
 
 
 class TestShiftedLift:
