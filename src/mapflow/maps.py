@@ -153,9 +153,6 @@ class MapModel:
     #: collapses to one explicit evaluation (holds for all catalog maps) and
     #: batched stepping involves no cross-batch reductions
     s_action_independent: bool = False
-    #: the generating term as data; `propagate` steps with a fused body while
-    #: s_phi is this term's own callback and omega is the identity
-    trig: Optional["TrigTerm"] = None
     name: str = "custom"
 
     def __post_init__(self):
@@ -276,13 +273,13 @@ def _first_outside(domain: DomainSpec, Is: np.ndarray) -> np.ndarray:
 
 
 def _fused_term(model: MapModel) -> Optional[TrigTerm]:
-    """The model's `TrigTerm` when `_step` reduces to the fused trig body:
-    its own s_phi and the identity omega in place (a `replace` that swaps
-    either callback falls back to `_step`)."""
-    t = model.trig
-    if (t is not None and model.form == "generating" and model.eps > 0.0
-            and model.s_action_independent and model.s_phi == t.s_phi
-            and model.omega is _identity_omega):
+    """The `TrigTerm` whose own callback is the model's s_phi, when `_step`
+    reduces to the fused trig body with it: the identity omega is in place
+    too.  A `replace` that swaps either callback, as `near_identity_family`
+    does, falls back to `_step`."""
+    t = getattr(model.s_phi, "__self__", None)
+    if (isinstance(t, TrigTerm) and model.form == "generating" and model.eps > 0.0
+            and model.s_action_independent and model.omega is _identity_omega):
         return t
     return None
 
@@ -290,10 +287,13 @@ def _fused_term(model: MapModel) -> Optional[TrigTerm]:
 def _propagate_trig(eps: float, term: TrigTerm, I: np.ndarray, phi: np.ndarray, steps: int):
     """`_step` of a fused-trig model, on preallocated component-major rows.
 
-    The orbit is stored as (steps+1, d, n) and returned as (steps+1, ..., d)
-    views.  The operations and their order are those of `_step` with the
-    term's callbacks (frac, s_phi, times eps, I - ., phi + I'), so every
-    state is bitwise equal to stepping `_step`, at any batch size.
+    The orbit is stored as (steps+1, d, n) and returned in the point-major
+    layout (steps+1, ..., d) as strided views of that storage, never a
+    copy: the transpose only swaps strides and the reshape only splits the
+    point axis.  The operations and their
+    order are those of `_step` with the term's callbacks (frac, s_phi,
+    times eps, I - ., phi + I'), so every state is bitwise equal to
+    stepping `_step`, at any batch size.
     """
     shape = I.shape
     d = shape[-1]
@@ -309,7 +309,7 @@ def _propagate_trig(eps: float, term: TrigTerm, I: np.ndarray, phi: np.ndarray, 
         I1, p1 = Is[k], ps[k]
         np.floor(p0, grad)
         np.subtract(p0, grad, ang)
-        kick()
+        kick(grad)
         np.multiply(grad, eps, ang)
         np.subtract(I0, ang, I1)
         np.add(p0, I1, p1)
@@ -490,10 +490,10 @@ def _zero_matrix(I, phi):
 def _lincomb(terms, out, tmp):
     """out = sum of w * x over the (x, w) in terms, left to right.
 
-    A weight of +-1 is never multiplied out and a lone unit term is copied,
-    so that a sum over a catalog term's modes keeps the bits of its closed
-    form.  ``tmp`` is scratch of out's shape.  Outputs are positional (see
-    `_KickWork`).
+    A weight of +-1 is not multiplied out, which saves one ufunc call per
+    term at batch 1; an empty sum is zero (the s_phi row of an angle that
+    no mode uses).  ``tmp`` is scratch of out's shape.  Outputs are
+    positional (see `_KickWork`).
     """
     acc = None
     for x, w in terms:
@@ -508,7 +508,9 @@ def _lincomb(terms, out, tmp):
             x = tmp
         (np.add if w >= 0 else np.subtract)(acc, x, out)
         acc = out
-    if acc is not out:
+    if acc is None:
+        out.fill(0.0)
+    elif acc is not out:
         np.copyto(out, acc)
 
 
@@ -539,6 +541,7 @@ class TrigTerm:
         object.__setattr__(self, "modes", K.astype(np.int64))
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "_plan", _KickPlan.of(self.modes, c))
+        object.__setattr__(self, "_work", None)  # `s_phi`'s rows
 
     @property
     def d(self) -> int:
@@ -574,11 +577,19 @@ class TrigTerm:
         return np.zeros_like(np.asarray(I, dtype=float))
 
     def s_phi(self, I, phi):
+        """The row kernel of the fused body, on work rows kept for the last
+        batch size seen (so one term is not for concurrent threads)."""
         phi = np.asarray(phi, dtype=float)
-        work = _KickWork(self._plan, phi.size // self.d)
-        work.angles[...] = phi.reshape(-1, self.d).T
-        work.kick()
-        return work.grad.T.reshape(phi.shape)
+        d = self.d
+        n = phi.size // d
+        work = self._work
+        if work is None or work.n != n:
+            work = _KickWork(self._plan, n)
+            object.__setattr__(self, "_work", work)
+        work.angles[...] = phi.reshape(n, d).T
+        out = np.empty(phi.shape)
+        work.kick(out.reshape(n, d).T)
+        return out
 
     def s_phiphi(self, I, phi):
         phi = np.asarray(phi, dtype=float)
@@ -642,6 +653,7 @@ class _KickWork:
 
     def __init__(self, plan: _KickPlan, n: int):
         # one buffer: the rows of Y, of X, of the sums G (if any), scratch
+        self.plan, self.n = plan, n
         d, rows, top = plan.d, plan.rows, plan.sin_rows
         g = rows + top
         buf = np.empty((g + (0 if plan.sums is None else d) + 1, n))
@@ -656,9 +668,14 @@ class _KickWork:
             self.sums = [(r[g + i], [(r[j], k) for j, k in s_i])
                          for i, s_i in enumerate(plan.sums or ())]
 
-    def kick(self):
-        """s_phi into ``grad`` from the reduced angles in ``angles``; the
-        angles are consumed."""
+    def __reduce__(self):
+        # a copy or pickle rebuilds the rows: copied views would not alias
+        return _KickWork, (self.plan, self.n)
+
+    def kick(self, grad):
+        """s_phi into the (d, n) rows ``grad`` from the reduced angles in
+        ``angles``, which are consumed.  ``grad`` may be the work's own
+        ``grad`` rows or any array outside the work buffer."""
         X, Y = self.X, self.Y
         for out, terms in self.phases:
             _lincomb(terms, out, self.tmp)
@@ -668,7 +685,7 @@ class _KickWork:
             np.multiply(x, cj, out)
         for out, terms in self.sums:
             _lincomb(terms, out, self.tmp)
-        np.divide(self.G, self.two_pi, self.grad)
+        np.divide(self.G, self.two_pi, grad)
 
 
 def _catalog_domain(d: int, norm_a: float = 0.0, norm_b: float = 0.0,
@@ -690,7 +707,7 @@ def _trig_model(name: str, eps: float, modes, coeffs) -> MapModel:
                     omega=_identity_omega, hess=_identity_hess_factory(d), domain=dom,
                     s=term.s, s_I=term.s_I, s_phi=term.s_phi, s_II=_zero_matrix,
                     s_Iphi=_zero_matrix, s_phiphi=term.s_phiphi, s_action_independent=True,
-                    trig=term, name=name)
+                    name=name)
 
 
 CATALOG = ("twist", "standard", "froeschle2")

@@ -1,5 +1,7 @@
 """Map kernel: stepping, lifts, implicit solver, catalog invariants."""
 
+import copy
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -52,6 +54,8 @@ def _stepped(model, I, phi, steps):
 #: a term beyond the catalog: weights other than 1, a negative mode entry,
 #: three entries in one phase and three terms in one sum
 GENERAL_TERM = ([[2, -1, 0], [0, 3, 1], [1, 1, 1], [0, 0, 1]], [0.5, -1.2, 0.7, 1.0])
+#: no mode uses the middle angle, so that component of s_phi is 0
+UNUSED_ANGLE_TERM = ([[1, 0, 0], [2, 0, -1]], [1.0, 0.5])
 
 
 class TestStep:
@@ -165,9 +169,10 @@ class TestKernel:
 
     @pytest.mark.parametrize("model", [
         catalog("standard", 0.3), catalog("froeschle2", 0.3, eta=-0.7),
-        _trig_model("general", 0.2, *GENERAL_TERM)], ids=["standard", "froeschle2", "general"])
+        _trig_model("general", 0.2, *GENERAL_TERM), _trig_model("unused", 0.2, *UNUSED_ANGLE_TERM)],
+        ids=["standard", "froeschle2", "general", "unused_angle"])
     def test_fused_body_bitwise_equals_step(self, model, rng):
-        assert _fused_term(model) is model.trig
+        assert _fused_term(model) is model.s_phi.__self__
         for shape in [(1,), (10,), (50,), (100,), (), (2, 3)]:
             I0 = rng.uniform(-0.5, 0.5, shape + (model.d,))
             phi0 = rng.uniform(-2.0, 2.0, shape + (model.d,))
@@ -175,6 +180,7 @@ class TestKernel:
             want_I, want_p = _stepped(model, I0, phi0, 60)
             assert Is.shape == want_I.shape and first.shape == shape
             assert np.array_equal(Is, want_I) and np.array_equal(ps, want_p)
+            assert not (Is.flags.owndata or ps.flags.owndata)  # views, no layout copy
 
     def test_replaced_callbacks_fall_back_to_step(self, rng):
         base = catalog("standard", 0.5)
@@ -184,7 +190,7 @@ class TestKernel:
         I0, phi0 = rng.uniform(-0.5, 0.5, (5, 1)), rng.uniform(0.0, 1.0, (5, 1))
         fused = np.concatenate(propagate(base, I0, phi0, 40)[:2], axis=-1)
         for m in (member, doubled, twisted):
-            assert m.trig is base.trig and _fused_term(m) is None
+            assert _fused_term(m) is None
             Is, ps, _ = propagate(m, I0, phi0, 40)
             want_I, want_p = _stepped(m, I0, phi0, 40)
             assert np.array_equal(Is, want_I) and np.array_equal(ps, want_p)
@@ -275,8 +281,9 @@ class TestTrigTerm:
             x = np.concatenate([rng.uniform(-0.5, 0.5, m.d), rng.uniform(0.0, 1.0, m.d)])
             assert np.array_equal(jacobian(m, x), jacobian(old, x))
 
-    def test_general_term_derivatives_and_norms(self, rng):
-        term = TrigTerm(*map(np.array, GENERAL_TERM))
+    @pytest.mark.parametrize("spec", [GENERAL_TERM, UNUSED_ANGLE_TERM], ids=["general", "unused"])
+    def test_general_term_derivatives_and_norms(self, spec, rng):
+        term = TrigTerm(*map(np.array, spec))
         phi = rng.uniform(0.0, 1.0, (50, 3))
         I = np.zeros_like(phi)
         h = 1e-6
@@ -291,6 +298,16 @@ class TestTrigTerm:
         assert np.max(np.abs(term.s(I[:1], grid))) <= term.norm_s
         assert np.max(np.abs(term.s_phi(I[:1], grid))) <= term.norm_a
         assert np.array_equal(term.s_I(I, phi), np.zeros_like(I))
+
+    def test_s_phi_results_outlive_reused_work_rows(self, rng):
+        term = TrigTerm(*map(np.array, GENERAL_TERM))
+        phis = [rng.uniform(0.0, 1.0, shape) for shape in [(3,), (3,), (4, 3), (3,)]]
+        got = [term.s_phi(None, p) for p in phis]  # rows reused, then rebuilt per batch
+        fresh = [TrigTerm(*map(np.array, GENERAL_TERM)).s_phi(None, p) for p in phis]
+        assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
+        # a copy rebuilds its work rows, which must keep aliasing one buffer
+        for clone in (copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
+            assert all(np.array_equal(clone.s_phi(None, p), b) for p, b in zip(phis, fresh))
 
     @pytest.mark.parametrize("modes, coeffs", [([[1.5]], [1.0]), ([[0, 0]], [1.0]),
                                                ([[1], [2]], [1.0]), ([[1]], [np.nan])])
