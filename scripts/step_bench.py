@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Micro-benchmark of the map step: ns per seed-step of `maps.propagate`.
+"""Micro-benchmark of the map step and of the one-step calls built on it.
 
 Times `propagate` on the catalog maps `standard` and `froeschle2` at batch
 sizes 1, 100 and 10^4 and prints the median and quartiles of ns per
-seed-step.  Each repeat runs every (map, batch) case once, in turn, so that
-a drift in host speed touches all cases alike.
+seed-step.  Then times one-step calls at batch sizes 1 (one (2d,) point)
+and 100: `MapModel.apply` of the same maps and `BlockMap.apply` of the
+nucleus block (standard map at eps = 1e-4, site n = 1, scaling "nucleus"),
+and prints microseconds per call.  Each repeat runs every case once, in
+turn, so that a drift in host speed touches all cases alike.
 
     PYTHONPATH=src python scripts/step_bench.py [--repeats 9]
 
@@ -17,18 +20,31 @@ import time
 
 import numpy as np
 
-from mapflow import catalog
+from mapflow import ResonanceSite, catalog, scaled_block
 from mapflow.maps import propagate
 
 MAPS = (("standard", {}), ("froeschle2", {"eta": 0.3}))
 EPS = 1e-3
 #: (batch size, steps per timed call): about 10^5 to 4 * 10^6 seed-steps
 CASES = ((1, 20_000), (100, 2_000), (10_000, 50))
+#: (batch size, calls per timed case) of the one-step calls
+APPLY_CASES = ((1, 2_000), (100, 500))
 
 
 def _states(d: int, batch: int):
     rng = np.random.default_rng(batch)
     return rng.uniform(-0.5, 0.5, (batch, d)), rng.uniform(0.0, 1.0, (batch, d))
+
+
+def _point(d: int, batch: int) -> np.ndarray:
+    """Flat phase vectors (batch, 2d); one (2d,) point at batch 1."""
+    x = np.concatenate(_states(d, batch), axis=-1)
+    return x[0] if batch == 1 else x
+
+
+def _stats(vals):
+    q1, med, q3 = np.percentile(vals, [25, 50, 75])
+    return f"{med:9.1f} {q1:9.1f} {q3:9.1f}"
 
 
 def main(argv=None) -> int:
@@ -37,24 +53,40 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    cases = []
+    cases, applies = [], []
     for name, params in MAPS:
         model = catalog(name, EPS, **params)
         for batch, steps in CASES:
             cases.append((name, batch, steps, model, *_states(model.d, batch)))
+        for batch, calls in APPLY_CASES:
+            applies.append((f"{name}.apply", batch, calls, model.apply, _point(model.d, batch)))
+    site = ResonanceSite(n=1, omega_star=[0.0], I_star=[0.0], rho_n=0.2)
+    block = scaled_block(catalog("standard", 1e-4), site, scaling="nucleus")
+    for batch, calls in APPLY_CASES:  # |J| <= 0.5 stays inside the nucleus
+        applies.append(("nucleus block.apply", batch, calls, block.apply, _point(1, batch)))
     for _, _, _, model, I, phi in cases:  # warm up every path once
         propagate(model, I, phi, 10)
-    samples = {case[:2]: [] for case in cases}
+    for *_, fn, x in applies:
+        fn(x)
+    samples = {case[:2]: [] for case in cases + applies}
     for _ in range(args.repeats):
         for name, batch, steps, model, I, phi in cases:
             t0 = time.perf_counter()
             propagate(model, I, phi, steps)
             samples[name, batch].append(1e9 * (time.perf_counter() - t0) / (steps * batch))
+        for name, batch, calls, fn, x in applies:
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                fn(x)
+            samples[name, batch].append(1e6 * (time.perf_counter() - t0) / calls)
     print(f"{'map':<11} {'batch':>6} {'median':>9} {'q1':>9} {'q3':>9}  ns per seed-step,"
           f" {args.repeats} repeats")
-    for (name, batch), vals in samples.items():
-        q1, med, q3 = np.percentile(vals, [25, 50, 75])
-        print(f"{name:<11} {batch:>6} {med:9.1f} {q1:9.1f} {q3:9.1f}")
+    for name, batch, *_ in cases:
+        print(f"{name:<11} {batch:>6} {_stats(samples[name, batch])}")
+    print(f"\n{'call':<19} {'batch':>6} {'median':>9} {'q1':>9} {'q3':>9}  us per call,"
+          f" {args.repeats} repeats")
+    for name, batch, *_ in applies:
+        print(f"{name:<19} {batch:>6} {_stats(samples[name, batch])}")
     return 0
 
 

@@ -17,13 +17,14 @@ from .hamiltonian import (
     Box,
     _reconstruct,
     _staircase,
+    cross_form_fields,
     distance_to_identity,
     embedding_error,
     interpolating_field,
     optimal_order,
 )
 from . import maps
-from .maps import MapModel, _picard, propagate
+from .maps import MapModel, propagate
 from .resonance import BlockMap, ResonanceSite, resonant_action, scaled_block
 
 
@@ -105,43 +106,20 @@ class SnDecomposition:
         I = b.site.I_star + b.rho * np.asarray(Jbar, dtype=float)
         return b.n * (b.model.omega(I) - b.model.omega(b.site.I_star))
 
-    def _solve_orbit(self, Jbar: np.ndarray, phi: np.ndarray):
-        """Find the block preimage action J of (Jbar, phi), each (..., d), by contraction."""
-        b = self.block
-        Jbar = np.atleast_1d(np.asarray(Jbar, dtype=float))
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
-
-        def g(y):
-            out = b.apply(np.concatenate([y, phi], axis=-1))
-            return y - out[..., : b.d]
-
-        J = _picard(g, Jbar)
-        out = b.apply(np.concatenate([J, phi], axis=-1))
-        return J, out[..., b.d:]
-
-    def u(self, Jbar: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """Action increment u(Jbar, phi) = Jbar - J of the block."""
-        J, _ = self._solve_orbit(Jbar, phi)
-        return np.atleast_1d(np.asarray(Jbar, dtype=float)) - J
-
-    def v(self, Jbar: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """Angle increment minus the integrable part: dS_n/dJbar - h_n'."""
-        _, phibar = self._solve_orbit(Jbar, phi)
-        return (phibar - np.atleast_1d(np.asarray(phi, dtype=float))
-                - self.h_n_grad(Jbar))
-
     def w_n(self, Jbar: np.ndarray, phi: np.ndarray):
-        """Path integral of v . dJbar - u . dphi along the staircase from 0.
+        """Path integral of (v - h_n') . dJbar + u . dphi along the staircase
+        from 0, with the block's cross-form fields (u, v).
 
         Jbar and phi are (d,) (a float) or (N, d), one path per row.
         """
         d = self.block.d
         target = np.concatenate([np.atleast_1d(np.asarray(Jbar, dtype=float)),
                                  np.atleast_1d(np.asarray(phi, dtype=float))], axis=-1)
+        uv = cross_form_fields(self.block)
 
         def form(x):
-            return np.concatenate([self.v(x[..., :d], x[..., d:]),
-                                   -self.u(x[..., :d], x[..., d:])], axis=-1)
+            u, v = uv(x)
+            return np.concatenate([v - self.h_n_grad(x[..., :d]), u], axis=-1)
 
         return _staircase(form, np.zeros(2 * d), target, self.quad_tol)
 

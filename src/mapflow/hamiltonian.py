@@ -396,13 +396,6 @@ class EmbeddingReport:
     points: np.ndarray = field(repr=False)
     failures: tuple = ()
 
-    @property
-    def C_m(self) -> float:
-        return 6.0 * (self.m + self._d_from_points()) / self.delta
-
-    def _d_from_points(self) -> int:
-        return self.points.shape[-1] // 2
-
 
 def embedding_error(map_like, m: int, box: Box, grid_n: int,
                     tol: float = 1e-12, delta: float = 0.5,
@@ -695,39 +688,38 @@ def h2_closed_form(S: Callable, grad_S: Callable, x: np.ndarray) -> float:
     return float(S(x)) - 0.5 * float(np.dot(g[:d], g[d:]))
 
 
-def cross_form_fields(model: MapModel):
-    """The fields u = p - pbar, v = qbar - q parametrized by (pbar, q).
+def cross_form_fields(map_like):
+    """The fields u = p - pbar and v = qbar - q of a map, parametrized by (pbar, q).
 
-    Generating-form maps give them in closed form from the derivatives of s;
-    explicit-form maps require a contraction solve for the old action.
+    Returns one function of points x = (pbar, q) of shape (..., 2d) that
+    gives the pair (u, v), each (..., d).  Generating-form models (and any
+    model at eps = 0) give them in closed form from the derivatives of s.
+    For any other map, explicit models and block maps included, the old
+    action p with F(p, q)_I = pbar is solved by Picard iteration through the
+    map's ``apply``, once per evaluation, and qbar is read off F(p, q).
     """
-    d = model.d
-    e = model.eps
+    if isinstance(map_like, MapModel) and (map_like.form == "generating"
+                                           or map_like.eps == 0.0):
+        model, d, e = map_like, map_like.d, map_like.eps
 
-    if model.form == "generating" or e == 0.0:
-        def u(pbar, q):
+        def closed(x):
+            pbar, q = x[..., :d], x[..., d:]
             if e == 0.0:
-                return np.zeros_like(np.asarray(pbar, dtype=float))
-            return e * model.s_phi(pbar, _frac(q))
+                return np.zeros_like(pbar), model.omega(pbar)
+            ph = _frac(q)
+            return e * model.s_phi(pbar, ph), model.omega(pbar) + e * model.s_I(pbar, ph)
 
-        def v(pbar, q):
-            out = model.omega(pbar)
-            if e != 0.0:
-                out = out + e * model.s_I(pbar, _frac(q))
-            return out
-    else:
-        def _old_action(pbar, q):
-            # pbar = p + e a(p, q)  solved for p
-            return _picard(lambda y: -e * model.a(y, _frac(q)), pbar)
+        return closed
+    fwd = as_map(map_like).apply
 
-        def u(pbar, q):
-            return _old_action(pbar, q) - pbar
+    def solved(x):
+        d = x.shape[-1] // 2
+        pbar, q = x[..., :d], x[..., d:]
+        p = _picard(lambda y: y - fwd(np.concatenate([y, q], axis=-1))[..., :d], pbar)
+        qbar = fwd(np.concatenate([p, q], axis=-1))[..., d:]
+        return p - pbar, qbar - q
 
-        def v(pbar, q):
-            p = _old_action(pbar, q)
-            return model.omega(p) + e * model.b(p, _frac(q))
-
-    return u, v
+    return solved
 
 
 def recover_generating(model: MapModel, base: np.ndarray, query: np.ndarray,
@@ -738,12 +730,11 @@ def recover_generating(model: MapModel, base: np.ndarray, query: np.ndarray,
     result is normalized to s(base) = 0; path independence holds exactly when
     the map is symplectic, and periodicity in q certifies exactness.
     """
-    d = model.d
-    u, v = cross_form_fields(model)
+    uv = cross_form_fields(model)
 
     def form(x):
-        pbar, q = x[..., :d], x[..., d:]
-        return np.concatenate([v(pbar, q), u(pbar, q)], axis=-1)
+        u, v = uv(x)
+        return np.concatenate([v, u], axis=-1)
 
     return _staircase(form, base, query, quad_tol)
 

@@ -105,10 +105,6 @@ class OrbitWindow:
         if self.points.shape[0] != self.m + 1:
             raise ValueError(f"window needs {self.m + 1} points, got {self.points.shape[0]}")
 
-    @property
-    def anchor_index(self) -> int:
-        return 0 if self.scheme == "newton" else self.m // 2
-
 
 def orbit_window(map_like, x0, m: int, scheme: str = "newton",
                  verify_tol: float = 1e-12) -> OrbitWindow:

@@ -25,9 +25,9 @@ for those maps `propagate` runs the same arithmetic as `_step` in one fused
 body that writes into preallocated component-major rows.
 
 Public functions take flat phase vectors of shape (..., 2d), ordered
-(I, phi); `MapModel.apply`, `inverse` and `orbit` step them.  Separate
-action and angle arrays appear only inside this kernel: `_step`,
-`propagate`, `step_arrays`, `inverse_step_arrays` and `orbit_arrays`.
+(I, phi); `MapModel.apply`, `inverse` and `orbit` are the one stepping API.
+Separate action and angle arrays appear only inside this kernel: `_step`,
+`_propagate_trig` and `propagate`.
 
 All coefficient callables are expected to broadcast over leading axes, i.e.
 accept arrays of shape (..., d).
@@ -170,23 +170,55 @@ class MapModel:
     # -- flat-map protocol on phase vectors of shape (..., 2d) ---------------
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """One map step on flat phase vectors of shape (..., 2d)."""
+        """One map step on flat phase vectors of shape (..., 2d); angles stay lifts.
+
+        Raises DomainEscape when an input action leaves the sigma-extended
+        ball and NoConvergence if the implicit solve stalls.
+        """
         x = np.asarray(x, dtype=float)
         I, phi = x[..., : self.d], x[..., self.d:]
-        In, pn = step_arrays(self, I, phi)
-        return np.concatenate([In, pn], axis=-1)
+        if not np.all(self.domain.contains_extended(I)):
+            raise DomainEscape("action outside the sigma-extended ball")
+        return np.concatenate(_step(self, I, phi), axis=-1)
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
-        """One inverse map step on flat phase vectors of shape (..., 2d)."""
+        """One inverse map step on flat phase vectors of shape (..., 2d).
+
+        Available for generating-form maps, whose implicit system is solved
+        with the roles of (I, phi) and (I', phi') exchanged (phi by the same
+        contraction, then I explicitly), and for integrable ones: eps = 0,
+        or an explicit map whose a and b are both `_zero_field`.  Any other
+        map raises FormMismatch.
+        """
         x = np.asarray(x, dtype=float)
         I, phi = x[..., : self.d], x[..., self.d:]
-        In, pn = inverse_step_arrays(self, I, phi)
-        return np.concatenate([In, pn], axis=-1)
+        if self.eps == 0.0 or (self.form == "explicit" and self.a is _zero_field
+                               and self.b is _zero_field):
+            return np.concatenate([I, phi - self.omega(I)], axis=-1)
+        if self.form != "generating":
+            raise FormMismatch("inverse step requires a generating-form map (or an integrable one)")
+        base = phi - self.omega(I)
+        ph_prev = _picard(lambda y: -self.eps * self.s_I(I, _frac(y)), base)
+        I_prev = I + self.eps * self.s_phi(I, _frac(ph_prev))
+        return np.concatenate([I_prev, ph_prev], axis=-1)
 
     def orbit(self, x0: np.ndarray, steps: int) -> np.ndarray:
-        """Orbit [x0, F(x0), ..., F^steps(x0)], shape (steps+1, ..., 2d)."""
+        """Orbit [x0, F(x0), ..., F^steps(x0)], shape (steps+1, ..., 2d).
+
+        Raises DomainEscape indexed by the first step taken from outside the
+        domain.  A non-finite last state is an escape too, indexed steps + 1:
+        the step from it is the first one that could not be taken.
+        """
+        if steps < 0:
+            raise ValueError("steps must be nonnegative")
         x0 = np.asarray(x0, dtype=float)
-        Is, ps = orbit_arrays(self, x0[..., : self.d], x0[..., self.d:], steps)
+        Is, ps, first = propagate(self, x0[..., : self.d], x0[..., self.d:], steps)
+        if first.max() >= 0:
+            k = int(first[first >= 0].min()) + 1
+            raise DomainEscape(f"orbit left the domain at step {k}", index=k)
+        if not (np.isfinite(Is[-1]).all() and np.isfinite(ps[-1]).all()):
+            raise DomainEscape(f"orbit reached a non-finite state at step {steps}",
+                               index=steps + 1)
         return np.concatenate([Is, ps], axis=-1)
 
 
@@ -348,58 +380,6 @@ def propagate(model: MapModel, I: np.ndarray, phi: np.ndarray, steps: int):
     return Is, ps, _first_outside(model.domain, Is[:steps])
 
 
-def step_arrays(model: MapModel, I: np.ndarray, phi: np.ndarray):
-    """One map step on action/angle arrays of shape (..., d).
-
-    Angles are returned as lifts.  Raises DomainEscape when the input action
-    leaves the sigma-extended ball and NoConvergence if the implicit solve
-    stalls.
-    """
-    I = np.asarray(I, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if not np.all(model.domain.contains_extended(I)):
-        raise DomainEscape("action outside the sigma-extended ball")
-    return _step(model, I, phi)
-
-
-def inverse_step_arrays(model: MapModel, I: np.ndarray, phi: np.ndarray):
-    """One inverse map step, available for generating-form and integrable maps.
-
-    For the generating form the roles of (I, phi) and (I', phi') in the
-    implicit system are exchanged: phi is solved by the same contraction,
-    then I follows explicitly.
-    """
-    I = np.asarray(I, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if model.eps == 0.0 or (model.form == "explicit" and model.domain.norm_a == 0.0
-                            and model.domain.norm_b == 0.0):
-        return I.copy(), phi - model.omega(I)
-    if model.form != "generating":
-        raise FormMismatch("inverse step requires a generating-form map (or an integrable one)")
-    base = phi - model.omega(I)
-    ph_prev = _picard(lambda y: -model.eps * model.s_I(I, _frac(y)), base)
-    I_prev = I + model.eps * model.s_phi(I, _frac(ph_prev))
-    return I_prev, ph_prev
-
-
-def orbit_arrays(model: MapModel, I0: np.ndarray, phi0: np.ndarray, n: int):
-    """Batched orbit: returns arrays of shape (n+1, ..., d) for I and phi.
-
-    Raises DomainEscape indexed by the first step taken from outside the
-    domain.  A non-finite last state is an escape too, indexed n + 1: the
-    step from it is the first one that could not be taken.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    Is, ps, first = propagate(model, I0, phi0, n)
-    if first.max() >= 0:
-        k = int(first[first >= 0].min()) + 1
-        raise DomainEscape(f"orbit left the domain at step {k}", index=k)
-    if not (np.isfinite(Is[-1]).all() and np.isfinite(ps[-1]).all()):
-        raise DomainEscape(f"orbit reached a non-finite state at step {n}", index=n + 1)
-    return Is, ps
-
-
 def jacobian(model: MapModel, x: np.ndarray) -> np.ndarray:
     """Analytic Jacobian of one map step at a phase vector x of shape (2d,),
     ordered as d(I', phi')/d(I, phi).
@@ -479,6 +459,11 @@ def _identity_hess_factory(d):
         out[...] = np.eye(d)
         return out
     return hess
+
+
+def _zero_field(I, phi):
+    """a = 0 or b = 0 of an explicit map; `MapModel.inverse` recognises it."""
+    return np.zeros_like(I)
 
 
 def _zero_matrix(I, phi):
@@ -727,8 +712,7 @@ def catalog(name: str, eps: float, **params) -> MapModel:
             raise ValueError(f"unknown twist parameters {sorted(params)}")
         return MapModel(d=d, form="explicit", eps=float(eps), h0=_quad_h0,
                         omega=_identity_omega, hess=_identity_hess_factory(d),
-                        domain=_catalog_domain(d),
-                        a=lambda I, p: np.zeros_like(I), b=lambda I, p: np.zeros_like(I),
+                        domain=_catalog_domain(d), a=_zero_field, b=_zero_field,
                         a_I=_zero_matrix, a_phi=_zero_matrix, b_I=_zero_matrix,
                         b_phi=_zero_matrix, name="twist")
     if name == "standard":
@@ -753,7 +737,7 @@ def nonexact_shear(eps: float) -> MapModel:
     return MapModel(d=d, form="explicit", eps=float(eps), h0=_quad_h0,
                     omega=_identity_omega, hess=_identity_hess_factory(d),
                     domain=_catalog_domain(d, norm_a=1.0),
-                    a=lambda I, p: np.ones_like(I), b=lambda I, p: np.zeros_like(I),
+                    a=lambda I, p: np.ones_like(I), b=_zero_field,
                     a_I=_zero_matrix, a_phi=_zero_matrix, b_I=_zero_matrix,
                     b_phi=_zero_matrix, name="nonexact_shear")
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import maps
 from .errors import DomainEscape, NoConvergence, NotResonant, OutOfDomain, SearchExhausted
-from .maps import MapModel, inverse_step_arrays, orbit_arrays, propagate
+from .maps import MapModel, propagate
 
 #: slack added to the Dirichlet inequality against ties at machine precision
 DIRICHLET_SLACK = 1e-15
@@ -211,20 +211,18 @@ class BlockMap:
         return x[..., : self.d], x[..., self.d:]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        J, phi = self._split(x)
-        I0 = self.site.I_star + self.rho * J
-        Is, ps = orbit_arrays(self.model, I0, phi, self.n)
-        Jn = (Is[-1] - self.site.I_star) / self.rho
-        pn = ps[-1] - self.n * self.site.omega_star
-        return np.concatenate([Jn, pn], axis=-1)
+        """One block, B(x): the last state of ``orbit(x, 1)``."""
+        return self.orbit(x, 1)[1]
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
+        """B^-1(x): n inverse steps of the model, on flat unscaled vectors."""
         J, phi = self._split(x)
-        I = self.site.I_star + self.rho * J
-        ph = phi + self.n * self.site.omega_star
+        y = np.concatenate([self.site.I_star + self.rho * J,
+                            phi + self.n * self.site.omega_star], axis=-1)
         for _ in range(self.n):
-            I, ph = inverse_step_arrays(self.model, I, ph)
-        return np.concatenate([(I - self.site.I_star) / self.rho, ph], axis=-1)
+            y = self.model.inverse(y)
+        return np.concatenate([(y[..., : self.d] - self.site.I_star) / self.rho,
+                               y[..., self.d:]], axis=-1)
 
     def windows(self, x0: np.ndarray, blocks: int):
         """Yield B(x0), ..., B^blocks(x0) as arrays (k, ..., 2d), one per window.
@@ -257,8 +255,8 @@ class BlockMap:
     def orbit(self, x0: np.ndarray, blocks: int) -> np.ndarray:
         """Block orbit [x0, B(x0), ..., B^blocks(x0)], shape (blocks+1, ..., 2d).
 
-        As for `maps.orbit_arrays`, a non-finite last state is an escape,
-        indexed blocks + 1.
+        As for `MapModel.orbit`, a non-finite last state is an escape,
+        indexed blocks + 1.  ``apply`` is ``orbit(x, 1)[1]``.
         """
         x0 = np.asarray(x0, dtype=float)
         out = np.concatenate([x0[None], *self.windows(x0, blocks)])

@@ -27,7 +27,8 @@ from mapflow import (
     unit_box,
 )
 from mapflow.errors import DomainEscape, QuadratureFailure, StepFailure
-from mapflow.hamiltonian import MAX_PANELS, _gauss_kronrod
+from mapflow.hamiltonian import MAX_PANELS, _gauss_kronrod, cross_form_fields
+from mapflow.maps import PICARD_TOL
 
 from oracles import DOP853_FLOWS
 
@@ -348,6 +349,23 @@ class TestGeneratingRecovery:
         a = recover_generating(m, base, np.array([0.3, 0.2]), quad_tol=1e-12)
         b = recover_generating(m, base, np.array([0.3, 1.2]), quad_tol=1e-12)
         assert abs(a - b) <= 10 * 1e-11
+
+
+class TestCrossFormFields:
+    @pytest.mark.parametrize("map_like", [nonexact_shear(0.1), std_block(1e-3)],
+                             ids=["nonexact_shear", "nucleus_block"])
+    def test_solved_fields_reproduce_the_map(self, map_like):
+        uv = cross_form_fields(map_like)
+        x = np.array([[0.3, 0.2], [-0.5, 0.7], [0.9, 0.45], [0.0, 0.0]])
+        u, v = uv(x)
+        # F(pbar + u, q) = (pbar, q + v), to the Picard tolerance
+        y = map_like.apply(np.concatenate([x[:, :1] + u, x[:, 1:]], axis=-1))
+        want = np.concatenate([x[:, :1], x[:, 1:] + v], axis=-1)
+        np.testing.assert_allclose(y, want, rtol=0, atol=10 * PICARD_TOL)
+        for i in range(x.shape[0]):  # a batch row solves as its point alone
+            ui, vi = uv(x[i])
+            np.testing.assert_allclose(ui, u[i], rtol=0, atol=PICARD_TOL)
+            np.testing.assert_allclose(vi, v[i], rtol=0, atol=PICARD_TOL)
 
 
 class TestLoopAction:

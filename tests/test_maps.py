@@ -19,15 +19,15 @@ from mapflow import (
     symplectic_matrix,
 )
 from mapflow import maps
-from mapflow.errors import ContractionViolated, DomainEscape, NoConvergence
+from mapflow.errors import ContractionViolated, DomainEscape, FormMismatch, NoConvergence
 from mapflow.maps import (
+    DomainSpec,
+    MapModel,
     TrigTerm,
     _fused_term,
     _step,
     _trig_model,
-    orbit_arrays,
     propagate,
-    step_arrays,
 )
 from mapflow.resonance import BlockMap, ResonanceSite
 
@@ -119,18 +119,20 @@ class TestIterate:
             m.orbit(np.array([1.3, 0.23]), 2000)
         assert exc.value.index == 2  # I hits 1.6 > R + sigma on the second step
         # the single-step path refuses the same second step
-        I, phi = step_arrays(m, np.array([1.3]), np.array([0.23]))
+        x = m.apply(np.array([1.3, 0.23]))
         with pytest.raises(DomainEscape):
-            step_arrays(m, I, phi)
+            m.apply(x)
 
     def test_lift_consistency(self):
         # reducing after iterating equals reducing every step
         m = catalog("standard", 0.1)
         I, phi = np.array([0.23]), np.array([0.71])
         Ir, phir = I.copy(), phi.copy()
-        Is, ps = orbit_arrays(m, I, phi, 1000)
+        orb = m.orbit(np.concatenate([I, phi]), 1000)
+        Is, ps = orb[..., :1], orb[..., 1:]
         for _ in range(1000):
-            Ir, phir = step_arrays(m, Ir, phir)
+            y = m.apply(np.concatenate([Ir, phir]))
+            Ir, phir = y[:1], y[1:]
             phir -= np.floor(phir)
         gap = (ps[-1] - phir) - np.round(ps[-1] - phir)
         assert np.max(np.abs(gap)) <= 1e-10
@@ -144,7 +146,8 @@ class TestKernel:
         m = catalog(name, eps, **params)
         I0 = rng.uniform(-0.5, 0.5, (4, m.d))
         phi0 = rng.uniform(0, 1, (4, m.d))
-        Is, ps = orbit_arrays(m, I0, phi0, 200)
+        orb4 = m.orbit(np.concatenate([I0, phi0], axis=-1), 200)
+        Is, ps = orb4[..., : m.d], orb4[..., m.d:]
         for i in range(4):  # one seed alone steps as it does in the batch
             orb = m.orbit(np.concatenate([I0[i], phi0[i]]), 200)
             assert np.array_equal(orb, np.concatenate([Is[:, i], ps[:, i]], axis=-1))
@@ -202,7 +205,7 @@ class TestKernel:
         assert list(dom.contains_extended(np.array([[0.1], [np.nan], [1.5], [1.6]]))) == [
             True, False, True, False]
         with pytest.raises(DomainEscape):
-            step_arrays(standard_map, np.array([np.nan]), np.array([0.2]))
+            standard_map.apply(np.array([np.nan, 0.2]))
 
     def test_propagate_reports_first_state_outside(self):
         m = nonexact_shear(0.01)  # I_k = I_0 + 0.01 k leaves |I| <= 1.5 at k = 5
@@ -212,7 +215,7 @@ class TestKernel:
         # the last state is not a step source, so it is never reported
         assert list(propagate(m, np.array([[1.455]]), np.array([[0.2]]), 5)[2]) == [-1]
         with pytest.raises(DomainEscape) as exc:
-            orbit_arrays(m, np.array([1.455]), np.array([0.2]), 10)
+            m.orbit(np.array([1.455, 0.2]), 10)
         assert exc.value.index == 6
 
     def test_non_finite_state_is_an_escape(self):
@@ -246,11 +249,10 @@ class TestKernel:
 
         m = replace(catalog("standard", 0.01), s_phi=s_phi, s_action_independent=False)
         with pytest.raises(DomainEscape) as exc:
-            orbit_arrays(m, np.array([1.455]), np.array([0.2]), 100)
+            m.orbit(np.array([1.455, 0.2]), 100)
         assert exc.value.index == 6
         with pytest.raises(NoConvergence):
-            orbit_arrays(replace(m, s_phi=lambda I, p: np.full_like(I, np.nan)),
-                         np.array([0.1]), np.array([0.2]), 5)
+            replace(m, s_phi=lambda I, p: np.full_like(I, np.nan)).orbit(np.array([0.1, 0.2]), 5)
 
 
 class TestTrigTerm:
@@ -420,6 +422,22 @@ class TestSymplecticity:
             In, pn = m.apply(np.concatenate([I, phi])), None
             back = m.inverse(In)
             assert np.allclose(back, np.concatenate([I, phi]), atol=1e-12)
+
+    def test_inverse_of_explicit_map_is_decided_by_its_callbacks(self):
+        # a kicked explicit map whose domain leaves norm_a = norm_b at their
+        # default 0 is not integrable: it has no inverse step
+        dom = DomainSpec(center=np.zeros(1), R=1.0, sigma=0.5, r=1.0, nu=1.0, nu2=1.0)
+        m = MapModel(d=1, form="explicit", eps=0.1, h0=maps._quad_h0,
+                     omega=maps._identity_omega, hess=maps._identity_hess_factory(1),
+                     domain=dom, a=lambda I, p: np.sin(2 * np.pi * p),
+                     b=lambda I, p: np.zeros_like(I))
+        with pytest.raises(FormMismatch):
+            m.inverse(m.apply(np.array([0.2, 0.3])))
+        with pytest.raises(FormMismatch):
+            nonexact_shear(0.1).inverse(np.array([0.2, 0.3]))
+        twist = catalog("twist", 0.01, d=2)
+        x = np.array([0.2, -0.3, 0.4, 0.9])
+        assert np.max(np.abs(twist.inverse(twist.apply(x)) - x)) <= 1e-15
 
 
 class TestCatalog:

@@ -19,7 +19,6 @@ from mapflow import (
     trapped_orbit,
 )
 from mapflow.errors import DomainEscape, FormMismatch
-from mapflow.maps import step_arrays
 
 TWO_PI = 2 * math.pi
 
@@ -165,10 +164,12 @@ def per_block_exit(model, site, J0, phi0, budget):
     r1 = nucleus_radii(model).r1
     rho = math.sqrt(model.eps)
     J, phi = np.asarray(J0, dtype=float), np.asarray(phi0, dtype=float)
+    d = model.d
     for k in range(budget):
-        I, ph = site.I_star + rho * J, phi
+        x = np.concatenate([site.I_star + rho * J, phi])
         for _ in range(site.n):
-            I, ph = step_arrays(model, I, ph)
+            x = model.apply(x)
+        I, ph = x[:d], x[d:]
         J, phi = (I - site.I_star) / rho, ph - site.n * site.omega_star
         if J @ J > r1 * r1:
             return k + 1

@@ -13,10 +13,11 @@ from mapflow import (
     covering_params,
     dirichlet,
     locate_site,
+    nonexact_shear,
     resonant_action,
     scaled_block,
 )
-from mapflow.errors import NotResonant, OutOfDomain
+from mapflow.errors import DomainEscape, NotResonant, OutOfDomain
 from mapflow.maps import DomainSpec, MapModel
 
 from oracles import CUBIC_FREQ_ROOT, bisect
@@ -164,6 +165,47 @@ class TestScaledBlock:
         blk = scaled_block(m, site, scaling="nucleus")
         x = np.array([0.4, 0.23])
         assert np.allclose(blk.inverse(blk.apply(x)), x, atol=1e-12)
+
+    @staticmethod
+    def _n3_block():
+        m = catalog("standard", 1e-3)
+        site = ResonanceSite(n=3, omega_star=[1.0 / 3.0], I_star=[1.0 / 3.0], rho_n=0.05)
+        return scaled_block(m, site, scaling="lochak")
+
+    def test_apply_is_n_model_steps_bitwise(self):
+        blk = self._n3_block()
+        m, site = blk.model, blk.site
+        x = np.array([[0.4, 0.23], [-0.7, 0.9], [0.0, 0.5]])
+        for y in (x, x[0]):  # a batch of points and one (2d,) point
+            z = np.concatenate([site.I_star + blk.rho * y[..., :1], y[..., 1:]], axis=-1)
+            for _ in range(3):
+                z = m.apply(z)
+            want = np.concatenate([(z[..., :1] - site.I_star) / blk.rho,
+                                   z[..., 1:] - 3 * site.omega_star], axis=-1)
+            assert np.array_equal(blk.apply(y), want)
+
+    def test_inverse_is_n_model_inverse_steps_bitwise(self):
+        blk = self._n3_block()
+        m, site = blk.model, blk.site
+        x = np.array([[0.4, 0.23], [-0.7, 0.9], [0.0, 0.5]])
+        for y in (x, x[0]):
+            z = np.concatenate([site.I_star + blk.rho * y[..., :1],
+                                y[..., 1:] + 3 * site.omega_star], axis=-1)
+            for _ in range(3):
+                z = m.inverse(z)
+            want = np.concatenate([(z[..., :1] - site.I_star) / blk.rho, z[..., 1:]], axis=-1)
+            assert np.array_equal(blk.inverse(y), want)
+
+    def test_escaping_block_raises_from_apply(self):
+        # the action grows by 0.3 per step: from I = 1.3 the second step starts
+        # outside |I| <= 1.5, inside the first block of three steps
+        m = nonexact_shear(0.3)
+        site = ResonanceSite(n=3, omega_star=[0.0], I_star=[0.0], rho_n=0.1)
+        blk = scaled_block(m, site, scaling="lochak")
+        out = np.array([1.3 / blk.rho, 0.2])
+        for x in (out, np.array([[0.0, 0.2], out])):
+            with pytest.raises(DomainEscape):
+                blk.apply(x)
 
     def test_nucleus_vs_lochak_scale(self):
         m = catalog("standard", 1e-4)
