@@ -6,8 +6,10 @@ sizes 1, 100 and 10^4 and prints the median and quartiles of ns per
 seed-step.  Then times one-step calls at batch sizes 1 (one (2d,) point)
 and 100: `MapModel.apply` of the same maps and `BlockMap.apply` of the
 nucleus block (standard map at eps = 1e-4, site n = 1, scaling "nucleus"),
-and prints microseconds per call.  Each repeat runs every case once, in
-turn, so that a drift in host speed touches all cases alike.
+and prints microseconds per call.  Last, times `cli.write_csv` on a table of
+10^5 rows and the columns of a nucleus orbit (int, float, float, int) and
+prints microseconds per row.  Each repeat runs every case once, in turn, so
+that a drift in host speed touches all cases alike.
 
     PYTHONPATH=src python scripts/step_bench.py [--repeats 9]
 
@@ -16,11 +18,14 @@ version on PYTHONPATH, alternating.
 """
 
 import argparse
+import os
+import tempfile
 import time
 
 import numpy as np
 
 from mapflow import ResonanceSite, catalog, scaled_block
+from mapflow.cli import write_csv
 from mapflow.maps import propagate
 
 MAPS = (("standard", {}), ("froeschle2", {"eta": 0.3}))
@@ -29,6 +34,8 @@ EPS = 1e-3
 CASES = ((1, 20_000), (100, 2_000), (10_000, 50))
 #: (batch size, calls per timed case) of the one-step calls
 APPLY_CASES = ((1, 2_000), (100, 500))
+#: rows of the CSV-writer case
+CSV_ROWS = 100_000
 
 
 def _states(d: int, batch: int):
@@ -42,9 +49,16 @@ def _point(d: int, batch: int) -> np.ndarray:
     return x[0] if batch == 1 else x
 
 
-def _stats(vals):
+def _table(rows: int) -> list:
+    """Columns k, J, E, exited of a nucleus orbit's CSV, filled at random."""
+    rng = np.random.default_rng(rows)
+    return [np.arange(rows), rng.normal(size=rows), rng.normal(size=rows),
+            np.zeros(rows, dtype=int)]
+
+
+def _stats(vals, digits: int = 1):
     q1, med, q3 = np.percentile(vals, [25, 50, 75])
-    return f"{med:9.1f} {q1:9.1f} {q3:9.1f}"
+    return f"{med:9.{digits}f} {q1:9.{digits}f} {q3:9.{digits}f}"
 
 
 def main(argv=None) -> int:
@@ -69,6 +83,9 @@ def main(argv=None) -> int:
     for *_, fn, x in applies:
         fn(x)
     samples = {case[:2]: [] for case in cases + applies}
+    table, csv_us = _table(CSV_ROWS), []
+    tmp = tempfile.TemporaryDirectory()
+    csv_path = os.path.join(tmp.name, "table.csv")
     for _ in range(args.repeats):
         for name, batch, steps, model, I, phi in cases:
             t0 = time.perf_counter()
@@ -79,6 +96,10 @@ def main(argv=None) -> int:
             for _ in range(calls):
                 fn(x)
             samples[name, batch].append(1e6 * (time.perf_counter() - t0) / calls)
+        t0 = time.perf_counter()
+        write_csv(csv_path, ["k", "J0", "E", "exited"], table)
+        csv_us.append(1e6 * (time.perf_counter() - t0) / CSV_ROWS)
+    tmp.cleanup()
     print(f"{'map':<11} {'batch':>6} {'median':>9} {'q1':>9} {'q3':>9}  ns per seed-step,"
           f" {args.repeats} repeats")
     for name, batch, *_ in cases:
@@ -87,6 +108,9 @@ def main(argv=None) -> int:
           f" {args.repeats} repeats")
     for name, batch, *_ in applies:
         print(f"{name:<19} {batch:>6} {_stats(samples[name, batch])}")
+    print(f"\n{'writer':<19} {'rows':>6} {'median':>9} {'q1':>9} {'q3':>9}  us per row,"
+          f" {args.repeats} repeats")
+    print(f"{'cli.write_csv':<19} {CSV_ROWS:>6} {_stats(csv_us, 3)}")
     return 0
 
 

@@ -39,19 +39,29 @@ COMMANDS = ("interp", "embed-error", "energy", "resonance", "nucleus",
 
 
 def fmt(x) -> str:
-    """Canonical float formatting: 17 significant digits."""
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
+    """Canonical formatting: ints and bools as integers, floats to 17 significant digits."""
+    return f"{x:d}" if isinstance(x, (int, np.integer, np.bool_)) else f"{float(x):.17g}"
 
 
-def write_csv(path: str, header: list[str], rows: list[list]) -> str:
+CSV_BLOCK = 4096  # rows formatted at once: bounds the cell strings held
+
+
+def _cells(col) -> tuple[str, list]:
+    """A column's %-format and values: float, int and bool ndarrays give Python
+    numbers, any other column (strings and numbers mixed) the strings of `fmt`."""
+    if isinstance(col, np.ndarray):
+        return {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}[col.dtype.kind], col.tolist()
+    return "%s", [v if isinstance(v, str) else fmt(v) for v in col]
+
+
+def write_csv(path: str, header: list[str], columns: list) -> str:
+    """Write a CSV from columns of equal length, CSV_BLOCK rows at a time."""
+    n = max(map(len, columns), default=0)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
+        for lo in range(0, n, CSV_BLOCK):
+            specs, values = zip(*(_cells(col[lo:lo + CSV_BLOCK]) for col in columns))
+            fh.write("".join(map((",".join(specs) + "\n").__mod__, zip(*values, strict=True))))
     return path
 
 
@@ -256,21 +266,19 @@ def _embed_one(args):
     delta = default_delta(model.domain.r) if sub["delta"] is None else sub["delta"]
     rep = embedding_error(blk, m, unit_box(model.d, sub["J_radius"]), sub["grid_n"],
                           sub["tol"], delta)
-    row = [m, rep.eps_hat, rep.max_error, rep.bound, int(rep.precondition_ok),
-           "" if rep.bound_satisfied is None else int(rep.bound_satisfied),
-           int(np.count_nonzero(~np.isnan(rep.errors)))]
-    return row, len(rep.failures)
+    return (m, rep.eps_hat, rep.max_error, rep.bound, int(rep.precondition_ok),
+            "" if rep.bound_satisfied is None else int(rep.bound_satisfied),
+            int(np.count_nonzero(~np.isnan(rep.errors))), len(rep.failures))
 
 
 def run_embed_error(cfg, model, out, workers, rng):
     """Write embed-error.csv; the manifest gets a flow_failures line."""
     results = _pool_map(_embed_one, [(cfg, m) for m in cfg["embed-error"]["m_list"]], workers)
-    results.sort(key=lambda r: r[0][0])
+    *columns, failures = map(list, zip(*sorted(results, key=lambda r: r[0])))
     path = write_csv(os.path.join(out, "embed-error.csv"),
                      ["m", "eps_hat", "max_error", "bound", "precondition_ok", "bound_satisfied",
-                      "points_measured"],
-                     [row for row, _ in results])
-    return [path], ["flow_failures: " + " ".join(f"m{row[0]}={n}" for row, n in results)]
+                      "points_measured"], columns)
+    return [path], ["flow_failures: " + " ".join(map("m{}={}".format, columns[0], failures))]
 
 
 def run_interp(cfg, model, out, workers, rng):
@@ -278,29 +286,29 @@ def run_interp(cfg, model, out, workers, rng):
     target = model
     if sub["site"] is not None:
         target = scaled_block(model, *build_site(model, sub["site"]))
-    rows = []
-    d = model.d
-    for x in sub["points"]:
-        for m in sub["m_list"]:
-            try:
-                X = interpolating_vf(target, x, m, sub["scheme"])
-                rows.append(list(x) + [m, *X, "ok"])
-            except MapflowError as exc:
-                rows.append(list(x) + [m] + [float("nan")] * (2 * d) + [type(exc).__name__])
+    d, ms = model.d, np.tile(sub["m_list"], len(sub["points"]))
+    xs = np.repeat(sub["points"], len(sub["m_list"]), axis=0)
+    X, status = np.full(xs.shape, np.nan), []
+    for i, (x, m) in enumerate(zip(xs, ms)):
+        try:
+            X[i] = interpolating_vf(target, x, int(m), sub["scheme"])
+            status.append("ok")
+        except MapflowError as exc:
+            status.append(type(exc).__name__)
     header = ([f"x{j}" for j in range(2 * d)] + ["m"]
               + [f"X{j}" for j in range(2 * d)] + ["status"])
-    return [write_csv(os.path.join(out, "interp.csv"), header, rows)], []
+    return [write_csv(os.path.join(out, "interp.csv"), header, [*xs.T, ms, *X.T, status])], []
 
 
 def run_energy(cfg, model, out, workers, rng):
     sub = cfg["energy"]
     site, scaling = build_site(model, sub["site"])
-    rows = []
-    for m in sub["m_list"]:
-        rep = energy_drift(model, site, m, sub["blocks"], sub["x0"], scaling, sub["quad_tol"])
-        rows.append([m, sub["blocks"], rep.max_increment, rep.total, rep.identity_residual])
+    reps = [energy_drift(model, site, m, sub["blocks"], sub["x0"], scaling, sub["quad_tol"])
+            for m in sub["m_list"]]
+    columns = [np.array(sub["m_list"]), np.full(len(reps), sub["blocks"]),
+               *np.array([[r.max_increment, r.total, r.identity_residual] for r in reps]).T]
     header = ["m", "blocks", "max_increment", "total", "identity_residual"]
-    return [write_csv(os.path.join(out, "energy.csv"), header, rows)], []
+    return [write_csv(os.path.join(out, "energy.csv"), header, columns)], []
 
 
 def run_resonance(cfg, model, out, workers, rng):
@@ -312,16 +320,17 @@ def run_resonance(cfg, model, out, workers, rng):
     if seeds is None:
         I_box = sub["I_box"]
         seeds = rng.uniform(-I_box / np.sqrt(d), I_box / np.sqrt(d), size=(sub["count"], d))
-    rows = []
+    ns, table = [], []
     for I0 in seeds:
         omega0 = model.omega(I0)
         n, omega_star = dirichlet(omega0, N)
         I_star = resonant_action(model, omega_star, I0)
-        err = float(np.max(np.abs(omega0 - omega_star)))
-        rows.append([n, *omega_star, *I_star, cp.rho_n(n), err])
+        ns.append(n)
+        table.append([*omega_star, *I_star, cp.rho_n(n), np.max(np.abs(omega0 - omega_star))])
     header = (["n"] + [f"omega_star{j}" for j in range(d)]
               + [f"I_star{j}" for j in range(d)] + ["rho_n", "dirichlet_error"])
-    return [write_csv(os.path.join(out, "resonance.csv"), header, rows)], []
+    return [write_csv(os.path.join(out, "resonance.csv"), header,
+                      [np.array(ns), *np.array(table).T])], []
 
 
 def run_nucleus(cfg, model, out, workers, rng):
@@ -329,27 +338,27 @@ def run_nucleus(cfg, model, out, workers, rng):
     site, _ = build_site(model, sub["site"])
     nm = build_nucleus(model, site)
     rec = trapped_orbit(model, site, sub["J0"], sub["phi0"], sub["budget"], nmodel=nm)
-    rows = []
-    d = model.d
-    for k in range(0, rec.J.shape[0], sub["record_every"]):
-        exited = int(rec.exit_index is not None and k >= rec.exit_index)
-        rows.append([k, *rec.J[k], rec.energy[k], exited])
+    d, n = model.d, rec.J.shape[0]
+    k = np.arange(0, n, sub["record_every"])
+    if rec.escaped:  # a sampled orbit still records the block where it left
+        k = np.union1d(k, rec.exit_index)
+    exited = k >= (rec.exit_index if rec.escaped else n)
     header = ["k"] + [f"J{j}" for j in range(d)] + ["E", "exited"]
-    paths = [write_csv(os.path.join(out, "nucleus.csv"), header, rows)]
+    paths = [write_csv(os.path.join(out, "nucleus.csv"), header,
+                       [k, *rec.J[k].T, rec.energy[k], exited])]
     if sub["fourier_modes"] is not None:
-        frows = []
-        for j in sub["fourier_modes"]:
-            mag = resonant_fourier_check(nm, j, sub["quad_n"])
-            frows.append([*j, mag, int(is_resonant_mode(j, site.omega_star))])
+        modes = sub["fourier_modes"]
+        mags = np.array([resonant_fourier_check(nm, j, sub["quad_n"]) for j in modes])
+        resonant = np.array([is_resonant_mode(j, site.omega_star) for j in modes])
         fheader = [f"j{i}" for i in range(d)] + ["magnitude", "resonant"]
-        paths.append(write_csv(os.path.join(out, "nucleus_fourier.csv"), fheader, frows))
+        paths.append(write_csv(os.path.join(out, "nucleus_fourier.csv"), fheader,
+                               [*modes.T, mags, resonant]))
     return paths, []
 
 
 def _stability_chunk(args):
-    cfg, I0, phi0, radius, lo = args
-    recs = stability_scan(build_model(cfg), I0, phi0, cfg["stability"]["horizon"], radius)
-    return [(lo + r.seed_index, r) for r in recs]
+    cfg, I0, phi0, radius = args
+    return stability_scan(build_model(cfg), I0, phi0, cfg["stability"]["horizon"], radius)
 
 
 def run_stability(cfg, model, out, workers, rng):
@@ -369,15 +378,16 @@ def run_stability(cfg, model, out, workers, rng):
     # trajectories are element-wise, so results are chunking-independent
     k = max(1, min(workers, nseeds // 50 or 1))
     bounds = np.linspace(0, nseeds, k + 1, dtype=int)
-    chunks = [(cfg, I0[lo:hi], phi0[lo:hi], radius, int(lo))
+    chunks = [(cfg, I0[lo:hi], phi0[lo:hi], radius)
               for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    results = [r for part in _pool_map(_stability_chunk, chunks, workers) for r in part]
-    results.sort(key=lambda t: t[0])
-    rows = [[idx, *r.I0, *r.phi0, r.excursion, -1 if r.exit_index is None else r.exit_index,
-             r.max_step_drift, r.status] for idx, r in results]
+    # chunks come back in seed order, one record per seed
+    recs = [r for part in _pool_map(_stability_chunk, chunks, workers) for r in part]
+    columns = [np.arange(nseeds), *I0.T, *phi0.T, np.array([r.excursion for r in recs]),
+               np.array([-1 if r.exit_index is None else r.exit_index for r in recs]),
+               np.array([r.max_step_drift for r in recs]), [r.status for r in recs]]
     header = (["seed"] + [f"I0_{j}" for j in range(d)] + [f"phi0_{j}" for j in range(d)]
               + ["excursion", "exit_index", "max_step_drift", "status"])
-    path = write_csv(os.path.join(out, "stability.csv"), header, rows)
+    path = write_csv(os.path.join(out, "stability.csv"), header, columns)
     meta = os.path.join(out, "stability_calibration.txt")
     with open(meta, "w") as fh:
         fh.write(f"pilot_c1 = {fmt(pilot_c1)}\n")
@@ -390,20 +400,20 @@ def run_gen_recover(cfg, model, out, workers, rng):
     base = sub["base"]
     pts = unit_box(model.d, sub["J_radius"]).grid(sub["grid_n"])
     d = model.d
-    rows = []
-    for p in pts:
+    vals, refs, status = np.full(len(pts), np.nan), [], []
+    for i, p in enumerate(pts):
         try:
-            val = recover_generating(model, base, p, sub["quad_tol"])
-            status = "ok"
+            vals[i] = recover_generating(model, base, p, sub["quad_tol"])
+            status.append("ok")
         except MapflowError as exc:
-            val, status = float("nan"), type(exc).__name__
-        ref = "" if model.s is None else float(
+            status.append(type(exc).__name__)
+        refs.append("" if model.s is None else float(
             model.h0(p[:d]) + model.eps * model.s(p[:d], p[d:])
-            - model.h0(base[:d]) - model.eps * model.s(base[:d], base[d:]))
-        rows.append([*p, val, ref, status])
+            - model.h0(base[:d]) - model.eps * model.s(base[:d], base[d:])))
     header = ([f"pbar{j}" for j in range(d)] + [f"q{j}" for j in range(d)]
               + ["s_recovered", "s_catalog", "status"])
-    return [write_csv(os.path.join(out, "gen-recover.csv"), header, rows)], []
+    return [write_csv(os.path.join(out, "gen-recover.csv"), header,
+                      [*pts.T, vals, refs, status])], []
 
 
 RUNNERS = {"interp": run_interp, "embed-error": run_embed_error, "energy": run_energy,

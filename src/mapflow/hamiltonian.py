@@ -715,9 +715,13 @@ def cross_form_fields(map_like):
     def solved(x):
         d = x.shape[-1] // 2
         pbar, q = x[..., :d], x[..., d:]
-        p = _picard(lambda y: y - fwd(np.concatenate([y, q], axis=-1))[..., :d], pbar)
-        qbar = fwd(np.concatenate([p, q], axis=-1))[..., d:]
-        return p - pbar, qbar - q
+        last = {}  # F(y, q) at _picard's last call of g, which is at the y it returns
+
+        def g(y):
+            last["F"] = fwd(np.concatenate([y, q], axis=-1))
+            return y - last["F"][..., :d]
+        p = _picard(g, pbar)
+        return p - pbar, last["F"][..., d:] - q
 
     return solved
 

@@ -197,8 +197,9 @@ class MapModel:
             return np.concatenate([I, phi - self.omega(I)], axis=-1)
         if self.form != "generating":
             raise FormMismatch("inverse step requires a generating-form map (or an integrable one)")
-        base = phi - self.omega(I)
-        ph_prev = _picard(lambda y: -self.eps * self.s_I(I, _frac(y)), base)
+        ph_prev = phi - self.omega(I)  # the solution when s_I vanishes
+        if not self.s_action_independent:
+            ph_prev = _picard(lambda y: -self.eps * self.s_I(I, _frac(y)), ph_prev)
         I_prev = I + self.eps * self.s_phi(I, _frac(ph_prev))
         return np.concatenate([I_prev, ph_prev], axis=-1)
 

@@ -150,3 +150,23 @@ def catalog_norms(name, eta=None):
     return {"norm_a": (1.0 + abs(eta)) / TWO_PI, "norm_b": (1.0 + abs(eta)) / TWO_PI,
             "norm_s": (2.0 + abs(eta)) / TWO_PI**2, "norm_omega_prime": 1.0,
             "norm_h0pp": 1.0, "nu": 1.0, "nu2": 2.0}
+
+
+# The row-by-row CSV writer the CLI used before it wrote columns, frozen: the
+# column writer must give the same bytes.
+
+def row_fmt(x) -> str:
+    """One value as the row writer formatted it: 17 significant digits."""
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.17g}"
+
+
+def write_csv_rows(path, header, rows):
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
+    return path

@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mapflow.cli import COMMANDS, REQUIRED, SCHEMA, build_model, run, validate
+from mapflow.cli import (COMMANDS, CSV_BLOCK, REQUIRED, SCHEMA, build_model, run, validate,
+                         write_csv)
+from oracles import write_csv_rows
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -257,6 +259,20 @@ class TestCommands:
         assert all(line.endswith(",0") for line in lines[1:])
         assert (out / "nucleus_fourier.csv").exists()
 
+    def test_sampled_nucleus_records_the_exit_row(self, tmp_path):
+        # the orbit leaves the trapping ball at block 54, between two samples
+        nucleus = {"J0": [0.45], "phi0": [0.5], "budget": 500, "site": SITE}
+        full, sampled = tmp_path / "full", tmp_path / "sampled"
+        assert run("nucleus", write_cfg(tmp_path, "a.json", base_cfg(nucleus=nucleus)),
+                   out=str(full)) == 0
+        cfg = base_cfg(nucleus={**nucleus, "record_every": 7})
+        assert run("nucleus", write_cfg(tmp_path, "b.json", cfg), out=str(sampled)) == 0
+        every = (full / "nucleus.csv").read_text().splitlines()
+        lines = (sampled / "nucleus.csv").read_text().splitlines()
+        assert len(every) == 56 and every[-1].startswith("54,") and every[-1].endswith(",1")
+        assert lines == every[:1] + every[1:51:7] + every[-1:]
+        assert [line[-2:] for line in lines[1:]] == [",0"] * 8 + [",1"]
+
     def test_stability_runs_with_pilot(self, tmp_path):
         cfg = base_cfg(stability={"seeds": 5, "horizon": 500,
                                   "pilot_horizon": 500})
@@ -305,6 +321,59 @@ class TestDeterminism:
         assert fmt(1 / 3) == f"{1/3:.17g}"
         assert fmt(True) == "1"
         assert fmt(7) == "7"
+
+
+def _float_column(rng, n):
+    """Random bit patterns (nan payloads, subnormals, extremes), ordinary
+    magnitudes and the special values, mixed."""
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
+                        2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308,
+                        1 / 3, 1e16, 1e17, -123456789.125])
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    plain = rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, n)
+    pick = rng.integers(0, 3, n)
+    return np.where(pick == 0, bits, np.where(pick == 1, plain, rng.choice(special, n)))
+
+
+def _random_column(rng, kind, n):
+    if kind == "float":
+        return _float_column(rng, n)
+    if kind == "int":
+        info = np.iinfo(np.int64)
+        wide = rng.integers(info.min, info.max, n, endpoint=True, dtype=np.int64)
+        return np.where(rng.random(n) < 0.5, wide, rng.integers(-1000, 1000, n))
+    if kind == "bool":
+        return rng.random(n) < 0.5
+    # a list column, as gen-recover's s_catalog or embed-error's bound_satisfied,
+    # with Python and numpy scalars
+    floats = _float_column(rng, n)
+    pool = ("", "ok", "DomainEscape", "domain_escape@12")
+    return [[pool[i % 4], float(floats[i]), floats[i], i - 7, bool(i % 2), np.int64(7 - i),
+             np.bool_(i % 3)][c] for i, c in enumerate(rng.integers(0, 7, n))]
+
+
+class TestCsvWriter:
+    """The column writer against the frozen row writer, byte for byte."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(kinds=st.lists(st.sampled_from(["float", "int", "bool", "mixed"]),
+                          min_size=1, max_size=5),
+           n=st.sampled_from([0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
+           | st.integers(0, 30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_columns_give_the_row_writer_bytes(self, kinds, n, seed):
+        rng = np.random.default_rng(seed)
+        columns = [_random_column(rng, kind, n) for kind in kinds]
+        header = [f"c{j}" for j in range(len(kinds))]
+        with tempfile.TemporaryDirectory() as tmp:
+            got = pathlib.Path(write_csv(os.path.join(tmp, "cols.csv"), header, columns))
+            want = pathlib.Path(write_csv_rows(os.path.join(tmp, "rows.csv"), header,
+                                               [list(row) for row in zip(*columns)]))
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_columns_of_unequal_length_raise(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(str(tmp_path / "c.csv"), ["a", "b"], [np.arange(3), [1.0, 2.0]])
 
 
 class TestIntegrableExample:

@@ -423,6 +423,35 @@ class TestSymplecticity:
             back = m.inverse(In)
             assert np.allclose(back, np.concatenate([I, phi]), atol=1e-12)
 
+    @pytest.mark.parametrize("name, params", [("standard", {}), ("froeschle2", {"eta": 0.3}),
+                                              ("froeschle2", {"eta": -0.7})],
+                             ids=["std", "fro0.3", "fro-0.7"])
+    @pytest.mark.parametrize("batch", [1, 100])
+    def test_action_independent_inverse_skips_the_solve(self, name, params, batch, rng):
+        # s_I = 0, so the Picard solve for the old angle would return its start
+        m = catalog(name, 0.1, **params)
+        x = np.concatenate([rng.uniform(-0.5, 0.5, (batch, m.d)),
+                            rng.uniform(-2.0, 2.0, (batch, m.d))], axis=-1)
+        I, phi = x[:, : m.d], x[:, m.d:]
+        ph_prev = maps._picard(lambda y: -m.eps * m.s_I(I, maps._frac(y)), phi - m.omega(I))
+        want = np.concatenate([I + m.eps * m.s_phi(I, maps._frac(ph_prev)), ph_prev], axis=-1)
+        assert np.array_equal(m.inverse(x), want)
+        assert np.array_equal(m.inverse(x[0]), want[0])
+
+    def test_action_dependent_inverse_takes_the_solve(self, monkeypatch):
+        base = replace(catalog("standard", 0.5), s_action_independent=False)
+        member = near_identity_family(base)(0.3)
+        calls = []
+        picard = maps._picard
+        monkeypatch.setattr(maps, "_picard", lambda g, y0: calls.append(y0) or picard(g, y0))
+        x = np.array([0.2, 0.3])
+        back = member.inverse(member.apply(x))
+        assert len(calls) == 2  # one solve per step, forward and back
+        assert np.max(np.abs(back - x)) <= 1e-12
+        calls.clear()
+        near_identity_family(catalog("standard", 0.5))(0.3).inverse(x)
+        assert not calls
+
     def test_inverse_of_explicit_map_is_decided_by_its_callbacks(self):
         # a kicked explicit map whose domain leaves norm_a = norm_b at their
         # default 0 is not integrable: it has no inverse step
