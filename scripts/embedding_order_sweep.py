@@ -21,6 +21,7 @@ from mapflow import (
     scaled_block,
     unit_box,
 )
+from mapflow.cli import write_csv
 
 OUT = pathlib.Path(__file__).parent.parent / "runs" / "embedding_sweep"
 
@@ -38,10 +39,9 @@ def main():
 
     rep = error_law_fit(block_at(1e-4), box, "vs_m", m_list=range(1, 7),
                         grid_n=4, tol=1e-12)
-    with open(OUT / "vs_m.csv", "w", newline="\n") as fh:
-        fh.write("m,eps_hat,max_error,bound\n")
-        for r in rep.reports:
-            fh.write(f"{r.m},{r.eps_hat:.17g},{r.max_error:.17g},{r.bound:.17g}\n")
+    header = ["m", "eps_hat", "max_error", "bound"]
+    write_csv(OUT / "vs_m.csv", header,
+              [np.array([getattr(r, key) for r in rep.reports]) for key in header])
     print(f"vs_m: per-step ratios {np.round(rep.ratios, 4)}")
 
     rows = []
@@ -52,11 +52,8 @@ def main():
         r = embedding_error(blk, m.m, box, 4, tol=1e-13)
         rows.append((eps, eh, m.m, r.max_error))
         print(f"eps={eps:g}: eps_hat={eh:.4g} m_opt={m.m} err={r.max_error:.4g}")
-    with open(OUT / "vs_eps.csv", "w", newline="\n") as fh:
-        fh.write("eps,eps_hat,m_opt,max_error\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+    write_csv(OUT / "vs_eps.csv", ["eps", "eps_hat", "m_opt", "max_error"],
+              [np.array(col) for col in zip(*rows)])
 
 
 if __name__ == "__main__":

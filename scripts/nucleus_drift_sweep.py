@@ -11,6 +11,7 @@ import pathlib
 import numpy as np
 
 from mapflow import ResonanceSite, catalog, trapped_orbit
+from mapflow.cli import write_csv
 
 OUT = pathlib.Path(__file__).parent.parent / "runs" / "nucleus_sweep"
 
@@ -22,16 +23,13 @@ def main():
     drifts = []
     for eps in grid:
         model = catalog("standard", eps)
-        rec = trapped_orbit(model, site, np.array([0.1]), np.array([0.2]), 20000)
+        rec = trapped_orbit(model, site, np.array([0.1, 0.2]), budget=20000)
         drifts.append(rec.max_step_dE)
         print(f"eps={eps:g}: max per-step |dE| = {rec.max_step_dE:.4g}, "
               f"max |J| = {rec.max_abs_J:.4g}, escaped = {rec.escaped}")
     slope = np.polyfit(np.log(grid), np.log(drifts), 1)[0]
     print(f"fitted exponent: {slope:.3f}")
-    with open(OUT / "drift.csv", "w", newline="\n") as fh:
-        fh.write("eps,max_step_dE\n")
-        for e, v in zip(grid, drifts):
-            fh.write(f"{e:.17g},{v:.17g}\n")
+    write_csv(OUT / "drift.csv", ["eps", "max_step_dE"], [np.array(grid), np.array(drifts)])
 
 
 if __name__ == "__main__":

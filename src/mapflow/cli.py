@@ -337,15 +337,16 @@ def run_nucleus(cfg, model, out, workers, rng):
     sub = cfg["nucleus"]
     site, _ = build_site(model, sub["site"])
     nm = build_nucleus(model, site)
-    rec = trapped_orbit(model, site, sub["J0"], sub["phi0"], sub["budget"], nmodel=nm)
-    d, n = model.d, rec.J.shape[0]
+    rec = trapped_orbit(model, site, np.concatenate([sub["J0"], sub["phi0"]]),
+                        budget=sub["budget"], nmodel=nm)
+    d, n = model.d, rec.x.shape[0]
     k = np.arange(0, n, sub["record_every"])
     if rec.escaped:  # a sampled orbit still records the block where it left
         k = np.union1d(k, rec.exit_index)
     exited = k >= (rec.exit_index if rec.escaped else n)
     header = ["k"] + [f"J{j}" for j in range(d)] + ["E", "exited"]
     paths = [write_csv(os.path.join(out, "nucleus.csv"), header,
-                       [k, *rec.J[k].T, rec.energy[k], exited])]
+                       [k, *rec.x[k, :d].T, rec.energy[k], exited])]
     if sub["fourier_modes"] is not None:
         modes = sub["fourier_modes"]
         mags = np.array([resonant_fourier_check(nm, j, sub["quad_n"]) for j in modes])
@@ -357,16 +358,18 @@ def run_nucleus(cfg, model, out, workers, rng):
 
 
 def _stability_chunk(args):
-    cfg, I0, phi0, radius = args
-    return stability_scan(build_model(cfg), I0, phi0, cfg["stability"]["horizon"], radius)
+    cfg, x0, radius = args
+    return stability_scan(build_model(cfg), x0, horizon=cfg["stability"]["horizon"],
+                          confinement_radius=radius)
 
 
 def run_stability(cfg, model, out, workers, rng):
     sub = cfg["stability"]
     nseeds, I_box = sub["seeds"], sub["I_box"]
     d = model.d
-    I0 = rng.uniform(-I_box / np.sqrt(d), I_box / np.sqrt(d), size=(nseeds, d))
-    phi0 = rng.uniform(0.0, 1.0, size=(nseeds, d))
+    # I0, then phi0: one (nseeds, 2d) draw would change the stream
+    x0 = np.concatenate([rng.uniform(-I_box / np.sqrt(d), I_box / np.sqrt(d), (nseeds, d)),
+                         rng.uniform(0.0, 1.0, (nseeds, d))], axis=1)
     radius = sub["confinement_radius"]
     pilot_c1 = float("nan")
     if radius is None:
@@ -378,11 +381,11 @@ def run_stability(cfg, model, out, workers, rng):
     # trajectories are element-wise, so results are chunking-independent
     k = max(1, min(workers, nseeds // 50 or 1))
     bounds = np.linspace(0, nseeds, k + 1, dtype=int)
-    chunks = [(cfg, I0[lo:hi], phi0[lo:hi], radius)
+    chunks = [(cfg, x0[lo:hi], radius)
               for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     # chunks come back in seed order, one record per seed
     recs = [r for part in _pool_map(_stability_chunk, chunks, workers) for r in part]
-    columns = [np.arange(nseeds), *I0.T, *phi0.T, np.array([r.excursion for r in recs]),
+    columns = [np.arange(nseeds), *x0.T, np.array([r.excursion for r in recs]),
                np.array([-1 if r.exit_index is None else r.exit_index for r in recs]),
                np.array([r.max_step_drift for r in recs]), [r.status for r in recs]]
     header = (["seed"] + [f"I0_{j}" for j in range(d)] + [f"phi0_{j}" for j in range(d)]

@@ -22,6 +22,7 @@ from .hamiltonian import (
     embedding_error,
     interpolating_field,
     optimal_order,
+    unit_box,
 )
 from . import maps
 from .maps import MapModel, propagate
@@ -106,34 +107,33 @@ class SnDecomposition:
         I = b.site.I_star + b.rho * np.asarray(Jbar, dtype=float)
         return b.n * (b.model.omega(I) - b.model.omega(b.site.I_star))
 
-    def w_n(self, Jbar: np.ndarray, phi: np.ndarray):
+    def w_n(self, x: np.ndarray):
         """Path integral of (v - h_n') . dJbar + u . dphi along the staircase
-        from 0, with the block's cross-form fields (u, v).
+        from 0 to x = (Jbar, phi), with the block's cross-form fields (u, v).
 
-        Jbar and phi are (d,) (a float) or (N, d), one path per row.
+        x is (2d,) (a float) or (N, 2d), one path per row.
         """
         d = self.block.d
-        target = np.concatenate([np.atleast_1d(np.asarray(Jbar, dtype=float)),
-                                 np.atleast_1d(np.asarray(phi, dtype=float))], axis=-1)
         uv = cross_form_fields(self.block)
 
-        def form(x):
-            u, v = uv(x)
-            return np.concatenate([v - self.h_n_grad(x[..., :d]), u], axis=-1)
+        def form(y):
+            u, v = uv(y)
+            return np.concatenate([v - self.h_n_grad(y[..., :d]), u], axis=-1)
 
-        return _staircase(form, np.zeros(2 * d), target, self.quad_tol)
+        return _staircase(form, np.zeros(2 * d), x, self.quad_tol)
 
-    def S_n(self, Jbar: np.ndarray, phi: np.ndarray) -> float:
-        return float(self.h_n(np.atleast_1d(Jbar))) + self.w_n(Jbar, phi)
+    def S_n(self, x: np.ndarray):
+        """S_n at x = (Jbar, phi): a float for (2d,), shape (N,) for (N, 2d)."""
+        x = np.asarray(x, dtype=float)
+        s = self.h_n(x[..., : self.block.d]) + self.w_n(x)
+        return float(s) if x.ndim == 1 else s
 
     def w_report(self, grid_n: int = 5) -> WnReport:
         """Sup |w_n| on a (J, phi) grid against d C2 n^2 eps + d C1 n eps / rho."""
         b = self.block
         dom = b.model.domain
-        box = Box(lo=np.concatenate([-np.ones(b.d), np.zeros(b.d)]),
-                  hi=np.concatenate([np.ones(b.d), np.ones(b.d)]), d=b.d)
-        pts = box.grid(grid_n)
-        vals = self.w_n(pts[:, : b.d], pts[:, b.d:])
+        pts = unit_box(b.d).grid(grid_n)
+        vals = self.w_n(pts)
         eps = b.model.eps
         bound = (b.d * dom.C2 * b.n**2 * eps + b.d * dom.C1 * b.n * eps / b.rho)
         return WnReport(sup_w=float(np.max(np.abs(vals))), bound=bound,
@@ -198,8 +198,7 @@ class StabilityRecord:
     """Per-seed outcome of a confinement scan."""
 
     seed_index: int
-    I0: np.ndarray
-    phi0: np.ndarray
+    x0: np.ndarray             # (2d,) start point (I0, phi0)
     excursion: float           # max_k |I_k - I_0|_inf over the horizon
     horizon: int
     exit_index: Optional[int]  # first k with excursion > confinement radius
@@ -220,10 +219,10 @@ def _max_abs_diff(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def stability_scan(model: MapModel, I0: np.ndarray, phi0: np.ndarray,
-                   horizon: int, confinement_radius: Optional[float] = None
-                   ) -> list[StabilityRecord]:
-    """Vectorized long-horizon scan of action excursions for many seeds.
+def stability_scan(model: MapModel, x0: np.ndarray, horizon: int,
+                   confinement_radius: Optional[float] = None) -> list[StabilityRecord]:
+    """Vectorized long-horizon scan of action excursions from the seeds
+    x0 = (I0, phi0), shape (2d,) or (N, 2d), one seed per row.
 
     Seeds run in one batch, ``maps.WINDOW`` steps per `propagate` call; the
     per-seed statistics (running excursion, first confinement exit, first
@@ -232,10 +231,10 @@ def stability_scan(model: MapModel, I0: np.ndarray, phi0: np.ndarray,
     state without aborting the others; for catalog maps (element-wise
     stepping) results do not depend on batch composition.
     """
-    I = np.atleast_2d(np.asarray(I0, dtype=float))
-    phi = np.atleast_2d(np.asarray(phi0, dtype=float))
-    Iinit, phi_init = I, phi
-    nseeds = I.shape[0]
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    d = model.d
+    I, phi = x0[:, :d], x0[:, d:]
+    nseeds = x0.shape[0]
     exc = np.zeros(nseeds)
     step_drift = np.zeros(nseeds)
     exit_idx = np.full(nseeds, -1, dtype=np.int64)
@@ -246,7 +245,7 @@ def stability_scan(model: MapModel, I0: np.ndarray, phi0: np.ndarray,
     while done < horizon and live.size:
         Is, ps, first = propagate(model, I, phi, min(maps.WINDOW, horizon - done))
         # statistics over the window (step indices done+1 .. done+W)
-        dev = _max_abs_diff(Is[1:], Iinit[live])       # (W, live)
+        dev = _max_abs_diff(Is[1:], x0[live, :d])      # (W, live)
         dstep = _max_abs_diff(Is[1:], Is[:-1])         # (W, live)
         left = first >= 0
         for c in np.flatnonzero(left):  # statistics stop at the escape state
@@ -270,7 +269,7 @@ def stability_scan(model: MapModel, I0: np.ndarray, phi0: np.ndarray,
     for i in range(nseeds):
         status = "ok" if escape_idx[i] < 0 else f"domain_escape@{escape_idx[i]}"
         out.append(StabilityRecord(
-            seed_index=i, I0=Iinit[i], phi0=phi_init[i],
+            seed_index=i, x0=x0[i],
             excursion=float(exc[i]), horizon=horizon,
             exit_index=None if exit_idx[i] < 0 else int(exit_idx[i]),
             max_step_drift=float(step_drift[i]), status=status))
@@ -312,11 +311,11 @@ def pilot_confinement(model: MapModel, n_pilot: int = 10,
     I_star = resonant_action(model, np.round(omega_c), model.domain.center)
     halfwidth = 1.25 * math.sqrt(2.0 * model.domain.norm_s * eps / model.domain.nu2)
     offs = np.linspace(0.0, halfwidth, n_pilot)
-    I0 = np.tile(I_star, (n_pilot, 1))
+    x0 = np.column_stack([np.tile(I_star, (n_pilot, 1))]
+                         + [np.linspace(0.05, 0.95, n_pilot)] * d)
     for j in range(n_pilot):
-        I0[j, j % d] += offs[j]
-    phi0 = np.stack([np.linspace(0.05, 0.95, n_pilot)] * d, axis=-1)
-    recs = stability_scan(model, I0, phi0, horizon)
+        x0[j, j % d] += offs[j]
+    recs = stability_scan(model, x0, horizon=horizon)
     pilot_exc = max(r.excursion for r in recs)
     return PilotCalibration(c1=PILOT_SAFETY * pilot_exc / eps**expo,
                             pilot_excursion=pilot_exc, exponent=expo)

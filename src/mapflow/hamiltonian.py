@@ -758,12 +758,10 @@ class Loop:
         object.__setattr__(self, "winding", np.atleast_1d(np.asarray(self.winding)))
 
 
-def circle_loop(I0: np.ndarray, phi0: Optional[np.ndarray] = None,
-                winding: Optional[np.ndarray] = None) -> Loop:
-    """The basic non-contractible loop I = const, phi = phi0 + t * winding."""
+def circle_loop(I0: np.ndarray, winding: Optional[np.ndarray] = None) -> Loop:
+    """The basic non-contractible loop I = const, phi = t * winding."""
     I0 = np.atleast_1d(np.asarray(I0, dtype=float))
     d = I0.shape[0]
-    phi0 = np.zeros(d) if phi0 is None else np.atleast_1d(np.asarray(phi0, dtype=float))
     w = np.zeros(d)
     if winding is None:
         w[0] = 1.0
@@ -771,7 +769,7 @@ def circle_loop(I0: np.ndarray, phi0: Optional[np.ndarray] = None,
         w = np.atleast_1d(np.asarray(winding, dtype=float))
 
     def point(t):
-        return np.concatenate([I0, phi0 + t * w])
+        return np.concatenate([I0, t * w])
 
     def velocity(t):
         return np.concatenate([np.zeros(d), w])

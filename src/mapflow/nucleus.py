@@ -93,17 +93,19 @@ def build_nucleus(model: MapModel, site: ResonanceSite) -> NucleusModel:
                         model=model)
 
 
-def nucleus_energy(nmodel: NucleusModel, J: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Slow energy E(J, phi) = K(J) + V_*(phi) in scaled variables."""
-    return nmodel.K(J) + nmodel.V_star(phi)
+def nucleus_energy(nmodel: NucleusModel, x: np.ndarray) -> np.ndarray:
+    """Slow energy E(J, phi) = K(J) + V_*(phi) at scaled points x = (J, phi)
+    of shape (..., 2d)."""
+    x = np.asarray(x, dtype=float)
+    d = nmodel.model.d
+    return nmodel.K(x[..., :d]) + nmodel.V_star(x[..., d:])
 
 
 @dataclass(frozen=True)
 class TrappedOrbitRecord:
     """Outcome of a trapped-orbit run in the nucleus."""
 
-    J: np.ndarray          # (steps+1, d) scaled actions
-    phi: np.ndarray        # (steps+1, d) angle lifts
+    x: np.ndarray          # (steps+1, 2d) scaled points (J, phi), angles as lifts
     energy: np.ndarray     # (steps+1,) slow energy at the centered phase
     exit_index: Optional[int]
     max_step_dE: float
@@ -115,10 +117,10 @@ class TrappedOrbitRecord:
         return self.exit_index is not None
 
 
-def trapped_orbit(model: MapModel, site: ResonanceSite, J0: np.ndarray,
-                  phi0: np.ndarray, budget: int,
+def trapped_orbit(model: MapModel, site: ResonanceSite, x0: np.ndarray, budget: int,
                   nmodel: Optional[NucleusModel] = None) -> TrappedOrbitRecord:
-    """Iterate the sqrt(eps)-scaled block and monitor the slow energy.
+    """Iterate the sqrt(eps)-scaled block from x0 = (J0, phi0), shape (2d,),
+    and monitor the slow energy.
 
     The orbit exits when |J|_2 leaves the trapping ball of radius r1.  The
     recorded energy samples E_k evaluate E at the drift-centered phase
@@ -130,35 +132,29 @@ def trapped_orbit(model: MapModel, site: ResonanceSite, J0: np.ndarray,
     if nmodel is None:
         nmodel = build_nucleus(model, site)
     d = model.d
+    x0 = np.asarray(x0, dtype=float)
+    exit_index = None
     if model.eps == 0.0:
         # the sqrt(eps) scaling collapses: the block is the identity on the
-        # resonant torus, the orbit never exits and E stays at its start value
-        J = np.atleast_1d(np.asarray(J0, dtype=float))
-        phi = np.atleast_1d(np.asarray(phi0, dtype=float))
-        E0 = float(nucleus_energy(nmodel, J, phi))
-        return TrappedOrbitRecord(J=np.tile(J, (budget + 1, 1)),
-                                  phi=np.tile(phi, (budget + 1, 1)),
-                                  energy=np.full(budget + 1, E0), exit_index=None,
-                                  max_step_dE=0.0,
-                                  max_abs_J=float(np.linalg.norm(J)), budget=budget)
-    r1 = nmodel.radii.r1
-    x0 = np.concatenate([np.atleast_1d(np.asarray(J0, dtype=float)),
-                         np.atleast_1d(np.asarray(phi0, dtype=float))])
-    parts, exit_index = [x0[None]], None
-    for part in BlockMap(model, site, "nucleus").windows(x0, budget):
-        outside = np.sum(part[:, :d] ** 2, axis=-1) > r1 * r1
-        if np.any(outside):
-            parts.append(part[: np.argmax(outside) + 1])
-            exit_index = sum(len(p) for p in parts) - 1
-            break
-        parts.append(part)
-    X = np.concatenate(parts)
-    Js, ps = X[:, :d], X[:, d:]
-    centered = ps - 0.5 * site.n * nmodel.sqrt_eps * (Js @ nmodel.hessian.T)
-    Es = nmodel.K(Js) + nmodel.V_star(centered)
-    max_step = float(np.max(np.abs(np.diff(Es)))) if len(Es) > 1 else 0.0
-    return TrappedOrbitRecord(J=Js, phi=ps, energy=Es, exit_index=exit_index,
-                              max_step_dE=max_step,
+        # resonant torus and the orbit never exits
+        X = np.tile(x0, (budget + 1, 1))
+    else:
+        r1 = nmodel.radii.r1
+        parts = [x0[None]]
+        for part in BlockMap(model, site, "nucleus").windows(x0, budget):
+            outside = np.sum(part[:, :d] ** 2, axis=-1) > r1 * r1
+            if np.any(outside):
+                parts.append(part[: np.argmax(outside) + 1])
+                exit_index = sum(len(p) for p in parts) - 1
+                break
+            parts.append(part)
+        X = np.concatenate(parts)
+    Js = X[:, :d]
+    centered = X.copy()
+    centered[:, d:] -= 0.5 * site.n * nmodel.sqrt_eps * (Js @ nmodel.hessian.T)
+    Es = nucleus_energy(nmodel, centered)
+    return TrappedOrbitRecord(x=X, energy=Es, exit_index=exit_index,
+                              max_step_dE=float(np.max(np.abs(np.diff(Es)), initial=0.0)),
                               max_abs_J=float(np.max(np.linalg.norm(Js, axis=-1))),
                               budget=budget)
 

@@ -391,7 +391,7 @@ def test_criterion_13_nucleus(cli_runs):
     drifts = []
     for eps in grid:
         model = catalog("standard", eps)
-        rec = trapped_orbit(model, std_site(eps), np.array([0.1]), np.array([0.2]), 20000)
+        rec = trapped_orbit(model, std_site(eps), np.array([0.1, 0.2]), 20000)
         ok = ok and not rec.escaped
         drifts.append(rec.max_step_dE)
     slope = float(np.polyfit(np.log(grid), np.log(drifts), 1)[0])

@@ -111,10 +111,22 @@ class TestSnDecomposition:
         X1 = interpolating_field(blk, 1)
         H1 = reconstruct_hamiltonian(X1, np.zeros(2), [], quad_tol=1e-12)
         for x in (np.array([0.3, 0.2]), np.array([-0.5, 0.7])):
-            sn = dec.S_n(x[:1], x[1:]) - dec.S_n(np.zeros(1), np.zeros(1))
+            sn = dec.S_n(x) - dec.S_n(np.zeros(2))
             h1 = H1.evaluate(x)
             assert abs(sn - h1) <= 5e-4  # eps_hat^2 scale at eps_hat ~ 1e-2
 
+    def test_sn_batch_matches_points(self):
+        # within 1e-12, not bitwise: the block's batched Picard solve stops on
+        # the batch maximum
+        dec = SnDecomposition(block=scaled_block(catalog("standard", 1e-4), std_site(),
+                                                 "nucleus"))
+        xs = np.array([[0.3, 0.2], [-0.5, 0.7]])
+        batch = dec.S_n(xs)
+        assert batch.shape == (2,)
+        for x, val in zip(xs, batch):
+            one = dec.S_n(x)
+            assert isinstance(one, float)
+            assert abs(val - one) <= 1e-12
 
     def test_wn_path_exit_outside_domain(self):
         # at Jbar = 10 the lochak block leaves the sigma-extended domain
@@ -124,7 +136,7 @@ class TestSnDecomposition:
         site = ResonanceSite(n=1, omega_star=[0.0], I_star=[0.0], rho_n=0.2)
         dec = SnDecomposition(block=scaled_block(m, site, "lochak"))
         with pytest.raises(PathExit):
-            dec.w_n(np.array([10.0]), np.array([0.3]))
+            dec.w_n(np.array([10.0, 0.3]))
 
 
 class TestEnergyDrift:
@@ -152,7 +164,7 @@ class TestEnergyDrift:
 class TestStabilityScan:
     def test_integrable_zero_excursion(self):
         m = catalog("standard", 0.0)
-        recs = stability_scan(m, np.array([[0.1], [0.4]]), np.array([[0.0], [0.3]]), 500)
+        recs = stability_scan(m, np.array([[0.1, 0.0], [0.4, 0.3]]), 500)
         assert all(r.excursion == 0.0 for r in recs)
         assert all(r.exit_index is None for r in recs)
 
@@ -160,15 +172,15 @@ class TestStabilityScan:
         m = catalog("standard", 5e-3)
         I0 = rng.uniform(-0.5, 0.5, (8, 1))
         phi0 = rng.uniform(0, 1, (8, 1))
-        e1 = [r.excursion for r in stability_scan(m, I0, phi0, 200)]
-        e2 = [r.excursion for r in stability_scan(m, I0, phi0, 1000)]
+        e1 = [r.excursion for r in stability_scan(m, np.hstack([I0, phi0]), 200)]
+        e2 = [r.excursion for r in stability_scan(m, np.hstack([I0, phi0]), 1000)]
         assert all(b >= a for a, b in zip(e1, e2))
 
     def test_exit_detection(self):
         from mapflow import nonexact_shear
 
         m = nonexact_shear(0.01)
-        recs = stability_scan(m, np.array([[0.0]]), np.array([[0.2]]), 100,
+        recs = stability_scan(m, np.array([[0.0, 0.2]]), 100,
                               confinement_radius=0.05)
         assert recs[0].exit_index == 6  # excursion passes 0.05 on step 6
 
@@ -176,7 +188,7 @@ class TestStabilityScan:
         from mapflow import nonexact_shear
 
         m = nonexact_shear(0.01)
-        recs = stability_scan(m, np.array([[1.45], [0.0]]), np.array([[0.2], [0.3]]), 100)
+        recs = stability_scan(m, np.array([[1.45, 0.2], [0.0, 0.3]]), 100)
         assert recs[0].status.startswith("domain_escape")
         assert recs[1].status == "ok"
         assert recs[1].excursion == pytest.approx(100 * 0.01, abs=1e-12)
@@ -184,7 +196,7 @@ class TestStabilityScan:
     def test_escape_at_last_step(self):
         # I_k = 1.455 + 0.01 k leaves |I| <= 1.5 at k = 5, the final state
         m = nonexact_shear(0.01)
-        recs = stability_scan(m, np.array([[1.455], [0.0]]), np.array([[0.2], [0.3]]), 5)
+        recs = stability_scan(m, np.array([[1.455, 0.2], [0.0, 0.3]]), 5)
         assert [r.status for r in recs] == ["domain_escape@5", "ok"]
 
     @pytest.mark.parametrize("window", [1, 7, maps.WINDOW])
@@ -197,9 +209,9 @@ class TestStabilityScan:
         def fields(recs):
             return [(r.excursion, r.exit_index, r.max_step_drift, r.status) for r in recs]
 
-        want = [fields(stability_scan(m, I0, phi0, h, r)) for m, h, r in cases]
+        want = [fields(stability_scan(m, np.hstack([I0, phi0]), h, r)) for m, h, r in cases]
         monkeypatch.setattr(maps, "WINDOW", window)
-        assert [fields(stability_scan(m, I0, phi0, h, r)) for m, h, r in cases] == want
+        assert [fields(stability_scan(m, np.hstack([I0, phi0]), h, r)) for m, h, r in cases] == want
         assert want[1][6][3] == "domain_escape@5" and want[1][7][3] == "domain_escape@20"
 
     @pytest.mark.parametrize("window", [1, 7, maps.WINDOW])
@@ -214,7 +226,7 @@ class TestStabilityScan:
         want = _scan_by_last_axis_formulas(m, I0, phi0, horizon, radius)
         assert want[1][3] == "domain_escape@5" and want[3][1] == 13
         monkeypatch.setattr(maps, "WINDOW", window)
-        recs = stability_scan(m, I0, phi0, horizon, radius)
+        recs = stability_scan(m, np.hstack([I0, phi0]), horizon, radius)
         assert [(r.excursion, r.exit_index, r.max_step_drift, r.status) for r in recs] == want
 
     def test_pilot_calibration_scales(self):

@@ -152,7 +152,7 @@ class TestKernel:
             orb = m.orbit(np.concatenate([I0[i], phi0[i]]), 200)
             assert np.array_equal(orb, np.concatenate([Is[:, i], ps[:, i]], axis=-1))
         monkeypatch.setattr(maps, "WINDOW", 7)  # the scan restarts 28 times
-        recs = stability_scan(m, I0, phi0, 200)
+        recs = stability_scan(m, np.hstack([I0, phi0]), 200)
         assert [r.excursion for r in recs] == list(np.max(np.abs(Is[1:] - Is[0]), axis=(0, 2)))
         assert ([r.max_step_drift for r in recs]
                 == list(np.max(np.abs(np.diff(Is, axis=0)), axis=(0, 2))))

@@ -94,15 +94,15 @@ class TestEnergy:
         nm = build_nucleus(m, std_site())
         J, phi = np.array([0.3]), np.array([0.2])
         want = 0.3**2 / 2 - np.cos(TWO_PI * 0.2) / TWO_PI**2
-        assert nucleus_energy(nm, J, phi) == pytest.approx(want, abs=1e-14)
+        assert nucleus_energy(nm, np.concatenate([J, phi])) == pytest.approx(want, abs=1e-14)
 
     def test_minimum_at_well_bottom(self):
         m = catalog("standard", 1e-4)
         nm = build_nucleus(m, std_site())
-        e0 = nucleus_energy(nm, np.zeros(1), np.zeros(1))
+        e0 = nucleus_energy(nm, np.zeros(2))
         for J in (0.1, -0.2):
             for phi in (0.1, 0.4, 0.77):
-                assert nucleus_energy(nm, np.array([J]), np.array([phi])) > e0
+                assert nucleus_energy(nm, np.array([J, phi])) > e0
 
     def test_level_set_inside_r1(self):
         # {E <= 2|s|} sits inside {|J|_2 <= r1}
@@ -122,7 +122,7 @@ class TestTrappedOrbit:
         # at eps = 0 the scaled block degenerates to the identity
         m = catalog("standard", 0.0)
         site = std_site()
-        rec = trapped_orbit(m, site, np.array([0.1]), np.array([0.2]), 10)
+        rec = trapped_orbit(m, site, np.array([0.1, 0.2]), 10)
         assert not rec.escaped
         assert rec.max_step_dE == 0.0
         want = 0.1**2 / 2 - np.cos(TWO_PI * 0.2) / TWO_PI**2
@@ -130,7 +130,7 @@ class TestTrappedOrbit:
 
     def test_standard_no_exit_and_slow_energy(self):
         m = catalog("standard", 1e-4)
-        rec = trapped_orbit(m, std_site(), np.array([0.1]), np.array([0.2]), 2000)
+        rec = trapped_orbit(m, std_site(), np.array([0.1, 0.2]), 2000)
         assert not rec.escaped
         assert rec.max_abs_J <= nucleus_radii(m).r1
         # centered-phase sampling keeps the per-step drift at the eps^{3/2} scale
@@ -141,7 +141,7 @@ class TestTrappedOrbit:
         grid = [1e-3, 4e-4, 1.6e-4, 6.4e-5]
         for eps in grid:
             m = catalog("standard", eps)
-            rec = trapped_orbit(m, std_site(), np.array([0.1]), np.array([0.2]), 4000)
+            rec = trapped_orbit(m, std_site(), np.array([0.1, 0.2]), 4000)
             vals.append(rec.max_step_dE)
         slope = np.polyfit(np.log(grid), np.log(vals), 1)[0]
         assert slope >= 1.4
@@ -149,12 +149,12 @@ class TestTrappedOrbit:
     def test_froeschle_no_exit(self):
         m = catalog("froeschle2", 1e-4, eta=0.3)
         site = ResonanceSite(n=1, omega_star=[0.0, 0.0], I_star=[0.0, 0.0], rho_n=0.2)
-        rec = trapped_orbit(m, site, np.array([0.1, 0.05]), np.array([0.2, 0.7]), 5000)
+        rec = trapped_orbit(m, site, np.array([0.1, 0.05, 0.2, 0.7]), 5000)
         assert not rec.escaped
 
     def test_energy_excursion_bounded(self):
         m = catalog("standard", 1e-4)
-        rec = trapped_orbit(m, std_site(), np.array([0.1]), np.array([0.2]), 5000)
+        rec = trapped_orbit(m, std_site(), np.array([0.1, 0.2]), 5000)
         # bounded oscillation, linear-in-k worst case
         assert np.max(np.abs(rec.energy - rec.energy[0])) <= rec.max_step_dE * len(rec.energy)
 
@@ -187,23 +187,23 @@ WINDOW_CASES = [
 class TestTrappedOrbitWindows:
     @pytest.mark.parametrize("window", [1, 7, maps.WINDOW])
     def test_window_invariance(self, window, monkeypatch):
-        want = [trapped_orbit(m, site, np.array(J0), np.array(p0), b)
+        want = [trapped_orbit(m, site, np.array(J0 + p0), b)
                 for m, site, J0, p0, b in WINDOW_CASES]
         monkeypatch.setattr(maps, "WINDOW", window)
         for case, ref in zip(WINDOW_CASES, want):
             m, site, J0, p0, b = case
-            rec = trapped_orbit(m, site, np.array(J0), np.array(p0), b)
+            rec = trapped_orbit(m, site, np.array(J0 + p0), b)
             assert rec.exit_index == ref.exit_index
-            for f in ("J", "phi", "energy"):
+            for f in ("x", "energy"):
                 assert np.array_equal(getattr(rec, f), getattr(ref, f))
             assert (rec.max_step_dE, rec.max_abs_J) == (ref.max_step_dE, ref.max_abs_J)
 
     def test_exit_index_matches_per_block_loop(self):
         exits = []
         for m, site, J0, p0, b in WINDOW_CASES:
-            rec = trapped_orbit(m, site, np.array(J0), np.array(p0), b)
+            rec = trapped_orbit(m, site, np.array(J0 + p0), b)
             assert rec.exit_index == per_block_exit(m, site, J0, p0, b)
-            assert rec.J.shape[0] == (b if rec.exit_index is None else rec.exit_index) + 1
+            assert rec.x.shape[0] == (b if rec.exit_index is None else rec.exit_index) + 1
             exits.append(rec.exit_index)
         assert exits[0] is None and exits[1] > 1 and exits[2] > 1
 
@@ -211,7 +211,7 @@ class TestTrappedOrbitWindows:
         # the action drifts by eps per step: J crosses r1 in block 6 and the
         # orbit leaves the action domain near block 150, inside the same window
         m = replace(catalog("standard", 0.01), s_phi=lambda I, p: -np.ones_like(I))
-        rec = trapped_orbit(m, std_site(), np.array([0.0]), np.array([0.2]), 1000)
+        rec = trapped_orbit(m, std_site(), np.array([0.0, 0.2]), 1000)
         assert rec.exit_index == 6
 
     def test_escape_before_exit_raises(self):
@@ -219,7 +219,7 @@ class TestTrappedOrbitWindows:
         # 100 steps per block from I = 1.49: the first block leaves the domain
         site = ResonanceSite(n=100, omega_star=[1.49], I_star=[1.49], rho_n=0.1)
         with pytest.raises(DomainEscape):
-            trapped_orbit(m, site, np.array([0.0]), np.array([0.2]), 10)
+            trapped_orbit(m, site, np.array([0.0, 0.2]), 10)
 
 
 class TestFourier:
