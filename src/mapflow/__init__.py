@@ -12,8 +12,6 @@ from .maps import (
     symplectic_matrix,
 )
 from .interp import (
-    OrbitWindow,
-    WeightTable,
     finite_differences,
     interpolating_vf,
     newton_weights,
@@ -23,7 +21,6 @@ from .interp import (
 from .hamiltonian import (
     Box,
     EmbeddingReport,
-    FieldEvaluator,
     HamiltonianField,
     Loop,
     circle_loop,

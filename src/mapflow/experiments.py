@@ -280,6 +280,8 @@ def stability_scan(model: MapModel, x0: np.ndarray, horizon: int,
 #: the widest (period-1) resonance island, whose sweep dominates ensemble
 #: excursions, and the factor absorbs seeds in the island's chaotic layer
 PILOT_SAFETY = 1.5
+#: pilot seeds, spread from the torus across 1.25 island halfwidths
+PILOT_SEEDS = 10
 
 
 @dataclass(frozen=True)
@@ -292,8 +294,7 @@ class PilotCalibration:
         return self.c1 * eps**self.exponent
 
 
-def pilot_confinement(model: MapModel, n_pilot: int = 10,
-                      horizon: int = 20000) -> PilotCalibration:
+def pilot_confinement(model: MapModel, horizon: int = 20000) -> PilotCalibration:
     """Calibrate the confinement constant c1 from a designed pilot run.
 
     Pilot seeds straddle the dominant fully resonant torus (period 1 nearest
@@ -310,10 +311,10 @@ def pilot_confinement(model: MapModel, n_pilot: int = 10,
     omega_c = model.omega(model.domain.center)
     I_star = resonant_action(model, np.round(omega_c), model.domain.center)
     halfwidth = 1.25 * math.sqrt(2.0 * model.domain.norm_s * eps / model.domain.nu2)
-    offs = np.linspace(0.0, halfwidth, n_pilot)
-    x0 = np.column_stack([np.tile(I_star, (n_pilot, 1))]
-                         + [np.linspace(0.05, 0.95, n_pilot)] * d)
-    for j in range(n_pilot):
+    offs = np.linspace(0.0, halfwidth, PILOT_SEEDS)
+    x0 = np.column_stack([np.tile(I_star, (PILOT_SEEDS, 1))]
+                         + [np.linspace(0.05, 0.95, PILOT_SEEDS)] * d)
+    for j in range(PILOT_SEEDS):
         x0[j, j % d] += offs[j]
     recs = stability_scan(model, x0, horizon=horizon)
     pilot_exc = max(r.excursion for r in recs)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,30 +36,14 @@ from .interp import M_MAX, as_map, interpolating_vf
 from .maps import MapModel, _frac, _picard, jacobian, symplectic_matrix
 
 SIX_E = 6.0 * math.e
+#: relative central-difference steps of `symmetry_defect` and of a map Jacobian
+SYMMETRY_FD_STEP = 1e-5
+JACOBIAN_FD_STEP = 1e-6
 
 
-@dataclass(frozen=True)
-class FieldEvaluator:
-    """A deterministic vector field on phase space R^{2d}, acting on (..., 2d) arrays."""
-
-    dim: int
-    eval: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.eval(x)
-
-
-def interpolating_field(map_like, m: int, scheme: str = "newton") -> FieldEvaluator:
-    """Wrap X_m of a map as a reusable field evaluator; a batch is one
-    `interpolating_vf` call."""
-    dim = getattr(map_like, "dim", None)
-    if dim is None:
-        raise ValueError("map must expose its phase-space dimension")
-
-    def ev(x):
-        return interpolating_vf(map_like, x, m, scheme)
-
-    return FieldEvaluator(dim=dim, eval=ev)
+def interpolating_field(map_like, m: int, scheme: str = "newton") -> Callable:
+    """X_m of a map as a function of x (2d,) or (..., 2d): one `interpolating_vf` call per x."""
+    return lambda x: interpolating_vf(map_like, x, m, scheme)
 
 
 @dataclass(frozen=True)
@@ -72,26 +56,25 @@ class Box:
 
     lo: np.ndarray
     hi: np.ndarray
-    d: int
 
     def __post_init__(self):
         object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float))
         object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float))
-        if self.lo.shape != self.hi.shape or self.lo.shape[0] != 2 * self.d:
+        if self.lo.ndim != 1 or self.lo.shape != self.hi.shape or self.lo.shape[0] % 2:
             raise ValueError("box bounds must have shape (2d,)")
         if np.any(self.hi <= self.lo):
             raise ValueError("box must have positive extent")
+
+    @property
+    def d(self) -> int:
+        return self.lo.shape[0] // 2
 
     def grid(self, n: int) -> np.ndarray:
         """Deterministic tensor grid with n points per axis, shape (n^{2d}, 2d)."""
         if n < 2:
             raise ValueError("grid_n must be at least 2 per axis")
-        axes = []
-        for j in range(2 * self.d):
-            if j < self.d:
-                axes.append(np.linspace(self.lo[j], self.hi[j], n))
-            else:
-                axes.append(np.linspace(self.lo[j], self.hi[j], n, endpoint=False))
+        axes = [np.linspace(self.lo[j], self.hi[j], n, endpoint=j < self.d)
+                for j in range(2 * self.d)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -100,7 +83,7 @@ def unit_box(d: int, J_radius: float = 1.0) -> Box:
     """The standard test region |J|_inf <= J_radius, phi in [0,1)^d."""
     lo = np.concatenate([-J_radius * np.ones(d), np.zeros(d)])
     hi = np.concatenate([J_radius * np.ones(d), np.ones(d)])
-    return Box(lo=lo, hi=hi, d=d)
+    return Box(lo=lo, hi=hi)
 
 
 # Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving Ordinary
@@ -364,10 +347,10 @@ class OptimalOrder:
     clamped: bool
 
 
-def optimal_order(delta: float, eps_hat: float, d: int, m_max: int = M_MAX) -> OptimalOrder:
+def optimal_order(delta: float, eps_hat: float, d: int) -> OptimalOrder:
     """Error-minimizing interpolation order floor(delta/(6 e eps_hat) - d).
 
-    Clamped to [1, m_max]; the flag records whether clamping happened.
+    Clamped to [1, M_MAX]; the flag records whether clamping happened.
     """
     if eps_hat <= 0:
         raise ValueError("eps_hat must be positive")
@@ -376,8 +359,8 @@ def optimal_order(delta: float, eps_hat: float, d: int, m_max: int = M_MAX) -> O
     m = math.floor(raw + 1e-12 * (1.0 + abs(raw)))
     if m < 1:
         return OptimalOrder(m=1, clamped=True)
-    if m > m_max:
-        return OptimalOrder(m=m_max, clamped=True)
+    if m > M_MAX:
+        return OptimalOrder(m=M_MAX, clamped=True)
     return OptimalOrder(m=m, clamped=False)
 
 
@@ -439,14 +422,14 @@ def embedding_error(map_like, m: int, box: Box, grid_n: int,
                            failures=tuple(failures))
 
 
-def symmetry_defect(X, x: np.ndarray, h_fd: float = 1e-5) -> float:
+def symmetry_defect(X, x: np.ndarray) -> float:
     """How far the field X is from Hamiltonian at x.
 
     Computes M = J^{-1} DX(x) with central differences and returns the
     largest entry of |M - M^T|; Hamiltonian fields give zero up to the
     finite-difference floor.
     """
-    DX = _fd_jacobian(X, x, h_fd)
+    DX = _fd_jacobian(X, x, SYMMETRY_FD_STEP)
     M = -symplectic_matrix(DX.shape[0] // 2) @ DX  # J^{-1} = -J
     return float(np.max(np.abs(M - M.T)))
 
@@ -631,7 +614,7 @@ class HamiltonianField:
     def __call__(self, x) -> float:
         return self.evaluate(x)
 
-    def induced_field(self) -> FieldEvaluator:
+    def induced_field(self) -> Callable:
         """The Hamiltonian field J grad H implied by the reconstruction.
 
         Equals the underlying X with the angle-linear correction folded into
@@ -639,28 +622,22 @@ class HamiltonianField:
         """
         X, c, d = self.X, self.correction, self.d
 
-        def ev(x):
+        def field(x):
             v = np.array(X(x), dtype=float)
             v[..., :d] = v[..., :d] + c
             return v
 
-        return FieldEvaluator(dim=2 * d, eval=ev)
+        return field
 
 
-def reconstruct_hamiltonian(X, base: np.ndarray, queries: Sequence[np.ndarray],
-                            quad_tol: float = 1e-11) -> HamiltonianField:
+def reconstruct_hamiltonian(X, base: np.ndarray, quad_tol: float = 1e-11) -> HamiltonianField:
     """Reconstruct H with H(base) = 0 from line integrals of the field X.
 
     H(x) = int (X_phi . dI - X_I . dphi) along base -> (x_I, base_phi) -> x,
     then the linear-in-angle part l(phi) = c . (phi - base_phi) with
     c_l = H_raw(base + e_l) is subtracted to restore periodicity.
-
-    Values are not stored: the queries are evaluated once, in the same
-    batched path integral as the correction, only to check that they are
-    reachable, so an unreachable query raises PathExit or QuadratureFailure
-    here rather than at a later ``evaluate``.
     """
-    return _reconstruct(X, base, queries, quad_tol)[0]
+    return _reconstruct(X, base, [], quad_tol)[0]
 
 
 def _reconstruct(X, base: np.ndarray, queries, quad_tol: float):
@@ -777,7 +754,7 @@ def circle_loop(I0: np.ndarray, winding: Optional[np.ndarray] = None) -> Loop:
     return Loop(point=point, velocity=velocity, winding=w)
 
 
-def _map_jacobian_fn(map_like, h: float = 1e-6):
+def _map_jacobian_fn(map_like):
     if isinstance(map_like, MapModel):
         try:
             jacobian(map_like, np.zeros(2 * map_like.d))
@@ -785,7 +762,7 @@ def _map_jacobian_fn(map_like, h: float = 1e-6):
         except FormMismatch:
             pass
     fwd = as_map(map_like).apply
-    return lambda x: _fd_jacobian(fwd, x, h)
+    return lambda x: _fd_jacobian(fwd, x, JACOBIAN_FD_STEP)
 
 
 def loop_action(map_like, loop: Loop, quad_tol: float = 1e-11) -> tuple[float, float]:

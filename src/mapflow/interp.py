@@ -39,6 +39,8 @@ from .errors import DegenerateFit, FitFailed, OrderTooLarge
 from .maps import MapModel
 
 M_MAX = 30
+#: a window step F(x_k) -> x_{k+1} may miss by this much, relative to the point's size
+VERIFY_TOL = 1e-12
 #: differences below this magnitude are considered numerically degenerate
 DIFF_FLOOR = 1e-15
 
@@ -83,77 +85,58 @@ def as_map(map_like):
     raise TypeError(f"cannot interpret {type(map_like).__name__} as a map")
 
 
-@dataclass(frozen=True)
-class OrbitWindow:
-    """Consecutive iterates used for finite-difference averaging.
-
-    For the forward (newton) scheme ``points`` holds x_0..x_m; for the
-    symmetric (gauss) scheme it holds x_{-j}..x_j with m = 2j even.
-    """
-
-    points: np.ndarray  # (len, ..., dim)
-    scheme: str  # "newton" | "gauss"
-    m: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        if self.scheme not in ("newton", "gauss"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.scheme == "gauss" and self.m % 2 != 0:
-            raise ValueError("gauss scheme needs even order m = 2j")
-        # both schemes consume m+1 points: x_0..x_m forward, x_{-j}..x_j centered
-        if self.points.shape[0] != self.m + 1:
-            raise ValueError(f"window needs {self.m + 1} points, got {self.points.shape[0]}")
-
-
-def orbit_window(map_like, x0, m: int, scheme: str = "newton",
-                 verify_tol: float = 1e-12) -> OrbitWindow:
-    """Build a window of iterates around x0 and verify its consistency.
-
-    ``x0`` is one phase vector (2d,) or a batch (..., 2d); the window
-    points then have shape (m+1, ..., 2d).  The forward iterates come
-    from one ``orbit`` call of the map's flat-map protocol (`as_map`):
-    x_0..x_m for the newton scheme, x_0..x_j for the gauss scheme, whose
-    backward iterates x_{-1}..x_{-j} come from the map's ``inverse``, one
-    step at a time (generating-form maps are invertible by exchanging the
-    roles of old and new coordinates in the implicit step).  The window is
-    then checked with one ``apply`` call on all but its last point, F(x_k)
-    against x_{k+1} for every k: per point, the residual must be at most
-    ``verify_tol`` relative to the point's largest window entry, and a
-    non-finite residual fails.  A block map's orbit is stepped unscaled while
-    its ``apply`` rescales every block, so the check compares two
-    computations.
-    """
+def _check_order(m: int) -> None:
     if m < 1:
         raise OrderTooLarge("order must be at least 1")
     if m > M_MAX:
         raise OrderTooLarge(f"order {m} exceeds m_max = {M_MAX}")
+
+
+def _check_window(m: int, scheme: str) -> None:
+    """The rules of a window of order m: a known scheme, and an even m for gauss."""
     if scheme not in ("newton", "gauss"):
         raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme == "gauss" and m % 2 != 0:
+        raise ValueError("gauss scheme needs even order m = 2j")
+
+
+def orbit_window(map_like, x0, m: int, scheme: str = "newton") -> np.ndarray:
+    """Window of iterates around x0, checked for consistency.
+
+    ``x0`` is one phase vector (2d,) or a batch (..., 2d); the window has
+    shape (m+1, ..., 2d): x_0..x_m for the newton scheme, x_{-j}..x_j with
+    m = 2j for the gauss scheme.  The forward iterates come from one
+    ``orbit`` call of the map's flat-map protocol (`as_map`); the gauss
+    scheme's backward iterates x_{-1}..x_{-j} come from the map's
+    ``inverse``, one step at a time (generating-form maps are invertible by
+    exchanging the roles of old and new coordinates in the implicit step).
+    The window is then checked with one ``apply`` call on all but its last
+    point, F(x_k) against x_{k+1} for every k: per point, the residual must
+    be at most VERIFY_TOL relative to the point's largest window entry, and
+    a non-finite residual fails.  A block map's orbit is stepped unscaled
+    while its ``apply`` rescales every block, so the check compares two
+    computations.
+    """
+    _check_order(m)
+    _check_window(m, scheme)
     F = as_map(map_like)
     x0 = np.asarray(x0, dtype=float)
     back = []
-    steps = m
     if scheme == "gauss":
-        if m % 2 != 0:
-            raise ValueError("gauss scheme needs even m")
         if F.inverse is None:
             raise ValueError("gauss scheme needs an invertible map")
-        steps = m // 2
         x = x0
-        for _ in range(steps):
+        for _ in range(m // 2):
             x = F.inverse(x)
             back.append(x)
-    win = OrbitWindow(np.concatenate([*(x[None] for x in back[::-1]), F.orbit(x0, steps)]),
-                      scheme, m)
+    pts = np.concatenate([*(x[None] for x in back[::-1]), F.orbit(x0, m - len(back))])
     # consecutive points must be images under the same map, point by point
-    pts = win.points
     axes = (0, pts.ndim - 1)
     res = np.max(np.abs(F.apply(pts[:-1]) - pts[1:]), axis=axes)
-    ok = res <= verify_tol * np.maximum(1.0, np.max(np.abs(pts), axis=axes))
+    ok = res <= VERIFY_TOL * np.maximum(1.0, np.max(np.abs(pts), axis=axes))
     if not np.all(ok):
         raise ValueError(f"window verification failed, residual {float(np.max(res[~ok])):.3g}")
-    return win
+    return pts
 
 
 def difference_table(points: np.ndarray) -> list[np.ndarray]:
@@ -170,39 +153,24 @@ def difference_table(points: np.ndarray) -> list[np.ndarray]:
     return table
 
 
-def finite_differences(window: OrbitWindow) -> np.ndarray:
-    """Differences D_0..D_m anchored at the window's first point, shape (m+1, ..., dim)."""
-    table = difference_table(window.points)
-    return np.array([table[k][0] for k in range(window.m + 1)])
+def finite_differences(points: np.ndarray) -> np.ndarray:
+    """Differences D_0..D_m anchored at the first of m+1 window points, shape (m+1, ..., 2d)."""
+    return np.array([row[0] for row in difference_table(points)])
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    """Closed-form averaging weights of the forward scheme."""
-
-    m: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-
-
-def newton_weights(m: int) -> WeightTable:
-    """Weights p_{m0}..p_{mm} with sum(p) = 0 and sum(k p_k) = 1.
+def newton_weights(m: int) -> np.ndarray:
+    """Weights p_{m0}..p_{mm}, shape (m+1,), with sum(p) = 0 and sum(k p_k) = 1.
 
     p_{m0} = -H_m: expanding the difference form shows the x_0 coefficient is
     sum_{k=1}^m (-1)^(k-1)/k * (-1)^k = -H_m, which is also forced by
     exactness on constant orbits (sum of weights must vanish).
     """
-    if m < 1:
-        raise OrderTooLarge("order must be at least 1")
-    if m > M_MAX:
-        raise OrderTooLarge(f"order {m} exceeds m_max = {M_MAX}")
+    _check_order(m)
     w = np.empty(m + 1)
     w[0] = -sum(1.0 / k for k in range(1, m + 1))
     for k in range(1, m + 1):
         w[k] = (-1) ** (k + 1) * (m + 1 - k) / (k * (m + 1)) * math.comb(m + 1, k)
-    return WeightTable(m=m, weights=w)
+    return w
 
 
 def _kahan_sum(terms) -> np.ndarray:
@@ -218,11 +186,12 @@ def _kahan_sum(terms) -> np.ndarray:
     return total
 
 
-def field_from_window(window: OrbitWindow) -> np.ndarray:
-    """Evaluate the interpolating vector field from a prebuilt window."""
-    table = difference_table(window.points)
-    m = window.m
-    if window.scheme == "newton":
+def field_from_window(points: np.ndarray, scheme: str = "newton") -> np.ndarray:
+    """X_m from a window of m+1 points (see `orbit_window`), shape (..., 2d)."""
+    m = len(points) - 1
+    _check_window(m, scheme)
+    table = difference_table(points)
+    if scheme == "newton":
         return _kahan_sum(((-1) ** (k - 1) / k) * table[k][0] for k in range(1, m + 1))
     j = m // 2
     # centered anchors: x_{-k+1} sits at index j-k+1, x_{-k} at index j-k
@@ -235,11 +204,11 @@ def field_from_window(window: OrbitWindow) -> np.ndarray:
     return _kahan_sum(terms)
 
 
-def weighted_field(points: np.ndarray, m: int) -> np.ndarray:
-    """Weight-form evaluation sum_k p_{mk} x_k (forward scheme)."""
-    w = newton_weights(m).weights
+def weighted_field(points: np.ndarray) -> np.ndarray:
+    """Weight-form evaluation sum_k p_{mk} x_k of the forward scheme, m = len(points) - 1."""
     pts = np.asarray(points, dtype=float)
-    return _kahan_sum(w[k] * pts[k] for k in range(m + 1))
+    w = newton_weights(pts.shape[0] - 1)
+    return _kahan_sum(w[k] * pts[k] for k in range(pts.shape[0]))
 
 
 def interpolating_vf(map_like, x0, m: int, scheme: str = "newton") -> np.ndarray:
@@ -249,8 +218,7 @@ def interpolating_vf(map_like, x0, m: int, scheme: str = "newton") -> np.ndarray
     point element-wise (the catalog maps and their blocks) each row equals
     the field of that point alone, bit for bit.
     """
-    win = orbit_window(map_like, x0, m, scheme)
-    return field_from_window(win)
+    return field_from_window(orbit_window(map_like, x0, m, scheme), scheme)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,9 @@ from .errors import FormMismatch
 from .maps import MapModel, _frac
 from .resonance import BlockMap, ResonanceSite
 
+#: j . omega_* within this distance of an integer counts as resonant
+RESONANT_MODE_TOL = 1e-9
+
 
 class NucleusRadii(NamedTuple):
     r0_hat: float
@@ -180,7 +183,7 @@ def resonant_fourier_check(nmodel: NucleusModel, j: np.ndarray, quad_n: int) -> 
     return float(np.abs(coeff))
 
 
-def is_resonant_mode(j: np.ndarray, omega_star: np.ndarray, tol: float = 1e-9) -> bool:
+def is_resonant_mode(j: np.ndarray, omega_star: np.ndarray) -> bool:
     """Whether j . omega_* lands on an integer (mode survives the averaging)."""
     val = float(np.dot(np.atleast_1d(j), np.atleast_1d(omega_star)))
-    return abs(val - round(val)) <= tol
+    return abs(val - round(val)) <= RESONANT_MODE_TOL

@@ -29,6 +29,11 @@ DIRICHLET_SLACK = 1e-15
 #: search budget: exhaustive scan is capped at N <= 10^6 / d
 DIRICHLET_BUDGET = 1_000_000
 
+#: frequency inversion: residual target, Newton steps, and halvings per Newton step
+FREQ_TOL = 1e-12
+FREQ_MAX_ITER = 50
+FREQ_MAX_HALVINGS = 5
+
 
 @dataclass(frozen=True)
 class ResonanceSite:
@@ -96,8 +101,7 @@ def dirichlet(omega: np.ndarray, N: float) -> tuple[int, np.ndarray]:
 
 
 def resonant_action(model: MapModel, omega_star: np.ndarray,
-                    I_guess: np.ndarray, tol: float = 1e-12,
-                    max_iter: int = 50, max_halvings: int = 5) -> np.ndarray:
+                    I_guess: np.ndarray) -> np.ndarray:
     """Invert the frequency map: solve omega(I) = omega_star by damped Newton.
 
     Strong convexity (nu > 0) keeps the Hessian nonsingular, so the undamped
@@ -111,13 +115,13 @@ def resonant_action(model: MapModel, omega_star: np.ndarray,
         raise OutOfDomain("initial guess outside the action ball")
     res = model.omega(I) - omega_star
     rnorm = float(np.max(np.abs(res)))
-    for _ in range(max_iter):
-        if rnorm <= tol:
+    for _ in range(FREQ_MAX_ITER):
+        if rnorm <= FREQ_TOL:
             return I
         H = model.hess(I).reshape(model.d, model.d)
         full = np.linalg.solve(H, -res)
         step_scale = 1.0
-        for _ in range(max_halvings + 1):
+        for _ in range(FREQ_MAX_HALVINGS + 1):
             trial = I + step_scale * full
             trial_res = model.omega(trial) - omega_star
             trial_norm = float(np.max(np.abs(trial_res)))
@@ -127,7 +131,7 @@ def resonant_action(model: MapModel, omega_star: np.ndarray,
         I, res, rnorm = trial, trial_res, trial_norm
         if not dom.contains_extended(I):
             raise OutOfDomain("Newton iterate left the sigma-extended ball")
-    if rnorm <= tol:
+    if rnorm <= FREQ_TOL:
         return I
     raise NoConvergence(f"frequency inversion stalled at residual {rnorm:.3g}")
 

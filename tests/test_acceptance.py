@@ -14,7 +14,6 @@ import pytest
 
 from mapflow import (
     Box,
-    OrbitWindow,
     ResonanceSite,
     apriori_check,
     build_nucleus,
@@ -118,7 +117,7 @@ def test_criterion_01_weight_oracle():
     t0 = time.perf_counter()
     worst = 0.0
     for m in range(1, 13):
-        w = newton_weights(m).weights
+        w = newton_weights(m)
         worst = max(worst, float(np.max(np.abs(w - binomial_weights(m)))))
         worst = max(worst, abs(float(w.sum())))
         worst = max(worst, abs(float(np.dot(np.arange(m + 1), w)) - 1.0))
@@ -137,14 +136,14 @@ def test_criterion_02_polynomial_exactness():
         coeffs = rng.uniform(-1, 1, (deg + 1, 2))
         pts = np.array([sum(c * k**j for j, c in enumerate(coeffs))
                         for k in range(m + 1)])
-        got = field_from_window(OrbitWindow(points=pts, scheme="newton", m=m))
+        got = field_from_window(pts)
         want = coeffs[1] if deg >= 1 else np.zeros(2)
         scale = max(1.0, float(np.max(np.abs(pts))))  # relative to orbit size
         worst = max(worst, float(np.max(np.abs(got - want))) / scale)
     gauss_dev = 0.0
     for _ in range(20):
         pts = rng.uniform(-1, 1, (3, 4))
-        got = field_from_window(OrbitWindow(points=pts, scheme="gauss", m=2))
+        got = field_from_window(pts, "gauss")
         gauss_dev = max(gauss_dev, float(np.max(np.abs(got - 0.5 * (pts[2] - pts[0])))))
     ok = worst <= 1e-9 and gauss_dev <= 1e-14
     _report(2, ok, 1.0, time.perf_counter() - t0,
@@ -244,7 +243,7 @@ def test_criterion_07_h2_closed_form():
     for mu in mus:
         fmu = fam(float(mu))
         X2 = interpolating_field(fmu, 2)
-        H = reconstruct_hamiltonian(X2, base, [], quad_tol=1e-12)
+        H = reconstruct_hamiltonian(X2, base, quad_tol=1e-12)
 
         def S(x, mu=mu):
             return mu * (x[0] ** 2 / 2 - eps0 * np.cos(TWO_PI * x[1]) / TWO_PI**2)

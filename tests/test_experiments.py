@@ -109,7 +109,7 @@ class TestSnDecomposition:
         blk = scaled_block(m, site, "nucleus")
         dec = SnDecomposition(block=blk, quad_tol=1e-12)
         X1 = interpolating_field(blk, 1)
-        H1 = reconstruct_hamiltonian(X1, np.zeros(2), [], quad_tol=1e-12)
+        H1 = reconstruct_hamiltonian(X1, np.zeros(2), quad_tol=1e-12)
         for x in (np.array([0.3, 0.2]), np.array([-0.5, 0.7])):
             sn = dec.S_n(x) - dec.S_n(np.zeros(2))
             h1 = H1.evaluate(x)

@@ -7,7 +7,6 @@ import pytest
 
 from mapflow import (
     Box,
-    FieldEvaluator,
     ResonanceSite,
     catalog,
     circle_loop,
@@ -47,28 +46,42 @@ def std_block(eps, scaling="nucleus"):
 
 class TestFlowMap:
     def test_zero_field(self):
-        X = FieldEvaluator(dim=2, eval=lambda y: np.zeros_like(y))
+        X = lambda y: np.zeros_like(y)
         x = np.array([0.3, 0.4])
         assert np.array_equal(flow_map(X, x, 1.0), x)
 
     def test_constant_field(self):
         c = np.array([0.2, -0.1])
-        X = FieldEvaluator(dim=2, eval=lambda y: c)
+        X = lambda y: c
         y = flow_map(X, np.array([1.0, 1.0]), 1.0, tol=1e-12)
         assert np.max(np.abs(y - np.array([1.2, 0.9]))) <= 1e-12
 
     def test_rotation_quarter_turn(self):
-        X = FieldEvaluator(dim=2, eval=lambda y: np.stack([-y[..., 1], y[..., 0]], axis=-1))
+        X = lambda y: np.stack([-y[..., 1], y[..., 0]], axis=-1)
         y = flow_map(X, np.array([1.0, 0.0]), math.pi / 2, tol=1e-12)
         assert np.max(np.abs(y - np.array([0.0, 1.0]))) <= 1e-11
 
     def test_tol_insensitivity(self):
-        X = FieldEvaluator(dim=2, eval=lambda y: np.stack([np.sin(y[..., 1]), np.cos(y[..., 0])],
-                                                     axis=-1))
+        X = lambda y: np.stack([np.sin(y[..., 1]), np.cos(y[..., 0])], axis=-1)
         x = np.array([0.2, 0.4])
         a = flow_map(X, x, 1.0, tol=1e-10)
         b = flow_map(X, x, 1.0, tol=5e-11)
         assert np.max(np.abs(a - b)) <= 10 * 1e-10
+
+
+class TestBox:
+    def test_d_is_half_the_bounds(self):
+        assert Box(lo=[-1.0, -1.0, 0.0, 0.0], hi=[1.0, 1.0, 1.0, 1.0]).d == 2
+        assert unit_box(3).d == 3
+
+    @pytest.mark.parametrize("lo, hi", [
+        ([-1.0, 0.0, 0.0], [1.0, 1.0, 1.0]),                 # odd length
+        ([-1.0, 0.0], [1.0, 1.0, 1.0, 1.0]),                 # mismatched shapes
+        ([[-1.0, 0.0], [-1.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]),  # not one-dimensional
+    ], ids=["odd", "mismatched", "2d"])
+    def test_rejects_bounds_of_no_phase_space(self, lo, hi):
+        with pytest.raises(ValueError, match="shape"):
+            Box(lo=lo, hi=hi)
 
 
 class TestDistanceToIdentity:
@@ -80,7 +93,7 @@ class TestDistanceToIdentity:
         # on |I| <= rho the angle displacement dominates and equals rho
         rho = 0.37
         m = catalog("twist", 0.0)
-        box = Box(lo=[-rho, 0.0], hi=[rho, 1.0], d=1)
+        box = Box(lo=[-rho, 0.0], hi=[rho, 1.0])
         assert distance_to_identity(m, box, 5) == pytest.approx(rho, abs=1e-14)
 
     def test_block_bound_via_c4(self):
@@ -91,7 +104,7 @@ class TestDistanceToIdentity:
         site = ResonanceSite(n=1, omega_star=[0.0], I_star=[0.0],
                              rho_n=gamma * eps**0.25)
         blk = scaled_block(model, site, scaling="lochak")
-        box = Box(lo=[-1.0, 0.0], hi=[1.0, 1.0], d=1)
+        box = Box(lo=[-1.0, 0.0], hi=[1.0, 1.0])
         eh = distance_to_identity(blk, box, 6)
         assert eh <= c4_estimate(model, eps, gamma) * site.n * site.rho_n
 
@@ -113,7 +126,7 @@ class TestOptimalOrder:
 class TestEmbedding:
     def test_twist_flow_matches_exactly(self):
         m = catalog("twist", 0.0)
-        box = Box(lo=[-0.3, 0.0], hi=[0.3, 1.0], d=1)
+        box = Box(lo=[-0.3, 0.0], hi=[0.3, 1.0])
         rep = embedding_error(m, 3, box, 3, tol=1e-12)
         assert rep.max_error <= 10 * 1e-12
 
@@ -136,8 +149,7 @@ class TestEmbedding:
                 raise DomainEscape("outside the toy domain")
             return x + np.array([1e-3, 0.01 * (x[0] + 0.1)])
 
-        guarded.dim = 2
-        box = Box(lo=[-0.5, 0.0], hi=[0.5, 1.0], d=1)
+        box = Box(lo=[-0.5, 0.0], hi=[0.5, 1.0])
         rep = embedding_error(guarded, 1, box, 3, tol=1e-10)
         assert len(rep.failures) > 0            # corner points fail
         assert np.isfinite(rep.max_error)       # interior points still measured
@@ -151,8 +163,8 @@ class TestEmbedding:
                 raise DomainEscape("outside")
             return np.stack([np.zeros_like(x[..., 0]), x[..., 0]], axis=-1)
 
-        X = FieldEvaluator(dim=2, eval=guarded)
-        H = reconstruct_hamiltonian(X, np.zeros(2), [], quad_tol=1e-11)
+        X = guarded
+        H = reconstruct_hamiltonian(X, np.zeros(2), quad_tol=1e-11)
         with pytest.raises(PathExit):
             H.evaluate(np.array([0.5, 0.1]))
 
@@ -175,11 +187,11 @@ class TestEmbedding:
         eps0, mu, delta = 0.5, 0.01, 0.5
         fam = near_identity_family(catalog("standard", eps0))
         fmu = fam(mu)
-        box = Box(lo=[-0.5, 0.0], hi=[0.5, 1.0], d=1)
+        box = Box(lo=[-0.5, 0.0], hi=[0.5, 1.0])
         eh = distance_to_identity(fmu, box, 4)
         m_opt = optimal_order(delta, eh, 1).m
         X = interpolating_field(fmu, m_opt)
-        H = reconstruct_hamiltonian(X, np.zeros(2), [], quad_tol=1e-12)
+        H = reconstruct_hamiltonian(X, np.zeros(2), quad_tol=1e-12)
         Xhat = H.induced_field()
 
         def JgradS(x):
@@ -194,11 +206,11 @@ class TestEmbedding:
 class TestSymmetryDefect:
     def test_hamiltonian_field(self):
         # X = J grad H for H = (p^2 + q^2)/2 is (-q, p)
-        X = FieldEvaluator(dim=2, eval=lambda y: np.stack([-y[..., 1], y[..., 0]], axis=-1))
+        X = lambda y: np.stack([-y[..., 1], y[..., 0]], axis=-1)
         assert symmetry_defect(X, np.array([0.3, 0.7])) <= 1e-9
 
     def test_non_hamiltonian_defect_two(self):
-        X = FieldEvaluator(dim=2, eval=lambda y: y.copy())
+        X = lambda y: y.copy()
         assert symmetry_defect(X, np.array([0.3, 0.7])) == pytest.approx(2.0, abs=1e-8)
 
     def test_decreasing_in_order(self):
@@ -211,9 +223,8 @@ class TestSymmetryDefect:
 class TestReconstruction:
     def test_quadratic_hamiltonian(self):
         # X = J grad H for H = p^2 / 2: X = (0, p)
-        X = FieldEvaluator(dim=2, eval=lambda y: np.stack([np.zeros_like(y[..., 0]), y[..., 0]],
-                                                     axis=-1))
-        H = reconstruct_hamiltonian(X, np.array([0.0, 0.0]), [], quad_tol=1e-11)
+        X = lambda y: np.stack([np.zeros_like(y[..., 0]), y[..., 0]], axis=-1)
+        H = reconstruct_hamiltonian(X, np.array([0.0, 0.0]), quad_tol=1e-11)
         for p, q in ((0.5, 0.3), (-0.4, 0.9)):
             assert H.evaluate(np.array([p, q])) == pytest.approx(p * p / 2, abs=1e-11)
         assert np.max(np.abs(H.correction)) <= 1e-11
@@ -221,7 +232,7 @@ class TestReconstruction:
     def test_twist_field_action_only(self):
         m = catalog("twist", 0.0)
         X = interpolating_field(m, 3)
-        H = reconstruct_hamiltonian(X, np.array([0.1, 0.0]), [], quad_tol=1e-11)
+        H = reconstruct_hamiltonian(X, np.array([0.1, 0.0]), quad_tol=1e-11)
         vals = [H.evaluate(np.array([0.4, q])) for q in (0.0, 0.3, 0.7)]
         assert np.max(np.abs(np.diff(vals))) <= 10 * 1e-11
         assert vals[0] == pytest.approx(0.4**2 / 2 - 0.1**2 / 2, abs=1e-10)
@@ -230,7 +241,7 @@ class TestReconstruction:
         blk = std_block(1e-4)
         X = interpolating_field(blk, 4)  # high order: defect near floor
         base = np.array([0.0, 0.0])
-        H = reconstruct_hamiltonian(X, base, [], quad_tol=1e-11)
+        H = reconstruct_hamiltonian(X, base, quad_tol=1e-11)
         # staircase angle-first instead of action-first
         from mapflow.hamiltonian import _staircase_integral
 
@@ -244,7 +255,7 @@ class TestReconstruction:
     def test_periodicity_after_correction(self):
         blk = std_block(1e-4)
         X = interpolating_field(blk, 2)
-        H = reconstruct_hamiltonian(X, np.zeros(2), [], quad_tol=1e-12)
+        H = reconstruct_hamiltonian(X, np.zeros(2), quad_tol=1e-12)
         for x in (np.array([0.2, 0.15]), np.array([-0.4, 0.55])):
             a = H.evaluate(x)
             b = H.evaluate(x + np.array([0.0, 1.0]))
@@ -255,8 +266,8 @@ class TestReconstruction:
         def pend(y):
             return np.stack([-np.sin(TWO_PI * y[..., 1]) / TWO_PI, y[..., 0]], axis=-1)
 
-        X = FieldEvaluator(dim=2, eval=pend)
-        H = reconstruct_hamiltonian(X, np.zeros(2), [], quad_tol=1e-12)
+        X = pend
+        H = reconstruct_hamiltonian(X, np.zeros(2), quad_tol=1e-12)
         Xhat = H.induced_field()
         x0 = np.array([0.2, 0.1])
         x1 = flow_map(Xhat, x0, 1.7, tol=1e-12)
@@ -280,7 +291,7 @@ class TestReconstruction:
         fmu = fam(mu)
         X2 = interpolating_field(fmu, 2)
         base = np.array([0.05, 0.0])
-        H = reconstruct_hamiltonian(X2, base, [], quad_tol=1e-12)
+        H = reconstruct_hamiltonian(X2, base, quad_tol=1e-12)
 
         def S(x):
             return mu * (x[0] ** 2 / 2 - eps0 * np.cos(TWO_PI * x[1]) / TWO_PI**2)
@@ -454,7 +465,7 @@ class TestBatchedFlow:
                 raise DomainEscape("outside the toy domain")
             return np.stack([0.5 + 0.3 * np.sin(TWO_PI * y[..., 1]), y[..., 0]], axis=-1)
 
-        X = FieldEvaluator(dim=2, eval=drift)
+        X = drift
         pts = np.array([[-0.3, 0.1], [0.3, 0.2], [0.0, 0.7], [0.5, 0.4], [-0.6, 0.9]])
         want = _one_point_flows(X, pts, 1.0, 1e-11)
         with pytest.raises(StepFailure) as exc:
@@ -468,8 +479,7 @@ class TestBatchedFlow:
                 assert np.array_equal(exc.value.y[i], y)
 
     def test_non_finite_stage_fails_the_point(self):
-        X = FieldEvaluator(dim=2, eval=lambda y: np.stack(
-            [np.where(y[..., 0] > 0.0, np.nan, 1.0), y[..., 0]], axis=-1))
+        X = lambda y: np.stack([np.where(y[..., 0] > 0.0, np.nan, 1.0), y[..., 0]], axis=-1)
         with pytest.raises(StepFailure, match="non-finite") as exc:
             flow_map(X, np.array([[-2.0, 0.0], [-0.5, 0.0]]), 1.0)
         assert [i for i, _ in exc.value.failures] == [1]
@@ -479,10 +489,9 @@ class TestBatchedFlow:
     def test_twist_and_linear_shear_closed_form(self, d, rng):
         x = np.concatenate([rng.uniform(-1, 1, (6, d)), rng.uniform(0, 1, (6, d))], axis=-1)
         a = np.linspace(-0.5, 0.5, d)
-        twist = FieldEvaluator(dim=2 * d, eval=lambda y: np.concatenate(
-            [np.zeros_like(y[..., :d]), y[..., :d]], axis=-1))
-        shear = FieldEvaluator(dim=2 * d, eval=lambda y: np.concatenate(
-            [np.broadcast_to(a, y[..., :d].shape), y[..., :d]], axis=-1))
+        twist = lambda y: np.concatenate([np.zeros_like(y[..., :d]), y[..., :d]], axis=-1)
+        shear = lambda y: np.concatenate([np.broadcast_to(a, y[..., :d].shape), y[..., :d]],
+                                         axis=-1)
         t = 1.3
         I, phi = x[:, :d], x[:, d:]
         got = flow_map(twist, x, t, tol=1e-12)
@@ -492,7 +501,7 @@ class TestBatchedFlow:
         assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_rotation_closed_form(self):
-        X = FieldEvaluator(dim=2, eval=lambda y: np.stack([-y[..., 1], y[..., 0]], axis=-1))
+        X = lambda y: np.stack([-y[..., 1], y[..., 0]], axis=-1)
         ang = np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False)
         r = np.linspace(0.5, 2.0, 7)
         x = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
@@ -502,8 +511,7 @@ class TestBatchedFlow:
 
     @pytest.mark.parametrize("name", sorted(DOP853_FLOWS))
     def test_matches_frozen_dop853(self, name):
-        field, x, want = DOP853_FLOWS[name]
-        X = FieldEvaluator(dim=len(x[0]), eval=field)
+        X, x, want = DOP853_FLOWS[name]
         x, want = np.array(x), np.array(want)
         tol = 1e-12
         # the frozen values use the controller of tol / 100, so the steps agree
@@ -547,7 +555,7 @@ class TestGaussKronrod:
 
     def test_batched_evaluate_bitwise_equals_points(self):
         X = interpolating_field(std_block(1e-4), 2)
-        H = reconstruct_hamiltonian(X, np.zeros(2), [], quad_tol=1e-12)
+        H = reconstruct_hamiltonian(X, np.zeros(2), quad_tol=1e-12)
         pts = np.array([[0.2, 0.15], [-0.4, 0.55], [0.0, 0.3], [0.1, 0.0], [0.0, 0.0]])
         got = H.evaluate(pts)
         assert got.shape == (5,)

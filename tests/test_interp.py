@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapflow import (
-    OrbitWindow,
     catalog,
     finite_differences,
     interpolating_vf,
@@ -19,8 +18,8 @@ from mapflow import (
 )
 from mapflow import ResonanceSite, distance_to_identity, scaled_block
 from mapflow.errors import DegenerateFit, DomainEscape, OrderTooLarge
-from mapflow.hamiltonian import Box, embedding_error
-from mapflow.interp import M_MAX, as_map, field_from_window, weighted_field
+from mapflow.hamiltonian import Box, embedding_error, interpolating_field, unit_box
+from mapflow.interp import M_MAX, VERIFY_TOL, as_map, field_from_window, weighted_field
 from mapflow.resonance import BlockMap
 
 from oracles import binomial_difference, binomial_weights
@@ -29,22 +28,21 @@ from oracles import binomial_difference, binomial_weights
 class TestFiniteDifferences:
     def test_constant_orbit(self):
         pts = np.tile([2.0, -1.0], (4, 1))
-        win = OrbitWindow(points=pts, scheme="newton", m=3)
-        D = finite_differences(win)
+        D = finite_differences(pts)
         assert np.allclose(D[0], [2.0, -1.0])
         assert np.allclose(D[1:], 0.0)
 
     def test_linear_orbit(self):
         v = np.array([0.3, -0.7])
         pts = np.array([k * v for k in range(5)])
-        D = finite_differences(OrbitWindow(points=pts, scheme="newton", m=4))
+        D = finite_differences(pts)
         assert np.allclose(D[1], v)
         assert np.allclose(D[2:], 0.0)
 
     def test_geometric_orbit(self):
         # k-th difference of 2^j collapses to (2-1)^k = 1 at the anchor
         pts = np.array([[1.0], [2.0], [4.0], [8.0]])
-        D = finite_differences(OrbitWindow(points=pts, scheme="newton", m=3))
+        D = finite_differences(pts)
         assert np.allclose(D.ravel(), [1.0, 1.0, 1.0, 1.0])
         # cross-check against the raw binomial oracle
         for k in range(4):
@@ -54,27 +52,27 @@ class TestFiniteDifferences:
     @settings(max_examples=100, deadline=None)
     def test_recursive_matches_binomial(self, vals):
         pts = np.array(vals)[:, None]
-        D = finite_differences(OrbitWindow(points=pts, scheme="newton", m=4))
+        D = finite_differences(pts)
         for k in range(5):
             assert np.allclose(D[k], binomial_difference(pts, k), atol=1e-9)
 
 
 class TestWeights:
     def test_m1(self):
-        assert np.allclose(newton_weights(1).weights, [-1.0, 1.0])
+        assert np.allclose(newton_weights(1), [-1.0, 1.0])
 
     def test_m2(self):
-        assert np.allclose(newton_weights(2).weights, [-1.5, 2.0, -0.5])
+        assert np.allclose(newton_weights(2), [-1.5, 2.0, -0.5])
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_matches_binomial_oracle(self, m):
-        assert np.max(np.abs(newton_weights(m).weights - binomial_weights(m))) <= 1e-12
+        assert np.max(np.abs(newton_weights(m) - binomial_weights(m))) <= 1e-12
 
     @pytest.mark.parametrize("m", list(range(1, 31)))
     def test_sum_constraints(self, m):
         # binomial weights reach ~2^m, so the achievable cancellation floor
         # scales with their magnitude; below m=12 it sits under 1e-12
-        w = newton_weights(m).weights
+        w = newton_weights(m)
         scale = max(1.0, float(np.max(np.abs(w))))
         tol = 1e-12 if m <= 12 else 1e-12 * scale
         assert abs(w.sum()) <= tol
@@ -90,9 +88,8 @@ class TestWeights:
         for m in (1, 3, 7, 12, 20):
             for _ in range(5):
                 pts = rng.uniform(-1, 1, (m + 1, 4))
-                win = OrbitWindow(points=pts, scheme="newton", m=m)
-                a = field_from_window(win)
-                b = weighted_field(pts, m)
+                a = field_from_window(pts)
+                b = weighted_field(pts)
                 assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, np.max(np.abs(pts)))
 
 
@@ -108,8 +105,7 @@ class TestPolynomialExactness:
             deg = int(rng.integers(0, m + 1))
             coeffs = rng.uniform(-1, 1, (deg + 1, 2))
             pts = _poly_orbit(coeffs, range(m + 1))
-            win = OrbitWindow(points=pts, scheme="newton", m=m)
-            got = field_from_window(win)
+            got = field_from_window(pts)
             want = coeffs[1] if deg >= 1 else np.zeros(2)
             # relative to the window magnitude: degree-10 samples reach 1e10,
             # which caps the recoverable derivative accuracy in float64
@@ -122,14 +118,14 @@ class TestPolynomialExactness:
             j = m // 2
             gauss_pts = _poly_orbit(coeffs, range(-j, j + 1))
             newton_pts = _poly_orbit(coeffs, range(m + 1))
-            g = field_from_window(OrbitWindow(points=gauss_pts, scheme="gauss", m=m))
-            n = field_from_window(OrbitWindow(points=newton_pts, scheme="newton", m=m))
+            g = field_from_window(gauss_pts, "gauss")
+            n = field_from_window(newton_pts)
             assert np.allclose(g, coeffs[1], atol=1e-10)
             assert np.allclose(n, coeffs[1], atol=1e-10)
 
     def test_gauss_m2_is_central_difference(self, rng):
         pts = rng.uniform(-1, 1, (3, 4))
-        got = field_from_window(OrbitWindow(points=pts, scheme="gauss", m=2))
+        got = field_from_window(pts, "gauss")
         assert np.max(np.abs(got - 0.5 * (pts[2] - pts[0]))) <= 1e-14
 
 
@@ -215,20 +211,19 @@ class TestOrbitWindow:
             pts = [np.array(x0)]
             for _ in range(m):
                 pts.append(model.apply(pts[-1]))
-            assert np.array_equal(orbit_window(model, x0, m).points, np.array(pts))
+            assert np.array_equal(orbit_window(model, x0, m), np.array(pts))
 
     @pytest.mark.parametrize("blk", _blocks(), ids=["nucleus_n1", "lochak_n2", "lochak_n3"])
     def test_block_window_matches_repeated_apply(self, blk, rng):
-        verify_tol = 1e-12
         for _ in range(3):
             x0 = np.concatenate([rng.uniform(-1, 1, blk.d), rng.uniform(0, 1, blk.d)])
             for m in (1, 4, 6):
                 pts = [x0]
                 for _ in range(m):
                     pts.append(blk.apply(pts[-1]))
-                win = orbit_window(blk, x0, m, verify_tol=verify_tol).points
+                win = orbit_window(blk, x0, m)
                 scale = max(1.0, float(np.max(np.abs(win))))
-                assert np.max(np.abs(win - np.array(pts))) <= verify_tol * scale
+                assert np.max(np.abs(win - np.array(pts))) <= VERIFY_TOL * scale
             for m in (2, 4, 6):
                 back = [x0]
                 for _ in range(m // 2):
@@ -236,9 +231,9 @@ class TestOrbitWindow:
                 pts = back[::-1]
                 for _ in range(m // 2):
                     pts.append(blk.apply(pts[-1]))
-                win = orbit_window(blk, x0, m, "gauss", verify_tol=verify_tol).points
+                win = orbit_window(blk, x0, m, "gauss")
                 scale = max(1.0, float(np.max(np.abs(win))))
-                assert np.max(np.abs(win - np.array(pts))) <= verify_tol * scale
+                assert np.max(np.abs(win - np.array(pts))) <= VERIFY_TOL * scale
 
     def test_escaping_window_raises_and_is_recorded(self):
         # the kick at phi = 0.75 pushes the action across |I| = 1.5 within one step
@@ -250,7 +245,7 @@ class TestOrbitWindow:
         blk.apply(x)
         with pytest.raises(DomainEscape):
             orbit_window(blk, x, 3)
-        rep = embedding_error(blk, 3, Box(lo=[14.0, 0.0], hi=[14.99, 1.0], d=1), 3,
+        rep = embedding_error(blk, 3, Box(lo=[14.0, 0.0], hi=[14.99, 1.0]), 3,
                               tol=1e-10)
         assert [i for i, _ in rep.failures] == [6, 7, 8]    # the J = 14.99 row
         assert np.all(np.isnan(rep.errors[6:])) and np.all(np.isfinite(rep.errors[:6]))
@@ -356,7 +351,7 @@ class TestFlatMapProtocol:
     def test_distance_to_identity_of_one_point_map(self):
         calls = [0]
         conj = _one_point_only(catalog("standard", 0.05), calls)
-        box = Box(lo=[-0.1, 0.0], hi=[0.1, 0.2], d=1)
+        box = Box(lo=[-0.1, 0.0], hi=[0.1, 0.2])
         want = max(float(np.max(np.abs(conj(x) - x))) for x in box.grid(4))
         calls[0] = 0
         assert distance_to_identity(conj, box, 4) == want
@@ -365,6 +360,39 @@ class TestFlatMapProtocol:
     def test_gauss_needs_an_inverse(self):
         with pytest.raises(ValueError, match="invertible"):
             orbit_window(lambda x: x + 0.01, np.array([0.1, 0.2]), 2, "gauss")
+
+    def test_plain_function_field_and_embedding(self, rng):
+        # a plain function has no attributes: no dim, no orbit, no inverse
+        model = catalog("standard", 1e-3)
+
+        def f(x):
+            return model.apply(x)
+
+        x = np.column_stack([rng.uniform(-0.5, 0.5, 5), rng.uniform(0, 1, 5)])
+        for m in (1, 3):
+            X = interpolating_field(f, m)
+            assert np.array_equal(X(x), interpolating_vf(f, x, m))
+            assert np.array_equal(X(x[0]), interpolating_vf(f, x[0], m))
+        # the model steps row by row, so the plain function gives its report bit for bit
+        rep = embedding_error(f, 1, unit_box(1), 3)
+        want = embedding_error(model, 1, unit_box(1), 3)
+        assert rep.failures == () and np.array_equal(rep.errors, want.errors)
+
+
+class TestWindowRules:
+    def test_gauss_needs_an_odd_number_of_points(self, rng):
+        with pytest.raises(ValueError, match="even order"):
+            field_from_window(rng.uniform(-1, 1, (4, 2)), "gauss")
+
+    def test_gauss_window_needs_an_even_order(self):
+        with pytest.raises(ValueError, match="even order"):
+            orbit_window(catalog("standard", 0.05), np.array([0.1, 0.2]), 3, "gauss")
+
+    def test_unknown_scheme(self, rng):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            field_from_window(rng.uniform(-1, 1, (3, 2)), "midpoint")
+        with pytest.raises(ValueError, match="unknown scheme"):
+            orbit_window(catalog("standard", 0.05), np.array([0.1, 0.2]), 2, "midpoint")
 
 
 class TestOrderScaling:

@@ -28,3 +28,15 @@ def test_sweep_script_writes_tables(script, tables, tmp_path, monkeypatch):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == header
         assert len(lines) == rows + 1
+
+
+def test_step_bench_prints_its_three_tables(capsys):
+    assert load("step_bench").main(["--repeats", "1"]) == 0
+    out = capsys.readouterr().out
+    tables = out.split("\n\n")
+    assert len(tables) == 3
+    assert "ns per seed-step, 1 repeats" in tables[0]
+    assert "us per call, 1 repeats" in tables[1]
+    assert "us per row, 1 repeats" in tables[2]
+    # one row per case: 2 maps x 3 batch sizes, 3 callables x 2 batch sizes, one writer
+    assert [len(t.strip().splitlines()) - 1 for t in tables] == [6, 6, 1]
