@@ -6,10 +6,14 @@ sizes 1, 100 and 10^4 and prints the median and quartiles of ns per
 seed-step.  Then times one-step calls at batch sizes 1 (one (2d,) point)
 and 100: `MapModel.apply` of the same maps and `BlockMap.apply` of the
 nucleus block (standard map at eps = 1e-4, site n = 1, scaling "nucleus"),
-and prints microseconds per call.  Last, times `cli.write_csv` on a table of
+and prints microseconds per call.  Then times `cli.write_csv` on a table of
 10^5 rows and the columns of a nucleus orbit (int, float, float, int) and
-prints microseconds per row.  Each repeat runs every case once, in turn, so
-that a drift in host speed touches all cases alike.
+prints microseconds per row.  Last, times one `stability_scan` of
+froeschle2 (100 seeds x 2 * 10^4 steps) and prints seconds per scan, with
+the peak of memory that `tracemalloc` sees in one more scan; numpy reports
+its array buffers there, so the peak shows the scan's window buffers.  Each
+repeat runs every case once, in turn, so that a drift in host speed touches
+all cases alike.
 
     PYTHONPATH=src python scripts/step_bench.py [--repeats 9]
 
@@ -21,10 +25,11 @@ import argparse
 import os
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
-from mapflow import ResonanceSite, catalog, scaled_block
+from mapflow import ResonanceSite, catalog, scaled_block, stability_scan
 from mapflow.cli import write_csv
 from mapflow.maps import propagate
 
@@ -36,6 +41,8 @@ CASES = ((1, 20_000), (100, 2_000), (10_000, 50))
 APPLY_CASES = ((1, 2_000), (100, 500))
 #: rows of the CSV-writer case
 CSV_ROWS = 100_000
+#: seeds, steps and confinement radius of the froeschle2 scan case
+SCAN_SEEDS, SCAN_STEPS, SCAN_RADIUS = 100, 20_000, 0.05
 
 
 def _states(d: int, batch: int):
@@ -84,6 +91,8 @@ def main(argv=None) -> int:
         fn(x)
     samples = {case[:2]: [] for case in cases + applies}
     table, csv_us = _table(CSV_ROWS), []
+    scan_model = catalog("froeschle2", EPS, eta=0.3)
+    seeds, scan_s = _point(scan_model.d, SCAN_SEEDS), []
     tmp = tempfile.TemporaryDirectory()
     csv_path = os.path.join(tmp.name, "table.csv")
     for _ in range(args.repeats):
@@ -99,7 +108,14 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         write_csv(csv_path, ["k", "J0", "E", "exited"], table)
         csv_us.append(1e6 * (time.perf_counter() - t0) / CSV_ROWS)
+        t0 = time.perf_counter()
+        stability_scan(scan_model, seeds, SCAN_STEPS, SCAN_RADIUS)
+        scan_s.append(time.perf_counter() - t0)
     tmp.cleanup()
+    tracemalloc.start()
+    stability_scan(scan_model, seeds, SCAN_STEPS, SCAN_RADIUS)
+    scan_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    tracemalloc.stop()
     print(f"{'map':<11} {'batch':>6} {'median':>9} {'q1':>9} {'q3':>9}  ns per seed-step,"
           f" {args.repeats} repeats")
     for name, batch, *_ in cases:
@@ -111,6 +127,9 @@ def main(argv=None) -> int:
     print(f"\n{'writer':<19} {'rows':>6} {'median':>9} {'q1':>9} {'q3':>9}  us per row,"
           f" {args.repeats} repeats")
     print(f"{'cli.write_csv':<19} {CSV_ROWS:>6} {_stats(csv_us, 3)}")
+    print(f"\n{'scan':<19} {'seeds':>6} {'median':>9} {'q1':>9} {'q3':>9} {'peak MB':>9}"
+          f"  s per scan of {SCAN_STEPS} steps, {args.repeats} repeats; traced peak")
+    print(f"{'froeschle2':<19} {SCAN_SEEDS:>6} {_stats(scan_s, 3)} {scan_mb:9.2f}")
     return 0
 
 

@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -251,8 +250,12 @@ def build_site(model: MapModel, cfg: dict) -> tuple[ResonanceSite, str]:
 # ---------------------------------------------------------------------------
 
 def _pool_map(fn, tasks: list, workers: int) -> list:
-    """[fn(t) for t in tasks], in worker processes when there are several of each."""
+    """[fn(t) for t in tasks], in worker processes when there are several of each.
+    concurrent.futures, and with it multiprocessing, is imported only then, so a
+    one-worker run does not load them."""
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, tasks))
     return [fn(t) for t in tasks]
@@ -271,7 +274,7 @@ def _embed_one(args):
             int(np.count_nonzero(~np.isnan(rep.errors))), len(rep.failures))
 
 
-def run_embed_error(cfg, model, out, workers, rng):
+def run_embed_error(cfg, model, out, workers):
     """Write embed-error.csv; the manifest gets a flow_failures line."""
     results = _pool_map(_embed_one, [(cfg, m) for m in cfg["embed-error"]["m_list"]], workers)
     *columns, failures = map(list, zip(*sorted(results, key=lambda r: r[0])))
@@ -281,7 +284,7 @@ def run_embed_error(cfg, model, out, workers, rng):
     return [path], ["flow_failures: " + " ".join(map("m{}={}".format, columns[0], failures))]
 
 
-def run_interp(cfg, model, out, workers, rng):
+def run_interp(cfg, model, out, workers):
     sub = cfg["interp"]
     target = model
     if sub["site"] is not None:
@@ -300,7 +303,7 @@ def run_interp(cfg, model, out, workers, rng):
     return [write_csv(os.path.join(out, "interp.csv"), header, [*xs.T, ms, *X.T, status])], []
 
 
-def run_energy(cfg, model, out, workers, rng):
+def run_energy(cfg, model, out, workers):
     sub = cfg["energy"]
     site, scaling = build_site(model, sub["site"])
     reps = [energy_drift(model, site, m, sub["blocks"], sub["x0"], scaling, sub["quad_tol"])
@@ -311,14 +314,14 @@ def run_energy(cfg, model, out, workers, rng):
     return [write_csv(os.path.join(out, "energy.csv"), header, columns)], []
 
 
-def run_resonance(cfg, model, out, workers, rng):
+def run_resonance(cfg, model, out, workers):
     sub = cfg["resonance"]
     cp = covering_params(model, model.eps, sub["gamma"])
     N = cp.N_eps if sub["N"] is None else sub["N"]
     d = model.d
     seeds = sub["I0_list"]
     if seeds is None:
-        I_box = sub["I_box"]
+        I_box, rng = sub["I_box"], np.random.default_rng(cfg["seed"])
         seeds = rng.uniform(-I_box / np.sqrt(d), I_box / np.sqrt(d), size=(sub["count"], d))
     ns, table = [], []
     for I0 in seeds:
@@ -333,7 +336,7 @@ def run_resonance(cfg, model, out, workers, rng):
                       [np.array(ns), *np.array(table).T])], []
 
 
-def run_nucleus(cfg, model, out, workers, rng):
+def run_nucleus(cfg, model, out, workers):
     sub = cfg["nucleus"]
     site, _ = build_site(model, sub["site"])
     nm = build_nucleus(model, site)
@@ -363,10 +366,10 @@ def _stability_chunk(args):
                           confinement_radius=radius)
 
 
-def run_stability(cfg, model, out, workers, rng):
+def run_stability(cfg, model, out, workers):
     sub = cfg["stability"]
     nseeds, I_box = sub["seeds"], sub["I_box"]
-    d = model.d
+    d, rng = model.d, np.random.default_rng(cfg["seed"])
     # I0, then phi0: one (nseeds, 2d) draw would change the stream
     x0 = np.concatenate([rng.uniform(-I_box / np.sqrt(d), I_box / np.sqrt(d), (nseeds, d)),
                          rng.uniform(0.0, 1.0, (nseeds, d))], axis=1)
@@ -398,7 +401,7 @@ def run_stability(cfg, model, out, workers, rng):
     return [path, meta], []
 
 
-def run_gen_recover(cfg, model, out, workers, rng):
+def run_gen_recover(cfg, model, out, workers):
     sub = cfg["gen-recover"]
     base = sub["base"]
     pts = unit_box(model.d, sub["J_radius"]).grid(sub["grid_n"])
@@ -458,10 +461,8 @@ def run(command: str, config_path: str, out: Optional[str] = None,
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir, seed_val = cfg["out"], cfg["seed"]
-    rng = np.random.default_rng(seed_val) if seed_val is not None else None
     try:
-        paths, notes = RUNNERS[command](cfg, model, out_dir,
-                                        cfg["workers"] or os.cpu_count() or 1, rng)
+        paths, notes = RUNNERS[command](cfg, model, out_dir, cfg["workers"] or os.cpu_count() or 1)
         code, status = 0, "ok"
     except MapflowError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -180,7 +180,7 @@ def energy_drift(model: MapModel, site: ResonanceSite, m: int, blocks: int,
     block = scaled_block(model, site, scaling)
     X = interpolating_field(block, m)
     orbit = block.orbit(np.asarray(x0, dtype=float), blocks)
-    _, vals = _reconstruct(X, np.zeros(block.dim), orbit, quad_tol)
+    _, vals = _reconstruct(X, np.zeros(2 * block.d), orbit, quad_tol)
     inc = np.diff(vals)
     total = float(np.sum(inc))
     direct = float(vals[-1] - vals[0])

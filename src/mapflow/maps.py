@@ -50,8 +50,12 @@ from .errors import (
 MAX_PICARD_ITER = 100
 PICARD_TOL = 1e-14
 
-#: map steps per `propagate` call in the confinement scan and block orbits
-WINDOW = 2048
+#: map steps per `propagate` call in the confinement scan and block orbits.
+#: Results do not depend on it.  At 256, a window's orbit buffers and the
+#: scan's per-window statistics at 100 seeds x d = 2 are each under 0.5 MB
+#: (an orbit buffer is 257 x 200 doubles), so they stay in cache and the
+#: scan's traced peak is about 1.9 MB instead of 15 MB at 2048.
+WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -162,10 +166,6 @@ class MapModel:
             raise ValueError("eps must be nonnegative")
         if self.form == "generating" and self.eps > 0 and (self.s_phi is None or self.s_I is None):
             raise ValueError("generating form requires s_I and s_phi callbacks")
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.d
 
     # -- flat-map protocol on phase vectors of shape (..., 2d) ---------------
 
@@ -323,10 +323,13 @@ def _propagate_trig(eps: float, term: TrigTerm, I: np.ndarray, phi: np.ndarray, 
     The orbit is stored as (steps+1, d, n) and returned in the point-major
     layout (steps+1, ..., d) as strided views of that storage, never a
     copy: the transpose only swaps strides and the reshape only splits the
-    point axis.  The operations and their
-    order are those of `_step` with the term's callbacks (frac, s_phi,
-    times eps, I - ., phi + I'), so every state is bitwise equal to
-    stepping `_step`, at any batch size.
+    point axis.  Each step reduces the angles into the rows of the term's
+    `TrigTerm.work` for n points, runs its kick program and divides by 2 pi
+    (s_phi), then takes eps times it off the actions and adds the new
+    actions to the angles.  These are the operations of `_step` with the
+    term's callbacks, in its order (frac, s_phi, times eps, I - ., phi +
+    I'), so every state is bitwise equal to stepping `_step`, at any batch
+    size.
     """
     shape = I.shape
     d = shape[-1]
@@ -335,14 +338,16 @@ def _propagate_trig(eps: float, term: TrigTerm, I: np.ndarray, phi: np.ndarray, 
     ps = np.empty((steps + 1, d, n))
     I0, p0 = Is[0], ps[0]
     I0[...], p0[...] = I.reshape(n, d).T, phi.reshape(n, d).T
-    work = _KickWork(term._plan, n)
-    # outside `kick`, grad and the consumed angles serve as scratch rows
-    ang, grad, kick, eps = work.angles, work.grad, work.kick, np.array(eps)
-    for k in range(1, steps + 1):
-        I1, p1 = Is[k], ps[k]
+    work = term.work(n)
+    # grad and the consumed angles serve as scratch rows around the program
+    ops, G, two_pi = work.ops, work.G, work.two_pi
+    ang, grad, eps = work.angles, work.grad, np.array(eps)
+    for I1, p1 in zip(Is[1:], ps[1:]):
         np.floor(p0, grad)
         np.subtract(p0, grad, ang)
-        kick(grad)
+        for f, args in ops:
+            f(*args)
+        np.divide(G, two_pi, grad)
         np.multiply(grad, eps, ang)
         np.subtract(I0, ang, I1)
         np.add(p0, I1, p1)
@@ -473,31 +478,40 @@ def _zero_matrix(I, phi):
     return np.zeros(I.shape[:-1] + (d, d))
 
 
-def _lincomb(terms, out, tmp):
-    """out = sum of w * x over the (x, w) in terms, left to right.
+def _lincomb(terms, out, tmp) -> list:
+    """The calls that put out = sum of w * x over the (x, w) in terms, left
+    to right, as (ufunc, args) pairs: recorded here, run by `_run` or by a
+    `_KickWork` program, so the arrays are read when the calls run.
 
     A weight of +-1 is not multiplied out, which saves one ufunc call per
     term at batch 1; an empty sum is zero (the s_phi row of an angle that
     no mode uses).  ``tmp`` is scratch of out's shape.  Outputs are
     positional (see `_KickWork`).
     """
-    acc = None
+    ops, acc = [], None
     for x, w in terms:
         if acc is None:
             if w != 1:
-                np.multiply(x, w, out)
+                ops.append((np.multiply, (x, w, out)))
                 x = out
             acc = x
             continue
         if abs(w) != 1:
-            np.multiply(x, abs(w), tmp)
+            ops.append((np.multiply, (x, abs(w), tmp)))
             x = tmp
-        (np.add if w >= 0 else np.subtract)(acc, x, out)
+        ops.append((np.add if w >= 0 else np.subtract, (acc, x, out)))
         acc = out
     if acc is None:
-        out.fill(0.0)
+        ops.append((out.fill, (0.0,)))
     elif acc is not out:
-        np.copyto(out, acc)
+        ops.append((np.copyto, (out, acc)))
+    return ops
+
+
+def _run(ops) -> None:
+    """Run recorded (ufunc, args) calls in order."""
+    for f, args in ops:
+        f(*args)
 
 
 @dataclass(frozen=True)
@@ -527,7 +541,7 @@ class TrigTerm:
         object.__setattr__(self, "modes", K.astype(np.int64))
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "_plan", _KickPlan.of(self.modes, c))
-        object.__setattr__(self, "_work", None)  # `s_phi`'s rows
+        object.__setattr__(self, "_work", None)  # see `work`
 
     @property
     def d(self) -> int:
@@ -549,29 +563,35 @@ class TrigTerm:
         out = []
         for k in self.modes:
             theta, tmp = np.empty(phi.shape[:-1]), np.empty(phi.shape[:-1])
-            _lincomb([(phi[..., i], k[i]) for i in np.flatnonzero(k)], theta, tmp)
+            _run(_lincomb([(phi[..., i], k[i]) for i in np.flatnonzero(k)], theta, tmp))
             out.append(np.cos(TWO_PI * theta))
         return out
 
     def s(self, I, phi):
         phi = np.asarray(phi, dtype=float)
         acc, tmp = np.empty(phi.shape[:-1]), np.empty(phi.shape[:-1])
-        _lincomb(list(zip(self._cosines(phi), self.coeffs)), acc, tmp)
+        _run(_lincomb(list(zip(self._cosines(phi), self.coeffs)), acc, tmp))
         return -acc / TWO_PI**2
 
     def s_I(self, I, phi):
         return np.zeros_like(np.asarray(I, dtype=float))
 
-    def s_phi(self, I, phi):
-        """The row kernel of the fused body, on work rows kept for the last
-        batch size seen (so one term is not for concurrent threads)."""
-        phi = np.asarray(phi, dtype=float)
-        d = self.d
-        n = phi.size // d
+    def work(self, n: int) -> _KickWork:
+        """The kick program on rows for n points, kept for the last batch
+        size asked for: `s_phi` and `_propagate_trig` share it, so one term
+        is not for concurrent threads."""
         work = self._work
         if work is None or work.n != n:
             work = _KickWork(self._plan, n)
             object.__setattr__(self, "_work", work)
+        return work
+
+    def s_phi(self, I, phi):
+        """The kick program of the fused body, on the rows of `work`."""
+        phi = np.asarray(phi, dtype=float)
+        d = self.d
+        n = phi.size // d
+        work = self.work(n)
         work.angles[...] = phi.reshape(n, d).T
         out = np.empty(phi.shape)
         work.kick(out.reshape(n, d).T)
@@ -586,7 +606,7 @@ class TrigTerm:
             for l in range(self.d):
                 terms = [(x, k[i] * k[l]) for x, k in zip(cos, self.modes) if k[i] * k[l]]
                 if terms:
-                    _lincomb(terms, out[..., i, l], tmp)
+                    _run(_lincomb(terms, out[..., i, l], tmp))
         return out
 
 
@@ -624,15 +644,24 @@ class _KickPlan(NamedTuple):
 
 
 class _KickWork:
-    """Work rows for s_phi of a `TrigTerm` on component-major arrays.
+    """Work rows and the compiled kick program for s_phi of a `TrigTerm`,
+    on component-major arrays.
 
     Component i of the angles and of s_phi is the row ``angles[i]``, resp.
     ``grad[i]``, of n points, so every operation is one element-wise ufunc
     on contiguous rows: no reduction over a short axis, and no dot or
-    matmul, whose BLAS kernels could make a row depend on the batch.  At
-    batch 1 the per-call cost of a ufunc dominates, so no operation writes
-    over its own input (numpy's overlap check would double its cost), the
-    outputs are passed positionally and the constants are 0-d arrays.
+    matmul, whose BLAS kernels could make a row depend on the batch.
+
+    ``ops`` is the kick as a program, recorded once from the plan: a tuple
+    of (ufunc, args) calls on these rows, which forms the non-unit phases
+    (`_lincomb`), takes sin(2 pi Y) into Y, scales the rows of coefficients
+    other than 1 and sums the rows of each component (`_lincomb`) into
+    ``G``.  Running it is ``for f, args in ops: f(*args)`` followed by the
+    divide of ``G`` by 2 pi into the caller's rows, as `kick` and the
+    `_propagate_trig` loop do; the reduced angles in ``angles`` are
+    consumed.  At batch 1 the per-call cost of a ufunc dominates, so no
+    call writes over its own input (numpy's overlap check would double its
+    cost), the outputs are positional and the constants are 0-d arrays.
     """
 
     two_pi = np.array(TWO_PI)
@@ -643,16 +672,17 @@ class _KickWork:
         d, rows, top = plan.d, plan.rows, plan.sin_rows
         g = rows + top
         buf = np.empty((g + (0 if plan.sums is None else d) + 1, n))
-        self.Y, self.X, self.tmp = buf[:top], buf[rows:g], buf[-1]
+        r, Y, X, tmp = list(buf), buf[:top], buf[rows:g], buf[-1]
         self.angles, self.grad = buf[:d], buf[rows:rows + d]
         self.G = self.angles if plan.sums is None else buf[g:g + d]
-        self.phases, self.scales, self.sums = (), (), ()
-        if plan.phases or plan.scales or plan.sums:
-            r = list(buf)
-            self.phases = [(r[o], [(r[i], k) for i, k in terms]) for o, terms in plan.phases]
-            self.scales = [(r[src], cj, r[dst]) for src, cj, dst in plan.scales]
-            self.sums = [(r[g + i], [(r[j], k) for j, k in s_i])
-                         for i, s_i in enumerate(plan.sums or ())]
+        ops = []
+        for o, terms in plan.phases:
+            ops += _lincomb([(r[i], k) for i, k in terms], r[o], tmp)
+        ops += [(np.multiply, (Y, self.two_pi, X)), (np.sin, (X, Y))]
+        ops += [(np.multiply, (r[src], cj, r[dst])) for src, cj, dst in plan.scales]
+        for i, s_i in enumerate(plan.sums or ()):
+            ops += _lincomb([(r[j], k) for j, k in s_i], r[g + i], tmp)
+        self.ops = tuple(ops)
 
     def __reduce__(self):
         # a copy or pickle rebuilds the rows: copied views would not alias
@@ -660,17 +690,10 @@ class _KickWork:
 
     def kick(self, grad):
         """s_phi into the (d, n) rows ``grad`` from the reduced angles in
-        ``angles``, which are consumed.  ``grad`` may be the work's own
-        ``grad`` rows or any array outside the work buffer."""
-        X, Y = self.X, self.Y
-        for out, terms in self.phases:
-            _lincomb(terms, out, self.tmp)
-        np.multiply(Y, self.two_pi, X)
-        np.sin(X, Y)
-        for x, cj, out in self.scales:
-            np.multiply(x, cj, out)
-        for out, terms in self.sums:
-            _lincomb(terms, out, self.tmp)
+        ``angles``.  ``grad`` may be the work's own ``grad`` rows or any
+        array outside the work buffer."""
+        for f, args in self.ops:
+            f(*args)
         np.divide(self.G, self.two_pi, grad)
 
 

@@ -208,7 +208,6 @@ class BlockMap:
         self.rho = rho
         self.n = site.n
         self.d = model.d
-        self.dim = 2 * model.d
 
     def _split(self, x):
         x = np.asarray(x, dtype=float)

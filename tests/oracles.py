@@ -170,3 +170,41 @@ def write_csv_rows(path, header, rows):
         for row in rows:
             fh.write(",".join(row_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
     return path
+
+
+# The s_phi kick of a trigonometric term as the fused body ran it before its
+# calls were recorded as a program, frozen: the program must give the same
+# bits.  s = -sum_j c_j cos(2 pi k_j . phi) / (2 pi)^2, so s_phi_i =
+# sum_j k_ji c_j sin(2 pi k_j . phi) / 2 pi.
+
+def _lincomb_rows(terms, like):
+    """sum of w * x over (x, w), left to right; a weight of +-1 is an add or
+    subtract, never a multiply, and an empty sum is zero."""
+    acc = None
+    for x, w in terms:
+        if acc is None:
+            acc = x if w == 1 else np.multiply(x, w)
+            continue
+        if abs(w) != 1:
+            x = np.multiply(x, abs(w))
+        acc = (np.add if w >= 0 else np.subtract)(acc, x)
+    return np.zeros_like(like) if acc is None else acc
+
+
+def kick_rows(modes, coeffs, angles):
+    """s_phi on component-major rows: ``angles`` (d, n) holds reduced angles.
+
+    Per mode: the phase k_j . angles (a unit mode e_i reads row i as is),
+    times 2 pi, sin, times c_j unless c_j = 1; per component i the sum over
+    the modes with k_ji != 0 of k_ji times those rows, then / 2 pi.
+    """
+    K, c = np.asarray(modes), np.asarray(coeffs, dtype=float)
+    sines = []
+    for k, cj in zip(K, c):
+        used = np.flatnonzero(k)
+        theta = _lincomb_rows([(angles[i], k[i]) for i in used], angles[0])
+        sine = np.sin(np.multiply(theta, TWO_PI))
+        sines.append(sine if cj == 1 else np.multiply(sine, cj))
+    return np.stack([np.divide(_lincomb_rows([(sines[j], K[j, i]) for j in range(len(K))
+                                               if K[j, i]], angles[0]), TWO_PI)
+                     for i in range(K.shape[1])])

@@ -467,6 +467,16 @@ def test_import_leaves_scipy_out():
     assert out.strip() == "[]"
 
 
+def test_import_leaves_pool_and_random_out():
+    # a one-worker run needs neither; the runners import them when they do
+    code = ("import sys, mapflow.cli; print(sorted({'concurrent.futures.process', "
+            "'multiprocessing', 'numpy.random'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 # small configs for the fuzz test; each run takes well under a second
 FUZZ_BASES = {"embed-error": EMBED, "nucleus": NUCLEUS, "energy": ENERGY,
               "stability": STABILITY, "resonance": RESONANCE, "interp": INTERP,

@@ -199,7 +199,7 @@ class TestStabilityScan:
         recs = stability_scan(m, np.array([[1.455, 0.2], [0.0, 0.3]]), 5)
         assert [r.status for r in recs] == ["domain_escape@5", "ok"]
 
-    @pytest.mark.parametrize("window", [1, 7, maps.WINDOW])
+    @pytest.mark.parametrize("window", [1, 7, maps.WINDOW, 2048])
     def test_window_invariance(self, window, rng, monkeypatch):
         I0 = np.vstack([rng.uniform(-0.5, 0.5, (6, 1)), [[1.455]], [[1.305]]])
         phi0 = rng.uniform(0, 1, (8, 1))
@@ -214,7 +214,7 @@ class TestStabilityScan:
         assert [fields(stability_scan(m, np.hstack([I0, phi0]), h, r)) for m, h, r in cases] == want
         assert want[1][6][3] == "domain_escape@5" and want[1][7][3] == "domain_escape@20"
 
-    @pytest.mark.parametrize("window", [1, 7, maps.WINDOW])
+    @pytest.mark.parametrize("window", [1, 7, maps.WINDOW, 2048])
     def test_d2_statistics_match_last_axis_formulas(self, window, monkeypatch):
         # froeschle2 at d = 2: seed 1 leaves the domain at step 5, seed 3
         # crosses the radius at step 13; neither is on a window boundary

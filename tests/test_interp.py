@@ -287,7 +287,7 @@ class TestBatchedField:
             F = catalog(case, 0.05)
         else:
             F = _blocks()[["nucleus_n1", "lochak_n2", "lochak_n3"].index(case)]
-        d = F.dim // 2
+        d = F.d
         x = np.concatenate([rng.uniform(-0.3, 0.3, (7, d)), rng.uniform(0, 1, (7, d))], axis=-1)
         for m in ((2, 4, 6) if scheme == "gauss" else (1, 3, 6)):
             got = interpolating_vf(F, x, m, scheme)

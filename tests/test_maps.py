@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mapflow import (
@@ -37,6 +37,7 @@ from oracles import (
     bisect,
     catalog_norms,
     froeschle_closed_forms,
+    kick_rows,
     standard_closed_forms,
 )
 
@@ -56,6 +57,17 @@ def _stepped(model, I, phi, steps):
 GENERAL_TERM = ([[2, -1, 0], [0, 3, 1], [1, 1, 1], [0, 0, 1]], [0.5, -1.2, 0.7, 1.0])
 #: no mode uses the middle angle, so that component of s_phi is 0
 UNUSED_ANGLE_TERM = ([[1, 0, 0], [2, 0, -1]], [1.0, 0.5])
+
+
+@st.composite
+def trig_terms(draw):
+    """(modes, coeffs) of a term in d = 1..3: unit and non-unit modes,
+    negative entries, angles no mode uses, and coefficients 1 and others."""
+    d = draw(st.integers(1, 3))
+    mode = st.lists(st.sampled_from([0, 0, 1, 1, -1, 2, -3]), min_size=d, max_size=d)
+    modes = draw(st.lists(mode.filter(any), min_size=1, max_size=4))
+    coeff = st.sampled_from([1.0, 1.0, -1.0, 0.3]) | st.floats(-3.0, 3.0)
+    return modes, draw(st.lists(coeff, min_size=len(modes), max_size=len(modes)))
 
 
 class TestStep:
@@ -310,6 +322,46 @@ class TestTrigTerm:
         # a copy rebuilds its work rows, which must keep aliasing one buffer
         for clone in (copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
             assert all(np.array_equal(clone.s_phi(None, p), b) for p, b in zip(phis, fresh))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spec=trig_terms(), batch=st.sampled_from([1, 7, 100]), seed=st.integers(0, 2**32 - 1))
+    @example(spec=GENERAL_TERM, batch=7, seed=0)
+    @example(spec=UNUSED_ANGLE_TERM, batch=100, seed=1)
+    @example(spec=([[1, 0], [0, 1], [1, 1]], [1.0, 1.0, 0.3]), batch=1, seed=2)
+    def test_kick_program_equals_frozen_sequence(self, spec, batch, seed):
+        term = TrigTerm(*map(np.array, spec))
+        angles = np.random.default_rng(seed).uniform(0.0, 1.0, (term.d, batch))
+        want = kick_rows(*spec, angles)
+        work = term.work(batch)
+        for out in (work.grad, np.empty((term.d, batch))):  # its own rows, or the caller's
+            work.angles[...] = angles
+            work.kick(out)
+            assert np.array_equal(out, want)
+        assert np.array_equal(term.s_phi(None, angles.T), want.T)
+
+    def test_one_work_per_batch_size_serves_s_phi_and_propagate(self, rng):
+        model = _trig_model("general", 0.2, *GENERAL_TERM)
+        term = model.s_phi.__self__
+        I5, p5 = rng.uniform(-0.5, 0.5, (5, 3)), rng.uniform(-2.0, 2.0, (5, 3))
+        p1 = rng.uniform(-2.0, 2.0, 3)
+
+        def fresh():
+            return _trig_model("general", 0.2, *GENERAL_TERM)
+
+        want_orbit = propagate(fresh(), I5, p5, 30)[:2]
+        want_kick = fresh().s_phi(None, p1)
+        # s_phi at batch 1, then propagate at batch 5 on the same term
+        assert np.array_equal(term.s_phi(None, p1), want_kick)
+        got = propagate(model, I5, p5, 30)[:2]
+        assert term._work.n == 5  # propagate took the term's work
+        assert all(np.array_equal(a, b) for a, b in zip(got, want_orbit))
+        # and the reverse: s_phi at batch 1 after propagate at batch 5
+        assert np.array_equal(term.s_phi(None, p1), want_kick)
+        assert term._work.n == 1
+        work = term.work(5)
+        got = propagate(model, I5, p5, 30)[:2]
+        assert term._work is work  # built once per batch size
+        assert all(np.array_equal(a, b) for a, b in zip(got, want_orbit))
 
     @pytest.mark.parametrize("modes, coeffs", [([[1.5]], [1.0]), ([[0, 0]], [1.0]),
                                                ([[1], [2]], [1.0]), ([[1]], [np.nan])])

@@ -185,7 +185,7 @@ WINDOW_CASES = [
 
 
 class TestTrappedOrbitWindows:
-    @pytest.mark.parametrize("window", [1, 7, maps.WINDOW])
+    @pytest.mark.parametrize("window", [1, 7, maps.WINDOW, 2048])
     def test_window_invariance(self, window, monkeypatch):
         want = [trapped_orbit(m, site, np.array(J0 + p0), b)
                 for m, site, J0, p0, b in WINDOW_CASES]
