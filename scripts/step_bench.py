@@ -6,14 +6,17 @@ sizes 1, 100 and 10^4 and prints the median and quartiles of ns per
 seed-step.  Then times one-step calls at batch sizes 1 (one (2d,) point)
 and 100: `MapModel.apply` of the same maps and `BlockMap.apply` of the
 nucleus block (standard map at eps = 1e-4, site n = 1, scaling "nucleus"),
-and prints microseconds per call.  Then times `cli.write_csv` on a table of
-10^5 rows and the columns of a nucleus orbit (int, float, float, int) and
-prints microseconds per row.  Last, times one `stability_scan` of
-froeschle2 (100 seeds x 2 * 10^4 steps) and prints seconds per scan, with
-the peak of memory that `tracemalloc` sees in one more scan; numpy reports
-its array buffers there, so the peak shows the scan's window buffers.  Each
-repeat runs every case once, in turn, so that a drift in host speed touches
-all cases alike.
+and prints microseconds per call, next to two orbit calls of the windowed
+orbit engine: `BlockMap.orbit` of that block at the field shape of the
+embed benchmark (25 points, 6 blocks) and `MapModel.orbit` of one point of
+the standard map over 10^4 steps (40 windows).  Then times `cli.write_csv`
+on a table of 10^5 rows and the columns of a nucleus orbit (int, float,
+float, int) and prints microseconds per row.  Last, times one
+`stability_scan` of froeschle2 (100 seeds x 2 * 10^4 steps) and prints
+seconds per scan, with the peak of memory that `tracemalloc` sees in one
+more scan; numpy reports its array buffers there, so the peak shows the
+scan's window buffers.  Each repeat runs every case once, in turn, so that
+a drift in host speed touches all cases alike.
 
     PYTHONPATH=src python scripts/step_bench.py [--repeats 9]
 
@@ -85,6 +88,10 @@ def main(argv=None) -> int:
     block = scaled_block(catalog("standard", 1e-4), site, scaling="nucleus")
     for batch, calls in APPLY_CASES:  # |J| <= 0.5 stays inside the nucleus
         applies.append(("nucleus block.apply", batch, calls, block.apply, _point(1, batch)))
+    # the orbit engine: embed's field shape (25 points, m = 6), and 40 windows
+    std = catalog("standard", EPS)
+    applies.append(("nucleus block.orbit", 25, 200, lambda x: block.orbit(x, 6), _point(1, 25)))
+    applies.append(("standard.orbit", 1, 3, lambda x: std.orbit(x, 10_000), _point(1, 1)))
     for _, _, _, model, I, phi in cases:  # warm up every path once
         propagate(model, I, phi, 10)
     for *_, fn, x in applies:

@@ -113,9 +113,10 @@ def orbit_window(map_like, x0, m: int, scheme: str = "newton") -> np.ndarray:
     The window is then checked with one ``apply`` call on all but its last
     point, F(x_k) against x_{k+1} for every k: per point, the residual must
     be at most VERIFY_TOL relative to the point's largest window entry, and
-    a non-finite residual fails.  A block map's orbit is stepped unscaled
-    while its ``apply`` rescales every block, so the check compares two
-    computations.
+    a non-finite residual fails.  For a model or a block, ``orbit`` and
+    ``apply`` run the same kernel (`maps.windows`), so the check compares a
+    one-step batch run against an m-step run of it: a check of batch and
+    window independence, not of a second arithmetic.
     """
     _check_order(m)
     _check_window(m, scheme)

@@ -18,16 +18,16 @@ reduce their angle argument internally.  Two representations are supported:
 The implicit step is resolved by plain Picard iteration, which contracts
 whenever sup|g| over the search ball is below R/(d+1); see `implicit_solve`.
 
-All stepping is built on one unguarded step body, `_step`, and one windowed
-loop, `propagate`, which checks the domain once per window.  Generating
-terms that are trigonometric polynomials are held as data (`TrigTerm`);
-for those maps `propagate` runs the same arithmetic as `_step` in one fused
-body that writes into preallocated component-major rows.
+Every forward step runs through `propagate`, one windowed kernel that
+checks the domain once per call.  Trigonometric generating terms are held
+as data (`TrigTerm`); their models step in its fused body, `_propagate_trig`,
+and `_step` is the body of callback models only.  `windows` is the one
+orbit engine, and the one place where an orbit raises for an escape.
 
 Public functions take flat phase vectors of shape (..., 2d), ordered
 (I, phi); `MapModel.apply`, `inverse` and `orbit` are the one stepping API.
 Separate action and angle arrays appear only inside this kernel: `_step`,
-`_propagate_trig` and `propagate`.
+`_propagate_trig`, `propagate` and `windows`.
 
 All coefficient callables are expected to broadcast over leading axes, i.e.
 accept arrays of shape (..., d).
@@ -50,7 +50,7 @@ from .errors import (
 MAX_PICARD_ITER = 100
 PICARD_TOL = 1e-14
 
-#: map steps per `propagate` call in the confinement scan and block orbits.
+#: map steps per `propagate` call in orbits (`windows`) and the confinement scan.
 #: Results do not depend on it.  At 256, a window's orbit buffers and the
 #: scan's per-window statistics at 100 seeds x d = 2 are each under 0.5 MB
 #: (an orbit buffer is 257 x 200 doubles), so they stay in cache and the
@@ -170,16 +170,17 @@ class MapModel:
     # -- flat-map protocol on phase vectors of shape (..., 2d) ---------------
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """One map step on flat phase vectors of shape (..., 2d); angles stay lifts.
+        """One `propagate` step on flat phase vectors of shape (..., 2d).
 
-        Raises DomainEscape when an input action leaves the sigma-extended
-        ball and NoConvergence if the implicit solve stalls.
+        DomainEscape is raised, after the step, when an input action lies
+        outside the sigma-extended ball; a non-finite image is returned as
+        it is.  NoConvergence is raised if the implicit solve stalls.
         """
         x = np.asarray(x, dtype=float)
-        I, phi = x[..., : self.d], x[..., self.d:]
-        if not np.all(self.domain.contains_extended(I)):
+        Is, ps, first = propagate(self, x[..., : self.d], x[..., self.d:], 1)
+        if first.max(initial=-1) >= 0:
             raise DomainEscape("action outside the sigma-extended ball")
-        return np.concatenate(_step(self, I, phi), axis=-1)
+        return np.concatenate([Is[1], ps[1]], axis=-1)
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
         """One inverse map step on flat phase vectors of shape (..., 2d).
@@ -204,23 +205,11 @@ class MapModel:
         return np.concatenate([I_prev, ph_prev], axis=-1)
 
     def orbit(self, x0: np.ndarray, steps: int) -> np.ndarray:
-        """Orbit [x0, F(x0), ..., F^steps(x0)], shape (steps+1, ..., 2d).
-
-        Raises DomainEscape indexed by the first step taken from outside the
-        domain.  A non-finite last state is an escape too, indexed steps + 1:
-        the step from it is the first one that could not be taken.
-        """
-        if steps < 0:
-            raise ValueError("steps must be nonnegative")
+        """Orbit [x0, F(x0), ..., F^steps(x0)], shape (steps+1, ..., 2d): the
+        windows of `windows` at stride 1, whose escapes it raises."""
         x0 = np.asarray(x0, dtype=float)
-        Is, ps, first = propagate(self, x0[..., : self.d], x0[..., self.d:], steps)
-        if first.max() >= 0:
-            k = int(first[first >= 0].min()) + 1
-            raise DomainEscape(f"orbit left the domain at step {k}", index=k)
-        if not (np.isfinite(Is[-1]).all() and np.isfinite(ps[-1]).all()):
-            raise DomainEscape(f"orbit reached a non-finite state at step {steps}",
-                               index=steps + 1)
-        return np.concatenate([Is, ps], axis=-1)
+        return np.concatenate([x0[None], *(np.concatenate(w, axis=-1)
+                                           for w in windows(self, x0, steps, 1))])
 
 
 def _frac(phi):
@@ -384,6 +373,35 @@ def propagate(model: MapModel, I: np.ndarray, phi: np.ndarray, steps: int):
                 raise
             return Is[: k + 1], ps[: k + 1], first
     return Is, ps, _first_outside(model.domain, Is[:steps])
+
+
+def windows(model: MapModel, x0: np.ndarray, count: int, every: int):
+    """Yield F^every(x0), ..., F^(count every)(x0) as views (Is, ps) of shape
+    (k, ..., d), one pair per `propagate` call of at most ``WINDOW`` steps.
+
+    Samples do not depend on the window length.  After a step from outside
+    the domain, the samples completed before it are yielded and DomainEscape
+    is raised, indexed by the sample that could not be completed; a
+    non-finite last state is an escape indexed count + 1, since the step
+    from it is the first that could not be taken.
+    """
+    if count < 0:
+        raise ValueError("steps must be nonnegative")
+    x0 = np.asarray(x0, dtype=float)
+    I, phi = x0[..., : model.d], x0[..., model.d:]
+    per = max(1, WINDOW // every)
+    for lo in range(0, count, per):
+        Is, ps, first = propagate(model, I, phi, min(per, count - lo) * every)
+        Is, ps, I, phi = Is[every::every], ps[every::every], Is[-1], ps[-1]
+        if first.max(initial=-1) >= 0:
+            ok = int(first[first >= 0].min()) // every
+            yield Is[:ok], ps[:ok]
+            raise DomainEscape(f"orbit left the domain in sample {lo + ok + 1}",
+                               index=lo + ok + 1)
+        yield Is, ps
+    if not (np.isfinite(I).all() and np.isfinite(phi).all()):
+        raise DomainEscape(f"orbit reached a non-finite state in sample {count}",
+                           index=count + 1)
 
 
 def jacobian(model: MapModel, x: np.ndarray) -> np.ndarray:

@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from . import maps
-from .errors import DomainEscape, NoConvergence, NotResonant, OutOfDomain, SearchExhausted
-from .maps import MapModel, propagate
+from .errors import NoConvergence, NotResonant, OutOfDomain, SearchExhausted
+from .maps import MapModel
 
 #: slack added to the Dirichlet inequality against ties at machine precision
 DIRICHLET_SLACK = 1e-15
@@ -228,45 +228,25 @@ class BlockMap:
                                y[..., self.d:]], axis=-1)
 
     def windows(self, x0: np.ndarray, blocks: int):
-        """Yield B(x0), ..., B^blocks(x0) as arrays (k, ..., 2d), one per window.
-
-        A window is one `propagate` call over at most ``maps.WINDOW`` map steps
-        (at least one block), sampled every n-th state.  The orbit is stepped
-        unscaled, with k n omega_* taken off block k only when sampling, so it
-        does not depend on the window length.  After a step from outside the
-        domain, the blocks completed before it are yielded, then DomainEscape
-        is raised with the index of the block that could not be completed.
-        """
+        """Yield B(x0), ..., B^blocks(x0) as arrays (k, ..., 2d), one per
+        window of `maps.windows` at stride n, which raises for escapes in
+        blocks.  The orbit is stepped unscaled; each sample is rescaled
+        here, with k n omega_* taken off block k, so the blocks do not
+        depend on the window length."""
         J, phi = self._split(x0)
-        I = self.site.I_star + self.rho * J
-        n, shift = self.n, self.n * self.site.omega_star
-        per = max(1, maps.WINDOW // n)
-        for lo in range(0, blocks, per):
-            Is, ps, first = propagate(self.model, I, phi, min(per, blocks - lo) * n)
-            k = np.arange(lo + 1, lo + 1 + (Is.shape[0] - 1) // n)
-            out = np.concatenate([(Is[n::n] - self.site.I_star) / self.rho,
-                                  ps[n::n] - k.reshape((-1,) + (1,) * phi.ndim) * shift],
-                                 axis=-1)
-            if first.max() >= 0:
-                ok = int(first[first >= 0].min()) // n
-                yield out[:ok]
-                raise DomainEscape(f"block orbit left the domain in block {lo + ok + 1}",
-                                   index=lo + ok + 1)
-            yield out
-            I, phi = Is[-1], ps[-1]
+        I_star, rho, shift = self.site.I_star, self.rho, self.n * self.site.omega_star
+        k = 0
+        for Is, ps in maps.windows(self.model, np.concatenate([I_star + rho * J, phi], axis=-1),
+                                   blocks, self.n):
+            ks = np.arange(k + 1, k + 1 + len(Is)).reshape((-1,) + (1,) * phi.ndim)
+            k += len(Is)
+            yield np.concatenate([(Is - I_star) / rho, ps - ks * shift], axis=-1)
 
     def orbit(self, x0: np.ndarray, blocks: int) -> np.ndarray:
         """Block orbit [x0, B(x0), ..., B^blocks(x0)], shape (blocks+1, ..., 2d).
-
-        As for `MapModel.orbit`, a non-finite last state is an escape,
-        indexed blocks + 1.  ``apply`` is ``orbit(x, 1)[1]``.
-        """
+        ``apply`` is ``orbit(x, 1)[1]``."""
         x0 = np.asarray(x0, dtype=float)
-        out = np.concatenate([x0[None], *self.windows(x0, blocks)])
-        if not np.isfinite(out[-1]).all():
-            raise DomainEscape(f"block orbit reached a non-finite state in block {blocks}",
-                               index=blocks + 1)
-        return out
+        return np.concatenate([x0[None], *self.windows(x0, blocks)])
 
 
 def scaled_block(model: MapModel, site: ResonanceSite, scaling: str = "lochak") -> BlockMap:

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from mapflow import (
     catalog,
     implicit_solve,
+    interpolating_vf,
     jacobian,
     near_identity_family,
     nonexact_shear,
     stability_scan,
     symplectic_matrix,
+    trapped_orbit,
 )
 from mapflow import maps
 from mapflow.errors import ContractionViolated, DomainEscape, FormMismatch, NoConvergence
@@ -169,9 +171,11 @@ class TestKernel:
         assert ([r.max_step_drift for r in recs]
                 == list(np.max(np.abs(np.diff(Is, axis=0)), axis=(0, 2))))
 
+    @pytest.mark.parametrize("window", [1, 7, 2048])
     @pytest.mark.parametrize("name, x0", [("standard", [[0.31, 0.42], [-0.2, 0.9]]),
                                           ("froeschle2", [[0.2, -0.3, 0.1, 0.7]])])
-    def test_flat_orbit_bitwise_equals_repeated_apply(self, name, x0):
+    def test_flat_orbit_bitwise_equals_repeated_apply(self, name, x0, window, monkeypatch):
+        monkeypatch.setattr(maps, "WINDOW", window)
         m = catalog(name, 0.05)
         x0 = np.array(x0)
         for x in (x0, x0[0]):  # a batch of points and one (2d,) point
@@ -197,6 +201,27 @@ class TestKernel:
             assert np.array_equal(Is, want_I) and np.array_equal(ps, want_p)
             assert not (Is.flags.owndata or ps.flags.owndata)  # views, no layout copy
 
+    @pytest.mark.parametrize("name, params, site", [
+        ("standard", {}, ResonanceSite(n=1, omega_star=[0.0], I_star=[0.0], rho_n=0.2)),
+        ("froeschle2", {"eta": 0.3},
+         ResonanceSite(n=2, omega_star=[0.5, 0.0], I_star=[0.5, 0.0], rho_n=0.1))],
+        ids=["standard", "froeschle2"])
+    def test_catalog_maps_never_step_through_step(self, name, params, site, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a catalog map stepped through _step")
+
+        monkeypatch.setattr(maps, "_step", refuse)
+        m = catalog(name, 1e-3, **params)
+        block = BlockMap(m, site, "nucleus")
+        x = np.concatenate([np.full(m.d, 0.1), np.full(m.d, 0.3)])
+        xb = np.concatenate([np.full(m.d, 0.2), np.full(m.d, 0.3)])
+        assert np.array_equal(m.apply(x), m.orbit(x, 20)[1])
+        assert stability_scan(m, np.stack([x, -x]), 20)[1].status == "ok"
+        assert np.array_equal(block.apply(xb), block.orbit(xb, 5)[1])
+        assert trapped_orbit(m, site, xb, 30).x.shape == (31, 2 * m.d)
+        for F, y in ((m, x), (block, xb)):
+            assert np.isfinite(interpolating_vf(F, y, 3)).all()
+
     def test_replaced_callbacks_fall_back_to_step(self, rng):
         base = catalog("standard", 0.5)
         member = near_identity_family(base)(0.3)
@@ -219,7 +244,9 @@ class TestKernel:
         with pytest.raises(DomainEscape):
             standard_map.apply(np.array([np.nan, 0.2]))
 
-    def test_propagate_reports_first_state_outside(self):
+    @pytest.mark.parametrize("window", [1, 7, 2048])
+    def test_propagate_reports_first_state_outside(self, window, monkeypatch):
+        monkeypatch.setattr(maps, "WINDOW", window)
         m = nonexact_shear(0.01)  # I_k = I_0 + 0.01 k leaves |I| <= 1.5 at k = 5
         Is, ps, first = propagate(m, np.array([[1.455], [0.0]]), np.array([[0.2], [0.3]]), 10)
         assert Is.shape == ps.shape == (11, 2, 1)
@@ -238,7 +265,9 @@ class TestKernel:
             m.orbit(np.array([0.1, 0.2]), 30)
         assert exc.value.index == 18
 
-    def test_non_finite_last_state_is_an_escape(self):
+    @pytest.mark.parametrize("window", [1, 7, 2048])
+    def test_non_finite_last_state_is_an_escape(self, window, monkeypatch):
+        monkeypatch.setattr(maps, "WINDOW", window)
         # as above, but the orbit ends at the first NaN state, I_17
         m = replace(catalog("standard", 0.01),
                     s_phi=lambda I, p: np.where(I > 0.255, np.nan, -1.0))
@@ -254,7 +283,9 @@ class TestKernel:
             blk.orbit(x, 17)
         assert exc.value.index == 18
 
-    def test_escape_reported_before_later_solver_failure(self):
+    @pytest.mark.parametrize("window", [1, 7, 2048])
+    def test_escape_reported_before_later_solver_failure(self, window, monkeypatch):
+        monkeypatch.setattr(maps, "WINDOW", window)
         # Picard solve fails (NaN) once |I| >= 2, 50 steps after the escape
         def s_phi(I, phi):
             return np.where(np.abs(I) < 2.0, -1.0, np.nan)

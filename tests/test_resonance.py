@@ -16,6 +16,7 @@ from mapflow import (
     nonexact_shear,
     resonant_action,
     scaled_block,
+    trapped_orbit,
 )
 from mapflow.errors import DomainEscape, NotResonant, OutOfDomain
 from mapflow.maps import DomainSpec, MapModel
@@ -206,6 +207,16 @@ class TestScaledBlock:
         for x in (out, np.array([[0.0, 0.2], out])):
             with pytest.raises(DomainEscape):
                 blk.apply(x)
+
+    def test_negative_counts_raise(self):
+        m = catalog("standard", 1e-3)
+        site = ResonanceSite(n=1, omega_star=[0.0], I_star=[0.0], rho_n=0.2)
+        blk = scaled_block(m, site, scaling="nucleus")
+        x = np.array([0.4, 0.23])
+        for run in (lambda: blk.orbit(x, -3), lambda: list(blk.windows(x, -2)),
+                    lambda: m.orbit(x, -3), lambda: trapped_orbit(m, site, x, -1)):
+            with pytest.raises(ValueError):
+                run()
 
     def test_nucleus_vs_lochak_scale(self):
         m = catalog("standard", 1e-4)
