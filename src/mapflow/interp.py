@@ -65,6 +65,8 @@ class _PointwiseMap:
         return np.array([self.fn(row) for row in rows], dtype=float).reshape(x.shape)
 
     def orbit(self, x0: np.ndarray, steps: int) -> np.ndarray:
+        if steps < 0:
+            raise ValueError("steps must be nonnegative")
         pts = [np.asarray(x0, dtype=float)]
         for _ in range(steps):
             pts.append(self.apply(pts[-1]))

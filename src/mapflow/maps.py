@@ -20,14 +20,17 @@ whenever sup|g| over the search ball is below R/(d+1); see `implicit_solve`.
 
 Every forward step runs through `propagate`, one windowed kernel that
 checks the domain once per call.  Trigonometric generating terms are held
-as data (`TrigTerm`); their models step in its fused body, `_propagate_trig`,
-and `_step` is the body of callback models only.  `windows` is the one
-orbit engine, and the one place where an orbit raises for an escape.
+as data (`TrigTerm`); their models step in `_propagate_trig`, which runs
+one point on Python floats (`_propagate_point`) and every larger batch in
+the row program of `_KickWork`, both read from the term's `_KickPlan` and
+bitwise equal.  `_step` is the body of callback models only.  `windows` is
+the one orbit engine, and the one place where an orbit raises for an
+escape.
 
 Public functions take flat phase vectors of shape (..., 2d), ordered
 (I, phi); `MapModel.apply`, `inverse` and `orbit` are the one stepping API.
 Separate action and angle arrays appear only inside this kernel: `_step`,
-`_propagate_trig`, `propagate` and `windows`.
+`_propagate_trig`, `_propagate_point`, `propagate` and `windows`.
 
 All coefficient callables are expected to broadcast over leading axes, i.e.
 accept arrays of shape (..., d).
@@ -35,6 +38,7 @@ accept arrays of shape (..., d).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
@@ -309,20 +313,23 @@ def _fused_term(model: MapModel) -> Optional[TrigTerm]:
 def _propagate_trig(eps: float, term: TrigTerm, I: np.ndarray, phi: np.ndarray, steps: int):
     """`_step` of a fused-trig model, on preallocated component-major rows.
 
-    The orbit is stored as (steps+1, d, n) and returned in the point-major
-    layout (steps+1, ..., d) as strided views of that storage, never a
-    copy: the transpose only swaps strides and the reshape only splits the
-    point axis.  Each step reduces the angles into the rows of the term's
-    `TrigTerm.work` for n points, runs its kick program and divides by 2 pi
-    (s_phi), then takes eps times it off the actions and adds the new
-    actions to the angles.  These are the operations of `_step` with the
-    term's callbacks, in its order (frac, s_phi, times eps, I - ., phi +
-    I'), so every state is bitwise equal to stepping `_step`, at any batch
-    size.
+    One point (n = 1) steps in `_propagate_point`, on Python floats; every
+    other batch runs the row program below.  The orbit is stored as
+    (steps+1, d, n) and returned in the point-major layout (steps+1, ..., d)
+    as strided views of that storage, never a copy: the transpose only
+    swaps strides and the reshape only splits the point axis.  Each step
+    reduces the angles into the rows of the term's `TrigTerm.work` for n
+    points, runs its kick program and divides by 2 pi (s_phi), then takes
+    eps times it off the actions and adds the new actions to the angles.
+    These are the operations of `_step` with the term's callbacks, in its
+    order (frac, s_phi, times eps, I - ., phi + I'), so every state is
+    bitwise equal to stepping `_step`, at any batch size.
     """
     shape = I.shape
     d = shape[-1]
     n = I.size // d
+    if n == 1:
+        return _propagate_point(eps, term._point_plan, I, phi, steps)
     Is = np.empty((steps + 1, d, n))
     ps = np.empty((steps + 1, d, n))
     I0, p0 = Is[0], ps[0]
@@ -345,6 +352,59 @@ def _propagate_trig(eps: float, term: TrigTerm, I: np.ndarray, phi: np.ndarray, 
     return Is.transpose(0, 2, 1).reshape(full), ps.transpose(0, 2, 1).reshape(full)
 
 
+def _dot(r: list, terms: list) -> float:
+    """sum of w * r[i] over (i, w) in terms, left to right, on floats; 0.0
+    if empty.  These are `_lincomb`'s bits: x * 1 is x, and a + x * w is
+    a - x * |w| for w < 0."""
+    acc = None
+    for i, w in terms:
+        acc = r[i] * w if acc is None else acc + r[i] * w
+    return 0.0 if acc is None else acc
+
+
+def _propagate_point(eps: float, plan: _KickPlan, I: np.ndarray, phi: np.ndarray, steps: int):
+    """`_propagate_trig` at one point, where numpy's per-call dispatch would
+    cost more than the arithmetic: the term's kick plan walked on Python
+    floats, with the weights of ``plan`` already floats (`_KickPlan.floats`).
+
+    Every value takes the row program's operations in its order: angles
+    reduced by ``p % 1.0`` (bitwise ``p - floor(p)``, and NaN where an angle
+    is not finite), the non-unit phases, sin(2 pi row) over the angle and
+    phase rows, the scaled rows, the component sums, then I' = I - (G / 2 pi)
+    eps and phi' = phi + I'.  Python's float arithmetic is numpy's float64
+    arithmetic, and `math.sin` is the libm sin that numpy's float64 sin
+    calls, so every state is bitwise the row program's.  (A numpy build
+    with a vectorized double sin of its own would part the two bodies;
+    `test_point_body_bitwise_equals_its_row_in_a_batch` would show it.)
+    Returns (steps+1, ..., d) arrays, as `_propagate_trig` does.
+    """
+    full = (steps + 1,) + I.shape
+    phases, scales, sums = plan.phases, plan.scales, plan.sums
+    sin, two_pi, eps = math.sin, TWO_PI, float(eps)
+    I, p = I.ravel().tolist(), phi.ravel().tolist()  # updated in place
+    Is, ps = I[:], p[:]
+    components = range(len(I))
+    for _ in range(steps):
+        r, y = [], []  # the reduced angles, and the rows after the sine
+        for q in p:
+            a = q % 1.0
+            r.append(a)
+            y.append(sin(a * two_pi))
+        for _, terms in phases:
+            y.append(sin(_dot(r, terms) * two_pi))
+        for src, c, _ in scales:
+            y.append(y[src] * c)
+        if sums is not None:
+            y = [_dot(y, s) for s in sums]
+        for j in components:
+            i = I[j] - y[j] / two_pi * eps
+            I[j] = i
+            p[j] += i
+        Is += I
+        ps += p
+    return np.array(Is).reshape(full), np.array(ps).reshape(full)
+
+
 def propagate(model: MapModel, I: np.ndarray, phi: np.ndarray, steps: int):
     """Take ``steps`` unguarded map steps from states of shape (..., d).
 
@@ -353,7 +413,8 @@ def propagate(model: MapModel, I: np.ndarray, phi: np.ndarray, steps: int):
     from which a step was taken (-1 if none); callers decide what an escape
     means.  A NoConvergence after an escape ends the buffers at the failing
     step's source state and is dropped, so the escape is reported first.
-    Models with a `TrigTerm` in place step through `_propagate_trig`.
+    Models with a `TrigTerm` in place step through `_propagate_trig`: one
+    point on Python floats, a larger batch in the term's row program.
     """
     I = np.asarray(I, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -559,6 +620,7 @@ class TrigTerm:
         object.__setattr__(self, "modes", K.astype(np.int64))
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "_plan", _KickPlan.of(self.modes, c))
+        object.__setattr__(self, "_point_plan", self._plan.floats())  # see `_propagate_point`
         object.__setattr__(self, "_work", None)  # see `work`
 
     @property
@@ -629,7 +691,8 @@ class TrigTerm:
 
 
 class _KickPlan(NamedTuple):
-    """Row indices of `_KickWork`, fixed per term.
+    """Row indices of the kick, fixed per term: `_KickWork` records its
+    program from them, and `_propagate_point` walks them on floats.
 
     Rows of Y: the d angles, one phase row per mode that is not a unit
     vector e_i (a unit mode reads its angle row), then one row per mode
@@ -660,6 +723,17 @@ class _KickPlan(NamedTuple):
             sums = None  # s_phi_i is the sine of angle i alone
         return cls(d, top + len(scaled), top, phases, scales, sums)
 
+    def floats(self) -> "_KickPlan":
+        """The plan with every weight a Python float, as `_propagate_point`
+        reads it."""
+        def weights(terms):
+            return [(row, float(w)) for row, w in terms]
+
+        return self._replace(
+            phases=[(o, weights(terms)) for o, terms in self.phases],
+            scales=[(src, float(cj), dst) for src, cj, dst in self.scales],
+            sums=None if self.sums is None else [weights(s_i) for s_i in self.sums])
+
 
 class _KickWork:
     """Work rows and the compiled kick program for s_phi of a `TrigTerm`,
@@ -677,9 +751,12 @@ class _KickWork:
     ``G``.  Running it is ``for f, args in ops: f(*args)`` followed by the
     divide of ``G`` by 2 pi into the caller's rows, as `kick` and the
     `_propagate_trig` loop do; the reduced angles in ``angles`` are
-    consumed.  At batch 1 the per-call cost of a ufunc dominates, so no
-    call writes over its own input (numpy's overlap check would double its
-    cost), the outputs are positional and the constants are 0-d arrays.
+    consumed.  `_propagate_trig` runs it at two points and more; one point
+    steps in `_propagate_point` and builds no work.  At small batches, and
+    at batch 1 in `s_phi` (as `inverse` and `jacobian` call it), the
+    per-call cost of a ufunc dominates, so no call writes over its own
+    input (numpy's overlap check would double its cost), the outputs are
+    positional and the constants are 0-d arrays.
     """
 
     two_pi = np.array(TWO_PI)

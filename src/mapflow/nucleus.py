@@ -139,7 +139,10 @@ def trapped_orbit(model: MapModel, site: ResonanceSite, x0: np.ndarray, budget: 
     exit_index = None
     if model.eps == 0.0:
         # the sqrt(eps) scaling collapses: the block is the identity on the
-        # resonant torus and the orbit never exits
+        # resonant torus and the orbit never exits; the orbit engine, which
+        # checks the count, is not reached
+        if budget < 0:
+            raise ValueError("steps must be nonnegative")
         X = np.tile(x0, (budget + 1, 1))
     else:
         r1 = nmodel.radii.r1

@@ -27,6 +27,7 @@ from mapflow.maps import (
     MapModel,
     TrigTerm,
     _fused_term,
+    _propagate_trig,
     _step,
     _trig_model,
     propagate,
@@ -59,6 +60,19 @@ def _stepped(model, I, phi, steps):
 GENERAL_TERM = ([[2, -1, 0], [0, 3, 1], [1, 1, 1], [0, 0, 1]], [0.5, -1.2, 0.7, 1.0])
 #: no mode uses the middle angle, so that component of s_phi is 0
 UNUSED_ANGLE_TERM = ([[1, 0, 0], [2, 0, -1]], [1.0, 0.5])
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes and bit patterns, except that any NaN matches any NaN."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(np.where(nan, 0.0, a).view(np.int64),
+                               np.where(nan, 0.0, b).view(np.int64)))
+
+
+#: angles where reducing by p % 1.0 and by p - floor(p) could part: signed
+#: zero, integers, lifts beyond 2^53, tiny negatives and non-finite values
+ODD_ANGLES = [-0.0, -3.0, 2.0**60, -1e-20, np.nan, np.inf, -np.inf]
 
 
 @st.composite
@@ -200,6 +214,32 @@ class TestKernel:
             assert Is.shape == want_I.shape and first.shape == shape
             assert np.array_equal(Is, want_I) and np.array_equal(ps, want_p)
             assert not (Is.flags.owndata or ps.flags.owndata)  # views, no layout copy
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spec=trig_terms(), eps=st.sampled_from([1e-3, 0.3, 2.0]),
+           odd=st.permutations(ODD_ANGLES), seed=st.integers(0, 2**32 - 1))
+    @example(spec=([[1]], [1.0]), eps=0.3, odd=ODD_ANGLES, seed=0)
+    @example(spec=([[1, 0], [0, 1], [1, 1]], [1.0, 1.0, 0.3]), eps=0.3, odd=ODD_ANGLES, seed=1)
+    @example(spec=GENERAL_TERM, eps=0.3, odd=ODD_ANGLES, seed=2)
+    @example(spec=UNUSED_ANGLE_TERM, eps=0.3, odd=ODD_ANGLES, seed=3)
+    def test_point_body_bitwise_equals_its_row_in_a_batch(self, spec, eps, odd, seed):
+        """One point steps on Python floats; it must give the bits of its row
+        in a batch of 7, which runs the row program, and of the frozen kick."""
+        term = TrigTerm(*map(np.array, spec))
+        d, steps = term.d, 320
+        rng = np.random.default_rng(seed)
+        I0, phi0 = rng.uniform(-0.5, 0.5, (7, d)), rng.uniform(-2.0, 2.0, (7, d))
+        phi0[np.arange(7), rng.integers(0, d, 7)] = odd  # one odd angle per point
+        alone = [_propagate_trig(eps, term, I0[k], phi0[k], steps) for k in range(7)]
+        assert term._work is None  # the point body builds no row program
+        with np.errstate(all="ignore"):
+            Is, ps = _propagate_trig(eps, term, I0, phi0, steps)
+        for k, (I1, p1) in enumerate(alone):
+            assert _same_bits(I1, Is[:, k]) and _same_bits(p1, ps[:, k])
+            with np.errstate(all="ignore"):
+                kick = kick_rows(*spec, (p1[:-1] - np.floor(p1[:-1])).T).T
+                assert _same_bits(I1[1:], I1[:-1] - kick * eps)
+            assert _same_bits(p1[1:], p1[:-1] + I1[1:])
 
     @pytest.mark.parametrize("name, params, site", [
         ("standard", {}, ResonanceSite(n=1, omega_star=[0.0], I_star=[0.0], rho_n=0.2)),

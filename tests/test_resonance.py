@@ -19,6 +19,7 @@ from mapflow import (
     trapped_orbit,
 )
 from mapflow.errors import DomainEscape, NotResonant, OutOfDomain
+from mapflow.interp import as_map
 from mapflow.maps import DomainSpec, MapModel
 
 from oracles import CUBIC_FREQ_ROOT, bisect
@@ -214,8 +215,10 @@ class TestScaledBlock:
         blk = scaled_block(m, site, scaling="nucleus")
         x = np.array([0.4, 0.23])
         for run in (lambda: blk.orbit(x, -3), lambda: list(blk.windows(x, -2)),
-                    lambda: m.orbit(x, -3), lambda: trapped_orbit(m, site, x, -1)):
-            with pytest.raises(ValueError):
+                    lambda: m.orbit(x, -3), lambda: trapped_orbit(m, site, x, -1),
+                    lambda: trapped_orbit(catalog("standard", 0.0), site, x, -1),
+                    lambda: as_map(lambda y: y + 0.1).orbit(np.array([0.1, 0.2]), -3)):
+            with pytest.raises(ValueError, match="nonnegative"):
                 run()
 
     def test_nucleus_vs_lochak_scale(self):
