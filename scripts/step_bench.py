@@ -9,7 +9,9 @@ nucleus block (standard map at eps = 1e-4, site n = 1, scaling "nucleus"),
 and prints microseconds per call, next to two orbit calls of the windowed
 orbit engine: `BlockMap.orbit` of that block at the field shape of the
 embed benchmark (25 points, 6 blocks) and `MapModel.orbit` of one point of
-the standard map over 10^4 steps (40 windows).  Then times `cli.write_csv`
+the standard map over 10^4 steps (40 windows), and one call of the field
+layer built on them: the newton field X_6 of that block at 25 points
+(`interpolating_vf`, the embed field shape).  Then times `cli.write_csv`
 on a table of 10^5 rows and the columns of a nucleus orbit (int, float,
 float, int) and prints microseconds per row.  Last, times one
 `stability_scan` of froeschle2 (100 seeds x 2 * 10^4 steps) and prints
@@ -32,7 +34,7 @@ import tracemalloc
 
 import numpy as np
 
-from mapflow import ResonanceSite, catalog, scaled_block, stability_scan
+from mapflow import ResonanceSite, catalog, interpolating_vf, scaled_block, stability_scan
 from mapflow.cli import write_csv
 from mapflow.maps import propagate
 
@@ -88,10 +90,13 @@ def main(argv=None) -> int:
     block = scaled_block(catalog("standard", 1e-4), site, scaling="nucleus")
     for batch, calls in APPLY_CASES:  # |J| <= 0.5 stays inside the nucleus
         applies.append(("nucleus block.apply", batch, calls, block.apply, _point(1, batch)))
-    # the orbit engine: embed's field shape (25 points, m = 6), and 40 windows
+    # the orbit engine: embed's field shape (25 points, m = 6), and 40 windows;
+    # then the field on that orbit
     std = catalog("standard", EPS)
     applies.append(("nucleus block.orbit", 25, 200, lambda x: block.orbit(x, 6), _point(1, 25)))
     applies.append(("standard.orbit", 1, 3, lambda x: std.orbit(x, 10_000), _point(1, 1)))
+    applies.append(("nucleus block X_6", 25, 200, lambda x: interpolating_vf(block, x, 6),
+                    _point(1, 25)))
     for _, _, _, model, I, phi in cases:  # warm up every path once
         propagate(model, I, phi, 10)
     for *_, fn, x in applies:

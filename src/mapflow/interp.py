@@ -24,7 +24,14 @@ shape (..., 2d): ``apply`` (one step), ``inverse`` (one inverse step) and
 ``orbit(x0, steps)`` (shape (steps+1, ..., 2d)).  `MapModel` and `BlockMap`
 implement it; `as_map` wraps a plain function of one (2d,) vector.
 Windows and fields take one point (2d,) or a batch (..., 2d): a batch is
-stepped by one ``orbit`` call and checked by one ``apply`` call.
+stepped by one ``orbit`` call.
+
+A window step is checked, F(x_k) against x_{k+1} at `VERIFY_TOL`, only
+where its two sides are different code: the steps of a plain function's
+orbit (user code) and the backward steps of a gauss window (``inverse``, a
+second arithmetic).  The forward orbit of a model or a block is the orbit
+engine `maps.windows`, which raises for an escape and a non-finite last
+state; its ``apply`` is the same kernel, so it is not checked again.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ class _PointwiseMap:
     """Flat-map protocol for a plain function of one (2d,) phase vector.
 
     ``apply`` calls the function once per row, ``orbit`` steps one point at a
-    time, and there is no ``inverse``.
+    time and checks its steps with `_verify`, and there is no ``inverse``.
     """
 
     inverse = None
@@ -70,7 +77,9 @@ class _PointwiseMap:
         pts = [np.asarray(x0, dtype=float)]
         for _ in range(steps):
             pts.append(self.apply(pts[-1]))
-        return np.stack(pts)
+        pts = np.stack(pts)
+        _verify(self, pts, steps)  # the steps are the user's code: check them
+        return pts
 
 
 def as_map(map_like):
@@ -102,8 +111,22 @@ def _check_window(m: int, scheme: str) -> None:
         raise ValueError("gauss scheme needs even order m = 2j")
 
 
+def _verify(F, pts: np.ndarray, k: int) -> None:
+    """Check the first k steps of a window: F(x_i) against x_{i+1}, i < k.
+
+    One ``apply`` call on the k points.  Per point, the residual must be at
+    most VERIFY_TOL relative to the point's largest window entry; a
+    non-finite residual fails.
+    """
+    axes = (0, pts.ndim - 1)
+    res = np.max(np.abs(F.apply(pts[:k]) - pts[1 : k + 1]), axis=axes, initial=0.0)
+    ok = res <= VERIFY_TOL * np.maximum(1.0, np.max(np.abs(pts), axis=axes))
+    if not np.all(ok):
+        raise ValueError(f"window verification failed, residual {float(np.max(res[~ok])):.3g}")
+
+
 def orbit_window(map_like, x0, m: int, scheme: str = "newton") -> np.ndarray:
-    """Window of iterates around x0, checked for consistency.
+    """Window of iterates around x0.
 
     ``x0`` is one phase vector (2d,) or a batch (..., 2d); the window has
     shape (m+1, ..., 2d): x_0..x_m for the newton scheme, x_{-j}..x_j with
@@ -112,13 +135,15 @@ def orbit_window(map_like, x0, m: int, scheme: str = "newton") -> np.ndarray:
     scheme's backward iterates x_{-1}..x_{-j} come from the map's
     ``inverse``, one step at a time (generating-form maps are invertible by
     exchanging the roles of old and new coordinates in the implicit step).
-    The window is then checked with one ``apply`` call on all but its last
-    point, F(x_k) against x_{k+1} for every k: per point, the residual must
-    be at most VERIFY_TOL relative to the point's largest window entry, and
-    a non-finite residual fails.  For a model or a block, ``orbit`` and
-    ``apply`` run the same kernel (`maps.windows`), so the check compares a
-    one-step batch run against an m-step run of it: a check of batch and
-    window independence, not of a second arithmetic.
+
+    A step is checked (`_verify`) only where the two sides of it are
+    different code.  The forward half is the map's own ``orbit``, returned
+    as it is: for a model or a block it is the orbit engine
+    (`maps.windows`), which raises for an escape and a non-finite last
+    state, and whose ``apply`` is the same kernel, so a check would compare
+    it with itself; a plain function's orbit checks its own steps.  The
+    backward half comes from ``inverse``, a second arithmetic, so its j
+    steps x_{-k} -> x_{-k+1} are checked with one ``apply`` call.
     """
     _check_order(m)
     _check_window(m, scheme)
@@ -133,12 +158,8 @@ def orbit_window(map_like, x0, m: int, scheme: str = "newton") -> np.ndarray:
             x = F.inverse(x)
             back.append(x)
     pts = np.concatenate([*(x[None] for x in back[::-1]), F.orbit(x0, m - len(back))])
-    # consecutive points must be images under the same map, point by point
-    axes = (0, pts.ndim - 1)
-    res = np.max(np.abs(F.apply(pts[:-1]) - pts[1:]), axis=axes)
-    ok = res <= VERIFY_TOL * np.maximum(1.0, np.max(np.abs(pts), axis=axes))
-    if not np.all(ok):
-        raise ValueError(f"window verification failed, residual {float(np.max(res[~ok])):.3g}")
+    if back:
+        _verify(F, pts, len(back))
     return pts
 
 

@@ -15,8 +15,10 @@ reduce their angle argument internally.  Two representations are supported:
     I'   = I - eps * ds/dphi(I', phi)
     phi' = phi + omega(I') + eps * ds/dI(I', phi)
 
-The implicit step is resolved by plain Picard iteration, which contracts
-whenever sup|g| over the search ball is below R/(d+1); see `implicit_solve`.
+The implicit step is resolved by plain Picard iteration (`_picard`), which
+contracts whenever sup|g| over the search ball is below R/(d+1); `_step`
+and `jacobian` share that one solve.  `implicit_solve` is the same
+iteration behind a probe of that condition, for callers' own systems.
 
 Every forward step runs through `propagate`, one windowed kernel that
 checks the domain once per call.  Trigonometric generating terms are held
@@ -194,18 +196,25 @@ class MapModel:
         contraction, then I explicitly), and for integrable ones: eps = 0,
         or an explicit map whose a and b are both `_zero_field`.  Any other
         map raises FormMismatch.
+
+        The result is the input of a forward step, so `apply`'s domain rule
+        holds for it: DomainEscape is raised when a result action lies
+        outside the sigma-extended ball (NaN included).
         """
         x = np.asarray(x, dtype=float)
         I, phi = x[..., : self.d], x[..., self.d:]
         if self.eps == 0.0 or (self.form == "explicit" and self.a is _zero_field
                                and self.b is _zero_field):
-            return np.concatenate([I, phi - self.omega(I)], axis=-1)
-        if self.form != "generating":
+            I_prev, ph_prev = I, phi - self.omega(I)
+        elif self.form != "generating":
             raise FormMismatch("inverse step requires a generating-form map (or an integrable one)")
-        ph_prev = phi - self.omega(I)  # the solution when s_I vanishes
-        if not self.s_action_independent:
-            ph_prev = _picard(lambda y: -self.eps * self.s_I(I, _frac(y)), ph_prev)
-        I_prev = I + self.eps * self.s_phi(I, _frac(ph_prev))
+        else:
+            ph_prev = phi - self.omega(I)  # the solution when s_I vanishes
+            if not self.s_action_independent:
+                ph_prev = _picard(lambda y: -self.eps * self.s_I(I, _frac(y)), ph_prev)
+            I_prev = I + self.eps * self.s_phi(I, _frac(ph_prev))
+        if not self.domain.contains_extended(I_prev).all():
+            raise DomainEscape("inverse image outside the sigma-extended ball")
         return np.concatenate([I_prev, ph_prev], axis=-1)
 
     def orbit(self, x0: np.ndarray, steps: int) -> np.ndarray:
@@ -471,7 +480,8 @@ def jacobian(model: MapModel, x: np.ndarray) -> np.ndarray:
 
     Requires derivative callbacks: a_I/a_phi/b_I/b_phi for the explicit form,
     the second derivatives of s for the generating form (implicit
-    differentiation of the generating system).
+    differentiation of the generating system, at the new action that
+    `_step` solves for, bit for bit the one `apply` steps to).
     """
     d = model.d
     x = np.asarray(x, dtype=float)
@@ -495,7 +505,7 @@ def jacobian(model: MapModel, x: np.ndarray) -> np.ndarray:
     need = (model.s_II, model.s_Iphi, model.s_phiphi)
     if any(f is None for f in need):
         raise FormMismatch("generating-form Jacobian requires second derivatives of s")
-    In = implicit_solve(lambda y: -e * model.s_phi(y, ph), I, R=model.domain.sigma)
+    In = _step(model, I, x[d:])[0]  # I' by the step's own solve
     S_II = model.s_II(In, ph).reshape(d, d)
     S_Ip = model.s_Iphi(In, ph).reshape(d, d)  # d^2 s / dI dphi
     S_pp = model.s_phiphi(In, ph).reshape(d, d)

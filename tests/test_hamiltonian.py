@@ -423,6 +423,12 @@ class TestLoopAction:
         A0, A1 = loop_action(m, loop, quad_tol=1e-11)
         assert abs(A1 - A0) <= 10 * 1e-11
 
+    def test_standard_map_exact_at_eps_one(self):
+        # the analytic Jacobian takes I' from the step, with no contraction probe
+        loop = circle_loop(np.array([0.3]))
+        A0, A1 = loop_action(catalog("standard", 1.0), loop, quad_tol=1e-11)
+        assert abs(A1 - A0) <= 10 * 1e-11
+
     def test_froeschle_exact_both_classes(self):
         m = catalog("froeschle2", 0.1, eta=0.3)
         for w in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):

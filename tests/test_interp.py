@@ -16,10 +16,11 @@ from mapflow import (
     orbit_window,
     order_scaling_check,
 )
-from mapflow import ResonanceSite, distance_to_identity, scaled_block
+from mapflow import ResonanceSite, distance_to_identity, maps, scaled_block
 from mapflow.errors import DegenerateFit, DomainEscape, OrderTooLarge
 from mapflow.hamiltonian import Box, embedding_error, interpolating_field, unit_box
 from mapflow.interp import M_MAX, VERIFY_TOL, as_map, field_from_window, weighted_field
+from mapflow.maps import MapModel
 from mapflow.resonance import BlockMap
 
 from oracles import binomial_difference, binomial_weights
@@ -245,12 +246,16 @@ class TestOrbitWindow:
         blk.apply(x)
         with pytest.raises(DomainEscape):
             orbit_window(blk, x, 3)
+        # a gauss window's backward step leaves too: its inverse image is outside
+        with pytest.raises(DomainEscape, match="inverse"):
+            orbit_window(blk, x, 2, "gauss")
         rep = embedding_error(blk, 3, Box(lo=[14.0, 0.0], hi=[14.99, 1.0]), 3,
                               tol=1e-10)
         assert [i for i, _ in rep.failures] == [6, 7, 8]    # the J = 14.99 row
         assert np.all(np.isnan(rep.errors[6:])) and np.all(np.isfinite(rep.errors[:6]))
 
     def test_one_block_map_call_per_field(self, monkeypatch):
+        # newton: the orbit engine alone; gauss: one apply checks the backward half
         calls = [0]
         apply = BlockMap.apply
 
@@ -264,11 +269,30 @@ class TestOrbitWindow:
         for m in range(1, 7):
             calls[0] = 0
             interpolating_vf(blk, x, m)
-            assert calls[0] == 1
+            assert calls[0] == 0
             if m % 2 == 0:
                 calls[0] = 0
                 interpolating_vf(blk, x, m, scheme="gauss")
                 assert calls[0] == 1
+
+    @pytest.mark.parametrize("case", ["standard", "froeschle2", "nucleus_n1"])
+    def test_newton_field_makes_one_engine_call_and_no_apply(self, case, monkeypatch):
+        if case == "nucleus_n1":
+            F = _blocks()[0]
+        else:
+            F = catalog(case, 0.05) if case == "standard" else catalog(case, 0.05, eta=0.3)
+        x = np.concatenate([np.full((5, F.d), 0.1), np.full((5, F.d), 0.3)], axis=-1)
+        want = interpolating_vf(F, x, 6)
+        applies, engine = [], []
+        windows = maps.windows
+        for cls in (MapModel, BlockMap):
+            monkeypatch.setattr(cls, "apply", lambda self, y: applies.append(y))
+        monkeypatch.setattr(maps, "windows", lambda *a: engine.append(a) or windows(*a))
+        for m in (1, 6):
+            engine.clear()
+            got = interpolating_vf(F, x, m)
+            assert len(engine) == 1 and not applies
+        assert np.array_equal(got, want)
 
 
 def _bad_standard():

@@ -537,6 +537,36 @@ class TestSymplecticity:
                 Jfd[:, j] = (m.apply(x + e) - m.apply(x - e)) / (2 * h)
             assert np.max(np.abs(Ja - Jfd)) <= 1e-8
 
+    def test_jacobian_of_an_explicit_step_needs_no_contraction(self):
+        # at eps = 1 the probe of implicit_solve refuses (M = 0.303 >= 0.25), but
+        # the step is explicit in I' and the Jacobian takes the step's own I'
+        m = catalog("standard", 1.0)
+        x = np.array([0.2, 0.3])
+        with pytest.raises(ContractionViolated):
+            implicit_solve(lambda y: -m.eps * m.s_phi(y, x[1:]), x[:1], R=m.domain.sigma)
+        h = 1e-6
+        Jfd = np.empty((2, 2))
+        for j in range(2):
+            e = np.zeros(2)
+            e[j] = h
+            Jfd[:, j] = (m.apply(x + e) - m.apply(x - e)) / (2 * h)
+        assert np.max(np.abs(jacobian(m, x) - Jfd)) <= 1e-8
+
+    def test_inverse_applies_the_domain_rule(self):
+        # the inverse image (5.00015, -4.8) is a point apply refuses to step from
+        m = catalog("standard", 1e-3)
+        with pytest.raises(DomainEscape):
+            m.apply(np.array([5.00015, -4.8]))
+        with pytest.raises(DomainEscape, match="inverse"):
+            m.inverse(np.array([5.0, 0.2]))
+        with pytest.raises(DomainEscape, match="inverse"):
+            m.inverse(np.array([[0.1, 0.2], [np.nan, 0.2]]))
+        with pytest.raises(DomainEscape, match="inverse"):
+            catalog("twist", 0.0).inverse(np.array([5.0, 0.2]))
+        site = ResonanceSite(n=2, omega_star=[0.5], I_star=[0.5], rho_n=0.1)
+        with pytest.raises(DomainEscape, match="inverse"):
+            BlockMap(m, site).inverse(np.array([45.0, 0.2]))
+
     def test_inverse_roundtrip(self, rng):
         m = catalog("froeschle2", 0.1, eta=0.3)
         for _ in range(20):
