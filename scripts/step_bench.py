@@ -6,12 +6,15 @@ sizes 1, 100 and 10^4 and prints the median and quartiles of ns per
 seed-step.  Then times one-step calls at batch sizes 1 (one (2d,) point)
 and 100: `MapModel.apply` of the same maps and `BlockMap.apply` of the
 nucleus block (standard map at eps = 1e-4, site n = 1, scaling "nucleus"),
-and prints microseconds per call, next to two orbit calls of the windowed
-orbit engine: `BlockMap.orbit` of that block at the field shape of the
-embed benchmark (25 points, 6 blocks) and `MapModel.orbit` of one point of
-the standard map over 10^4 steps (40 windows), and one call of the field
-layer built on them: the newton field X_6 of that block at 25 points
-(`interpolating_vf`, the embed field shape).  Then times `cli.write_csv`
+and prints microseconds per call, with `MapModel.inverse` of the standard
+map at the same batch sizes (one backward step of the engine), next to two
+orbit calls of the windowed orbit engine: `BlockMap.orbit` of that block
+at the field shape of the embed benchmark (25 points, 6 blocks) and
+`MapModel.orbit` of one point of the standard map over 10^4 steps (40
+windows), and two calls of the field layer built on them: the newton and
+the gauss field X_6 of that block at 25 points (`interpolating_vf`, the
+embed field shape; gauss adds 3 `inverse` calls and one checking
+`apply`).  Then times `cli.write_csv`
 on a table of 10^5 rows and the columns of a nucleus orbit (int, float,
 float, int) and prints microseconds per row.  Last, times one
 `stability_scan` of froeschle2 (100 seeds x 2 * 10^4 steps) and prints
@@ -86,17 +89,20 @@ def main(argv=None) -> int:
             cases.append((name, batch, steps, model, *_states(model.d, batch)))
         for batch, calls in APPLY_CASES:
             applies.append((f"{name}.apply", batch, calls, model.apply, _point(model.d, batch)))
+    std = catalog("standard", EPS)
+    for batch, calls in APPLY_CASES:  # one backward step of the engine
+        applies.append(("standard.inverse", batch, calls, std.inverse, _point(1, batch)))
     site = ResonanceSite(n=1, omega_star=[0.0], I_star=[0.0], rho_n=0.2)
     block = scaled_block(catalog("standard", 1e-4), site, scaling="nucleus")
     for batch, calls in APPLY_CASES:  # |J| <= 0.5 stays inside the nucleus
         applies.append(("nucleus block.apply", batch, calls, block.apply, _point(1, batch)))
     # the orbit engine: embed's field shape (25 points, m = 6), and 40 windows;
-    # then the field on that orbit
-    std = catalog("standard", EPS)
+    # then the newton and gauss fields on that orbit
     applies.append(("nucleus block.orbit", 25, 200, lambda x: block.orbit(x, 6), _point(1, 25)))
     applies.append(("standard.orbit", 1, 3, lambda x: std.orbit(x, 10_000), _point(1, 1)))
-    applies.append(("nucleus block X_6", 25, 200, lambda x: interpolating_vf(block, x, 6),
-                    _point(1, 25)))
+    for scheme in ("newton", "gauss"):
+        applies.append((f"nucleus block X_6 {scheme}", 25, 200,
+                        lambda x, s=scheme: interpolating_vf(block, x, 6, s), _point(1, 25)))
     for _, _, _, model, I, phi in cases:  # warm up every path once
         propagate(model, I, phi, 10)
     for *_, fn, x in applies:
@@ -132,10 +138,10 @@ def main(argv=None) -> int:
           f" {args.repeats} repeats")
     for name, batch, *_ in cases:
         print(f"{name:<11} {batch:>6} {_stats(samples[name, batch])}")
-    print(f"\n{'call':<19} {'batch':>6} {'median':>9} {'q1':>9} {'q3':>9}  us per call,"
+    print(f"\n{'call':<24} {'batch':>6} {'median':>9} {'q1':>9} {'q3':>9}  us per call,"
           f" {args.repeats} repeats")
     for name, batch, *_ in applies:
-        print(f"{name:<19} {batch:>6} {_stats(samples[name, batch])}")
+        print(f"{name:<24} {batch:>6} {_stats(samples[name, batch])}")
     print(f"\n{'writer':<19} {'rows':>6} {'median':>9} {'q1':>9} {'q3':>9}  us per row,"
           f" {args.repeats} repeats")
     print(f"{'cli.write_csv':<19} {CSV_ROWS:>6} {_stats(csv_us, 3)}")

@@ -5,7 +5,6 @@ from .maps import (
     DomainSpec,
     MapModel,
     catalog,
-    implicit_solve,
     jacobian,
     near_identity_family,
     nonexact_shear,

@@ -21,10 +21,6 @@ class NoConvergence(MapflowError):
     """An iterative solve exhausted its budget without meeting tolerance."""
 
 
-class ContractionViolated(MapflowError):
-    """Probe estimate of sup|g| failed the contraction precondition M < R/(d+1)."""
-
-
 class NotResonant(MapflowError):
     """n * omega_star failed the integrality certificate."""
 

@@ -132,9 +132,10 @@ def orbit_window(map_like, x0, m: int, scheme: str = "newton") -> np.ndarray:
     shape (m+1, ..., 2d): x_0..x_m for the newton scheme, x_{-j}..x_j with
     m = 2j for the gauss scheme.  The forward iterates come from one
     ``orbit`` call of the map's flat-map protocol (`as_map`); the gauss
-    scheme's backward iterates x_{-1}..x_{-j} come from the map's
-    ``inverse``, one step at a time (generating-form maps are invertible by
-    exchanging the roles of old and new coordinates in the implicit step).
+    scheme's backward iterates x_{-1}..x_{-j} come from j ``inverse`` calls.
+    For a model or a block each is one backward call of the orbit engine,
+    whose inverse steps (`maps._step_back`) exchange the roles of old and
+    new coordinates in the implicit step.
 
     A step is checked (`_verify`) only where the two sides of it are
     different code.  The forward half is the map's own ``orbit``, returned
@@ -142,8 +143,9 @@ def orbit_window(map_like, x0, m: int, scheme: str = "newton") -> np.ndarray:
     (`maps.windows`), which raises for an escape and a non-finite last
     state, and whose ``apply`` is the same kernel, so a check would compare
     it with itself; a plain function's orbit checks its own steps.  The
-    backward half comes from ``inverse``, a second arithmetic, so its j
-    steps x_{-k} -> x_{-k+1} are checked with one ``apply`` call.
+    backward half comes from ``inverse``, a second arithmetic (the inverse
+    step, not the forward one), so its j steps x_{-k} -> x_{-k+1} are
+    checked with one ``apply`` call.
     """
     _check_order(m)
     _check_window(m, scheme)

@@ -16,23 +16,25 @@ reduce their angle argument internally.  Two representations are supported:
     phi' = phi + omega(I') + eps * ds/dI(I', phi)
 
 The implicit step is resolved by plain Picard iteration (`_picard`), which
-contracts whenever sup|g| over the search ball is below R/(d+1); `_step`
-and `jacobian` share that one solve.  `implicit_solve` is the same
-iteration behind a probe of that condition, for callers' own systems.
+contracts whenever sup|g| over the search ball is below R/(d+1).  It is the
+one solve of the steps, the inverse steps, `jacobian` and the solved
+cross-form fields, and each batch row stops where its own residual meets
+the tolerance, so a batched solve is its one-point solves bit for bit.
 
-Every forward step runs through `propagate`, one windowed kernel that
-checks the domain once per call.  Trigonometric generating terms are held
-as data (`TrigTerm`); their models step in `_propagate_trig`, which runs
-one point on Python floats (`_propagate_point`) and every larger batch in
-the row program of `_KickWork`, both read from the term's `_KickPlan` and
-bitwise equal.  `_step` is the body of callback models only.  `windows` is
-the one orbit engine, and the one place where an orbit raises for an
-escape.
+Every step, forward or inverse, runs through `propagate`, one windowed
+kernel that checks the domain once per call.  Trigonometric generating
+terms are held as data (`TrigTerm`); their models step forward in
+`_propagate_trig`, which runs one point on Python floats (`_propagate_point`)
+and every larger batch in the row program of `_KickWork`, both read from
+the term's `_KickPlan` and bitwise equal.  `_step` is the forward body of
+callback models, `_step_back` the inverse body of every model.  `windows`
+is the one orbit engine, both ways, and the one place where an orbit raises.
 
 Public functions take flat phase vectors of shape (..., 2d), ordered
 (I, phi); `MapModel.apply`, `inverse` and `orbit` are the one stepping API.
 Separate action and angle arrays appear only inside this kernel: `_step`,
-`_propagate_trig`, `_propagate_point`, `propagate` and `windows`.
+`_step_back`, `_propagate_trig`, `_propagate_point`, `propagate` and
+`windows`.
 
 All coefficient callables are expected to broadcast over leading axes, i.e.
 accept arrays of shape (..., d).
@@ -46,12 +48,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (
-    ContractionViolated,
-    DomainEscape,
-    FormMismatch,
-    NoConvergence,
-)
+from .errors import DomainEscape, FormMismatch, NoConvergence
 
 MAX_PICARD_ITER = 100
 PICARD_TOL = 1e-14
@@ -182,40 +179,25 @@ class MapModel:
         outside the sigma-extended ball; a non-finite image is returned as
         it is.  NoConvergence is raised if the implicit solve stalls.
         """
-        x = np.asarray(x, dtype=float)
-        Is, ps, first = propagate(self, x[..., : self.d], x[..., self.d:], 1)
-        if first.max(initial=-1) >= 0:
-            raise DomainEscape("action outside the sigma-extended ball")
-        return np.concatenate([Is[1], ps[1]], axis=-1)
+        return self._one_step(x, 1, "action")
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
-        """One inverse map step on flat phase vectors of shape (..., 2d).
-
-        Available for generating-form maps, whose implicit system is solved
-        with the roles of (I, phi) and (I', phi') exchanged (phi by the same
-        contraction, then I explicitly), and for integrable ones: eps = 0,
-        or an explicit map whose a and b are both `_zero_field`.  Any other
-        map raises FormMismatch.
-
-        The result is the input of a forward step, so `apply`'s domain rule
-        holds for it: DomainEscape is raised when a result action lies
-        outside the sigma-extended ball (NaN included).
+        """One inverse map step on flat phase vectors of shape (..., 2d): one
+        backward `propagate` step (`_step_back`), for generating-form and
+        integrable maps; any other map raises FormMismatch.  The result is
+        the input of a forward step, so `apply`'s domain rule holds for it:
+        DomainEscape is raised when a result action lies outside the
+        sigma-extended ball (NaN included).
         """
+        return self._one_step(x, -1, "inverse image")
+
+    def _one_step(self, x: np.ndarray, steps: int, what: str) -> np.ndarray:
+        """One `propagate` step, forward (1) or back (-1), with the escape check."""
         x = np.asarray(x, dtype=float)
-        I, phi = x[..., : self.d], x[..., self.d:]
-        if self.eps == 0.0 or (self.form == "explicit" and self.a is _zero_field
-                               and self.b is _zero_field):
-            I_prev, ph_prev = I, phi - self.omega(I)
-        elif self.form != "generating":
-            raise FormMismatch("inverse step requires a generating-form map (or an integrable one)")
-        else:
-            ph_prev = phi - self.omega(I)  # the solution when s_I vanishes
-            if not self.s_action_independent:
-                ph_prev = _picard(lambda y: -self.eps * self.s_I(I, _frac(y)), ph_prev)
-            I_prev = I + self.eps * self.s_phi(I, _frac(ph_prev))
-        if not self.domain.contains_extended(I_prev).all():
-            raise DomainEscape("inverse image outside the sigma-extended ball")
-        return np.concatenate([I_prev, ph_prev], axis=-1)
+        Is, ps, first = propagate(self, x[..., : self.d], x[..., self.d:], steps)
+        if first.max(initial=-1) >= 0:
+            raise DomainEscape(f"{what} outside the sigma-extended ball")
+        return np.concatenate([Is[1], ps[1]], axis=-1)
 
     def orbit(self, x0: np.ndarray, steps: int) -> np.ndarray:
         """Orbit [x0, F(x0), ..., F^steps(x0)], shape (steps+1, ..., 2d): the
@@ -230,57 +212,23 @@ def _frac(phi):
     return phi - np.floor(phi)
 
 
-def _check_contraction(g, y0: np.ndarray, R: float) -> None:
-    """Probe sup|g| < R/(d+1) at y0 and y0 +- R/2 along each axis, with a
-    safety factor of 2 (the true sup of a black-box g is not computable)."""
-    d = y0.shape[-1]
-    probes = [y0]
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = 0.5 * R
-        probes.append(y0 + e)
-        probes.append(y0 - e)
-    M = 2.0 * max(float(np.max(np.abs(g(p)))) for p in probes)
-    if M >= R / (d + 1):
-        raise ContractionViolated(
-            f"probe estimate M={M:.3g} violates M < R/(d+1) = {R / (d + 1):.3g}"
-        )
-
-
-def _picard(g, y0, tol=PICARD_TOL, max_iter=MAX_PICARD_ITER):
+def _picard(g, y0):
     """Picard iteration for y = y0 + g(y), batched over leading axes.
 
-    Returns the iterate y whose residual |y0 + g(y) - y|_inf (max over the
-    batch) was just measured at or below tol, so the result is certified
-    without a further evaluation of g.
+    Each row (last axis) is held at the first iterate whose own residual
+    |y0 + g(y) - y|_inf measured at most `PICARD_TOL`: it needs no further
+    call of g, the last call of g is at the y returned, and for a g that
+    acts row by row a batch is its one-row solves bit for bit.
     """
     y = y0 + g(y0)
-    for _ in range(max_iter):
+    for _ in range(MAX_PICARD_ITER):
         y_next = y0 + g(y)
-        if float(np.max(np.abs(y_next - y))) <= tol:
+        done = np.max(np.abs(y_next - y), axis=-1, keepdims=True) <= PICARD_TOL
+        if done.all():
             return y
-        y = y_next
-    raise NoConvergence(f"Picard iteration did not reach tol={tol:g} in {max_iter} steps")
-
-
-def implicit_solve(
-    g: Callable[[np.ndarray], np.ndarray],
-    y0: np.ndarray,
-    R: float,
-    tol: float = PICARD_TOL,
-    max_iter: int = MAX_PICARD_ITER,
-) -> np.ndarray:
-    """Solve y = y0 + g(y) by Picard iteration inside the ball B(y0, R).
-
-    The contraction precondition sup|g| < R/(d+1) is estimated by probing
-    (see `_check_contraction`); the measured residual of the returned
-    iterate backstops the probe estimate.
-
-    Returns y with |y - y0 - g(y)|_inf <= tol.
-    """
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    _check_contraction(g, y0, R)
-    return _picard(g, y0, tol, max_iter)
+        y = np.where(done, y, y_next)
+    raise NoConvergence(f"Picard iteration did not reach tol={PICARD_TOL:g} "
+                        f"in {MAX_PICARD_ITER} steps")
 
 
 def _step(model: MapModel, I: np.ndarray, phi: np.ndarray):
@@ -297,6 +245,26 @@ def _step(model: MapModel, I: np.ndarray, phi: np.ndarray):
         return In, phi + model.omega(In)
     In = _picard(lambda y: -model.eps * model.s_phi(y, ph), I)
     return In, phi + model.omega(In) + model.eps * model.s_I(In, ph)
+
+
+def _step_back(model: MapModel, I: np.ndarray, phi: np.ndarray):
+    """One unguarded inverse map step on arrays of shape (..., d).
+
+    A generating-form map solves its implicit system with the roles of
+    (I, phi) and (I', phi') exchanged: phi by `_picard` (skipped when s is
+    action-independent, where the start solves it), then I explicitly.  An
+    integrable map (eps = 0, or an explicit map whose a and b are both
+    `_zero_field`) undoes the twist.  Any other map raises FormMismatch.
+    """
+    if model.eps == 0.0 or (model.form == "explicit" and model.a is _zero_field
+                            and model.b is _zero_field):
+        return I, phi - model.omega(I)
+    if model.form != "generating":
+        raise FormMismatch("inverse step requires a generating-form map (or an integrable one)")
+    ph = phi - model.omega(I)  # the solution when s_I vanishes
+    if not model.s_action_independent:
+        ph = _picard(lambda y: -model.eps * model.s_I(I, _frac(y)), ph)
+    return I + model.eps * model.s_phi(I, _frac(ph)), ph
 
 
 def _first_outside(domain: DomainSpec, Is: np.ndarray) -> np.ndarray:
@@ -415,62 +383,69 @@ def _propagate_point(eps: float, plan: _KickPlan, I: np.ndarray, phi: np.ndarray
 
 
 def propagate(model: MapModel, I: np.ndarray, phi: np.ndarray, steps: int):
-    """Take ``steps`` unguarded map steps from states of shape (..., d).
+    """Take |steps| unguarded map steps from states of shape (..., d),
+    inverse steps (`_step_back`) when ``steps`` is negative.
 
-    Returns the orbit buffers ``Is``, ``ps`` of shape (steps+1, ..., d) and,
-    per seed, the index of the first state outside the sigma-extended domain
-    from which a step was taken (-1 if none); callers decide what an escape
-    means.  A NoConvergence after an escape ends the buffers at the failing
-    step's source state and is dropped, so the escape is reported first.
-    Models with a `TrigTerm` in place step through `_propagate_trig`: one
+    Returns the orbit buffers ``Is``, ``ps`` of shape (|steps|+1, ..., d) and,
+    per seed, the index of its first escape (-1 if none); callers decide what
+    an escape means.  Forward, that is the first state outside the
+    sigma-extended domain from which a step was taken; backward, the first
+    result outside, less one (a result is the start of a forward step).  A
+    NoConvergence after an escape ends the buffers at the failing step's
+    source state and is dropped, so the escape is reported first.  Models
+    with a `TrigTerm` in place step forward through `_propagate_trig`: one
     point on Python floats, a larger batch in the term's row program.
     """
     I = np.asarray(I, dtype=float)
     phi = np.asarray(phi, dtype=float)
     term = _fused_term(model)
-    if term is not None:
+    if term is not None and steps >= 0:
         Is, ps = _propagate_trig(model.eps, term, I, phi, steps)
         return Is, ps, _first_outside(model.domain, Is[:steps])
-    Is = np.empty((steps + 1,) + I.shape)
-    ps = np.empty((steps + 1,) + phi.shape)
+    body, back, n = (_step_back, 1, -steps) if steps < 0 else (_step, 0, steps)
+    Is = np.empty((n + 1,) + I.shape)
+    ps = np.empty((n + 1,) + phi.shape)
     Is[0], ps[0] = I, phi
-    for k in range(steps):
+    for k in range(n):
         try:
-            Is[k + 1], ps[k + 1] = _step(model, Is[k], ps[k])
+            Is[k + 1], ps[k + 1] = body(model, Is[k], ps[k])
         except NoConvergence:
-            first = _first_outside(model.domain, Is[: k + 1])
+            first = _first_outside(model.domain, Is[back : k + 1])
             if np.all(first < 0):
                 raise
             return Is[: k + 1], ps[: k + 1], first
-    return Is, ps, _first_outside(model.domain, Is[:steps])
+    return Is, ps, _first_outside(model.domain, Is[back : n + back])
 
 
 def windows(model: MapModel, x0: np.ndarray, count: int, every: int):
     """Yield F^every(x0), ..., F^(count every)(x0) as views (Is, ps) of shape
-    (k, ..., d), one pair per `propagate` call of at most ``WINDOW`` steps.
+    (k, ..., d), one pair per `propagate` call of at most ``WINDOW`` steps;
+    a negative ``every`` steps backward, through inverse steps.
 
-    Samples do not depend on the window length.  After a step from outside
-    the domain, the samples completed before it are yielded and DomainEscape
-    is raised, indexed by the sample that could not be completed; a
-    non-finite last state is an escape indexed count + 1, since the step
-    from it is the first that could not be taken.
+    Samples do not depend on the window length.  After an escape (see
+    `propagate`), the samples completed before it are yielded and
+    DomainEscape is raised, indexed by the sample that could not be
+    completed; a non-finite last state is an escape indexed count + 1, since
+    the step from it is the first that could not be taken.
     """
     if count < 0:
         raise ValueError("steps must be nonnegative")
+    what = "inverse orbit" if every < 0 else "orbit"
+    stride = abs(every)
     x0 = np.asarray(x0, dtype=float)
     I, phi = x0[..., : model.d], x0[..., model.d:]
-    per = max(1, WINDOW // every)
+    per = max(1, WINDOW // stride)
     for lo in range(0, count, per):
         Is, ps, first = propagate(model, I, phi, min(per, count - lo) * every)
-        Is, ps, I, phi = Is[every::every], ps[every::every], Is[-1], ps[-1]
+        Is, ps, I, phi = Is[stride::stride], ps[stride::stride], Is[-1], ps[-1]
         if first.max(initial=-1) >= 0:
-            ok = int(first[first >= 0].min()) // every
+            ok = int(first[first >= 0].min()) // stride
             yield Is[:ok], ps[:ok]
-            raise DomainEscape(f"orbit left the domain in sample {lo + ok + 1}",
+            raise DomainEscape(f"{what} left the domain in sample {lo + ok + 1}",
                                index=lo + ok + 1)
         yield Is, ps
     if not (np.isfinite(I).all() and np.isfinite(phi).all()):
-        raise DomainEscape(f"orbit reached a non-finite state in sample {count}",
+        raise DomainEscape(f"{what} reached a non-finite state in sample {count}",
                            index=count + 1)
 
 
@@ -557,7 +532,7 @@ def _identity_hess_factory(d):
 
 
 def _zero_field(I, phi):
-    """a = 0 or b = 0 of an explicit map; `MapModel.inverse` recognises it."""
+    """a = 0 or b = 0 of an explicit map; `_step_back` recognises it."""
     return np.zeros_like(I)
 
 

@@ -190,7 +190,9 @@ class BlockMap:
     shifted by n omega_* per application.  ``scaling`` chooses rho:
     "lochak" uses the covering radius rho_n, "nucleus" uses sqrt(eps).
     Implements the flat-map protocol (``apply``, ``inverse``, ``orbit``) on
-    phase vectors of shape (..., 2d); ``inverse`` needs an invertible model.
+    phase vectors of shape (..., 2d), each one call of the orbit engine
+    `maps.windows`: forward at stride n, or backward at stride -n for
+    ``inverse``, which needs an invertible model.
     """
 
     def __init__(self, model: MapModel, site: ResonanceSite, scaling: str = "lochak"):
@@ -218,14 +220,13 @@ class BlockMap:
         return self.orbit(x, 1)[1]
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
-        """B^-1(x): n inverse steps of the model, on flat unscaled vectors."""
+        """B^-1(x): one backward window of `maps.windows` at stride -n (n
+        inverse steps of the model), from the lift shifted by n omega_*."""
         J, phi = self._split(x)
-        y = np.concatenate([self.site.I_star + self.rho * J,
-                            phi + self.n * self.site.omega_star], axis=-1)
-        for _ in range(self.n):
-            y = self.model.inverse(y)
-        return np.concatenate([(y[..., : self.d] - self.site.I_star) / self.rho,
-                               y[..., self.d:]], axis=-1)
+        I_star, rho = self.site.I_star, self.rho
+        y = np.concatenate([I_star + rho * J, phi + self.n * self.site.omega_star], axis=-1)
+        (Is, ps), = maps.windows(self.model, y, 1, -self.n)
+        return np.concatenate([(Is[0] - I_star) / rho, ps[0]], axis=-1)
 
     def windows(self, x0: np.ndarray, blocks: int):
         """Yield B(x0), ..., B^blocks(x0) as arrays (k, ..., 2d), one per

@@ -116,8 +116,8 @@ class TestSnDecomposition:
             assert abs(sn - h1) <= 5e-4  # eps_hat^2 scale at eps_hat ~ 1e-2
 
     def test_sn_batch_matches_points(self):
-        # within 1e-12, not bitwise: the block's batched Picard solve stops on
-        # the batch maximum
+        # bit for bit: the block's batched Picard solve holds each row where
+        # its own residual met the tolerance
         dec = SnDecomposition(block=scaled_block(catalog("standard", 1e-4), std_site(),
                                                  "nucleus"))
         xs = np.array([[0.3, 0.2], [-0.5, 0.7]])
@@ -126,7 +126,7 @@ class TestSnDecomposition:
         for x, val in zip(xs, batch):
             one = dec.S_n(x)
             assert isinstance(one, float)
-            assert abs(val - one) <= 1e-12
+            assert one == val
 
     def test_wn_path_exit_outside_domain(self):
         # at Jbar = 10 the lochak block leaves the sigma-extended domain

@@ -365,21 +365,29 @@ class TestGeneratingRecovery:
         assert abs(a - b) <= 10 * 1e-11
 
 
+def lochak_n3_block():
+    site = ResonanceSite(n=3, omega_star=[1.0 / 3.0], I_star=[1.0 / 3.0], rho_n=0.05)
+    return scaled_block(catalog("standard", 1e-3), site, scaling="lochak")
+
+
+FOUR_POINTS = np.array([[0.3, 0.2], [-0.5, 0.7], [0.9, 0.45], [0.0, 0.0]])
+
+
 class TestCrossFormFields:
-    @pytest.mark.parametrize("map_like", [nonexact_shear(0.1), std_block(1e-3)],
-                             ids=["nonexact_shear", "nucleus_block"])
-    def test_solved_fields_reproduce_the_map(self, map_like):
+    @pytest.mark.parametrize("map_like, x", [(nonexact_shear(0.1), FOUR_POINTS),
+                                             (std_block(1e-3), FOUR_POINTS),
+                                             (lochak_n3_block(), unit_box(1).grid(6))],
+                             ids=["nonexact_shear", "nucleus_block", "lochak_n3_block"])
+    def test_solved_fields_reproduce_the_map(self, map_like, x):
         uv = cross_form_fields(map_like)
-        x = np.array([[0.3, 0.2], [-0.5, 0.7], [0.9, 0.45], [0.0, 0.0]])
         u, v = uv(x)
         # F(pbar + u, q) = (pbar, q + v), to the Picard tolerance
         y = map_like.apply(np.concatenate([x[:, :1] + u, x[:, 1:]], axis=-1))
         want = np.concatenate([x[:, :1], x[:, 1:] + v], axis=-1)
         np.testing.assert_allclose(y, want, rtol=0, atol=10 * PICARD_TOL)
-        for i in range(x.shape[0]):  # a batch row solves as its point alone
+        for i in range(x.shape[0]):  # a batch row solves as its point alone, bit for bit
             ui, vi = uv(x[i])
-            np.testing.assert_allclose(ui, u[i], rtol=0, atol=PICARD_TOL)
-            np.testing.assert_allclose(vi, v[i], rtol=0, atol=PICARD_TOL)
+            assert np.array_equal(ui, u[i]) and np.array_equal(vi, v[i])
 
 
     def test_solved_fields_reuse_the_last_picard_image(self, monkeypatch):

@@ -1,4 +1,4 @@
-"""Map kernel: stepping, lifts, implicit solver, catalog invariants."""
+"""Map kernel: stepping, lifts, inverse steps, Picard solver, catalog invariants."""
 
 import copy
 import pickle
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from mapflow import (
     catalog,
-    implicit_solve,
     interpolating_vf,
     jacobian,
     near_identity_family,
@@ -21,12 +20,13 @@ from mapflow import (
     trapped_orbit,
 )
 from mapflow import maps
-from mapflow.errors import ContractionViolated, DomainEscape, FormMismatch, NoConvergence
+from mapflow.errors import DomainEscape, FormMismatch, NoConvergence
 from mapflow.maps import (
     DomainSpec,
     MapModel,
     TrigTerm,
     _fused_term,
+    _picard,
     _propagate_trig,
     _step,
     _trig_model,
@@ -465,37 +465,53 @@ class TestShiftedLift:
 
 
 class TestImplicitSolve:
+    """The one implicit solve, `maps._picard`."""
+
     def test_zero_rhs(self):
-        y = implicit_solve(lambda y: np.zeros_like(y), np.array([1.0, 2.0]), R=1.0)
+        y = _picard(lambda y: np.zeros_like(y), np.array([1.0, 2.0]))
         assert np.array_equal(y, np.array([1.0, 2.0]))
 
     def test_constant_rhs(self):
-        y = implicit_solve(lambda y: np.array([0.125]), np.array([1.0]), R=1.0)
+        y = _picard(lambda y: np.array([0.125]), np.array([1.0]))
         assert y[0] == pytest.approx(1.125, abs=1e-15)
 
     def test_sin_fixed_point_matches_bisection(self):
-        y = implicit_solve(lambda y: 0.1 * np.sin(y), np.array([1.0]), R=1.0)
+        y = _picard(lambda y: 0.1 * np.sin(y), np.array([1.0]))
         assert y[0] == pytest.approx(FIXED_POINT_SIN, abs=1e-12)
         # re-derive the frozen oracle value
         root = bisect(lambda t: t - 1.0 - 0.1 * np.sin(t), 1.0, 1.2)
         assert root == pytest.approx(FIXED_POINT_SIN, abs=1e-12)
 
-    def test_contraction_violation(self):
-        with pytest.raises(ContractionViolated):
-            implicit_solve(lambda y: 10.0 * np.ones_like(y), np.array([0.0]), R=1.0)
-
-    def test_budget_exhaustion(self):
-        # contraction factor close to 1 but probes pass: tiny budget fails
+    def test_budget_exhaustion(self, monkeypatch):
+        # the budget is read at call time: a solve that converges in the
+        # default budget does not in two iterations
+        g = lambda y: 0.1 * np.sin(y)
+        _picard(g, np.array([1.0]))
+        monkeypatch.setattr(maps, "MAX_PICARD_ITER", 2)
         with pytest.raises(NoConvergence):
-            implicit_solve(lambda y: 0.2 * np.sin(7 * y), np.array([0.3]), R=2.0,
-                           tol=1e-15, max_iter=2)
+            _picard(g, np.array([1.0]))
 
     @given(c=st.floats(-0.2, 0.2), y0=st.floats(-1.0, 1.0))
     @settings(max_examples=50, deadline=None)
     def test_residual_postcondition(self, c, y0):
         g = lambda y: c * np.cos(3.0 * y)
-        y = implicit_solve(g, np.array([y0]), R=2.0, tol=1e-14)
+        y = _picard(g, np.array([y0]))
         assert abs(y[0] - y0 - g(y)[0]) <= 1e-13
+
+    def test_rows_converge_on_their_own(self):
+        # rows of different contraction factors converge at different
+        # iterations; each is held there, at its one-row solve, bit for bit
+        c = np.array([[0.0], [0.01], [0.2], [0.5], [-0.6]])
+        y0 = np.array([[0.7], [1.0], [1.0], [0.2], [2.5]])
+        batch = _picard(lambda y: c * np.sin(y), y0)
+        calls = []
+        for i in range(len(c)):
+            def g(y, ci=c[i]):
+                calls[-1] += 1
+                return ci * np.sin(y)
+            calls.append(0)
+            assert np.array_equal(_picard(g, y0[i]), batch[i])
+        assert len(set(calls)) == len(c)
 
     def test_monotone_residuals(self):
         # residuals shrink geometrically once contraction holds
@@ -538,12 +554,10 @@ class TestSymplecticity:
             assert np.max(np.abs(Ja - Jfd)) <= 1e-8
 
     def test_jacobian_of_an_explicit_step_needs_no_contraction(self):
-        # at eps = 1 the probe of implicit_solve refuses (M = 0.303 >= 0.25), but
-        # the step is explicit in I' and the Jacobian takes the step's own I'
+        # at eps = 1 the step is explicit in I' (no contraction needed), and the
+        # Jacobian takes the step's own I'
         m = catalog("standard", 1.0)
         x = np.array([0.2, 0.3])
-        with pytest.raises(ContractionViolated):
-            implicit_solve(lambda y: -m.eps * m.s_phi(y, x[1:]), x[:1], R=m.domain.sigma)
         h = 1e-6
         Jfd = np.empty((2, 2))
         for j in range(2):
@@ -620,6 +634,59 @@ class TestSymplecticity:
         twist = catalog("twist", 0.01, d=2)
         x = np.array([0.2, -0.3, 0.4, 0.9])
         assert np.max(np.abs(twist.inverse(twist.apply(x)) - x)) <= 1e-15
+
+
+def _lochak_n3(eps: float) -> BlockMap:
+    """The lochak block of the standard map at n = 3, omega_* = 1/3, rho = 0.05."""
+    site = ResonanceSite(n=3, omega_star=[1.0 / 3.0], I_star=[1.0 / 3.0], rho_n=0.05)
+    return BlockMap(catalog("standard", eps), site)
+
+
+class TestInverseEngine:
+    """Inverse steps run in the orbit engine: `propagate` with a negative step count."""
+
+    def test_every_inverse_reaches_step_back(self, monkeypatch):
+        def refuse(model, I, phi):
+            raise RuntimeError("stepped back")
+
+        monkeypatch.setattr(maps, "_step_back", refuse)
+        m = catalog("standard", 1e-3)
+        for inverse in (m.inverse, _lochak_n3(1e-3).inverse,
+                        lambda x: interpolating_vf(m, x, 2, "gauss")):
+            with pytest.raises(RuntimeError, match="stepped back"):
+                inverse(np.array([0.2, 0.3]))
+
+    def test_block_inverse_is_one_engine_call(self, monkeypatch):
+        blk, calls, model_inverses = _lochak_n3(1e-3), [], []
+        engine = maps.windows
+        monkeypatch.setattr(maps, "windows", lambda *a: calls.append(a[2:]) or engine(*a))
+        monkeypatch.setattr(MapModel, "inverse", lambda self, x: model_inverses.append(x))
+        blk.inverse(np.array([[0.4, 0.23], [-0.7, 0.9]]))
+        assert calls == [(1, -3)]  # one sample at stride -n
+        assert not model_inverses
+
+    @pytest.mark.parametrize("window", [1, 7, 2048])
+    def test_escape_at_the_second_of_three_inverse_steps(self, monkeypatch, window):
+        monkeypatch.setattr(maps, "WINDOW", window)
+        blk = _lochak_n3(0.5)
+        m, out = blk.model, np.array([23.0, 0.1])
+        z = m.inverse(np.array([blk.site.I_star[0] + blk.rho * out[0], out[1] + 1.0]))
+        with pytest.raises(DomainEscape, match="inverse"):  # the first step stayed inside
+            m.inverse(z)
+        for x in (out, np.array([[0.0, 0.2], out])):
+            with pytest.raises(DomainEscape, match="inverse"):
+                blk.inverse(x)
+
+    def test_action_dependent_batch_rows_are_their_points(self, rng):
+        # the forward and inverse steps take a Picard solve per row
+        member = near_identity_family(
+            replace(catalog("standard", 0.5), s_action_independent=False))(0.3)
+        x = np.concatenate([rng.uniform(-0.5, 0.5, (20, 1)), rng.uniform(0, 1, (20, 1))],
+                           axis=-1)
+        for step in (member.apply, member.inverse):
+            batch = step(x)
+            for xi, yi in zip(x, batch):
+                assert np.array_equal(step(xi), yi)
 
 
 class TestCatalog:
