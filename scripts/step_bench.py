@@ -11,10 +11,11 @@ map at the same batch sizes (one backward step of the engine), next to two
 orbit calls of the windowed orbit engine: `BlockMap.orbit` of that block
 at the field shape of the embed benchmark (25 points, 6 blocks) and
 `MapModel.orbit` of one point of the standard map over 10^4 steps (40
-windows), and two calls of the field layer built on them: the newton and
-the gauss field X_6 of that block at 25 points (`interpolating_vf`, the
-embed field shape; gauss adds 3 `inverse` calls and one checking
-`apply`).  Then times `cli.write_csv`
+windows), and the fields built on them: the newton and the gauss field of
+that block at 25 points (`interpolating_vf`), at m = 6 (the embed field
+shape) and m = 20 (where symmetric averaging is meant to take over).  A
+newton field is one orbit call; a gauss field is one backward and one
+forward orbit call and one checking `apply`.  Then times `cli.write_csv`
 on a table of 10^5 rows and the columns of a nucleus orbit (int, float,
 float, int) and prints microseconds per row.  Last, times one
 `stability_scan` of froeschle2 (100 seeds x 2 * 10^4 steps) and prints
@@ -97,12 +98,14 @@ def main(argv=None) -> int:
     for batch, calls in APPLY_CASES:  # |J| <= 0.5 stays inside the nucleus
         applies.append(("nucleus block.apply", batch, calls, block.apply, _point(1, batch)))
     # the orbit engine: embed's field shape (25 points, m = 6), and 40 windows;
-    # then the newton and gauss fields on that orbit
+    # then the newton and gauss fields on that orbit, and at m = 20
     applies.append(("nucleus block.orbit", 25, 200, lambda x: block.orbit(x, 6), _point(1, 25)))
     applies.append(("standard.orbit", 1, 3, lambda x: std.orbit(x, 10_000), _point(1, 1)))
-    for scheme in ("newton", "gauss"):
-        applies.append((f"nucleus block X_6 {scheme}", 25, 200,
-                        lambda x, s=scheme: interpolating_vf(block, x, 6, s), _point(1, 25)))
+    for m, calls in ((6, 200), (20, 100)):
+        for scheme in ("newton", "gauss"):
+            applies.append((f"nucleus block X_{m} {scheme}", 25, calls,
+                            lambda x, m=m, s=scheme: interpolating_vf(block, x, m, s),
+                            _point(1, 25)))
     for _, _, _, model, I, phi in cases:  # warm up every path once
         propagate(model, I, phi, 10)
     for *_, fn, x in applies:
@@ -138,10 +141,10 @@ def main(argv=None) -> int:
           f" {args.repeats} repeats")
     for name, batch, *_ in cases:
         print(f"{name:<11} {batch:>6} {_stats(samples[name, batch])}")
-    print(f"\n{'call':<24} {'batch':>6} {'median':>9} {'q1':>9} {'q3':>9}  us per call,"
+    print(f"\n{'call':<25} {'batch':>6} {'median':>9} {'q1':>9} {'q3':>9}  us per call,"
           f" {args.repeats} repeats")
     for name, batch, *_ in applies:
-        print(f"{name:<24} {batch:>6} {_stats(samples[name, batch])}")
+        print(f"{name:<25} {batch:>6} {_stats(samples[name, batch])}")
     print(f"\n{'writer':<19} {'rows':>6} {'median':>9} {'q1':>9} {'q3':>9}  us per row,"
           f" {args.repeats} repeats")
     print(f"{'cli.write_csv':<19} {CSV_ROWS:>6} {_stats(csv_us, 3)}")

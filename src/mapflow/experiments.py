@@ -51,6 +51,8 @@ class AprioriMargins:
 def apriori_check(model: MapModel, x0: np.ndarray, n: int) -> AprioriMargins:
     """Check |I_n - I_0| <= C1 n eps and |phi_n - phi_0 - n omega(I_0)| <= C2 n^2 eps
     on the orbit of the phase vector x0 of shape (2d,)."""
+    if n < 0:  # the bounds are for forward steps; orbit would step backward
+        raise ValueError("steps must be nonnegative")
     orb = model.orbit(x0, n)
     Is, ps = orb[..., : model.d], orb[..., model.d:]
     dom = model.domain

@@ -20,18 +20,19 @@ Differences are computed by the recursive in-place scheme; the raw
 binomial-sum form is kept in the test suite as an independent oracle.
 
 Every map is stepped through one flat-map protocol on phase vectors of
-shape (..., 2d): ``apply`` (one step), ``inverse`` (one inverse step) and
-``orbit(x0, steps)`` (shape (steps+1, ..., 2d)).  `MapModel` and `BlockMap`
-implement it; `as_map` wraps a plain function of one (2d,) vector.
-Windows and fields take one point (2d,) or a batch (..., 2d): a batch is
-stepped by one ``orbit`` call.
+shape (..., 2d): ``orbit(x0, steps)``, of shape (|steps|+1, ..., 2d), whose
+negative counts step backward, and ``apply``, one forward step.  `MapModel`
+and `BlockMap` implement it, with ``apply`` and ``inverse`` the one-step
+cases of ``orbit``; `as_map` wraps a plain function of one (2d,) vector,
+which steps forward only.  Windows and fields take one point (2d,) or a
+batch (..., 2d): a batch is stepped by one ``orbit`` call per direction.
 
 A window step is checked, F(x_k) against x_{k+1} at `VERIFY_TOL`, only
 where its two sides are different code: the steps of a plain function's
-orbit (user code) and the backward steps of a gauss window (``inverse``, a
-second arithmetic).  The forward orbit of a model or a block is the orbit
-engine `maps.windows`, which raises for an escape and a non-finite last
-state; its ``apply`` is the same kernel, so it is not checked again.
+orbit (user code) and the backward steps of a gauss window (inverse steps,
+a second arithmetic).  A model's or a block's orbit, forward or backward,
+is the orbit engine `maps.windows`, which decides every failure: an escape
+and a non-finite state raise DomainEscape there.
 """
 
 from __future__ import annotations
@@ -57,11 +58,9 @@ FlatMap = Callable[[np.ndarray], np.ndarray]
 class _PointwiseMap:
     """Flat-map protocol for a plain function of one (2d,) phase vector.
 
-    ``apply`` calls the function once per row, ``orbit`` steps one point at a
-    time and checks its steps with `_verify`, and there is no ``inverse``.
+    ``apply`` calls the function once per row; ``orbit`` steps one point at
+    a time, forward only, and checks its steps with `_verify`.
     """
-
-    inverse = None
 
     def __init__(self, fn: FlatMap):
         self.fn = fn
@@ -73,7 +72,7 @@ class _PointwiseMap:
 
     def orbit(self, x0: np.ndarray, steps: int) -> np.ndarray:
         if steps < 0:
-            raise ValueError("steps must be nonnegative")
+            raise ValueError("steps must be nonnegative: a plain function is not invertible")
         pts = [np.asarray(x0, dtype=float)]
         for _ in range(steps):
             pts.append(self.apply(pts[-1]))
@@ -83,11 +82,11 @@ class _PointwiseMap:
 
 
 def as_map(map_like):
-    """The flat-map protocol of a map: ``apply``, ``inverse`` and ``orbit``.
+    """The flat-map protocol of a map: ``orbit`` and ``apply``.
 
     A `MapModel` or a `BlockMap` (anything with ``orbit``) is returned
     unchanged; any other callable is taken as a function of one (2d,) phase
-    vector and wrapped pointwise.
+    vector and wrapped pointwise, forward only.
     """
     if hasattr(map_like, "orbit"):
         return map_like
@@ -130,38 +129,30 @@ def orbit_window(map_like, x0, m: int, scheme: str = "newton") -> np.ndarray:
 
     ``x0`` is one phase vector (2d,) or a batch (..., 2d); the window has
     shape (m+1, ..., 2d): x_0..x_m for the newton scheme, x_{-j}..x_j with
-    m = 2j for the gauss scheme.  The forward iterates come from one
-    ``orbit`` call of the map's flat-map protocol (`as_map`); the gauss
-    scheme's backward iterates x_{-1}..x_{-j} come from j ``inverse`` calls.
-    For a model or a block each is one backward call of the orbit engine,
+    m = 2j for the gauss scheme.  Each half is one ``orbit`` call of the
+    map's flat-map protocol (`as_map`): ``orbit(x0, m)`` for newton, and
+    ``orbit(x0, -j)`` and ``orbit(x0, j)`` for gauss.  For a model or a
+    block the backward half is one backward call of the orbit engine,
     whose inverse steps (`maps._step_back`) exchange the roles of old and
-    new coordinates in the implicit step.
+    new coordinates in the implicit step; a plain function steps forward
+    only.
 
     A step is checked (`_verify`) only where the two sides of it are
-    different code.  The forward half is the map's own ``orbit``, returned
-    as it is: for a model or a block it is the orbit engine
-    (`maps.windows`), which raises for an escape and a non-finite last
-    state, and whose ``apply`` is the same kernel, so a check would compare
-    it with itself; a plain function's orbit checks its own steps.  The
-    backward half comes from ``inverse``, a second arithmetic (the inverse
-    step, not the forward one), so its j steps x_{-k} -> x_{-k+1} are
-    checked with one ``apply`` call.
+    different code.  A model's or a block's forward orbit is returned as it
+    is: ``apply`` is the same kernel, so a check would compare it with
+    itself; a plain function's orbit checks its own steps.  The backward
+    iterates come from the inverse step, a second arithmetic, so their j
+    steps x_{-k} -> x_{-k+1} are checked with one ``apply`` call.
     """
     _check_order(m)
     _check_window(m, scheme)
     F = as_map(map_like)
     x0 = np.asarray(x0, dtype=float)
-    back = []
-    if scheme == "gauss":
-        if F.inverse is None:
-            raise ValueError("gauss scheme needs an invertible map")
-        x = x0
-        for _ in range(m // 2):
-            x = F.inverse(x)
-            back.append(x)
-    pts = np.concatenate([*(x[None] for x in back[::-1]), F.orbit(x0, m - len(back))])
-    if back:
-        _verify(F, pts, len(back))
+    if scheme == "newton":
+        return F.orbit(x0, m)
+    j = m // 2
+    pts = np.concatenate([F.orbit(x0, -j)[:0:-1], F.orbit(x0, j)])
+    _verify(F, pts, j)
     return pts
 
 

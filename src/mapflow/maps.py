@@ -28,10 +28,11 @@ terms are held as data (`TrigTerm`); their models step forward in
 and every larger batch in the row program of `_KickWork`, both read from
 the term's `_KickPlan` and bitwise equal.  `_step` is the forward body of
 callback models, `_step_back` the inverse body of every model.  `windows`
-is the one orbit engine, both ways, and the one place where an orbit raises.
+is the one orbit engine, both ways, and the one place where a step fails.
 
 Public functions take flat phase vectors of shape (..., 2d), ordered
-(I, phi); `MapModel.apply`, `inverse` and `orbit` are the one stepping API.
+(I, phi).  `MapModel.orbit` is the one stepping method, with a signed step
+count; `apply` and `inverse` are its one-step cases.
 Separate action and angle arrays appear only inside this kernel: `_step`,
 `_step_back`, `_propagate_trig`, `_propagate_point`, `propagate` and
 `windows`.
@@ -173,38 +174,22 @@ class MapModel:
     # -- flat-map protocol on phase vectors of shape (..., 2d) ---------------
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """One `propagate` step on flat phase vectors of shape (..., 2d).
-
-        DomainEscape is raised, after the step, when an input action lies
-        outside the sigma-extended ball; a non-finite image is returned as
-        it is.  NoConvergence is raised if the implicit solve stalls.
-        """
-        return self._one_step(x, 1, "action")
+        """One map step, ``orbit(x, 1)[1]``."""
+        return self.orbit(x, 1)[1]
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
-        """One inverse map step on flat phase vectors of shape (..., 2d): one
-        backward `propagate` step (`_step_back`), for generating-form and
-        integrable maps; any other map raises FormMismatch.  The result is
-        the input of a forward step, so `apply`'s domain rule holds for it:
-        DomainEscape is raised when a result action lies outside the
-        sigma-extended ball (NaN included).
-        """
-        return self._one_step(x, -1, "inverse image")
-
-    def _one_step(self, x: np.ndarray, steps: int, what: str) -> np.ndarray:
-        """One `propagate` step, forward (1) or back (-1), with the escape check."""
-        x = np.asarray(x, dtype=float)
-        Is, ps, first = propagate(self, x[..., : self.d], x[..., self.d:], steps)
-        if first.max(initial=-1) >= 0:
-            raise DomainEscape(f"{what} outside the sigma-extended ball")
-        return np.concatenate([Is[1], ps[1]], axis=-1)
+        """One inverse map step, ``orbit(x, -1)[1]``: generating-form and
+        integrable maps only; any other map raises FormMismatch."""
+        return self.orbit(x, -1)[1]
 
     def orbit(self, x0: np.ndarray, steps: int) -> np.ndarray:
-        """Orbit [x0, F(x0), ..., F^steps(x0)], shape (steps+1, ..., 2d): the
-        windows of `windows` at stride 1, whose escapes it raises."""
+        """Orbit [x0, F(x0), ..., F^steps(x0)], shape (|steps|+1, ..., 2d),
+        by inverse steps when ``steps`` is negative: the windows of `windows`
+        at stride 1 or -1, which raises for an escape, a non-finite last
+        state (DomainEscape) and a stalled implicit solve (NoConvergence)."""
         x0 = np.asarray(x0, dtype=float)
-        return np.concatenate([x0[None], *(np.concatenate(w, axis=-1)
-                                           for w in windows(self, x0, steps, 1))])
+        return np.concatenate([x0[None], *(np.concatenate(w, axis=-1) for w in
+                                           windows(self, x0, abs(steps), -1 if steps < 0 else 1))])
 
 
 def _frac(phi):

@@ -137,12 +137,11 @@ def trapped_orbit(model: MapModel, site: ResonanceSite, x0: np.ndarray, budget: 
     d = model.d
     x0 = np.asarray(x0, dtype=float)
     exit_index = None
+    if budget < 0:  # the block's orbit would step backward
+        raise ValueError("steps must be nonnegative")
     if model.eps == 0.0:
         # the sqrt(eps) scaling collapses: the block is the identity on the
-        # resonant torus and the orbit never exits; the orbit engine, which
-        # checks the count, is not reached
-        if budget < 0:
-            raise ValueError("steps must be nonnegative")
+        # resonant torus and the orbit never exits
         X = np.tile(x0, (budget + 1, 1))
     else:
         r1 = nmodel.radii.r1

@@ -189,10 +189,10 @@ class BlockMap:
     Maps (J, phi) -> (Jbar, phibar) with I = I_* + rho J and the angle lift
     shifted by n omega_* per application.  ``scaling`` chooses rho:
     "lochak" uses the covering radius rho_n, "nucleus" uses sqrt(eps).
-    Implements the flat-map protocol (``apply``, ``inverse``, ``orbit``) on
-    phase vectors of shape (..., 2d), each one call of the orbit engine
-    `maps.windows`: forward at stride n, or backward at stride -n for
-    ``inverse``, which needs an invertible model.
+    Implements the flat-map protocol on phase vectors of shape (..., 2d):
+    ``orbit`` with a signed block count, one call of the orbit engine
+    `maps.windows` at stride n, or -n backward (which needs an invertible
+    model); ``apply`` and ``inverse`` are its one-block cases.
     """
 
     def __init__(self, model: MapModel, site: ResonanceSite, scaling: str = "lochak"):
@@ -211,41 +211,36 @@ class BlockMap:
         self.n = site.n
         self.d = model.d
 
-    def _split(self, x):
-        x = np.asarray(x, dtype=float)
-        return x[..., : self.d], x[..., self.d:]
-
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """One block, B(x): the last state of ``orbit(x, 1)``."""
+        """One block, B(x) = ``orbit(x, 1)[1]``."""
         return self.orbit(x, 1)[1]
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
-        """B^-1(x): one backward window of `maps.windows` at stride -n (n
-        inverse steps of the model), from the lift shifted by n omega_*."""
-        J, phi = self._split(x)
-        I_star, rho = self.site.I_star, self.rho
-        y = np.concatenate([I_star + rho * J, phi + self.n * self.site.omega_star], axis=-1)
-        (Is, ps), = maps.windows(self.model, y, 1, -self.n)
-        return np.concatenate([(Is[0] - I_star) / rho, ps[0]], axis=-1)
+        """One block back, B^-1(x) = ``orbit(x, -1)[1]``."""
+        return self.orbit(x, -1)[1]
 
     def windows(self, x0: np.ndarray, blocks: int):
-        """Yield B(x0), ..., B^blocks(x0) as arrays (k, ..., 2d), one per
-        window of `maps.windows` at stride n, which raises for escapes in
-        blocks.  The orbit is stepped unscaled; each sample is rescaled
-        here, with k n omega_* taken off block k, so the blocks do not
-        depend on the window length."""
-        J, phi = self._split(x0)
-        I_star, rho, shift = self.site.I_star, self.rho, self.n * self.site.omega_star
+        """Yield B^s(x0), ..., B^blocks(x0), s = +-1 the sign of ``blocks``,
+        as arrays (k, ..., 2d), one per window of `maps.windows` at stride
+        s n, which raises for escapes in blocks.  The orbit is stepped from
+        the unshifted lift; block k is rescaled here, with k n omega_* taken
+        off its angles (added, backward), so the blocks do not depend on the
+        window length."""
+        x0 = np.asarray(x0, dtype=float)
+        J, phi = x0[..., : self.d], x0[..., self.d:]
+        I_star, rho = self.site.I_star, self.rho
+        sign = -1 if blocks < 0 else 1
+        shift = sign * self.n * self.site.omega_star
         k = 0
         for Is, ps in maps.windows(self.model, np.concatenate([I_star + rho * J, phi], axis=-1),
-                                   blocks, self.n):
+                                   abs(blocks), sign * self.n):
             ks = np.arange(k + 1, k + 1 + len(Is)).reshape((-1,) + (1,) * phi.ndim)
             k += len(Is)
             yield np.concatenate([(Is - I_star) / rho, ps - ks * shift], axis=-1)
 
     def orbit(self, x0: np.ndarray, blocks: int) -> np.ndarray:
-        """Block orbit [x0, B(x0), ..., B^blocks(x0)], shape (blocks+1, ..., 2d).
-        ``apply`` is ``orbit(x, 1)[1]``."""
+        """Block orbit [x0, B(x0), ..., B^blocks(x0)], shape (|blocks|+1, ..., 2d),
+        backward for a negative count."""
         x0 = np.asarray(x0, dtype=float)
         return np.concatenate([x0[None], *self.windows(x0, blocks)])
 

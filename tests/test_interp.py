@@ -275,6 +275,37 @@ class TestOrbitWindow:
                 interpolating_vf(blk, x, m, scheme="gauss")
                 assert calls[0] == 1
 
+    @pytest.mark.parametrize("case", ["standard", "lochak_n3"])
+    def test_gauss_window_is_one_backward_and_one_forward_engine_call(self, case,
+                                                                       monkeypatch):
+        # plus the one apply that checks the backward half, and no inverse call
+        if case == "standard":
+            F, n = catalog("standard", 1e-3), 1
+        else:
+            site = ResonanceSite(n=3, omega_star=[1 / 3], I_star=[1 / 3], rho_n=0.05)
+            F, n = scaled_block(catalog("standard", 1e-3), site, "lochak"), 3
+        x = np.array([[0.3, 0.4], [-0.2, 0.7]])
+        want = interpolating_vf(F, x, 6, "gauss")
+        engine, inverses, applying = [], [], [False]
+        windows, apply = maps.windows, type(F).apply
+
+        def checking(self, y):
+            applying[0] = True
+            try:
+                return apply(self, y)
+            finally:
+                applying[0] = False
+
+        monkeypatch.setattr(maps, "windows",
+                            lambda *a: engine.append((a[3], applying[0])) or windows(*a))
+        monkeypatch.setattr(type(F), "apply", checking)
+        for cls in (MapModel, BlockMap):
+            monkeypatch.setattr(cls, "inverse", lambda self, y: inverses.append(y))
+        got = interpolating_vf(F, x, 6, "gauss")
+        assert engine == [(-n, False), (n, False), (n, True)]
+        assert not inverses
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("case", ["standard", "froeschle2", "nucleus_n1"])
     def test_newton_field_makes_one_engine_call_and_no_apply(self, case, monkeypatch):
         if case == "nucleus_n1":
@@ -337,9 +368,28 @@ class TestBatchedField:
             bad.orbit(x0, 16)
         with pytest.raises(DomainEscape):
             interpolating_vf(bad, x0, 16)
-        # stepped one point at a time, the NaN state reaches the window check
+        # a plain function's NaN step reaches the window check: from (0.24, 0.2)
+        # the standard map's state 15 is the first above I = 0.255
+        std = catalog("standard", 1.0)
+
+        def plain(x):
+            return np.full_like(x, np.nan) if x[0] > 0.255 else std.apply(x)
+
         with pytest.raises(ValueError, match="verification"):
-            interpolating_vf(lambda x: bad.apply(x), x0, 16)
+            interpolating_vf(plain, x0, 16)
+
+    def test_non_finite_step_raises_on_models_and_blocks(self):
+        # one failure rule, the orbit engine's: apply and inverse raise where
+        # the step gives a non-finite state, as an orbit does
+        bad = _bad_standard()
+        blk = scaled_block(bad, ResonanceSite(n=1, omega_star=[0.0], I_star=[0.0],
+                                              rho_n=0.2), "nucleus")   # rho = 1: J = I
+        for F in (bad, blk):
+            for x in (np.array([0.3, 0.2]), np.array([[0.1, 0.2], [0.3, 0.2]])):
+                with pytest.raises(DomainEscape, match="non-finite"):
+                    F.apply(x)
+                with pytest.raises(DomainEscape, match="inverse"):
+                    F.inverse(x)
 
 
 def _one_point_only(model, calls):

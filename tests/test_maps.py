@@ -126,8 +126,9 @@ class TestIterate:
         x0 = np.array([0.1, 0.2])
         orb = standard_map.orbit(x0, 0)
         assert orb.shape == (1, 2) and np.array_equal(orb[0], x0)
-        with pytest.raises(ValueError):
-            standard_map.orbit(x0, -1)
+        back = standard_map.orbit(x0, -1)  # a negative count steps backward
+        assert back.shape == (2, 2) and np.array_equal(back[0], x0)
+        assert np.allclose(standard_map.apply(back[1]), x0, atol=1e-14)
 
     def test_twist_angles(self):
         m = catalog("twist", 0.0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mapflow import (
     ResonanceSite,
+    apriori_check,
     catalog,
     covering_params,
     dirichlet,
@@ -18,9 +19,10 @@ from mapflow import (
     scaled_block,
     trapped_orbit,
 )
+from mapflow import maps
 from mapflow.errors import DomainEscape, NotResonant, OutOfDomain
-from mapflow.interp import as_map
-from mapflow.maps import DomainSpec, MapModel
+from mapflow.interp import VERIFY_TOL, as_map
+from mapflow.maps import DomainSpec, MapModel, propagate
 
 from oracles import CUBIC_FREQ_ROOT, bisect
 
@@ -191,11 +193,11 @@ class TestScaledBlock:
         m, site = blk.model, blk.site
         x = np.array([[0.4, 0.23], [-0.7, 0.9], [0.0, 0.5]])
         for y in (x, x[0]):
-            z = np.concatenate([site.I_star + blk.rho * y[..., :1],
-                                y[..., 1:] + 3 * site.omega_star], axis=-1)
+            z = np.concatenate([site.I_star + blk.rho * y[..., :1], y[..., 1:]], axis=-1)
             for _ in range(3):
                 z = m.inverse(z)
-            want = np.concatenate([(z[..., :1] - site.I_star) / blk.rho, z[..., 1:]], axis=-1)
+            want = np.concatenate([(z[..., :1] - site.I_star) / blk.rho,
+                                   z[..., 1:] + 3 * site.omega_star], axis=-1)
             assert np.array_equal(blk.inverse(y), want)
 
     def test_escaping_block_raises_from_apply(self):
@@ -214,12 +216,36 @@ class TestScaledBlock:
         site = ResonanceSite(n=1, omega_star=[0.0], I_star=[0.0], rho_n=0.2)
         blk = scaled_block(m, site, scaling="nucleus")
         x = np.array([0.4, 0.23])
-        for run in (lambda: blk.orbit(x, -3), lambda: list(blk.windows(x, -2)),
-                    lambda: m.orbit(x, -3), lambda: trapped_orbit(m, site, x, -1),
+        for run in (lambda: trapped_orbit(m, site, x, -1), lambda: apriori_check(m, x, -3),
                     lambda: trapped_orbit(catalog("standard", 0.0), site, x, -1),
                     lambda: as_map(lambda y: y + 0.1).orbit(np.array([0.1, 0.2]), -3)):
             with pytest.raises(ValueError, match="nonnegative"):
                 run()
+
+    @pytest.mark.parametrize("window", [1, 7, 2048])
+    def test_negative_counts_step_backward(self, window, monkeypatch):
+        monkeypatch.setattr(maps, "WINDOW", window)
+        m = catalog("standard", 1e-3)
+        nucleus = scaled_block(m, ResonanceSite(n=1, omega_star=[0.0], I_star=[0.0],
+                                                rho_n=0.2), scaling="nucleus")
+        for x in (np.array([0.4, 0.23]), np.array([[0.4, 0.23], [-0.7, 0.9]])):
+            for k in (1, 3, 10):
+                I, phi, want = x[..., :1], x[..., 1:], [x]
+                for _ in range(k):
+                    Is, ps, _ = propagate(m, I, phi, -1)
+                    I, phi = Is[1], ps[1]
+                    want.append(np.concatenate([I, phi], axis=-1))
+                assert np.array_equal(m.orbit(x, -k), np.array(want))
+                for blk in (nucleus, self._n3_block()):
+                    want = [x]
+                    for _ in range(k):
+                        want.append(blk.inverse(want[-1]))
+                    want = np.array(want)
+                    got = blk.orbit(x, -k)
+                    scale = max(1.0, float(np.max(np.abs(want))))
+                    assert got.shape == want.shape
+                    assert np.max(np.abs(got - want)) <= VERIFY_TOL * scale
+                    assert np.array_equal(np.concatenate(list(blk.windows(x, -k))), got[1:])
 
     def test_nucleus_vs_lochak_scale(self):
         m = catalog("standard", 1e-4)
