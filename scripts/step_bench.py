@@ -18,11 +18,13 @@ newton field is one orbit call; a gauss field is one backward and one
 forward orbit call and one checking `apply`.  Then times `cli.write_csv`
 on a table of 10^5 rows and the columns of a nucleus orbit (int, float,
 float, int) and prints microseconds per row.  Last, times one
-`stability_scan` of froeschle2 (100 seeds x 2 * 10^4 steps) and prints
-seconds per scan, with the peak of memory that `tracemalloc` sees in one
-more scan; numpy reports its array buffers there, so the peak shows the
-scan's window buffers.  Each repeat runs every case once, in turn, so that
-a drift in host speed touches all cases alike.
+`stability_scan` of froeschle2 (100 seeds x 2 * 10^4 steps), which steps
+through the same orbit engine as the orbit calls, and prints seconds per
+scan, with the peak of memory that `tracemalloc` sees in one more scan;
+numpy reports its array buffers there, so the peak shows the scan's window
+buffers: about 1.9 MB while one window is alive at a time, 2.7 MB if the
+previous one is kept while the next is written.  Each repeat runs every
+case once, in turn, so that a drift in host speed touches all cases alike.
 
     PYTHONPATH=src python scripts/step_bench.py [--repeats 9]
 

@@ -25,7 +25,7 @@ from .hamiltonian import (
     unit_box,
 )
 from . import maps
-from .maps import MapModel, propagate
+from .maps import MapModel
 from .resonance import BlockMap, ResonanceSite, resonant_action, scaled_block
 
 
@@ -226,33 +226,27 @@ def stability_scan(model: MapModel, x0: np.ndarray, horizon: int,
     """Vectorized long-horizon scan of action excursions from the seeds
     x0 = (I0, phi0), shape (2d,) or (N, 2d), one seed per row.
 
-    Seeds run in one batch, ``maps.WINDOW`` steps per `propagate` call; the
-    per-seed statistics (running excursion, first confinement exit, first
-    state outside the extended action domain) are reduced per window.  A seed
-    that leaves the domain is marked and dropped from the batch at its escape
-    state without aborting the others; for catalog maps (element-wise
-    stepping) results do not depend on batch composition.
+    Seeds step in one batch through `maps._orbits`, the orbit engine of
+    `maps.windows`, under its escape rule.  Per-seed statistics (running
+    excursion, first confinement exit, escape) are reduced per window and
+    stop at the escape state; the engine drops an escaped seed and steps the
+    others.  For catalog maps results do not depend on batch composition.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    d = model.d
-    I, phi = x0[:, :d], x0[:, d:]
     nseeds = x0.shape[0]
     exc = np.zeros(nseeds)
     step_drift = np.zeros(nseeds)
     exit_idx = np.full(nseeds, -1, dtype=np.int64)
     escape_idx = np.full(nseeds, -1, dtype=np.int64)
-    live = np.arange(nseeds)  # seeds still inside the domain
 
     done = 0
-    while done < horizon and live.size:
-        Is, ps, first = propagate(model, I, phi, min(maps.WINDOW, horizon - done))
+    for live, Is, ps, first in maps._orbits(model, x0, horizon, 1):
         # statistics over the window (step indices done+1 .. done+W)
-        dev = _max_abs_diff(Is[1:], x0[live, :d])      # (W, live)
-        dstep = _max_abs_diff(Is[1:], Is[:-1])         # (W, live)
+        dev = _max_abs_diff(Is[1:], x0[live, :model.d])  # (W, live)
+        dstep = _max_abs_diff(Is[1:], Is[:-1])           # (W, live)
         left = first >= 0
         for c in np.flatnonzero(left):  # statistics stop at the escape state
-            dev[first[c]:, c] = -np.inf
-            dstep[first[c]:, c] = -np.inf
+            dev[first[c]:, c] = dstep[first[c]:, c] = -np.inf
         escape_idx[live[left]] = done + first[left]
         exc[live] = np.maximum(exc[live], dev.max(axis=0, initial=-np.inf))
         step_drift[live] = np.maximum(step_drift[live], dstep.max(axis=0, initial=-np.inf))
@@ -262,10 +256,7 @@ def stability_scan(model: MapModel, x0: np.ndarray, horizon: int,
             if np.any(newly):
                 exit_idx[live[newly]] = done + 1 + np.argmax(crossed[:, newly], axis=0)
         done += Is.shape[0] - 1
-        live, I, phi = live[~left], Is[-1, ~left], ps[-1, ~left]
-        del Is, ps  # free this window's buffers before the next is written
-    # the final state is an escape too when it lies outside the domain
-    escape_idx[live[~model.domain.contains_extended(I)]] = horizon
+        del Is, ps  # keep no view of this window while the engine writes the next
 
     out = []
     for i in range(nseeds):

@@ -221,13 +221,6 @@ def field_from_window(points: np.ndarray, scheme: str = "newton") -> np.ndarray:
     return _kahan_sum(terms)
 
 
-def weighted_field(points: np.ndarray) -> np.ndarray:
-    """Weight-form evaluation sum_k p_{mk} x_k of the forward scheme, m = len(points) - 1."""
-    pts = np.asarray(points, dtype=float)
-    w = newton_weights(pts.shape[0] - 1)
-    return _kahan_sum(w[k] * pts[k] for k in range(pts.shape[0]))
-
-
 def interpolating_vf(map_like, x0, m: int, scheme: str = "newton") -> np.ndarray:
     """Interpolating vector field X_m at x0, of shape (2d,) or (..., 2d).
 

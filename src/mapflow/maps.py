@@ -27,15 +27,15 @@ terms are held as data (`TrigTerm`); their models step forward in
 `_propagate_trig`, which runs one point on Python floats (`_propagate_point`)
 and every larger batch in the row program of `_KickWork`, both read from
 the term's `_KickPlan` and bitwise equal.  `_step` is the forward body of
-callback models, `_step_back` the inverse body of every model.  `windows`
+callback models, `_step_back` the inverse body of every model.  `_orbits`
 is the one orbit engine, both ways, and the one place where a step fails.
 
 Public functions take flat phase vectors of shape (..., 2d), ordered
 (I, phi).  `MapModel.orbit` is the one stepping method, with a signed step
 count; `apply` and `inverse` are its one-step cases.
 Separate action and angle arrays appear only inside this kernel: `_step`,
-`_step_back`, `_propagate_trig`, `_propagate_point`, `propagate` and
-`windows`.
+`_step_back`, `_propagate_trig`, `_propagate_point`, `propagate`, `_orbits`
+and `windows`.
 
 All coefficient callables are expected to broadcast over leading axes, i.e.
 accept arrays of shape (..., d).
@@ -54,7 +54,7 @@ from .errors import DomainEscape, FormMismatch, NoConvergence
 MAX_PICARD_ITER = 100
 PICARD_TOL = 1e-14
 
-#: map steps per `propagate` call in orbits (`windows`) and the confinement scan.
+#: map steps per `propagate` call of `_orbits`, in orbits and scans.
 #: Results do not depend on it.  At 256, a window's orbit buffers and the
 #: scan's per-window statistics at 100 seeds x d = 2 are each under 0.5 MB
 #: (an orbit buffer is 257 x 200 doubles), so they stay in cache and the
@@ -372,8 +372,8 @@ def propagate(model: MapModel, I: np.ndarray, phi: np.ndarray, steps: int):
     inverse steps (`_step_back`) when ``steps`` is negative.
 
     Returns the orbit buffers ``Is``, ``ps`` of shape (|steps|+1, ..., d) and,
-    per seed, the index of its first escape (-1 if none); callers decide what
-    an escape means.  Forward, that is the first state outside the
+    per seed, the index of its first escape (-1 if none); `_orbits` adds the
+    last-state rule.  Forward, that is the first state outside the
     sigma-extended domain from which a step was taken; backward, the first
     result outside, less one (a result is the start of a forward step).  A
     NoConvergence after an escape ends the buffers at the failing step's
@@ -402,36 +402,50 @@ def propagate(model: MapModel, I: np.ndarray, phi: np.ndarray, steps: int):
     return Is, ps, _first_outside(model.domain, Is[back : n + back])
 
 
-def windows(model: MapModel, x0: np.ndarray, count: int, every: int):
-    """Yield F^every(x0), ..., F^(count every)(x0) as views (Is, ps) of shape
-    (k, ..., d), one pair per `propagate` call of at most ``WINDOW`` steps;
-    a negative ``every`` steps backward, through inverse steps.
+def _orbits(model: MapModel, x0: np.ndarray, count: int, every: int):
+    """The orbit engine: steps the seeds x0 (n, 2d) over ``count`` samples at
+    stride ``every`` (backward if negative), one `propagate` call of at most
+    ``WINDOW`` steps per ``(live, Is, ps, first)`` it yields: the seeds' flat
+    indices, their buffers from the window's start, and each one's first
+    escape in it, or -1.  The one rule: a state is an escape when a step is
+    taken from it outside the domain (see `propagate`), a last state when it
+    is not finite.  An escaped seed is dropped; no view of a window outlives it."""
+    stride, sign, done = abs(every), -1 if every < 0 else 1, 0
+    total, per = count * stride, max(1, WINDOW // stride) * stride
+    live, I, phi = np.arange(len(x0)), x0[:, : model.d], x0[:, model.d:]
+    while done < total:
+        Is, ps, first = propagate(model, I, phi, sign * min(per, total - done))
+        end = len(Is) - 1
+        done, I, phi = done + end, Is[end], ps[end]
+        if done == total and not (np.isfinite(I).all() and np.isfinite(phi).all()):
+            first[(first < 0) & ~np.isfinite(np.concatenate([I, phi], -1)).all(-1)] = end
+        yield live, Is, ps, first
+        keep = first < 0
+        if done == total or len(keep) and not keep.any():  # last window, or all escaped
+            return
+        live, I, phi = live[keep], I[keep], phi[keep]  # copies, not views of Is, ps
+        del Is, ps
 
-    Samples do not depend on the window length.  After an escape (see
-    `propagate`), the samples completed before it are yielded and
-    DomainEscape is raised, indexed by the sample that could not be
-    completed; a non-finite last state is an escape indexed count + 1, since
-    the step from it is the first that could not be taken.
-    """
+
+def windows(model: MapModel, x0: np.ndarray, count: int, every: int):
+    """Yield F^every(x0), ..., F^(count every)(x0) as arrays (Is, ps) of shape
+    (k, ..., d), one pair per window of `_orbits` (backward for a negative
+    ``every``), up to its first escape; then DomainEscape is raised, indexed
+    by the sample not completed (count + 1 if the last state is not finite)."""
     if count < 0:
         raise ValueError("steps must be nonnegative")
-    what = "inverse orbit" if every < 0 else "orbit"
-    stride = abs(every)
+    what, stride = "inverse orbit" if every < 0 else "orbit", abs(every)
     x0 = np.asarray(x0, dtype=float)
-    I, phi = x0[..., : model.d], x0[..., model.d:]
-    per = max(1, WINDOW // stride)
-    for lo in range(0, count, per):
-        Is, ps, first = propagate(model, I, phi, min(per, count - lo) * every)
-        Is, ps, I, phi = Is[stride::stride], ps[stride::stride], Is[-1], ps[-1]
-        if first.max(initial=-1) >= 0:
-            ok = int(first[first >= 0].min()) // stride
-            yield Is[:ok], ps[:ok]
-            raise DomainEscape(f"{what} left the domain in sample {lo + ok + 1}",
-                               index=lo + ok + 1)
-        yield Is, ps
-    if not (np.isfinite(I).all() and np.isfinite(phi).all()):
-        raise DomainEscape(f"{what} reached a non-finite state in sample {count}",
-                           index=count + 1)
+    shape, lo = x0.shape[:-1] + (model.d,), 0
+    for _, Is, ps, first in _orbits(model, x0.reshape(-1, x0.shape[-1]), count, every):
+        Is, ps = Is[stride::stride], ps[stride::stride]
+        escaped = first.max(initial=-1) >= 0
+        k = int(first[first >= 0].min()) // stride if escaped else len(Is)
+        yield Is[:k].reshape((k,) + shape), ps[:k].reshape((k,) + shape)
+        if escaped:
+            raise DomainEscape(f"{what} left the domain or reached a non-finite state "
+                               f"before sample {lo + k + 1}", index=lo + k + 1)
+        lo += k
 
 
 def jacobian(model: MapModel, x: np.ndarray) -> np.ndarray:

@@ -30,13 +30,15 @@ def std_site(gamma=2.0, eps=1e-4, n=1):
 def _scan_by_last_axis_formulas(model, I0, phi0, horizon, radius):
     """Scan statistics by reductions over the action axis, on one orbit.
 
-    Per seed: the first state outside the domain (dist by np.add.reduce) is
-    its escape, and its statistics stop at that state.
+    Per seed: its escape is the first of states 0 .. horizon-1 outside the
+    domain (dist by np.add.reduce), a step being taken from it, else the
+    last state when it is not finite; its statistics stop at that state.
     """
-    Is, _, _ = maps.propagate(model, I0, phi0, horizon)
+    Is, ps, _ = maps.propagate(model, I0, phi0, horizon)
     dom = model.domain
     x = Is - dom.center
     inside = np.maximum(np.sqrt(np.add.reduce(x * x, axis=-1)) - dom.R, 0.0) <= dom.sigma
+    inside[horizon] = np.isfinite(Is[horizon]).all(axis=-1) & np.isfinite(ps[horizon]).all(axis=-1)
     dev = np.max(np.abs(Is[1:] - Is[0]), axis=-1)
     dstep = np.max(np.abs(np.diff(Is, axis=0)), axis=-1)
     out = []
@@ -194,10 +196,11 @@ class TestStabilityScan:
         assert recs[1].excursion == pytest.approx(100 * 0.01, abs=1e-12)
 
     def test_escape_at_last_step(self):
-        # I_k = 1.455 + 0.01 k leaves |I| <= 1.5 at k = 5, the final state
+        # I_k = 1.455 + 0.01 k leaves |I| <= 1.5 at k = 5, the final state:
+        # no step is taken from it and it is finite, so it is no escape
         m = nonexact_shear(0.01)
         recs = stability_scan(m, np.array([[1.455, 0.2], [0.0, 0.3]]), 5)
-        assert [r.status for r in recs] == ["domain_escape@5", "ok"]
+        assert [r.status for r in recs] == ["ok", "ok"]
 
     @pytest.mark.parametrize("window", [1, 7, maps.WINDOW, 2048])
     def test_window_invariance(self, window, rng, monkeypatch):
@@ -217,14 +220,18 @@ class TestStabilityScan:
     @pytest.mark.parametrize("window", [1, 7, maps.WINDOW, 2048])
     def test_d2_statistics_match_last_axis_formulas(self, window, monkeypatch):
         # froeschle2 at d = 2: seed 1 leaves the domain at step 5, seed 3
-        # crosses the radius at step 13; neither is on a window boundary
+        # crosses the radius at step 13; neither is on a window boundary;
+        # seed 5 is inside up to state 59 and outside at its last, 60
         m = catalog("froeschle2", 0.05, eta=0.3)
-        I0 = np.array([[0.2, -0.3], [1.0, 1.05], [-0.4, 0.1], [0.0, 0.6], [-1.4, 0.3]])
+        I0 = np.array([[0.2, -0.3], [1.0, 1.05], [-0.4, 0.1], [0.0, 0.6], [-1.4, 0.3],
+                       [1.08, 0.97]])
         phi0 = np.array([[0.22, 0.16], [0.87, 0.66], [0.04, 0.51], [0.47, 0.92],
-                         [0.63, 0.51]])
+                         [0.63, 0.51], [0.73, 0.31]])
         horizon, radius = 60, 0.05
         want = _scan_by_last_axis_formulas(m, I0, phi0, horizon, radius)
         assert want[1][3] == "domain_escape@5" and want[3][1] == 13
+        last = maps.propagate(m, I0[5], phi0[5], horizon)[0][horizon]
+        assert want[5][3] == "ok" and not m.domain.contains_extended(last)
         monkeypatch.setattr(maps, "WINDOW", window)
         recs = stability_scan(m, np.hstack([I0, phi0]), horizon, radius)
         assert [(r.excursion, r.exit_index, r.max_step_drift, r.status) for r in recs] == want

@@ -13,13 +13,16 @@ from mapflow import (
     interpolating_vf,
     near_identity_family,
     newton_weights,
+    nonexact_shear,
     orbit_window,
     order_scaling_check,
+    stability_scan,
+    trapped_orbit,
 )
 from mapflow import ResonanceSite, distance_to_identity, maps, scaled_block
 from mapflow.errors import DegenerateFit, DomainEscape, OrderTooLarge
 from mapflow.hamiltonian import Box, embedding_error, interpolating_field, unit_box
-from mapflow.interp import M_MAX, VERIFY_TOL, as_map, field_from_window, weighted_field
+from mapflow.interp import M_MAX, VERIFY_TOL, as_map, field_from_window
 from mapflow.maps import MapModel
 from mapflow.resonance import BlockMap
 
@@ -90,7 +93,7 @@ class TestWeights:
             for _ in range(5):
                 pts = rng.uniform(-1, 1, (m + 1, 4))
                 a = field_from_window(pts)
-                b = weighted_field(pts)
+                b = newton_weights(m) @ pts  # the weight form sum_k p_mk x_k
                 assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, np.max(np.abs(pts)))
 
 
@@ -390,6 +393,45 @@ class TestBatchedField:
                     F.apply(x)
                 with pytest.raises(DomainEscape, match="inverse"):
                     F.inverse(x)
+
+
+class TestOneLastStateRule:
+    """orbit, apply, the scan and trapped_orbit decide a last state alike:
+    no step is taken from it, so it is an escape only when it is not finite."""
+
+    @pytest.mark.parametrize("window", [1, 7, maps.WINDOW])
+    def test_finite_last_state_outside_is_returned(self, window, monkeypatch):
+        monkeypatch.setattr(maps, "WINDOW", window)
+        m = nonexact_shear(0.01)
+        x0 = np.array([1.455, 0.2])  # I_k = 1.455 + 0.01 k leaves |I| <= 1.5 at k = 5
+        orb = m.orbit(x0, 5)
+        assert not m.domain.contains_extended(orb[5, :1])
+        assert np.array_equal(m.apply(orb[4]), orb[5])
+        assert stability_scan(m, x0, 5)[0].status == "ok"
+        # the step from it is what escapes
+        with pytest.raises(DomainEscape) as exc:
+            m.orbit(x0, 6)
+        assert exc.value.index == 6
+        assert stability_scan(m, x0, 6)[0].status == "domain_escape@5"
+
+    @pytest.mark.parametrize("window", [1, 7, maps.WINDOW])
+    def test_non_finite_last_state_is_an_escape(self, window, monkeypatch):
+        monkeypatch.setattr(maps, "WINDOW", window)
+        bad, x0 = _bad_standard(), np.array([0.24, 0.2])
+        site = ResonanceSite(n=1, omega_star=[0.0], I_star=[0.0], rho_n=0.2)
+        blk = scaled_block(bad, site, "nucleus")  # rho = 1: J = I, inside r1 = 0.50 up to step 16
+        for F in (bad, blk):
+            x15 = F.orbit(x0, 15)[15]
+            assert np.isfinite(x15).all()
+            with pytest.raises(DomainEscape, match="non-finite") as orbit_exc:
+                F.orbit(x0, 16)
+            with pytest.raises(DomainEscape, match="non-finite") as apply_exc:
+                F.apply(x15)
+            assert (orbit_exc.value.index, apply_exc.value.index) == (17, 2)
+        assert stability_scan(bad, x0, 16)[0].status == "domain_escape@16"
+        assert trapped_orbit(bad, site, x0, 15).exit_index is None
+        with pytest.raises(DomainEscape):
+            trapped_orbit(bad, site, x0, 16)
 
 
 def _one_point_only(model, calls):
