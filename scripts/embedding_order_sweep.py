@@ -14,16 +14,15 @@ import numpy as np
 from mapflow import (
     ResonanceSite,
     catalog,
-    distance_to_identity,
-    embedding_error,
     error_law_fit,
-    optimal_order,
     scaled_block,
     unit_box,
 )
 from mapflow.cli import write_csv
 
 OUT = pathlib.Path(__file__).parent.parent / "runs" / "embedding_sweep"
+#: the vs_eps blocks, each measured at its optimal order
+EPS = (4e-4, 1e-4, 2.5e-5, 6.25e-6)
 
 
 def block_at(eps):
@@ -44,16 +43,12 @@ def main():
               [np.array([getattr(r, key) for r in rep.reports]) for key in header])
     print(f"vs_m: per-step ratios {np.round(rep.ratios, 4)}")
 
-    rows = []
-    for eps in (4e-4, 1e-4, 2.5e-5, 6.25e-6):
-        blk = block_at(eps)
-        eh = distance_to_identity(blk, box, 4)
-        m = optimal_order(0.5, eh, 1)
-        r = embedding_error(blk, m.m, box, 4, tol=1e-13)
-        rows.append((eps, eh, m.m, r.max_error))
-        print(f"eps={eps:g}: eps_hat={eh:.4g} m_opt={m.m} err={r.max_error:.4g}")
+    fit = error_law_fit([block_at(eps) for eps in EPS], box, "vs_eps", grid_n=4, tol=1e-13)
+    for eps, r in zip(EPS, fit.reports):
+        print(f"eps={eps:g}: eps_hat={r.eps_hat:.4g} m_opt={r.m} err={r.max_error:.4g}")
     write_csv(OUT / "vs_eps.csv", ["eps", "eps_hat", "m_opt", "max_error"],
-              [np.array(col) for col in zip(*rows)])
+              [np.array(EPS), *(np.array([getattr(r, key) for r in fit.reports])
+                                for key in ("eps_hat", "m", "max_error"))])
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -26,7 +27,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, MapflowError
 from .experiments import energy_drift, pilot_confinement, stability_scan
-from .hamiltonian import default_delta, embedding_error, recover_generating, unit_box
+from .hamiltonian import (_rowwise, default_delta, embedding_error, recover_generating,
+                          unit_box)
 from .interp import M_MAX, interpolating_vf
 from .maps import CATALOG, MapModel, catalog
 from .nucleus import build_nucleus, is_resonant_mode, resonant_fourier_check, trapped_orbit
@@ -245,8 +247,9 @@ def build_site(model: MapModel, cfg: dict) -> tuple[ResonanceSite, str]:
 
 
 # ---------------------------------------------------------------------------
-# command implementations (top level for picklability); each takes the
-# validated config and returns (output paths, extra manifest lines)
+# command implementations: each takes the validated config and the model and
+# returns (output paths, extra manifest lines); a worker task is a library
+# call on the model or block built here (both pickle)
 # ---------------------------------------------------------------------------
 
 def _pool_map(fn, tasks: list, workers: int) -> list:
@@ -261,27 +264,21 @@ def _pool_map(fn, tasks: list, workers: int) -> list:
     return [fn(t) for t in tasks]
 
 
-def _embed_one(args):
-    cfg, m = args
-    model = build_model(cfg)
+def run_embed_error(cfg, model, out, workers):
+    """Write embed-error.csv; the manifest gets a flow_failures line."""
     sub = cfg["embed-error"]
     blk = scaled_block(model, *build_site(model, sub["site"]))
     delta = default_delta(model.domain.r) if sub["delta"] is None else sub["delta"]
-    rep = embedding_error(blk, m, unit_box(model.d, sub["J_radius"]), sub["grid_n"],
-                          sub["tol"], delta)
-    return (m, rep.eps_hat, rep.max_error, rep.bound, int(rep.precondition_ok),
-            "" if rep.bound_satisfied is None else int(rep.bound_satisfied),
-            int(np.count_nonzero(~np.isnan(rep.errors))), len(rep.failures))
-
-
-def run_embed_error(cfg, model, out, workers):
-    """Write embed-error.csv; the manifest gets a flow_failures line."""
-    results = _pool_map(_embed_one, [(cfg, m) for m in cfg["embed-error"]["m_list"]], workers)
-    *columns, failures = map(list, zip(*sorted(results, key=lambda r: r[0])))
+    task = partial(embedding_error, blk, box=unit_box(model.d, sub["J_radius"]),
+                   grid_n=sub["grid_n"], tol=sub["tol"], delta=delta)
+    reps = sorted(_pool_map(task, sub["m_list"], workers), key=lambda r: r.m)
+    rows = [(r.m, r.eps_hat, r.max_error, r.bound, int(r.precondition_ok),
+             "" if r.bound_satisfied is None else int(r.bound_satisfied),
+             int(np.count_nonzero(~np.isnan(r.errors)))) for r in reps]
     path = write_csv(os.path.join(out, "embed-error.csv"),
                      ["m", "eps_hat", "max_error", "bound", "precondition_ok", "bound_satisfied",
-                      "points_measured"], columns)
-    return [path], ["flow_failures: " + " ".join(map("m{}={}".format, columns[0], failures))]
+                      "points_measured"], list(map(list, zip(*rows))))
+    return [path], ["flow_failures: " + " ".join(f"m{r.m}={len(r.failures)}" for r in reps)]
 
 
 def run_interp(cfg, model, out, workers):
@@ -289,18 +286,19 @@ def run_interp(cfg, model, out, workers):
     target = model
     if sub["site"] is not None:
         target = scaled_block(model, *build_site(model, sub["site"]))
-    d, ms = model.d, np.tile(sub["m_list"], len(sub["points"]))
-    xs = np.repeat(sub["points"], len(sub["m_list"]), axis=0)
-    X, status = np.full(xs.shape, np.nan), []
-    for i, (x, m) in enumerate(zip(xs, ms)):
-        try:
-            X[i] = interpolating_vf(target, x, int(m), sub["scheme"])
-            status.append("ok")
-        except MapflowError as exc:
-            status.append(type(exc).__name__)
+    pts, m_list, d = sub["points"], sub["m_list"], model.d
+    # one batch per order; rows point-major: (point 0, each order), (point 1, ...
+    X = np.empty((len(pts), len(m_list), 2 * d))
+    status = np.full(X.shape[:2], "ok", dtype=object)
+    for j, m in enumerate(m_list):
+        fn = partial(interpolating_vf, target, m=m, scheme=sub["scheme"])
+        for i, exc in _rowwise(fn, pts, X[:, j]).items():
+            status[i, j] = type(exc).__name__
+    xs, ms = np.repeat(pts, len(m_list), axis=0), np.tile(m_list, len(pts))
     header = ([f"x{j}" for j in range(2 * d)] + ["m"]
               + [f"X{j}" for j in range(2 * d)] + ["status"])
-    return [write_csv(os.path.join(out, "interp.csv"), header, [*xs.T, ms, *X.T, status])], []
+    return [write_csv(os.path.join(out, "interp.csv"), header,
+                      [*xs.T, ms, *X.reshape(xs.shape).T, status.ravel().tolist()])], []
 
 
 def run_energy(cfg, model, out, workers):
@@ -360,12 +358,6 @@ def run_nucleus(cfg, model, out, workers):
     return paths, []
 
 
-def _stability_chunk(args):
-    cfg, x0, radius = args
-    return stability_scan(build_model(cfg), x0, horizon=cfg["stability"]["horizon"],
-                          confinement_radius=radius)
-
-
 def run_stability(cfg, model, out, workers):
     sub = cfg["stability"]
     nseeds, I_box = sub["seeds"], sub["I_box"]
@@ -384,10 +376,10 @@ def run_stability(cfg, model, out, workers):
     # trajectories are element-wise, so results are chunking-independent
     k = max(1, min(workers, nseeds // 50 or 1))
     bounds = np.linspace(0, nseeds, k + 1, dtype=int)
-    chunks = [(cfg, x0[lo:hi], radius)
-              for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    chunks = [x0[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     # chunks come back in seed order, one record per seed
-    recs = [r for part in _pool_map(_stability_chunk, chunks, workers) for r in part]
+    task = partial(stability_scan, model, horizon=sub["horizon"], confinement_radius=radius)
+    recs = [r for part in _pool_map(task, chunks, workers) for r in part]
     columns = [np.arange(nseeds), *x0.T, np.array([r.excursion for r in recs]),
                np.array([-1 if r.exit_index is None else r.exit_index for r in recs]),
                np.array([r.max_step_drift for r in recs]), [r.status for r in recs]]
@@ -403,23 +395,20 @@ def run_stability(cfg, model, out, workers):
 
 def run_gen_recover(cfg, model, out, workers):
     sub = cfg["gen-recover"]
-    base = sub["base"]
-    pts = unit_box(model.d, sub["J_radius"]).grid(sub["grid_n"])
-    d = model.d
-    vals, refs, status = np.full(len(pts), np.nan), [], []
-    for i, p in enumerate(pts):
-        try:
-            vals[i] = recover_generating(model, base, p, sub["quad_tol"])
-            status.append("ok")
-        except MapflowError as exc:
-            status.append(type(exc).__name__)
-        refs.append("" if model.s is None else float(
-            model.h0(p[:d]) + model.eps * model.s(p[:d], p[d:])
-            - model.h0(base[:d]) - model.eps * model.s(base[:d], base[d:])))
+    base, d = sub["base"], model.d
+    pts = unit_box(d, sub["J_radius"]).grid(sub["grid_n"])
+    vals, status = np.empty(len(pts)), np.full(len(pts), "ok", dtype=object)
+    fn = partial(recover_generating, model, base, quad_tol=sub["quad_tol"])
+    for i, exc in _rowwise(fn, pts, vals).items():
+        status[i] = type(exc).__name__
+    refs = [""] * len(pts)
+    if model.s is not None:
+        refs = (model.h0(pts[:, :d]) + model.eps * model.s(pts[:, :d], pts[:, d:])
+                - model.h0(base[:d]) - model.eps * model.s(base[:d], base[d:]))
     header = ([f"pbar{j}" for j in range(d)] + [f"q{j}" for j in range(d)]
               + ["s_recovered", "s_catalog", "status"])
     return [write_csv(os.path.join(out, "gen-recover.csv"), header,
-                      [*pts.T, vals, refs, status])], []
+                      [*pts.T, vals, refs, status.tolist()])], []
 
 
 RUNNERS = {"interp": run_interp, "embed-error": run_embed_error, "energy": run_energy,

@@ -244,9 +244,14 @@ def stability_scan(model: MapModel, x0: np.ndarray, horizon: int,
         # statistics over the window (step indices done+1 .. done+W)
         dev = _max_abs_diff(Is[1:], x0[live, :model.d])  # (W, live)
         dstep = _max_abs_diff(Is[1:], Is[:-1])           # (W, live)
+        # statistics stop at the escape state; a non-finite state (read from its
+        # deviation) and the step into it take no part, as its escape may show
+        # only in the next window
+        stop = ~np.isfinite(dev)
         left = first >= 0
-        for c in np.flatnonzero(left):  # statistics stop at the escape state
-            dev[first[c]:, c] = dstep[first[c]:, c] = -np.inf
+        for c in np.flatnonzero(left):
+            stop[first[c]:, c] = True
+        dev[stop] = dstep[stop] = -np.inf
         escape_idx[live[left]] = done + first[left]
         exc[live] = np.maximum(exc[live], dev.max(axis=0, initial=-np.inf))
         step_drift[live] = np.maximum(step_drift[live], dstep.max(axis=0, initial=-np.inf))

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     DomainEscape,
     FormMismatch,
+    MapflowError,
     PathExit,
     QuadratureFailure,
     StepFailure,
@@ -163,25 +164,26 @@ def _rms(v):
     return np.sqrt(np.sum(v * v, axis=-1)) / math.sqrt(v.shape[-1])
 
 
-def _rowwise(fn, z):
-    """fn on the rows of z (P, n): one batched call, and row by row only when
-    that call raises DomainEscape.  Returns the values (zero in failed rows)
-    and {row: DomainEscape} of the rows that raised on their own."""
-    out = np.zeros_like(z)
-    if z.shape[0] == 0:
-        return out, {}
+def _rowwise(fn, z, out) -> dict:
+    """fn on the rows of z, written into ``out``: the package's one rule for
+    a failing point.  One batched call, and each row alone only when that
+    call raises a MapflowError.  Rows that raise alone read NaN in ``out``,
+    which the caller allocates, (P,) for a scalar fn or (P, ...) otherwise.
+    Returns {row: exception} of those rows."""
+    if len(z) == 0:
+        return {}
     try:
         out[...] = fn(z)
-        return out, {}
-    except DomainEscape:
+        return {}
+    except MapflowError:
         pass
     failed = {}
     for i, row in enumerate(z):
         try:
             out[i] = fn(row)
-        except DomainEscape as exc:
-            failed[i] = exc
-    return out, failed
+        except MapflowError as exc:
+            out[i], failed[i] = np.nan, exc
+    return failed
 
 
 class _FlowRows:
@@ -207,15 +209,16 @@ class _FlowRows:
     def field(self, z, where=None):
         """X at the live rows of z (restricted to ``where``), in one call.
 
-        A row that raises DomainEscape alone or gets a non-finite value
-        fails; failed and skipped rows read zero.
+        A row that fails under `_rowwise` or gets a non-finite value fails;
+        failed and skipped rows read zero.
         """
         sel = self.live if where is None else self.live & where
         idx = np.flatnonzero(sel)
+        vals = np.empty((idx.size, z.shape[-1]))
         with np.errstate(**self.errstate):
-            vals, raised = _rowwise(self.X, z[idx])
+            raised = _rowwise(self.X, z[idx], vals)
         for i, exc in raised.items():
-            self.retire([idx[i]], f"the field left its domain: {exc}")
+            self.retire([idx[i]], f"the field raised {type(exc).__name__}: {exc}")
         self.retire(idx[~np.isfinite(vals).all(axis=-1)], "non-finite stage")
         out = np.zeros_like(z)
         out[idx] = vals
@@ -257,8 +260,8 @@ def _dop853(X, x: np.ndarray, t_end: float, tol: float):
     error norm), with rtol = max(tol, 1e-13) and atol = tol.  All live rows
     share one field call per stage.  A row fails on its own when its step
     falls below 10 ulp of its time, when a stage is not finite, or when the
-    field raises DomainEscape for it.  Returns y (N, n), NaN in failed rows,
-    and {row: message} of the failures.
+    field raises a MapflowError for it alone (`_rowwise`).  Returns y (N, n),
+    NaN in failed rows, and {row: message} of the failures.
     """
     rtol, atol = max(tol, 1e-13), tol
     sign = 1.0 if t_end > 0 else -1.0
@@ -396,7 +399,8 @@ def embedding_error(map_like, m: int, box: Box, grid_n: int,
     d = box.d
     X = interpolating_field(map_like, m, scheme)
     errors = np.full(pts.shape[0], np.nan)
-    fx, raised = _rowwise(as_map(map_like).apply, pts)
+    fx = np.empty_like(pts)
+    raised = _rowwise(as_map(map_like).apply, pts, fx)
     failures = {i: str(exc) for i, exc in raised.items()}
     ok = np.ones(pts.shape[0], dtype=bool)
     ok[list(raised)] = False

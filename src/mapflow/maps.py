@@ -521,13 +521,9 @@ def _identity_omega(I):
     return np.asarray(I, dtype=float)
 
 
-def _identity_hess_factory(d):
-    def hess(I):
-        I = np.asarray(I)
-        out = np.zeros(I.shape[:-1] + (d, d))
-        out[...] = np.eye(d)
-        return out
-    return hess
+def _identity_hess(I):
+    I = np.asarray(I)
+    return np.zeros(I.shape[:-1] + (1, 1)) + np.eye(I.shape[-1])
 
 
 def _zero_field(I, phi):
@@ -792,7 +788,7 @@ def _trig_model(name: str, eps: float, modes, coeffs) -> MapModel:
     # omega is the identity, so the angle kick -eps s_phi has the action kick's norm
     dom = _catalog_domain(d, norm_a=term.norm_a, norm_b=term.norm_a, norm_s=term.norm_s)
     return MapModel(d=d, form="generating", eps=float(eps), h0=_quad_h0,
-                    omega=_identity_omega, hess=_identity_hess_factory(d), domain=dom,
+                    omega=_identity_omega, hess=_identity_hess, domain=dom,
                     s=term.s, s_I=term.s_I, s_phi=term.s_phi, s_II=_zero_matrix,
                     s_Iphi=_zero_matrix, s_phiphi=term.s_phiphi, s_action_independent=True,
                     name=name)
@@ -814,7 +810,7 @@ def catalog(name: str, eps: float, **params) -> MapModel:
         if params:
             raise ValueError(f"unknown twist parameters {sorted(params)}")
         return MapModel(d=d, form="explicit", eps=float(eps), h0=_quad_h0,
-                        omega=_identity_omega, hess=_identity_hess_factory(d),
+                        omega=_identity_omega, hess=_identity_hess,
                         domain=_catalog_domain(d), a=_zero_field, b=_zero_field,
                         a_I=_zero_matrix, a_phi=_zero_matrix, b_I=_zero_matrix,
                         b_phi=_zero_matrix, name="twist")
@@ -838,7 +834,7 @@ def nonexact_shear(eps: float) -> MapModel:
     """
     d = 1
     return MapModel(d=d, form="explicit", eps=float(eps), h0=_quad_h0,
-                    omega=_identity_omega, hess=_identity_hess_factory(d),
+                    omega=_identity_omega, hess=_identity_hess,
                     domain=_catalog_domain(d, norm_a=1.0),
                     a=lambda I, p: np.ones_like(I), b=_zero_field,
                     a_I=_zero_matrix, a_phi=_zero_matrix, b_I=_zero_matrix,

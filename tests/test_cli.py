@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mapflow.cli import (COMMANDS, CSV_BLOCK, REQUIRED, SCHEMA, build_model, run, validate,
-                         write_csv)
+from mapflow import interpolating_vf, recover_generating, scaled_block, unit_box
+from mapflow.cli import (COMMANDS, CSV_BLOCK, REQUIRED, SCHEMA, build_model, build_site, run,
+                         validate, write_csv)
+from mapflow.errors import MapflowError
 from oracles import write_csv_rows
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -231,6 +233,51 @@ class TestCommands:
             parts = row.split(",")
             assert parts[-1] == "ok"
             assert abs(float(parts[2]) - float(parts[3])) <= 1e-8
+
+    def test_interp_fails_the_escaping_point_alone(self, tmp_path):
+        # one batched call per order; the CSV is that of one call per point
+        pts, ms = [[0.3, 0.2], [200.0, 0.1], [-0.4, 0.7]], [1, 2, 3]
+        cfg = base_cfg(interp={"points": pts, "m_list": ms, "site": SITE})
+        out = tmp_path / "o"
+        assert run("interp", write_cfg(tmp_path, "c.json", cfg), out=str(out)) == 0
+        model = build_model(cfg)
+        blk = scaled_block(model, *build_site(model, SITE))
+        rows = []
+        for x in pts:
+            for m in ms:
+                try:
+                    rows.append([*x, m, *interpolating_vf(blk, np.array(x), m), "ok"])
+                except MapflowError as exc:
+                    rows.append([*x, m, np.nan, np.nan, type(exc).__name__])
+        ref = write_csv_rows(tmp_path / "ref.csv", ["x0", "x1", "m", "X0", "X1", "status"], rows)
+        assert (out / "interp.csv").read_bytes() == ref.read_bytes()
+        lines = (out / "interp.csv").read_text().splitlines()[1:]
+        assert [line.split(",", 3)[3] for line in lines[3:6]] == ["nan,nan,DomainEscape"] * 3
+        assert all(line.endswith(",ok") for line in lines[:3] + lines[6:])
+
+    def test_gen_recover_fails_its_points_alone(self, tmp_path):
+        # at eps = 1e200 the paths with q != 0 do not converge; q = 0 stays exact
+        cfg = {"map": {"name": "standard", "eps": 1e200},
+               "gen-recover": {"base": [0.0, 0.0], "grid_n": 3}}
+        out = tmp_path / "o"
+        assert run("gen-recover", write_cfg(tmp_path, "c.json", cfg), out=str(out)) == 0
+        model, base = build_model(cfg), np.zeros(2)
+        rows = []
+        for p in unit_box(1, 0.4).grid(3):
+            try:
+                val, status = recover_generating(model, base, p, 1e-11), "ok"
+            except MapflowError as exc:
+                val, status = np.nan, type(exc).__name__
+            ref = (model.h0(p[:1]) + model.eps * model.s(p[:1], p[1:])
+                   - model.h0(base[:1]) - model.eps * model.s(base[:1], base[1:]))
+            rows.append([*p, val, float(ref), status])
+        ref = write_csv_rows(tmp_path / "ref.csv",
+                             ["pbar0", "q0", "s_recovered", "s_catalog", "status"], rows)
+        assert (out / "gen-recover.csv").read_bytes() == ref.read_bytes()
+        status = {(line.split(",")[1], line.split(",")[-1])
+                  for line in (out / "gen-recover.csv").read_text().splitlines()[1:]}
+        assert status == {("0", "ok"), ("0.33333333333333331", "QuadratureFailure"),
+                          ("0.66666666666666663", "QuadratureFailure")}
 
     def test_embed_error_runs(self, tmp_path):
         cfg = base_cfg(**{"embed-error": {"m_list": [1, 2], "grid_n": 3,

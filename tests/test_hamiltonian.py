@@ -25,8 +25,8 @@ from mapflow import (
     symmetry_defect,
     unit_box,
 )
-from mapflow.errors import DomainEscape, QuadratureFailure, StepFailure
-from mapflow.hamiltonian import MAX_PANELS, _gauss_kronrod, cross_form_fields
+from mapflow.errors import DomainEscape, NoConvergence, QuadratureFailure, StepFailure
+from mapflow.hamiltonian import MAX_PANELS, _gauss_kronrod, _rowwise, cross_form_fields
 from mapflow import experiments
 from mapflow.experiments import SnDecomposition
 from mapflow.maps import PICARD_TOL, _picard
@@ -531,6 +531,41 @@ class TestBatchedFlow:
         # the frozen values use the controller of tol / 100, so the steps agree
         assert np.max(np.abs(flow_map(X, x, 1.0, tol=tol / 100) - want)) <= tol / 100
         assert np.max(np.abs(flow_map(X, x, 1.0, tol=tol) - want)) <= 10 * tol
+
+    def test_field_that_does_not_converge_fails_its_point(self):
+        # any library error of one row, not DomainEscape alone, fails that row
+        def stalls(y):
+            if np.any(y[..., 0] > 0.0):
+                raise NoConvergence("Picard solve stalled")
+            return np.stack([np.ones_like(y[..., 0]), y[..., 0]], axis=-1)
+
+        with pytest.raises(StepFailure, match="NoConvergence") as exc:
+            flow_map(stalls, np.array([[-2.0, 0.0], [0.5, 0.0]]), 1.0)
+        assert [i for i, _ in exc.value.failures] == [1]
+        assert np.allclose(exc.value.y[0], [-1.0, -1.5], atol=1e-12)
+
+
+class TestRowwise:
+    """`_rowwise`: one batched call, each row alone only when that call raises."""
+
+    def test_scalar_function_fails_its_rows_alone(self):
+        calls = []
+
+        def norm(z):  # scalar per row; raises for any row with z_0 > 1
+            calls.append(z.shape)
+            if np.any(z[..., 0] > 1.0):
+                raise QuadratureFailure("too far")
+            return np.sum(z * z, axis=-1)
+
+        z = np.array([[0.5, 1.0], [2.0, 0.0], [-1.0, 3.0], [1.5, 1.5]])
+        out = np.empty(4)
+        failed = _rowwise(norm, z, out)
+        assert sorted(failed) == [1, 3]
+        assert all(isinstance(exc, QuadratureFailure) for exc in failed.values())
+        assert np.array_equal(out, [1.25, np.nan, 10.0, np.nan], equal_nan=True)
+        assert calls == [(4, 2)] + [(2,)] * 4
+        calls.clear()
+        assert _rowwise(norm, z[[0, 2]], out[:2]) == {} and calls == [(2, 2)]
 
 
 class TestGaussKronrod:

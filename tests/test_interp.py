@@ -428,7 +428,14 @@ class TestOneLastStateRule:
             with pytest.raises(DomainEscape, match="non-finite") as apply_exc:
                 F.apply(x15)
             assert (orbit_exc.value.index, apply_exc.value.index) == (17, 2)
-        assert stability_scan(bad, x0, 16)[0].status == "domain_escape@16"
+        # the NaN state and the step into it take no part in the statistics,
+        # also where state 16 ends one window and escapes only in the next
+        I = bad.orbit(x0, 15)[:, 0]
+        stats = np.max(np.abs(I[1:] - I[0])), np.max(np.abs(np.diff(I)))
+        for horizon in (16, 40):
+            rec = stability_scan(bad, x0, horizon)[0]
+            assert (rec.status, rec.exit_index) == ("domain_escape@16", None)
+            assert (rec.excursion, rec.max_step_drift) == stats
         assert trapped_orbit(bad, site, x0, 15).exit_index is None
         with pytest.raises(DomainEscape):
             trapped_orbit(bad, site, x0, 16)

@@ -625,7 +625,7 @@ class TestSymplecticity:
         # default 0 is not integrable: it has no inverse step
         dom = DomainSpec(center=np.zeros(1), R=1.0, sigma=0.5, r=1.0, nu=1.0, nu2=1.0)
         m = MapModel(d=1, form="explicit", eps=0.1, h0=maps._quad_h0,
-                     omega=maps._identity_omega, hess=maps._identity_hess_factory(1),
+                     omega=maps._identity_omega, hess=maps._identity_hess,
                      domain=dom, a=lambda I, p: np.sin(2 * np.pi * p),
                      b=lambda I, p: np.zeros_like(I))
         with pytest.raises(FormMismatch):
@@ -719,3 +719,16 @@ class TestCatalog:
         vals = np.abs(m.s_phi(I, phi))
         assert np.max(vals) <= m.domain.norm_a + 1e-12
         assert np.max(vals) >= 0.99 * m.domain.norm_a
+
+    def test_models_and_blocks_pickle(self, rng):
+        # worker tasks carry the model or block the runner built
+        nucleus = BlockMap(catalog("standard", 1e-4),
+                           ResonanceSite(n=1, omega_star=[0.0], I_star=[0.0], rho_n=0.2),
+                           "nucleus")
+        for F in (catalog("twist", 0.0, d=2), catalog("standard", 1e-3),
+                  catalog("froeschle2", 1e-3), nucleus, _lochak_n3(1e-3)):
+            clone = pickle.loads(pickle.dumps(F))
+            x = np.concatenate([rng.uniform(-0.3, 0.3, (4, F.d)), rng.uniform(0, 1, (4, F.d))],
+                               axis=-1)
+            for steps in (5, -5):
+                assert _same_bits(clone.orbit(x, steps), F.orbit(x, steps))
