@@ -32,7 +32,7 @@ from .hamiltonian import (_rowwise, default_delta, embedding_error, recover_gene
 from .interp import M_MAX, interpolating_vf
 from .maps import CATALOG, MapModel, catalog
 from .nucleus import build_nucleus, is_resonant_mode, resonant_fourier_check, trapped_orbit
-from .resonance import (DIRICHLET_BUDGET, ResonanceSite, covering_params, dirichlet,
+from .resonance import (DIRICHLET_BUDGET, ResonanceSite, covering_params, locate_site,
                         resonant_action, scaled_block)
 
 COMMANDS = ("interp", "embed-error", "energy", "resonance", "nucleus",
@@ -94,8 +94,7 @@ SCHEMA = {
     "map.params": {"d": Rule("int", ">= 1", None), "eta": Rule("number", None, None)},
     "site": {"n": Rule("int", ">= 1"), "omega_star": Rule("vector", "d"),
              "gamma": Rule("number", "> 0", 2.0),
-             "scaling": Rule("enum", ("nucleus", "lochak"), "nucleus"),
-             "I_guess": Rule("vector", "d", None)},
+             "scaling": Rule("enum", ("nucleus", "lochak"), "nucleus")},
     "interp": {"points": Rule("vectors", "2d"), "m_list": Rule("orders"),
                "scheme": Rule("enum", ("newton", "gauss"), "newton"),
                "site": Rule("block", "site", None)},
@@ -238,8 +237,7 @@ def build_model(cfg: dict) -> MapModel:
 def build_site(model: MapModel, cfg: dict) -> tuple[ResonanceSite, str]:
     cfg = _block(SCHEMA["site"], "site", cfg, model.d)
     omega_star = cfg["omega_star"]
-    I_guess = omega_star if cfg["I_guess"] is None else cfg["I_guess"]
-    I_star = resonant_action(model, omega_star, I_guess)
+    I_star = resonant_action(model, omega_star, omega_star)
     cp = covering_params(model, model.eps, cfg["gamma"]) if model.eps > 0 else None
     rho_n = cp.rho_n(cfg["n"]) if cp else 1.0
     return (ResonanceSite(n=cfg["n"], omega_star=omega_star, I_star=I_star, rho_n=rho_n),
@@ -314,8 +312,6 @@ def run_energy(cfg, model, out, workers):
 
 def run_resonance(cfg, model, out, workers):
     sub = cfg["resonance"]
-    cp = covering_params(model, model.eps, sub["gamma"])
-    N = cp.N_eps if sub["N"] is None else sub["N"]
     d = model.d
     seeds = sub["I0_list"]
     if seeds is None:
@@ -323,11 +319,10 @@ def run_resonance(cfg, model, out, workers):
         seeds = rng.uniform(-I_box / np.sqrt(d), I_box / np.sqrt(d), size=(sub["count"], d))
     ns, table = [], []
     for I0 in seeds:
-        omega0 = model.omega(I0)
-        n, omega_star = dirichlet(omega0, N)
-        I_star = resonant_action(model, omega_star, I0)
-        ns.append(n)
-        table.append([*omega_star, *I_star, cp.rho_n(n), np.max(np.abs(omega0 - omega_star))])
+        site = locate_site(model, I0, sub["gamma"], sub["N"])
+        ns.append(site.n)
+        table.append([*site.omega_star, *site.I_star, site.rho_n,
+                      np.max(np.abs(model.omega(I0) - site.omega_star))])
     header = (["n"] + [f"omega_star{j}" for j in range(d)]
               + [f"I_star{j}" for j in range(d)] + ["rho_n", "dirichlet_error"])
     return [write_csv(os.path.join(out, "resonance.csv"), header,
@@ -403,8 +398,8 @@ def run_gen_recover(cfg, model, out, workers):
         status[i] = type(exc).__name__
     refs = [""] * len(pts)
     if model.s is not None:
-        refs = (model.h0(pts[:, :d]) + model.eps * model.s(pts[:, :d], pts[:, d:])
-                - model.h0(base[:d]) - model.eps * model.s(base[:d], base[d:]))
+        refs = ((model.h0(pts[:, :d]) - model.h0(base[:d]))
+                + model.eps * (model.s(pts[:, :d], pts[:, d:]) - model.s(base[:d], base[d:])))
     header = ([f"pbar{j}" for j in range(d)] + [f"q{j}" for j in range(d)]
               + ["s_recovered", "s_catalog", "status"])
     return [write_csv(os.path.join(out, "gen-recover.csv"), header,

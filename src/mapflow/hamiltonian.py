@@ -426,28 +426,31 @@ def embedding_error(map_like, m: int, box: Box, grid_n: int,
                            failures=tuple(failures))
 
 
-def symmetry_defect(X, x: np.ndarray) -> float:
-    """How far the field X is from Hamiltonian at x.
+def symmetry_defect(X, x: np.ndarray):
+    """How far the field X is from Hamiltonian at the points x (..., 2d).
 
-    Computes M = J^{-1} DX(x) with central differences and returns the
-    largest entry of |M - M^T|; Hamiltonian fields give zero up to the
-    finite-difference floor.
+    Computes M = J^{-1} DX(x) with central differences, from one call of X
+    on the 4d shifted copies of every point, and returns the largest entry
+    of |M - M^T|: a float for one point (2d,), else an array of shape (...,).
+    Hamiltonian fields give zero up to the finite-difference floor.
     """
     DX = _fd_jacobian(X, x, SYMMETRY_FD_STEP)
-    M = -symplectic_matrix(DX.shape[0] // 2) @ DX  # J^{-1} = -J
-    return float(np.max(np.abs(M - M.T)))
+    M = -symplectic_matrix(DX.shape[-1] // 2) @ DX  # J^{-1} = -J
+    defect = np.max(np.abs(M - np.swapaxes(M, -1, -2)), axis=(-2, -1))
+    return float(defect) if np.ndim(x) == 1 else defect
 
 
 def _fd_jacobian(fn, x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference Jacobian of fn at x, step h * max(1, |x_j|) per axis."""
+    """Central-difference Jacobian of fn at the points x (..., n), shape
+    (..., m, n) for an fn with m outputs: step h * max(1, |x_j|) on axis j,
+    and one call of fn on the 2n shifted copies of every point."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    J = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h * max(1.0, abs(x[j]))
-        J[:, j] = (fn(x + e) - fn(x - e)) / (2.0 * e[j])
-    return J
+    n = x.shape[-1]
+    step = h * np.maximum(1.0, np.abs(x))
+    e = step[..., None, :] * np.eye(n)                  # row j shifts axis j
+    f = np.asarray(fn(np.concatenate([x[..., None, :] + e, x[..., None, :] - e], axis=-2)))
+    D = (f[..., :n, :] - f[..., n:, :]) / (2.0 * step[..., None])
+    return np.swapaxes(D, -1, -2)
 
 
 # Gauss-Kronrod (10, 21) pair on [-1, 1], as in QUADPACK's qk21: the 21
@@ -726,73 +729,66 @@ def recover_generating(model: MapModel, base: np.ndarray, query: np.ndarray,
 
 @dataclass(frozen=True)
 class Loop:
-    """A parametrized curve t in [0,1] -> phase space with integer winding.
+    """The non-contractible loop t in [0, 1] -> (I0, t * winding), held as
+    its data, so a loop pickles like a model or a block.
 
-    ``point`` and ``velocity`` must be smooth; phi(1) = phi(0) + winding.
+    ``winding`` is an integer vector: phi(1) = phi(0) + winding.  `point`
+    and `velocity` take parameters t of shape (P,) and return (P, 2d).
     """
 
-    point: Callable[[float], np.ndarray]
-    velocity: Callable[[float], np.ndarray]
+    I0: np.ndarray
     winding: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "winding", np.atleast_1d(np.asarray(self.winding)))
+        object.__setattr__(self, "I0", np.atleast_1d(np.asarray(self.I0, dtype=float)))
+        object.__setattr__(self, "winding",
+                           np.atleast_1d(np.asarray(self.winding, dtype=float)))
+
+    def point(self, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        return np.concatenate([np.broadcast_to(self.I0, t.shape + self.I0.shape),
+                               t[..., None] * self.winding], axis=-1)
+
+    def velocity(self, t: np.ndarray) -> np.ndarray:
+        v = np.concatenate([np.zeros_like(self.I0), self.winding])
+        return np.broadcast_to(v, np.shape(t) + v.shape)
 
 
 def circle_loop(I0: np.ndarray, winding: Optional[np.ndarray] = None) -> Loop:
-    """The basic non-contractible loop I = const, phi = t * winding."""
+    """The basic non-contractible loop I = I0, phi = t * winding, winding e_1 by default."""
     I0 = np.atleast_1d(np.asarray(I0, dtype=float))
-    d = I0.shape[0]
-    w = np.zeros(d)
     if winding is None:
-        w[0] = 1.0
-    else:
-        w = np.atleast_1d(np.asarray(winding, dtype=float))
-
-    def point(t):
-        return np.concatenate([I0, t * w])
-
-    def velocity(t):
-        return np.concatenate([np.zeros(d), w])
-
-    return Loop(point=point, velocity=velocity, winding=w)
-
-
-def _map_jacobian_fn(map_like):
-    if isinstance(map_like, MapModel):
-        try:
-            jacobian(map_like, np.zeros(2 * map_like.d))
-            return lambda x: jacobian(map_like, x)
-        except FormMismatch:
-            pass
-    fwd = as_map(map_like).apply
-    return lambda x: _fd_jacobian(fwd, x, JACOBIAN_FD_STEP)
+        winding = np.eye(I0.shape[0])[0]
+    return Loop(I0, winding)
 
 
 def loop_action(map_like, loop: Loop, quad_tol: float = 1e-11) -> tuple[float, float]:
     """Loop actions (A(gamma), A(f o gamma)) with A = closed-int p . dq.
 
-    The image-loop derivative uses the map Jacobian: analytic for models that
-    carry derivative callbacks, central finite differences otherwise.  Equal
-    values certify exactness of the map on this homotopy class.
+    Each quadrature round of the image loop makes one ``apply`` call and
+    one Jacobian call on all its nodes: the analytic `jacobian` for models
+    that carry derivative callbacks, else central finite differences
+    (`_fd_jacobian`, one more map call).  Equal values certify exactness of
+    the map on this homotopy class.
     """
     fwd = as_map(map_like).apply
-    jac = _map_jacobian_fn(map_like)
-    d = loop.point(0.0).shape[0] // 2
+    d = loop.I0.shape[0]
 
-    def points(t):
-        return (np.array([loop.point(s) for s in t]),
-                np.array([loop.velocity(s) for s in t]))
+    def map_jacobian(x):
+        if isinstance(map_like, MapModel):
+            try:
+                return jacobian(map_like, x)
+            except FormMismatch:
+                pass
+        return _fd_jacobian(fwd, x, JACOBIAN_FD_STEP)
 
     def base_integrand(k, t):
-        x, vel = points(t)
-        return np.sum(x[:, :d] * vel[:, d:], axis=-1)
+        return np.sum(loop.point(t)[:, :d] * loop.velocity(t)[:, d:], axis=-1)
 
     def image_integrand(k, t):
-        x, vel = points(t)
-        z = fwd(x)
-        dz = np.array([jac(xi) @ vi for xi, vi in zip(x, vel)])
-        return np.sum(z[:, :d] * dz[:, d:], axis=-1)
+        x = loop.point(t)
+        dz = (map_jacobian(x) @ loop.velocity(t)[..., None])[..., 0]
+        return np.sum(fwd(x)[:, :d] * dz[:, d:], axis=-1)
 
     A0 = float(_gauss_kronrod(base_integrand, 1, quad_tol)[0])
     A1 = float(_gauss_kronrod(image_integrand, 1, quad_tol)[0])

@@ -449,52 +449,53 @@ def windows(model: MapModel, x0: np.ndarray, count: int, every: int):
 
 
 def jacobian(model: MapModel, x: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of one map step at a phase vector x of shape (2d,),
-    ordered as d(I', phi')/d(I, phi).
+    """Analytic Jacobian d(I', phi')/d(I, phi) of one map step at the phase
+    vectors x of shape (..., 2d), of shape (..., 2d, 2d): one callback call
+    per derivative on the whole batch, and each point's matrix bit for bit
+    its one-point call.
 
     Requires derivative callbacks: a_I/a_phi/b_I/b_phi for the explicit form,
     the second derivatives of s for the generating form (implicit
     differentiation of the generating system, at the new action that
-    `_step` solves for, bit for bit the one `apply` steps to).
+    `_step` solves for, bit for bit the one `apply` steps to); else raises
+    FormMismatch.
     """
     d = model.d
     x = np.asarray(x, dtype=float)
-    I, ph = x[:d], _frac(x[d:])
-    Om = model.hess(I).reshape(d, d)
+    eye, sq = np.eye(d), x.shape[:-1] + (d, d)
+    I, ph = x[..., :d], _frac(x[..., d:])
+    J = np.zeros(x.shape + (2 * d,))
     if model.eps == 0.0:
-        J = np.eye(2 * d)
-        J[d:, :d] = Om
+        J[..., :d, :d] = J[..., d:, d:] = eye
+        J[..., d:, :d] = model.hess(I).reshape(sq)
         return J
     e = model.eps
     if model.form == "explicit":
         need = (model.a_I, model.a_phi, model.b_I, model.b_phi)
         if any(f is None for f in need):
             raise FormMismatch("explicit-form Jacobian requires a/b derivative callbacks")
-        J = np.zeros((2 * d, 2 * d))
-        J[:d, :d] = np.eye(d) + e * model.a_I(I, ph).reshape(d, d)
-        J[:d, d:] = e * model.a_phi(I, ph).reshape(d, d)
-        J[d:, :d] = Om + e * model.b_I(I, ph).reshape(d, d)
-        J[d:, d:] = np.eye(d) + e * model.b_phi(I, ph).reshape(d, d)
+        J[..., :d, :d] = eye + e * model.a_I(I, ph).reshape(sq)
+        J[..., :d, d:] = e * model.a_phi(I, ph).reshape(sq)
+        J[..., d:, :d] = model.hess(I).reshape(sq) + e * model.b_I(I, ph).reshape(sq)
+        J[..., d:, d:] = eye + e * model.b_phi(I, ph).reshape(sq)
         return J
     need = (model.s_II, model.s_Iphi, model.s_phiphi)
     if any(f is None for f in need):
         raise FormMismatch("generating-form Jacobian requires second derivatives of s")
-    In = _step(model, I, x[d:])[0]  # I' by the step's own solve
-    S_II = model.s_II(In, ph).reshape(d, d)
-    S_Ip = model.s_Iphi(In, ph).reshape(d, d)  # d^2 s / dI dphi
-    S_pp = model.s_phiphi(In, ph).reshape(d, d)
-    Omn = model.hess(In).reshape(d, d)
+    In = _step(model, I, x[..., d:])[0]  # I' by the step's own solve
+    S_II = model.s_II(In, ph).reshape(sq)
+    S_Ip = model.s_Iphi(In, ph).reshape(sq)  # d^2 s / dI dphi
+    S_pp = model.s_phiphi(In, ph).reshape(sq)
     # I' = I - e s_phi(I', phi):  (E + e s_phi_I) dI' = dI - e s_phiphi dphi
-    A = np.eye(d) + e * S_Ip.T  # d(s_phi)/dI' has entries d2s/dphi_i dI_j
-    dIn_dI = np.linalg.solve(A, np.eye(d))
+    A = eye + e * np.swapaxes(S_Ip, -1, -2)  # d(s_phi)/dI' has entries d2s/dphi_i dI_j
+    dIn_dI = np.linalg.solve(A, np.broadcast_to(eye, A.shape))
     dIn_dp = np.linalg.solve(A, -e * S_pp)
     # phi' = phi + omega(I') + e s_I(I', phi)
-    B = Omn + e * S_II
-    J = np.zeros((2 * d, 2 * d))
-    J[:d, :d] = dIn_dI
-    J[:d, d:] = dIn_dp
-    J[d:, :d] = B @ dIn_dI
-    J[d:, d:] = np.eye(d) + e * S_Ip + B @ dIn_dp
+    B = model.hess(In).reshape(sq) + e * S_II
+    J[..., :d, :d] = dIn_dI
+    J[..., :d, d:] = dIn_dp
+    J[..., d:, :d] = B @ dIn_dI
+    J[..., d:, d:] = eye + e * S_Ip + B @ dIn_dp
     return J
 
 
@@ -733,8 +734,8 @@ class _KickWork:
     `_propagate_trig` loop do; the reduced angles in ``angles`` are
     consumed.  `_propagate_trig` runs it at two points and more; one point
     steps in `_propagate_point` and builds no work.  At small batches, and
-    at batch 1 in `s_phi` (as `inverse` and `jacobian` call it), the
-    per-call cost of a ufunc dominates, so no call writes over its own
+    at batch 1 in `s_phi` (as `inverse` and a one-point `jacobian` call
+    it), the per-call cost of a ufunc dominates, so no call writes over its own
     input (numpy's overlap check would double its cost), the outputs are
     positional and the constants are 0-d arrays.
     """

@@ -73,6 +73,8 @@ BAD_INPUTS = [
     ("I_box_not_number", "stability", {**STABILITY, "I_box": "a"}, {}, False),
     ("site_gamma_not_number", "energy", {**ENERGY, "site": {**SITE, "gamma": "x"}}, {},
      False),
+    ("site_I_guess_unknown", "energy", {**ENERGY, "site": {**SITE, "I_guess": [0.0]}}, {},
+     False),
     ("scheme_unknown", "interp", {**INTERP, "scheme": "bogus"}, {}, False),
     ("gauss_odd_m", "interp", {**INTERP, "scheme": "gauss", "m_list": [1]}, {}, False),
     ("fourier_mode_wrong_length", "nucleus", {**NUCLEUS, "fourier_modes": [[1, 2]]}, {},
@@ -268,16 +270,19 @@ class TestCommands:
                 val, status = recover_generating(model, base, p, 1e-11), "ok"
             except MapflowError as exc:
                 val, status = np.nan, type(exc).__name__
-            ref = (model.h0(p[:1]) + model.eps * model.s(p[:1], p[1:])
-                   - model.h0(base[:1]) - model.eps * model.s(base[:1], base[1:]))
+            ref = ((model.h0(p[:1]) - model.h0(base[:1]))
+                   + model.eps * (model.s(p[:1], p[1:]) - model.s(base[:1], base[1:])))
             rows.append([*p, val, float(ref), status])
         ref = write_csv_rows(tmp_path / "ref.csv",
                              ["pbar0", "q0", "s_recovered", "s_catalog", "status"], rows)
         assert (out / "gen-recover.csv").read_bytes() == ref.read_bytes()
-        status = {(line.split(",")[1], line.split(",")[-1])
-                  for line in (out / "gen-recover.csv").read_text().splitlines()[1:]}
+        lines = (out / "gen-recover.csv").read_text().splitlines()[1:]
+        status = {(line.split(",")[1], line.split(",")[-1]) for line in lines}
         assert status == {("0", "ok"), ("0.33333333333333331", "QuadratureFailure"),
                           ("0.66666666666666663", "QuadratureFailure")}
+        # eps s(p) - eps s(base) cancels at q = 0 and leaves the action part whole
+        for pbar in ("-0.40000000000000002", "0.40000000000000002"):
+            assert (f"{pbar},0,0.080000000000000016,0.080000000000000016,ok" in lines)
 
     def test_embed_error_runs(self, tmp_path):
         cfg = base_cfg(**{"embed-error": {"m_list": [1, 2], "grid_n": 3,

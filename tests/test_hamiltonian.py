@@ -1,6 +1,7 @@
 """Flow embedding, Hamiltonian reconstruction, generating-function recovery."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from mapflow import (
 )
 from mapflow.errors import DomainEscape, NoConvergence, QuadratureFailure, StepFailure
 from mapflow.hamiltonian import MAX_PANELS, _gauss_kronrod, _rowwise, cross_form_fields
-from mapflow import experiments
+from mapflow.interp import as_map
+from mapflow import experiments, hamiltonian
 from mapflow.experiments import SnDecomposition
 from mapflow.maps import PICARD_TOL, _picard
 from mapflow.resonance import BlockMap
@@ -218,6 +220,14 @@ class TestSymmetryDefect:
         x = np.array([0.37, 0.21])
         defects = [symmetry_defect(interpolating_field(blk, m), x) for m in (1, 2, 3)]
         assert defects[1] < defects[0] and defects[2] < defects[1]
+
+    def test_batch_is_its_one_point_defects(self):
+        X = interpolating_field(std_block(1e-4), 3)
+        pts = unit_box(1).grid(3)
+        defects = symmetry_defect(X, pts)
+        assert defects.shape == (9,)
+        assert np.array_equal(defects, [symmetry_defect(X, x) for x in pts])
+        assert np.array_equal(symmetry_defect(X, pts.reshape(3, 3, 2)), defects.reshape(3, 3))
 
 
 class TestReconstruction:
@@ -450,6 +460,47 @@ class TestLoopAction:
         loop = circle_loop(np.array([0.3]))
         A0, A1 = loop_action(m, loop, quad_tol=1e-12)
         assert A1 - A0 == pytest.approx(eps, abs=1e-10)
+
+    @pytest.mark.parametrize("map_like, analytic",
+                             [(catalog("standard", 0.2), True), (lambda x: x.copy(), False)],
+                             ids=["standard", "plain"])
+    def test_one_apply_and_one_jacobian_per_round(self, monkeypatch, map_like, analytic):
+        rounds, calls = [], {"apply": 0, "jacobian": 0, "fd": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def gauss_kronrod(integrand, n, quad_tol):
+            rounds.append(0)
+
+            def counted(k, t):
+                rounds[-1] += 1
+                return integrand(k, t)
+            return _gauss_kronrod(counted, n, quad_tol)
+
+        cls = type(as_map(map_like))
+        monkeypatch.setattr(cls, "apply", counting("apply", cls.apply))
+        monkeypatch.setattr(hamiltonian, "jacobian", counting("jacobian", hamiltonian.jacobian))
+        monkeypatch.setattr(hamiltonian, "_fd_jacobian",
+                            counting("fd", hamiltonian._fd_jacobian))
+        monkeypatch.setattr(hamiltonian, "_gauss_kronrod", gauss_kronrod)
+        loop_action(map_like, circle_loop(np.array([0.3])), quad_tol=1e-11)
+        image_rounds = rounds[1]  # the base loop's integrand calls no map
+        assert image_rounds >= 1
+        if analytic:
+            assert calls == {"apply": image_rounds, "jacobian": image_rounds, "fd": 0}
+        else:  # the finite differences make one more map call
+            assert calls == {"apply": 2 * image_rounds, "jacobian": 0, "fd": image_rounds}
+
+    def test_loop_pickles(self):
+        m = catalog("froeschle2", 0.1, eta=0.3)
+        loop = circle_loop(np.array([0.2, -0.1]), winding=np.array([0.0, 1.0]))
+        back = pickle.loads(pickle.dumps(loop))
+        assert np.array_equal(back.I0, loop.I0) and np.array_equal(back.winding, [0.0, 1.0])
+        assert loop_action(m, back, quad_tol=1e-11) == loop_action(m, loop, quad_tol=1e-11)
 
 
 def _one_point_flows(X, pts, t, tol):

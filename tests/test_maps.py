@@ -554,6 +554,17 @@ class TestSymplecticity:
                 Jfd[:, j] = (m.apply(x + e) - m.apply(x - e)) / (2 * h)
             assert np.max(np.abs(Ja - Jfd)) <= 1e-8
 
+    @pytest.mark.parametrize("m", [catalog("twist", 0.0, d=2), catalog("twist", 0.3, d=2),
+                                   nonexact_shear(0.05), catalog("standard", 0.7),
+                                   catalog("froeschle2", 0.15, eta=0.4)],
+                             ids=["twist0", "twist", "shear", "std", "fro"])
+    def test_batched_jacobian_is_its_one_point_calls(self, m, rng):
+        x = np.concatenate([rng.uniform(-0.5, 0.5, (3, 4, m.d)),
+                            rng.uniform(-2.0, 2.0, (3, 4, m.d))], axis=-1)
+        J = jacobian(m, x)
+        assert J.shape == (3, 4, 2 * m.d, 2 * m.d)
+        assert np.array_equal(J, [[jacobian(m, p) for p in row] for row in x])
+
     def test_jacobian_of_an_explicit_step_needs_no_contraction(self):
         # at eps = 1 the step is explicit in I' (no contraction needed), and the
         # Jacobian takes the step's own I'
