@@ -2,7 +2,8 @@
 """Micro-benchmark of the map step and of the one-step calls built on it.
 
 Times `propagate` on the catalog maps `standard` and `froeschle2` at batch
-sizes 1, 100 and 10^4 and prints the median and quartiles of ns per
+sizes 1, 100 and 10^4, forward and backward (a negative step count, the
+rows marked "back"), and prints the median and quartiles of ns per
 seed-step.  Then times one-step calls at batch sizes 1 (one (2d,) point)
 and 100: `MapModel.apply` of the same maps and `BlockMap.apply` of the
 nucleus block (standard map at eps = 1e-4, site n = 1, scaling "nucleus"),
@@ -56,14 +57,16 @@ CSV_ROWS = 100_000
 SCAN_SEEDS, SCAN_STEPS, SCAN_RADIUS = 100, 20_000, 0.05
 
 
-def _states(d: int, batch: int):
+def _states(d: int, batch: int) -> np.ndarray:
+    """Flat phase vectors (batch, 2d), actions in [-0.5, 0.5), angles in [0, 1)."""
     rng = np.random.default_rng(batch)
-    return rng.uniform(-0.5, 0.5, (batch, d)), rng.uniform(0.0, 1.0, (batch, d))
+    return np.concatenate([rng.uniform(-0.5, 0.5, (batch, d)),
+                           rng.uniform(0.0, 1.0, (batch, d))], axis=-1)
 
 
 def _point(d: int, batch: int) -> np.ndarray:
-    """Flat phase vectors (batch, 2d); one (2d,) point at batch 1."""
-    x = np.concatenate(_states(d, batch), axis=-1)
+    """`_states`, but one (2d,) point at batch 1."""
+    x = _states(d, batch)
     return x[0] if batch == 1 else x
 
 
@@ -88,8 +91,9 @@ def main(argv=None) -> int:
     cases, applies = [], []
     for name, params in MAPS:
         model = catalog(name, EPS, **params)
-        for batch, steps in CASES:
-            cases.append((name, batch, steps, model, *_states(model.d, batch)))
+        for sign, label in ((1, name), (-1, f"{name} back")):
+            for batch, steps in CASES:
+                cases.append((label, batch, sign * steps, model, _states(model.d, batch)))
         for batch, calls in APPLY_CASES:
             applies.append((f"{name}.apply", batch, calls, model.apply, _point(model.d, batch)))
     std = catalog("standard", EPS)
@@ -108,8 +112,8 @@ def main(argv=None) -> int:
             applies.append((f"nucleus block X_{m} {scheme}", 25, calls,
                             lambda x, m=m, s=scheme: interpolating_vf(block, x, m, s),
                             _point(1, 25)))
-    for _, _, _, model, I, phi in cases:  # warm up every path once
-        propagate(model, I, phi, 10)
+    for _, _, steps, model, x in cases:  # warm up every path once
+        propagate(model, x, 10 if steps > 0 else -10)
     for *_, fn, x in applies:
         fn(x)
     samples = {case[:2]: [] for case in cases + applies}
@@ -119,10 +123,10 @@ def main(argv=None) -> int:
     tmp = tempfile.TemporaryDirectory()
     csv_path = os.path.join(tmp.name, "table.csv")
     for _ in range(args.repeats):
-        for name, batch, steps, model, I, phi in cases:
+        for name, batch, steps, model, x in cases:
             t0 = time.perf_counter()
-            propagate(model, I, phi, steps)
-            samples[name, batch].append(1e9 * (time.perf_counter() - t0) / (steps * batch))
+            propagate(model, x, steps)
+            samples[name, batch].append(1e9 * (time.perf_counter() - t0) / (abs(steps) * batch))
         for name, batch, calls, fn, x in applies:
             t0 = time.perf_counter()
             for _ in range(calls):
@@ -139,10 +143,10 @@ def main(argv=None) -> int:
     stability_scan(scan_model, seeds, SCAN_STEPS, SCAN_RADIUS)
     scan_mb = tracemalloc.get_traced_memory()[1] / 1e6
     tracemalloc.stop()
-    print(f"{'map':<11} {'batch':>6} {'median':>9} {'q1':>9} {'q3':>9}  ns per seed-step,"
+    print(f"{'map':<15} {'batch':>6} {'median':>9} {'q1':>9} {'q3':>9}  ns per seed-step,"
           f" {args.repeats} repeats")
     for name, batch, *_ in cases:
-        print(f"{name:<11} {batch:>6} {_stats(samples[name, batch])}")
+        print(f"{name:<15} {batch:>6} {_stats(samples[name, batch])}")
     print(f"\n{'call':<25} {'batch':>6} {'median':>9} {'q1':>9} {'q3':>9}  us per call,"
           f" {args.repeats} repeats")
     for name, batch, *_ in applies:

@@ -70,7 +70,7 @@ def apriori_check(model: MapModel, x0: np.ndarray, n: int) -> AprioriMargins:
 # generating-function split S_n = h_n + w_n for a scaled block
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WnReport:
     """Sup of the angle-dependent part of the block generating function."""
 
@@ -154,7 +154,7 @@ def sn_decomposition(model: MapModel, site: ResonanceSite,
 # slow-energy drift along block orbits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriftReport:
     """Per-block increments of the reconstructed slow observable."""
 
@@ -195,7 +195,7 @@ def energy_drift(model: MapModel, site: ResonanceSite, m: int, blocks: int,
 # long-horizon confinement scans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityRecord:
     """Per-seed outcome of a confinement scan."""
 
@@ -240,8 +240,9 @@ def stability_scan(model: MapModel, x0: np.ndarray, horizon: int,
     escape_idx = np.full(nseeds, -1, dtype=np.int64)
 
     done = 0
-    for live, Is, ps, first in maps._orbits(model, x0, horizon, 1):
+    for live, xs, first in maps._orbits(model, x0, horizon, 1):
         # statistics over the window (step indices done+1 .. done+W)
+        Is = xs[..., :model.d]
         dev = _max_abs_diff(Is[1:], x0[live, :model.d])  # (W, live)
         dstep = _max_abs_diff(Is[1:], Is[:-1])           # (W, live)
         # statistics stop at the escape state; a non-finite state (read from its
@@ -260,8 +261,8 @@ def stability_scan(model: MapModel, x0: np.ndarray, horizon: int,
             newly = crossed.any(axis=0) & (exit_idx[live] < 0)
             if np.any(newly):
                 exit_idx[live[newly]] = done + 1 + np.argmax(crossed[:, newly], axis=0)
-        done += Is.shape[0] - 1
-        del Is, ps  # keep no view of this window while the engine writes the next
+        done += xs.shape[0] - 1
+        del xs, Is  # keep no view of this window while the engine writes the next
 
     out = []
     for i in range(nseeds):
@@ -324,7 +325,7 @@ def pilot_confinement(model: MapModel, horizon: int = 20000) -> PilotCalibration
 # scaling-law fits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitReport:
     """OLS fit in log space with numerical-floor bookkeeping."""
 

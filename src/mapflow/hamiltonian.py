@@ -47,7 +47,7 @@ def interpolating_field(map_like, m: int, scheme: str = "newton") -> Callable:
     return lambda x: interpolating_vf(map_like, x, m, scheme)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
     """Axis-aligned test region: action block times angle fundamental domain.
 
@@ -367,7 +367,7 @@ def optimal_order(delta: float, eps_hat: float, d: int) -> OptimalOrder:
     return OptimalOrder(m=m, clamped=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingReport:
     """Measured distance between the time-one flow of X_m and the map."""
 
@@ -589,7 +589,7 @@ def _staircase_integral(X, start: np.ndarray, stop: np.ndarray, d: int,
     return _staircase(form, start, stop, quad_tol)
 
 
-@dataclass
+@dataclass(eq=False)
 class HamiltonianField:
     """Path-integral reconstruction of the Hamiltonian of a field.
 
@@ -727,7 +727,7 @@ def recover_generating(model: MapModel, base: np.ndarray, query: np.ndarray,
     return _staircase(form, base, query, quad_tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Loop:
     """The non-contractible loop t in [0, 1] -> (I0, t * winding), held as
     its data, so a loop pickles like a model or a block.

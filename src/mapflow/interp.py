@@ -133,9 +133,10 @@ def orbit_window(map_like, x0, m: int, scheme: str = "newton") -> np.ndarray:
     map's flat-map protocol (`as_map`): ``orbit(x0, m)`` for newton, and
     ``orbit(x0, -j)`` and ``orbit(x0, j)`` for gauss.  For a model or a
     block the backward half is one backward call of the orbit engine,
-    whose inverse steps (`maps._step_back`) exchange the roles of old and
-    new coordinates in the implicit step; a plain function steps forward
-    only.
+    whose inverse steps (the fused trig body of a catalog map, run
+    backward, or `maps._step_back` of a callback model) exchange the roles
+    of old and new coordinates in the implicit step; a plain function steps
+    forward only.
 
     A step is checked (`_verify`) only where the two sides of it are
     different code.  A model's or a block's forward orbit is returned as it
@@ -231,7 +232,7 @@ def interpolating_vf(map_like, x0, m: int, scheme: str = "newton") -> np.ndarray
     return field_from_window(orbit_window(map_like, x0, m, scheme), scheme)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderScalingFit:
     """Least-squares slope of log|X_{m+1} - X_m| against log(parameter)."""
 

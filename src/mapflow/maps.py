@@ -23,19 +23,20 @@ the tolerance, so a batched solve is its one-point solves bit for bit.
 
 Every step, forward or inverse, runs through `propagate`, one windowed
 kernel that checks the domain once per call.  Trigonometric generating
-terms are held as data (`TrigTerm`); their models step forward in
-`_propagate_trig`, which runs one point on Python floats (`_propagate_point`)
-and every larger batch in the row program of `_KickWork`, both read from
-the term's `_KickPlan` and bitwise equal.  `_step` is the forward body of
-callback models, `_step_back` the inverse body of every model.  `_orbits`
-is the one orbit engine, both ways, and the one place where a step fails.
+terms are held as data (`TrigTerm`, which keeps no state); their models
+step both ways in `_propagate_trig`, which runs one point on Python floats
+(`_propagate_point`) and every larger batch in the row program of a
+`_KickWork` built per call, both read from the term's `_KickPlan` and
+bitwise equal.  `_step` and `_step_back` are the forward and inverse
+bodies of callback models.  `_orbits` is the one orbit engine, both ways,
+and the one place where a step fails.
 
-Public functions take flat phase vectors of shape (..., 2d), ordered
-(I, phi).  `MapModel.orbit` is the one stepping method, with a signed step
-count; `apply` and `inverse` are its one-step cases.
-Separate action and angle arrays appear only inside this kernel: `_step`,
-`_step_back`, `_propagate_trig`, `_propagate_point`, `propagate`, `_orbits`
-and `windows`.
+Every function takes flat phase vectors of shape (..., 2d), ordered
+(I, phi), and the kernel steps them in one buffer of that layout.
+`MapModel.orbit` is the one stepping method, with a signed step count;
+`apply` and `inverse` are its one-step cases.  Separate action and angle
+arrays are passed only to `_step` and `_step_back`, whose callbacks take
+them.
 
 All coefficient callables are expected to broadcast over leading axes, i.e.
 accept arrays of shape (..., d).
@@ -62,7 +63,7 @@ PICARD_TOL = 1e-14
 WINDOW = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DomainSpec:
     """Geometry and sup-norm bound data for a map's analyticity domain.
 
@@ -124,7 +125,7 @@ class DomainSpec:
         return 0.5 * self.norm_omega_prime * self.norm_a + self.norm_b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MapModel:
     """A quasi-integrable exact symplectic map in explicit or generating form.
 
@@ -188,8 +189,7 @@ class MapModel:
         at stride 1 or -1, which raises for an escape, a non-finite last
         state (DomainEscape) and a stalled implicit solve (NoConvergence)."""
         x0 = np.asarray(x0, dtype=float)
-        return np.concatenate([x0[None], *(np.concatenate(w, axis=-1) for w in
-                                           windows(self, x0, abs(steps), -1 if steps < 0 else 1))])
+        return np.concatenate([x0[None], *windows(self, x0, abs(steps), -1 if steps < 0 else 1)])
 
 
 def _frac(phi):
@@ -233,7 +233,8 @@ def _step(model: MapModel, I: np.ndarray, phi: np.ndarray):
 
 
 def _step_back(model: MapModel, I: np.ndarray, phi: np.ndarray):
-    """One unguarded inverse map step on arrays of shape (..., d).
+    """One unguarded inverse map step on arrays of shape (..., d), for
+    callback models (a fused-trig model steps back in `_propagate_trig`).
 
     A generating-form map solves its implicit system with the roles of
     (I, phi) and (I', phi') exchanged: phi by `_picard` (skipped when s is
@@ -262,9 +263,9 @@ def _first_outside(domain: DomainSpec, Is: np.ndarray) -> np.ndarray:
 
 def _fused_term(model: MapModel) -> Optional[TrigTerm]:
     """The `TrigTerm` whose own callback is the model's s_phi, when `_step`
-    reduces to the fused trig body with it: the identity omega is in place
-    too.  A `replace` that swaps either callback, as `near_identity_family`
-    does, falls back to `_step`."""
+    and `_step_back` reduce to the fused trig body with it: the identity
+    omega is in place too.  A `replace` that swaps either callback, as
+    `near_identity_family` does, falls back to `_step` and `_step_back`."""
     t = getattr(model.s_phi, "__self__", None)
     if (isinstance(t, TrigTerm) and model.form == "generating" and model.eps > 0.0
             and model.s_action_independent and model.omega is _identity_omega):
@@ -272,46 +273,54 @@ def _fused_term(model: MapModel) -> Optional[TrigTerm]:
     return None
 
 
-def _propagate_trig(eps: float, term: TrigTerm, I: np.ndarray, phi: np.ndarray, steps: int):
-    """`_step` of a fused-trig model, on preallocated component-major rows.
+def _propagate_trig(eps: float, term: TrigTerm, x: np.ndarray, steps: int):
+    """`_step` of a fused-trig model, `_step_back` for a negative ``steps``,
+    on preallocated component-major rows.
 
     One point (n = 1) steps in `_propagate_point`, on Python floats; every
-    other batch runs the row program below.  The orbit is stored as
-    (steps+1, d, n) and returned in the point-major layout (steps+1, ..., d)
-    as strided views of that storage, never a copy: the transpose only
-    swaps strides and the reshape only splits the point axis.  Each step
-    reduces the angles into the rows of the term's `TrigTerm.work` for n
-    points, runs its kick program and divides by 2 pi (s_phi), then takes
-    eps times it off the actions and adds the new actions to the angles.
-    These are the operations of `_step` with the term's callbacks, in its
-    order (frac, s_phi, times eps, I - ., phi + I'), so every state is
-    bitwise equal to stepping `_step`, at any batch size.
+    other batch runs the row program below, on a `_KickWork` built for the
+    call.  The orbit is stored as (|steps|+1, 2d, n) and returned in the
+    point-major layout (|steps|+1, ..., 2d) as a strided view of that
+    storage, never a copy: the transpose only swaps strides and the reshape
+    only splits the point axis.  A forward step reduces the angles into the
+    work's rows, runs its kick program and divides by 2 pi (s_phi), then
+    takes eps times it off the actions and adds the new actions to the
+    angles: `_step`'s operations with the term's callbacks, in its order
+    (frac, s_phi, times eps, I - ., phi + I').  A backward step takes the
+    actions off the angles first, then reduces those, kicks and adds eps
+    times the kick to the actions: `_step_back`'s (phi' - I', frac, s_phi,
+    times eps, I' + .).  So every state is bitwise equal to stepping `_step`
+    or `_step_back`, at any batch size.
     """
-    shape = I.shape
-    d = shape[-1]
-    n = I.size // d
+    shape, d = x.shape, term.d
+    n, back, count = x.size // (2 * d), steps < 0, abs(steps)
     if n == 1:
-        return _propagate_point(eps, term._point_plan, I, phi, steps)
-    Is = np.empty((steps + 1, d, n))
-    ps = np.empty((steps + 1, d, n))
-    I0, p0 = Is[0], ps[0]
-    I0[...], p0[...] = I.reshape(n, d).T, phi.reshape(n, d).T
-    work = term.work(n)
+        return _propagate_point(eps, term._plan, x, steps)
+    xs = np.empty((count + 1, 2 * d, n))
+    xs[0] = x.reshape(n, 2 * d).T
+    Is, ps = xs[:, :d], xs[:, d:]
+    work = _KickWork(term._plan, n)
     # grad and the consumed angles serve as scratch rows around the program
     ops, G, two_pi = work.ops, work.G, work.two_pi
     ang, grad, eps = work.angles, work.grad, np.array(eps)
+    I0, p0 = Is[0], ps[0]
     for I1, p1 in zip(Is[1:], ps[1:]):
-        np.floor(p0, grad)
-        np.subtract(p0, grad, ang)
+        if back:
+            np.subtract(p0, I0, p1)
+        src = p1 if back else p0  # the angles the kick reads
+        np.floor(src, grad)
+        np.subtract(src, grad, ang)
         for f, args in ops:
             f(*args)
         np.divide(G, two_pi, grad)
         np.multiply(grad, eps, ang)
-        np.subtract(I0, ang, I1)
-        np.add(p0, I1, p1)
+        if back:
+            np.add(I0, ang, I1)
+        else:
+            np.subtract(I0, ang, I1)
+            np.add(p0, I1, p1)
         I0, p0 = I1, p1
-    full = (steps + 1,) + shape
-    return Is.transpose(0, 2, 1).reshape(full), ps.transpose(0, 2, 1).reshape(full)
+    return xs.transpose(0, 2, 1).reshape((count + 1,) + shape)
 
 
 def _dot(r: list, terms: list) -> float:
@@ -324,29 +333,34 @@ def _dot(r: list, terms: list) -> float:
     return 0.0 if acc is None else acc
 
 
-def _propagate_point(eps: float, plan: _KickPlan, I: np.ndarray, phi: np.ndarray, steps: int):
+def _propagate_point(eps: float, plan: _KickPlan, x: np.ndarray, steps: int):
     """`_propagate_trig` at one point, where numpy's per-call dispatch would
-    cost more than the arithmetic: the term's kick plan walked on Python
-    floats, with the weights of ``plan`` already floats (`_KickPlan.floats`).
+    cost more than the arithmetic: the term's kick plan, whose weights are
+    Python floats, walked on Python floats.
 
-    Every value takes the row program's operations in its order: angles
-    reduced by ``p % 1.0`` (bitwise ``p - floor(p)``, and NaN where an angle
-    is not finite), the non-unit phases, sin(2 pi row) over the angle and
-    phase rows, the scaled rows, the component sums, then I' = I - (G / 2 pi)
-    eps and phi' = phi + I'.  Python's float arithmetic is numpy's float64
-    arithmetic, and `math.sin` is the libm sin that numpy's float64 sin
-    calls, so every state is bitwise the row program's.  (A numpy build
-    with a vectorized double sin of its own would part the two bodies;
+    Every value takes the row program's operations in its order: backward,
+    the actions taken off the angles first; angles reduced by ``p % 1.0``
+    (bitwise ``p - floor(p)``, and NaN where an angle is not finite), the
+    non-unit phases, sin(2 pi row) over the angle and phase rows, the scaled
+    rows, the component sums, then I' = I - (G / 2 pi) eps and
+    phi' = phi + I' (backward, I = I' + (G / 2 pi) eps).  Python's float
+    arithmetic is numpy's float64 arithmetic, and `math.sin` is the libm
+    sin that numpy's float64 sin calls, so every state is bitwise the row
+    program's.  (A numpy build with a vectorized double sin of its own
+    would part the two bodies;
     `test_point_body_bitwise_equals_its_row_in_a_batch` would show it.)
-    Returns (steps+1, ..., d) arrays, as `_propagate_trig` does.
+    Returns the (|steps|+1, ..., 2d) orbit, as `_propagate_trig` does.
     """
-    full = (steps + 1,) + I.shape
+    full = (abs(steps) + 1,) + x.shape
     phases, scales, sums = plan.phases, plan.scales, plan.sums
-    sin, two_pi, eps = math.sin, TWO_PI, float(eps)
-    I, p = I.ravel().tolist(), phi.ravel().tolist()  # updated in place
-    Is, ps = I[:], p[:]
-    components = range(len(I))
-    for _ in range(steps):
+    sin, two_pi, eps, back = math.sin, TWO_PI, float(eps), steps < 0
+    xs = x.ravel().tolist()  # the orbit, state after state
+    I, p = xs[: plan.d], xs[plan.d:]  # updated in place
+    components = range(plan.d)
+    for _ in range(abs(steps)):
+        if back:
+            for j in components:
+                p[j] -= I[j]
         r, y = [], []  # the reduced angles, and the rows after the sine
         for q in p:
             a = q % 1.0
@@ -358,39 +372,45 @@ def _propagate_point(eps: float, plan: _KickPlan, I: np.ndarray, phi: np.ndarray
             y.append(y[src] * c)
         if sums is not None:
             y = [_dot(y, s) for s in sums]
-        for j in components:
-            i = I[j] - y[j] / two_pi * eps
-            I[j] = i
-            p[j] += i
-        Is += I
-        ps += p
-    return np.array(Is).reshape(full), np.array(ps).reshape(full)
+        if back:
+            for j in components:
+                I[j] += y[j] / two_pi * eps
+        else:
+            for j in components:
+                i = I[j] - y[j] / two_pi * eps
+                I[j] = i
+                p[j] += i
+        xs += I
+        xs += p
+    return np.array(xs).reshape(full)
 
 
-def propagate(model: MapModel, I: np.ndarray, phi: np.ndarray, steps: int):
-    """Take |steps| unguarded map steps from states of shape (..., d),
-    inverse steps (`_step_back`) when ``steps`` is negative.
+def propagate(model: MapModel, x: np.ndarray, steps: int):
+    """Take |steps| unguarded map steps from the states x of shape (..., 2d),
+    inverse steps when ``steps`` is negative.
 
-    Returns the orbit buffers ``Is``, ``ps`` of shape (|steps|+1, ..., d) and,
-    per seed, the index of its first escape (-1 if none); `_orbits` adds the
+    Returns the orbit ``xs`` of shape (|steps|+1, ..., 2d) and, per seed,
+    the index of its first escape (-1 if none); `_orbits` adds the
     last-state rule.  Forward, that is the first state outside the
     sigma-extended domain from which a step was taken; backward, the first
-    result outside, less one (a result is the start of a forward step).  A
-    NoConvergence after an escape ends the buffers at the failing step's
-    source state and is dropped, so the escape is reported first.  Models
-    with a `TrigTerm` in place step forward through `_propagate_trig`: one
-    point on Python floats, a larger batch in the term's row program.
+    result outside, less one (a result is the start of a forward step).
+    Models with a `TrigTerm` in place step through `_propagate_trig` both
+    ways: one point on Python floats, a larger batch in the term's row
+    program.  Callback models step through `_step` or `_step_back` on the
+    (I, phi) halves of the orbit buffer; a NoConvergence after an escape
+    ends the orbit at the failing step's source state and is dropped, so
+    the escape is reported first.
     """
-    I = np.asarray(I, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    x = np.asarray(x, dtype=float)
+    d, back, n = model.d, int(steps < 0), abs(steps)
     term = _fused_term(model)
-    if term is not None and steps >= 0:
-        Is, ps = _propagate_trig(model.eps, term, I, phi, steps)
-        return Is, ps, _first_outside(model.domain, Is[:steps])
-    body, back, n = (_step_back, 1, -steps) if steps < 0 else (_step, 0, steps)
-    Is = np.empty((n + 1,) + I.shape)
-    ps = np.empty((n + 1,) + phi.shape)
-    Is[0], ps[0] = I, phi
+    if term is not None:
+        xs = _propagate_trig(model.eps, term, x, steps)
+        return xs, _first_outside(model.domain, xs[back : n + back, ..., :d])
+    body = _step_back if back else _step
+    xs = np.empty((n + 1,) + x.shape)
+    xs[0] = x
+    Is, ps = xs[..., :d], xs[..., d:]
     for k in range(n):
         try:
             Is[k + 1], ps[k + 1] = body(model, Is[k], ps[k])
@@ -398,50 +418,50 @@ def propagate(model: MapModel, I: np.ndarray, phi: np.ndarray, steps: int):
             first = _first_outside(model.domain, Is[back : k + 1])
             if np.all(first < 0):
                 raise
-            return Is[: k + 1], ps[: k + 1], first
-    return Is, ps, _first_outside(model.domain, Is[back : n + back])
+            return xs[: k + 1], first
+    return xs, _first_outside(model.domain, Is[back : n + back])
 
 
 def _orbits(model: MapModel, x0: np.ndarray, count: int, every: int):
     """The orbit engine: steps the seeds x0 (n, 2d) over ``count`` samples at
     stride ``every`` (backward if negative), one `propagate` call of at most
-    ``WINDOW`` steps per ``(live, Is, ps, first)`` it yields: the seeds' flat
-    indices, their buffers from the window's start, and each one's first
+    ``WINDOW`` steps per ``(live, xs, first)`` it yields: the seeds' flat
+    indices, their orbit from the window's start, and each one's first
     escape in it, or -1.  The one rule: a state is an escape when a step is
     taken from it outside the domain (see `propagate`), a last state when it
     is not finite.  An escaped seed is dropped; no view of a window outlives it."""
     stride, sign, done = abs(every), -1 if every < 0 else 1, 0
     total, per = count * stride, max(1, WINDOW // stride) * stride
-    live, I, phi = np.arange(len(x0)), x0[:, : model.d], x0[:, model.d:]
+    live, x = np.arange(len(x0)), x0
     while done < total:
-        Is, ps, first = propagate(model, I, phi, sign * min(per, total - done))
-        end = len(Is) - 1
-        done, I, phi = done + end, Is[end], ps[end]
-        if done == total and not (np.isfinite(I).all() and np.isfinite(phi).all()):
-            first[(first < 0) & ~np.isfinite(np.concatenate([I, phi], -1)).all(-1)] = end
-        yield live, Is, ps, first
+        xs, first = propagate(model, x, sign * min(per, total - done))
+        end = len(xs) - 1
+        done, x = done + end, xs[end]
+        if done == total and not np.isfinite(x).all():
+            first[(first < 0) & ~np.isfinite(x).all(-1)] = end
+        yield live, xs, first
         keep = first < 0
         if done == total or len(keep) and not keep.any():  # last window, or all escaped
             return
-        live, I, phi = live[keep], I[keep], phi[keep]  # copies, not views of Is, ps
-        del Is, ps
+        live, x = live[keep], x[keep]  # copies, not views of xs
+        del xs
 
 
 def windows(model: MapModel, x0: np.ndarray, count: int, every: int):
-    """Yield F^every(x0), ..., F^(count every)(x0) as arrays (Is, ps) of shape
-    (k, ..., d), one pair per window of `_orbits` (backward for a negative
+    """Yield F^every(x0), ..., F^(count every)(x0) as arrays of shape
+    (k, ..., 2d), one per window of `_orbits` (backward for a negative
     ``every``), up to its first escape; then DomainEscape is raised, indexed
     by the sample not completed (count + 1 if the last state is not finite)."""
     if count < 0:
         raise ValueError("steps must be nonnegative")
     what, stride = "inverse orbit" if every < 0 else "orbit", abs(every)
     x0 = np.asarray(x0, dtype=float)
-    shape, lo = x0.shape[:-1] + (model.d,), 0
-    for _, Is, ps, first in _orbits(model, x0.reshape(-1, x0.shape[-1]), count, every):
-        Is, ps = Is[stride::stride], ps[stride::stride]
+    lo = 0
+    for _, xs, first in _orbits(model, x0.reshape(-1, x0.shape[-1]), count, every):
+        xs = xs[stride::stride]
         escaped = first.max(initial=-1) >= 0
-        k = int(first[first >= 0].min()) // stride if escaped else len(Is)
-        yield Is[:k].reshape((k,) + shape), ps[:k].reshape((k,) + shape)
+        k = int(first[first >= 0].min()) // stride if escaped else len(xs)
+        yield xs[:k].reshape((k,) + x0.shape)
         if escaped:
             raise DomainEscape(f"{what} left the domain or reached a non-finite state "
                                f"before sample {lo + k + 1}", index=lo + k + 1)
@@ -574,7 +594,7 @@ def _run(ops) -> None:
         f(*args)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrigTerm:
     """An action-independent trigonometric generating term, held as data::
 
@@ -601,8 +621,6 @@ class TrigTerm:
         object.__setattr__(self, "modes", K.astype(np.int64))
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "_plan", _KickPlan.of(self.modes, c))
-        object.__setattr__(self, "_point_plan", self._plan.floats())  # see `_propagate_point`
-        object.__setattr__(self, "_work", None)  # see `work`
 
     @property
     def d(self) -> int:
@@ -637,22 +655,13 @@ class TrigTerm:
     def s_I(self, I, phi):
         return np.zeros_like(np.asarray(I, dtype=float))
 
-    def work(self, n: int) -> _KickWork:
-        """The kick program on rows for n points, kept for the last batch
-        size asked for: `s_phi` and `_propagate_trig` share it, so one term
-        is not for concurrent threads."""
-        work = self._work
-        if work is None or work.n != n:
-            work = _KickWork(self._plan, n)
-            object.__setattr__(self, "_work", work)
-        return work
-
     def s_phi(self, I, phi):
-        """The kick program of the fused body, on the rows of `work`."""
+        """The kick program of the fused body, on the rows of a `_KickWork`
+        built for the call."""
         phi = np.asarray(phi, dtype=float)
         d = self.d
         n = phi.size // d
-        work = self.work(n)
+        work = _KickWork(self._plan, n)
         work.angles[...] = phi.reshape(n, d).T
         out = np.empty(phi.shape)
         work.kick(out.reshape(n, d).T)
@@ -672,8 +681,9 @@ class TrigTerm:
 
 
 class _KickPlan(NamedTuple):
-    """Row indices of the kick, fixed per term: `_KickWork` records its
-    program from them, and `_propagate_point` walks them on floats.
+    """Row indices of the kick and its weights as Python floats, fixed per
+    term: `_KickWork` records its program from them, and `_propagate_point`
+    walks them on floats.
 
     Rows of Y: the d angles, one phase row per mode that is not a unit
     vector e_i (a unit mode reads its angle row), then one row per mode
@@ -684,7 +694,7 @@ class _KickPlan(NamedTuple):
     rows: int                   # rows of Y
     sin_rows: int               # rows of X, the angle and phase rows of Y
     phases: list                # (row, [(angle row, k_ji)]) per non-unit mode
-    scales: list                # (sine row, c_j as a 0-d array, row)
+    scales: list                # (sine row, c_j, row)
     sums: Optional[list]        # [(row, k_ji)] per component; None: row i alone
 
     @classmethod
@@ -694,26 +704,16 @@ class _KickPlan(NamedTuple):
                 if np.count_nonzero(k) == 1 and k.sum() == 1}
         extra = [j for j in range(len(K)) if j not in unit]
         row = {**unit, **{j: d + r for r, j in enumerate(extra)}}
-        phases = [(row[j], [(int(i), K[j, i]) for i in np.flatnonzero(K[j])]) for j in extra]
+        phases = [(row[j], [(int(i), float(K[j, i])) for i in np.flatnonzero(K[j])])
+                  for j in extra]
         scaled = [j for j in range(len(K)) if c[j] != 1]
         top = d + len(extra)
-        scales = [(row[j], np.array(c[j]), top + t) for t, j in enumerate(scaled)]
+        scales = [(row[j], float(c[j]), top + t) for t, j in enumerate(scaled)]
         row.update((j, top + t) for t, j in enumerate(scaled))  # now c_j sin(2 pi theta_j)
-        sums = [[(row[j], K[j, i]) for j in range(len(K)) if K[j, i]] for i in range(d)]
+        sums = [[(row[j], float(K[j, i])) for j in range(len(K)) if K[j, i]] for i in range(d)]
         if all(s_i == [(i, 1)] for i, s_i in enumerate(sums)):
             sums = None  # s_phi_i is the sine of angle i alone
         return cls(d, top + len(scaled), top, phases, scales, sums)
-
-    def floats(self) -> "_KickPlan":
-        """The plan with every weight a Python float, as `_propagate_point`
-        reads it."""
-        def weights(terms):
-            return [(row, float(w)) for row, w in terms]
-
-        return self._replace(
-            phases=[(o, weights(terms)) for o, terms in self.phases],
-            scales=[(src, float(cj), dst) for src, cj, dst in self.scales],
-            sums=None if self.sums is None else [weights(s_i) for s_i in self.sums])
 
 
 class _KickWork:
@@ -732,37 +732,32 @@ class _KickWork:
     ``G``.  Running it is ``for f, args in ops: f(*args)`` followed by the
     divide of ``G`` by 2 pi into the caller's rows, as `kick` and the
     `_propagate_trig` loop do; the reduced angles in ``angles`` are
-    consumed.  `_propagate_trig` runs it at two points and more; one point
-    steps in `_propagate_point` and builds no work.  At small batches, and
-    at batch 1 in `s_phi` (as `inverse` and a one-point `jacobian` call
-    it), the per-call cost of a ufunc dominates, so no call writes over its own
-    input (numpy's overlap check would double its cost), the outputs are
-    positional and the constants are 0-d arrays.
+    consumed.  A work belongs to the one call that builds it: each
+    `_propagate_trig` call at two points and more, and each `s_phi` call;
+    one point steps in `_propagate_point` and builds no work.  At small
+    batches the per-call cost of a ufunc dominates, so no call writes over
+    its own input (numpy's overlap check would double its cost), the outputs
+    are positional and the constants are 0-d arrays.
     """
 
     two_pi = np.array(TWO_PI)
 
     def __init__(self, plan: _KickPlan, n: int):
         # one buffer: the rows of Y, of X, of the sums G (if any), scratch
-        self.plan, self.n = plan, n
         d, rows, top = plan.d, plan.rows, plan.sin_rows
         g = rows + top
         buf = np.empty((g + (0 if plan.sums is None else d) + 1, n))
-        r, Y, X, tmp = list(buf), buf[:top], buf[rows:g], buf[-1]
+        Y, X, tmp = buf[:top], buf[rows:g], buf[-1]
         self.angles, self.grad = buf[:d], buf[rows:rows + d]
         self.G = self.angles if plan.sums is None else buf[g:g + d]
         ops = []
         for o, terms in plan.phases:
-            ops += _lincomb([(r[i], k) for i, k in terms], r[o], tmp)
+            ops += _lincomb([(buf[i], k) for i, k in terms], buf[o], tmp)
         ops += [(np.multiply, (Y, self.two_pi, X)), (np.sin, (X, Y))]
-        ops += [(np.multiply, (r[src], cj, r[dst])) for src, cj, dst in plan.scales]
+        ops += [(np.multiply, (buf[src], np.array(cj), buf[dst])) for src, cj, dst in plan.scales]
         for i, s_i in enumerate(plan.sums or ()):
-            ops += _lincomb([(r[j], k) for j, k in s_i], r[g + i], tmp)
+            ops += _lincomb([(buf[j], k) for j, k in s_i], buf[g + i], tmp)
         self.ops = tuple(ops)
-
-    def __reduce__(self):
-        # a copy or pickle rebuilds the rows: copied views would not alias
-        return _KickWork, (self.plan, self.n)
 
     def kick(self, grad):
         """s_phi into the (d, n) rows ``grad`` from the reduced angles in

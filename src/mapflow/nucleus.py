@@ -65,7 +65,7 @@ def resonant_average(model: MapModel, site: ResonanceSite, phi: np.ndarray) -> n
     return total / site.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NucleusModel:
     """Pendulum data of a resonance nucleus: quadratic form plus potential."""
 
@@ -104,7 +104,7 @@ def nucleus_energy(nmodel: NucleusModel, x: np.ndarray) -> np.ndarray:
     return nmodel.K(x[..., :d]) + nmodel.V_star(x[..., d:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrappedOrbitRecord:
     """Outcome of a trapped-orbit run in the nucleus."""
 

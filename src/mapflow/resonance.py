@@ -35,7 +35,7 @@ FREQ_MAX_ITER = 50
 FREQ_MAX_HALVINGS = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResonanceSite:
     """A fully resonant torus and its stability neighbourhood radius."""
 
@@ -232,11 +232,12 @@ class BlockMap:
         sign = -1 if blocks < 0 else 1
         shift = sign * self.n * self.site.omega_star
         k = 0
-        for Is, ps in maps.windows(self.model, np.concatenate([I_star + rho * J, phi], axis=-1),
-                                   abs(blocks), sign * self.n):
-            ks = np.arange(k + 1, k + 1 + len(Is)).reshape((-1,) + (1,) * phi.ndim)
-            k += len(Is)
-            yield np.concatenate([(Is - I_star) / rho, ps - ks * shift], axis=-1)
+        for xs in maps.windows(self.model, np.concatenate([I_star + rho * J, phi], axis=-1),
+                               abs(blocks), sign * self.n):
+            ks = np.arange(k + 1, k + 1 + len(xs)).reshape((-1,) + (1,) * phi.ndim)
+            k += len(xs)
+            yield np.concatenate([(xs[..., : self.d] - I_star) / rho,
+                                  xs[..., self.d:] - ks * shift], axis=-1)
 
     def orbit(self, x0: np.ndarray, blocks: int) -> np.ndarray:
         """Block orbit [x0, B(x0), ..., B^blocks(x0)], shape (|blocks|+1, ..., 2d),

@@ -1,5 +1,7 @@
 """Experiment layer: a-priori margins, S_n split, drifts, scans, fits."""
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ from mapflow import (
     ResonanceSite,
     apriori_check,
     catalog,
+    circle_loop,
     energy_drift,
     error_law_fit,
     fit_log_law,
@@ -18,7 +21,7 @@ from mapflow import (
     stability_scan,
     unit_box,
 )
-from mapflow import maps, nonexact_shear
+from mapflow import experiments, hamiltonian, interp, maps, nonexact_shear, nucleus, resonance
 from mapflow.experiments import SnDecomposition
 
 
@@ -34,7 +37,8 @@ def _scan_by_last_axis_formulas(model, I0, phi0, horizon, radius):
     domain (dist by np.add.reduce), a step being taken from it, else the
     last state when it is not finite; its statistics stop at that state.
     """
-    Is, ps, _ = maps.propagate(model, I0, phi0, horizon)
+    xs, _ = maps.propagate(model, np.concatenate([I0, phi0], axis=-1), horizon)
+    Is, ps = xs[..., : model.d], xs[..., model.d:]
     dom = model.domain
     x = Is - dom.center
     inside = np.maximum(np.sqrt(np.add.reduce(x * x, axis=-1)) - dom.R, 0.0) <= dom.sigma
@@ -230,8 +234,8 @@ class TestStabilityScan:
         horizon, radius = 60, 0.05
         want = _scan_by_last_axis_formulas(m, I0, phi0, horizon, radius)
         assert want[1][3] == "domain_escape@5" and want[3][1] == 13
-        last = maps.propagate(m, I0[5], phi0[5], horizon)[0][horizon]
-        assert want[5][3] == "ok" and not m.domain.contains_extended(last)
+        last = maps.propagate(m, np.concatenate([I0[5], phi0[5]]), horizon)[0][horizon]
+        assert want[5][3] == "ok" and not m.domain.contains_extended(last[: m.d])
         monkeypatch.setattr(maps, "WINDOW", window)
         recs = stability_scan(m, np.hstack([I0, phi0]), horizon, radius)
         assert [(r.excursion, r.exit_index, r.max_step_drift, r.status) for r in recs] == want
@@ -274,3 +278,33 @@ class TestFits:
         rep = error_law_fit(blocks, unit_box(1), "vs_eps", grid_n=3, tol=1e-12)
         assert not rep.degenerate
         assert rep.slope < 0
+
+
+#: every dataclass of the package with array fields, by module
+ARRAY_DATACLASSES = {
+    maps: ["DomainSpec", "MapModel", "TrigTerm"],
+    hamiltonian: ["Box", "EmbeddingReport", "HamiltonianField", "Loop"],
+    interp: ["OrderScalingFit"],
+    experiments: ["WnReport", "DriftReport", "StabilityRecord", "FitReport"],
+    nucleus: ["NucleusModel", "TrappedOrbitRecord"],
+    resonance: ["ResonanceSite"],
+}
+
+
+def test_array_dataclasses_compare_by_identity():
+    """`==`, `hash` and `in` never raise on a dataclass holding arrays at d = 2:
+    equality is identity, as a generated `__eq__` over arrays cannot decide."""
+    fro = catalog("froeschle2", 0.01, eta=0.3)
+    objs = [fro, fro.domain, fro.s_phi.__self__, unit_box(1), unit_box(2),
+            circle_loop([0.2, -0.1]),
+            ResonanceSite(n=2, omega_star=[0.5, 0.0], I_star=[0.5, 0.0], rho_n=0.1)]
+    for module, names in ARRAY_DATACLASSES.items():
+        for cls in (getattr(module, name) for name in names):
+            obj = object.__new__(cls)  # every field a (2,) array
+            for f in dataclasses.fields(cls):
+                object.__setattr__(obj, f.name, np.array([0.2, -0.1]))
+            objs.append(obj)
+    for a in objs:
+        b = copy.copy(a)
+        assert a == a and a != b and a in [b, a] and b not in [a]
+        assert len({a, b, a}) == 2

@@ -2,6 +2,8 @@
 
 import copy
 import pickle
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -26,9 +28,11 @@ from mapflow.maps import (
     MapModel,
     TrigTerm,
     _fused_term,
+    _KickWork,
     _picard,
     _propagate_trig,
     _step,
+    _step_back,
     _trig_model,
     propagate,
 )
@@ -46,13 +50,14 @@ from oracles import (
 
 
 def _stepped(model, I, phi, steps):
-    """The orbit by `_step` called once per step."""
-    Is, ps = [I], [phi]
-    for _ in range(steps):
-        I, phi = _step(model, I, phi)
-        Is.append(I)
-        ps.append(phi)
-    return np.stack(Is), np.stack(ps)
+    """The flat orbit by `_step` called once per step, or by `_step_back`
+    for a negative ``steps``."""
+    body = _step_back if steps < 0 else _step
+    xs = [np.concatenate([I, phi], axis=-1)]
+    for _ in range(abs(steps)):
+        I, phi = body(model, I, phi)
+        xs.append(np.concatenate([I, phi], axis=-1))
+    return np.stack(xs)
 
 
 #: a term beyond the catalog: weights other than 1, a negative mode entry,
@@ -206,15 +211,17 @@ class TestKernel:
         _trig_model("general", 0.2, *GENERAL_TERM), _trig_model("unused", 0.2, *UNUSED_ANGLE_TERM)],
         ids=["standard", "froeschle2", "general", "unused_angle"])
     def test_fused_body_bitwise_equals_step(self, model, rng):
+        # forward against `_step`, backward against `_step_back`
         assert _fused_term(model) is model.s_phi.__self__
         for shape in [(1,), (10,), (50,), (100,), (), (2, 3)]:
             I0 = rng.uniform(-0.5, 0.5, shape + (model.d,))
             phi0 = rng.uniform(-2.0, 2.0, shape + (model.d,))
-            Is, ps, first = propagate(model, I0, phi0, 60)
-            want_I, want_p = _stepped(model, I0, phi0, 60)
-            assert Is.shape == want_I.shape and first.shape == shape
-            assert np.array_equal(Is, want_I) and np.array_equal(ps, want_p)
-            assert not (Is.flags.owndata or ps.flags.owndata)  # views, no layout copy
+            for steps in (60, -60):
+                xs, first = propagate(model, np.concatenate([I0, phi0], axis=-1), steps)
+                want = _stepped(model, I0, phi0, steps)
+                assert xs.shape == want.shape and first.shape == shape
+                assert np.array_equal(xs, want)
+                assert not xs.flags.owndata  # a view, no layout copy
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(spec=trig_terms(), eps=st.sampled_from([1e-3, 0.3, 2.0]),
@@ -224,23 +231,37 @@ class TestKernel:
     @example(spec=GENERAL_TERM, eps=0.3, odd=ODD_ANGLES, seed=2)
     @example(spec=UNUSED_ANGLE_TERM, eps=0.3, odd=ODD_ANGLES, seed=3)
     def test_point_body_bitwise_equals_its_row_in_a_batch(self, spec, eps, odd, seed):
-        """One point steps on Python floats; it must give the bits of its row
-        in a batch of 7, which runs the row program, and of the frozen kick."""
-        term = TrigTerm(*map(np.array, spec))
-        d, steps = term.d, 320
+        """One point steps on Python floats, both ways; it must give the bits
+        of its row in a batch of 7, which runs the row program, of `_step`
+        (forward) or `_step_back` (backward), and of the frozen kick."""
+        model = _trig_model("term", eps, *spec)
+        term, d, steps = model.s_phi.__self__, model.d, 320
         rng = np.random.default_rng(seed)
         I0, phi0 = rng.uniform(-0.5, 0.5, (7, d)), rng.uniform(-2.0, 2.0, (7, d))
         phi0[np.arange(7), rng.integers(0, d, 7)] = odd  # one odd angle per point
-        alone = [_propagate_trig(eps, term, I0[k], phi0[k], steps) for k in range(7)]
-        assert term._work is None  # the point body builds no row program
-        with np.errstate(all="ignore"):
-            Is, ps = _propagate_trig(eps, term, I0, phi0, steps)
-        for k, (I1, p1) in enumerate(alone):
-            assert _same_bits(I1, Is[:, k]) and _same_bits(p1, ps[:, k])
+        x0 = np.concatenate([I0, phi0], axis=-1)
+        def refuse(*args):
+            raise AssertionError("one point built a row program")
+
+        for n in (steps, -steps):
+            with pytest.MonkeyPatch.context() as mp:  # one point takes the float body
+                mp.setattr(maps, "_KickWork", refuse)
+                alone = [_propagate_trig(eps, term, x0[k], n) for k in range(7)]
             with np.errstate(all="ignore"):
-                kick = kick_rows(*spec, (p1[:-1] - np.floor(p1[:-1])).T).T
-                assert _same_bits(I1[1:], I1[:-1] - kick * eps)
-            assert _same_bits(p1[1:], p1[:-1] + I1[1:])
+                xs = _propagate_trig(eps, term, x0, n)
+                want = _stepped(model, I0, phi0, n)
+            for k, x1 in enumerate(alone):
+                assert _same_bits(x1, xs[:, k]) and _same_bits(x1, want[:, k])
+                I1, p1 = x1[:, :d], x1[:, d:]
+                src = p1[:-1] if n > 0 else p1[1:]  # the angles each kick reads
+                with np.errstate(all="ignore"):
+                    kick = kick_rows(*spec, (src - np.floor(src)).T).T
+                    if n > 0:
+                        assert _same_bits(I1[1:], I1[:-1] - kick * eps)
+                        assert _same_bits(p1[1:], p1[:-1] + I1[1:])
+                    else:
+                        assert _same_bits(p1[1:], p1[:-1] - I1[:-1])
+                        assert _same_bits(I1[1:], I1[:-1] + kick * eps)
 
     @pytest.mark.parametrize("name, params, site", [
         ("standard", {}, ResonanceSite(n=1, omega_star=[0.0], I_star=[0.0], rho_n=0.2)),
@@ -269,13 +290,43 @@ class TestKernel:
         doubled = replace(base, s_phi=lambda I, p: 2.0 * base.s_phi(I, p))
         twisted = replace(base, omega=lambda I: 2.0 * np.asarray(I))
         I0, phi0 = rng.uniform(-0.5, 0.5, (5, 1)), rng.uniform(0.0, 1.0, (5, 1))
-        fused = np.concatenate(propagate(base, I0, phi0, 40)[:2], axis=-1)
+        x0 = np.concatenate([I0, phi0], axis=-1)
+        fused = propagate(base, x0, 40)[0]
         for m in (member, doubled, twisted):
             assert _fused_term(m) is None
-            Is, ps, _ = propagate(m, I0, phi0, 40)
-            want_I, want_p = _stepped(m, I0, phi0, 40)
-            assert np.array_equal(Is, want_I) and np.array_equal(ps, want_p)
-            assert not np.array_equal(np.concatenate([Is, ps], axis=-1), fused)
+            xs, _ = propagate(m, x0, 40)
+            assert np.array_equal(xs, _stepped(m, I0, phi0, 40))
+            assert not np.array_equal(xs, fused)
+
+    def test_threads_sharing_one_model_step_like_one_thread(self):
+        """A term keeps no state, so threads stepping one model at once get
+        the orbits of one thread, bit for bit; frequent thread switches
+        interleave their steps."""
+        m, repeats = catalog("froeschle2", 1e-3, eta=0.3), 20
+        rng = np.random.default_rng(4)
+        seeds = [np.concatenate([rng.uniform(-0.5, 0.5, (10, 2)), rng.uniform(0.0, 1.0, (10, 2))],
+                                axis=-1) for _ in range(4)]
+        want = [(m.orbit(x, 300), m.orbit(x, -40)) for x in seeds]
+        got = [[] for _ in seeds]
+
+        def run(k):
+            for _ in range(repeats):
+                got[k].append((m.orbit(seeds[k], 300), m.orbit(seeds[k], -40)))
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(seeds))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for orbits, (fwd, back) in zip(got, want):
+            assert len(orbits) == repeats  # a thread that raised stopped short
+            assert all(np.array_equal(a, fwd) and np.array_equal(b, back) for a, b in orbits)
 
     def test_contains_extended_rejects_nan(self, standard_map):
         dom = standard_map.domain
@@ -289,11 +340,11 @@ class TestKernel:
     def test_propagate_reports_first_state_outside(self, window, monkeypatch):
         monkeypatch.setattr(maps, "WINDOW", window)
         m = nonexact_shear(0.01)  # I_k = I_0 + 0.01 k leaves |I| <= 1.5 at k = 5
-        Is, ps, first = propagate(m, np.array([[1.455], [0.0]]), np.array([[0.2], [0.3]]), 10)
-        assert Is.shape == ps.shape == (11, 2, 1)
+        xs, first = propagate(m, np.array([[1.455, 0.2], [0.0, 0.3]]), 10)
+        assert xs.shape == (11, 2, 2)
         assert list(first) == [5, -1]
         # the last state is not a step source, so it is never reported
-        assert list(propagate(m, np.array([[1.455]]), np.array([[0.2]]), 5)[2]) == [-1]
+        assert list(propagate(m, np.array([[1.455, 0.2]]), 5)[1]) == [-1]
         with pytest.raises(DomainEscape) as exc:
             m.orbit(np.array([1.455, 0.2]), 10)
         assert exc.value.index == 6
@@ -388,10 +439,10 @@ class TestTrigTerm:
     def test_s_phi_results_outlive_reused_work_rows(self, rng):
         term = TrigTerm(*map(np.array, GENERAL_TERM))
         phis = [rng.uniform(0.0, 1.0, shape) for shape in [(3,), (3,), (4, 3), (3,)]]
-        got = [term.s_phi(None, p) for p in phis]  # rows reused, then rebuilt per batch
+        got = [term.s_phi(None, p) for p in phis]  # each result its own array
         fresh = [TrigTerm(*map(np.array, GENERAL_TERM)).s_phi(None, p) for p in phis]
         assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
-        # a copy rebuilds its work rows, which must keep aliasing one buffer
+        # a copy of a term kicks as the term does
         for clone in (copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
             assert all(np.array_equal(clone.s_phi(None, p), b) for p, b in zip(phis, fresh))
 
@@ -404,36 +455,12 @@ class TestTrigTerm:
         term = TrigTerm(*map(np.array, spec))
         angles = np.random.default_rng(seed).uniform(0.0, 1.0, (term.d, batch))
         want = kick_rows(*spec, angles)
-        work = term.work(batch)
+        work = _KickWork(term._plan, batch)
         for out in (work.grad, np.empty((term.d, batch))):  # its own rows, or the caller's
             work.angles[...] = angles
             work.kick(out)
             assert np.array_equal(out, want)
         assert np.array_equal(term.s_phi(None, angles.T), want.T)
-
-    def test_one_work_per_batch_size_serves_s_phi_and_propagate(self, rng):
-        model = _trig_model("general", 0.2, *GENERAL_TERM)
-        term = model.s_phi.__self__
-        I5, p5 = rng.uniform(-0.5, 0.5, (5, 3)), rng.uniform(-2.0, 2.0, (5, 3))
-        p1 = rng.uniform(-2.0, 2.0, 3)
-
-        def fresh():
-            return _trig_model("general", 0.2, *GENERAL_TERM)
-
-        want_orbit = propagate(fresh(), I5, p5, 30)[:2]
-        want_kick = fresh().s_phi(None, p1)
-        # s_phi at batch 1, then propagate at batch 5 on the same term
-        assert np.array_equal(term.s_phi(None, p1), want_kick)
-        got = propagate(model, I5, p5, 30)[:2]
-        assert term._work.n == 5  # propagate took the term's work
-        assert all(np.array_equal(a, b) for a, b in zip(got, want_orbit))
-        # and the reverse: s_phi at batch 1 after propagate at batch 5
-        assert np.array_equal(term.s_phi(None, p1), want_kick)
-        assert term._work.n == 1
-        work = term.work(5)
-        got = propagate(model, I5, p5, 30)[:2]
-        assert term._work is work  # built once per batch size
-        assert all(np.array_equal(a, b) for a, b in zip(got, want_orbit))
 
     @pytest.mark.parametrize("modes, coeffs", [([[1.5]], [1.0]), ([[0, 0]], [1.0]),
                                                ([[1], [2]], [1.0]), ([[1]], [np.nan])])
@@ -657,16 +684,25 @@ def _lochak_n3(eps: float) -> BlockMap:
 class TestInverseEngine:
     """Inverse steps run in the orbit engine: `propagate` with a negative step count."""
 
-    def test_every_inverse_reaches_step_back(self, monkeypatch):
+    def test_only_callback_inverses_reach_step_back(self, monkeypatch):
         def refuse(model, I, phi):
             raise RuntimeError("stepped back")
 
         monkeypatch.setattr(maps, "_step_back", refuse)
-        m = catalog("standard", 1e-3)
-        for inverse in (m.inverse, _lochak_n3(1e-3).inverse,
-                        lambda x: interpolating_vf(m, x, 2, "gauss")):
-            with pytest.raises(RuntimeError, match="stepped back"):
-                inverse(np.array([0.2, 0.3]))
+        x = np.array([0.2, 0.3])
+        callback = replace(catalog("standard", 1e-3), s_action_independent=False)
+        with pytest.raises(RuntimeError, match="stepped back"):
+            callback.inverse(x)
+        # catalog maps, their blocks and gauss windows step back in the fused body
+        for name, params in (("standard", {}), ("froeschle2", {"eta": 0.3})):
+            m = catalog(name, 1e-3, **params)
+            y = np.concatenate([np.full(m.d, 0.2), np.full(m.d, 0.3)])
+            block = BlockMap(m, ResonanceSite(n=1, omega_star=np.zeros(m.d),
+                                              I_star=np.zeros(m.d), rho_n=0.2), "nucleus")
+            for F in (m, block):
+                assert np.array_equal(F.inverse(y), F.orbit(y, -4)[1])
+                assert np.isfinite(interpolating_vf(F, y, 4, "gauss")).all()
+        assert np.isfinite(_lochak_n3(1e-3).inverse(x)).all()
 
     def test_block_inverse_is_one_engine_call(self, monkeypatch):
         blk, calls, model_inverses = _lochak_n3(1e-3), [], []

@@ -230,11 +230,9 @@ class TestScaledBlock:
                                                 rho_n=0.2), scaling="nucleus")
         for x in (np.array([0.4, 0.23]), np.array([[0.4, 0.23], [-0.7, 0.9]])):
             for k in (1, 3, 10):
-                I, phi, want = x[..., :1], x[..., 1:], [x]
+                want = [x]
                 for _ in range(k):
-                    Is, ps, _ = propagate(m, I, phi, -1)
-                    I, phi = Is[1], ps[1]
-                    want.append(np.concatenate([I, phi], axis=-1))
+                    want.append(propagate(m, want[-1], -1)[0][1])
                 assert np.array_equal(m.orbit(x, -k), np.array(want))
                 for blk in (nucleus, self._n3_block()):
                     want = [x]

@@ -39,9 +39,10 @@ def test_step_bench_prints_its_four_tables(capsys):
     assert "us per call, 1 repeats" in tables[1]
     assert "us per row, 1 repeats" in tables[2]
     assert "s per scan of 20000 steps, 1 repeats; traced peak" in tables[3]
-    # one row per case: 2 maps x 3 batch sizes, 4 callables x 2 batch sizes,
-    # 2 orbit calls and 2 fields at each of 2 orders, one writer, one scan
-    assert [len(t.strip().splitlines()) - 1 for t in tables] == [6, 14, 1, 1]
+    # one row per case: 2 maps x 2 directions x 3 batch sizes, 4 callables x
+    # 2 batch sizes, 2 orbit calls and 2 fields at each of 2 orders, one
+    # writer, one scan
+    assert [len(t.strip().splitlines()) - 1 for t in tables] == [12, 14, 1, 1]
     # the scan's window buffers: about 1.9 MB at maps.WINDOW = 256 with one
     # window alive at a time, 2.7 MB with the previous one kept, 15 MB at 2048
     peak_mb = float(tables[3].strip().splitlines()[1].split()[-1])
