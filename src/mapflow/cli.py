@@ -246,14 +246,14 @@ def build_site(model: MapModel, cfg: dict) -> tuple[ResonanceSite, str]:
 
 # ---------------------------------------------------------------------------
 # command implementations: each takes the validated config and the model and
-# returns (output paths, extra manifest lines); a worker task is a library
-# call on the model or block built here (both pickle)
+# returns (output paths, extra manifest lines); only `stability` splits its work
+# over --workers, one `stability_scan` task per seed chunk on the model built here
 # ---------------------------------------------------------------------------
 
 def _pool_map(fn, tasks: list, workers: int) -> list:
-    """[fn(t) for t in tasks], in worker processes when there are several of each.
-    concurrent.futures, and with it multiprocessing, is imported only then, so a
-    one-worker run does not load them."""
+    """[fn(t) for t in tasks], in worker processes when there are several of each
+    (the seed chunks of `run_stability`).  concurrent.futures, and with it
+    multiprocessing, is imported only then, so a one-worker run does not load them."""
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -263,13 +263,13 @@ def _pool_map(fn, tasks: list, workers: int) -> list:
 
 
 def run_embed_error(cfg, model, out, workers):
-    """Write embed-error.csv; the manifest gets a flow_failures line."""
+    """Write embed-error.csv, the orders in turn; the manifest gets a flow_failures line."""
     sub = cfg["embed-error"]
     blk = scaled_block(model, *build_site(model, sub["site"]))
     delta = default_delta(model.domain.r) if sub["delta"] is None else sub["delta"]
-    task = partial(embedding_error, blk, box=unit_box(model.d, sub["J_radius"]),
-                   grid_n=sub["grid_n"], tol=sub["tol"], delta=delta)
-    reps = sorted(_pool_map(task, sub["m_list"], workers), key=lambda r: r.m)
+    box = unit_box(model.d, sub["J_radius"])
+    reps = [embedding_error(blk, m, box, sub["grid_n"], tol=sub["tol"], delta=delta)
+            for m in sorted(sub["m_list"])]
     rows = [(r.m, r.eps_hat, r.max_error, r.bound, int(r.precondition_ok),
              "" if r.bound_satisfied is None else int(r.bound_satisfied),
              int(np.count_nonzero(~np.isnan(r.errors)))) for r in reps]

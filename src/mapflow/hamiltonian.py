@@ -34,7 +34,7 @@ from .errors import (
     StepFailure,
 )
 from .interp import M_MAX, as_map, interpolating_vf
-from .maps import MapModel, _frac, _picard, jacobian, symplectic_matrix
+from .maps import MapModel, _dot, _frac, _picard, jacobian, symplectic_matrix
 
 SIX_E = 6.0 * math.e
 #: relative central-difference steps of `symmetry_defect` and of a map Jacobian
@@ -147,19 +147,6 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
 
 
-def _combine(K, coeffs):
-    """sum_j c_j K_j over (j, c_j) pairs, element-wise in a fixed order.
-
-    No dot product over the stages, so a row's value never depends on the
-    other rows of the batch.
-    """
-    (j, c), *rest = coeffs
-    acc = c * K[j]
-    for j, c in rest:
-        acc += c * K[j]
-    return acc
-
-
 def _rms(v):
     return np.sqrt(np.sum(v * v, axis=-1)) / math.sqrt(v.shape[-1])
 
@@ -246,8 +233,8 @@ def _initial_step(batch: _FlowRows, y0, f0, span: float, sign: float, rtol: floa
 def _error_norm(K, h, y, y_new, rtol: float, atol: float):
     """The DOP853 error norm of one step per row: 5th- and 3rd-order estimates, RMS."""
     scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-    e5 = np.sum((_combine(K, _DOP853_E5) / scale) ** 2, axis=-1)
-    e3 = np.sum((_combine(K, _DOP853_E3) / scale) ** 2, axis=-1)
+    e5 = np.sum((_dot(K, _DOP853_E5) / scale) ** 2, axis=-1)
+    e3 = np.sum((_dot(K, _DOP853_E3) / scale) ** 2, axis=-1)
     norm = np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * y.shape[-1])
     return np.where((e5 == 0.0) & (e3 == 0.0), 0.0, norm)
 
@@ -290,8 +277,8 @@ def _dop853(X, x: np.ndarray, t_end: float, tol: float):
             hs = (t_new - t)[:, None]
             K = [f]
             for a in _DOP853_A[1:]:
-                K.append(batch.field(y + _combine(K, a) * hs))
-            y_new = y + hs * _combine(K, _DOP853_B)
+                K.append(batch.field(y + _dot(K, a) * hs))
+            y_new = y + hs * _dot(K, _DOP853_B)
             err = _error_norm(K, hs[:, 0], y, y_new, rtol, atol)
             accept = err < 1.0
             grow = np.minimum(MAX_FACTOR, SAFETY * err ** _ERROR_EXPONENT)

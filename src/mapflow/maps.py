@@ -323,10 +323,14 @@ def _propagate_trig(eps: float, term: TrigTerm, x: np.ndarray, steps: int):
     return xs.transpose(0, 2, 1).reshape((count + 1,) + shape)
 
 
-def _dot(r: list, terms: list) -> float:
-    """sum of w * r[i] over (i, w) in terms, left to right, on floats; 0.0
-    if empty.  These are `_lincomb`'s bits: x * 1 is x, and a + x * w is
-    a - x * |w| for w < 0."""
+def _dot(r, terms):
+    """sum of w * r[i] over (i, w) in terms, left to right, on floats or
+    arrays; 0.0 if empty.  The one rule of the package's weighted sums: the
+    trig terms' phases and sums (on floats in `_propagate_point`, on arrays
+    in `TrigTerm`) and the DOP853 stages.  No dot product over the terms, so
+    a row never depends on the rest of the batch.  x * 1 is x, and a + x * w
+    is a - x * |w| for w < 0, so these are also the bits of `_lincomb`'s
+    recorded calls."""
     acc = None
     for i, w in terms:
         acc = r[i] * w if acc is None else acc + r[i] * w
@@ -429,7 +433,10 @@ def _orbits(model: MapModel, x0: np.ndarray, count: int, every: int):
     indices, their orbit from the window's start, and each one's first
     escape in it, or -1.  The one rule: a state is an escape when a step is
     taken from it outside the domain (see `propagate`), a last state when it
-    is not finite.  An escaped seed is dropped; no view of a window outlives it."""
+    is not finite.  An escaped seed is dropped; no view of a window outlives it.
+    The engine reads ``first`` only when it is resumed, so a consumer that
+    writes an exit index (>= 0) into a seed's entry before resuming it drops
+    that seed as well."""
     stride, sign, done = abs(every), -1 if every < 0 else 1, 0
     total, per = count * stride, max(1, WINDOW // stride) * stride
     live, x = np.arange(len(x0)), x0
@@ -559,14 +566,14 @@ def _zero_matrix(I, phi):
 
 
 def _lincomb(terms, out, tmp) -> list:
-    """The calls that put out = sum of w * x over the (x, w) in terms, left
-    to right, as (ufunc, args) pairs: recorded here, run by `_run` or by a
-    `_KickWork` program, so the arrays are read when the calls run.
+    """`_dot`'s rule recorded into a `_KickWork` program: the calls that put
+    out = sum of w * x over the (x, w) in terms, left to right, as (ufunc,
+    args) pairs, so the rows are read when the program runs.
 
     A weight of +-1 is not multiplied out, which saves one ufunc call per
-    term at batch 1; an empty sum is zero (the s_phi row of an angle that
-    no mode uses).  ``tmp`` is scratch of out's shape.  Outputs are
-    positional (see `_KickWork`).
+    term at batch 1 and gives `_dot`'s bits; an empty sum is zero (the s_phi
+    row of an angle that no mode uses).  ``tmp`` is scratch of out's shape.
+    Outputs are positional (see `_KickWork`).
     """
     ops, acc = [], None
     for x, w in terms:
@@ -588,12 +595,6 @@ def _lincomb(terms, out, tmp) -> list:
     return ops
 
 
-def _run(ops) -> None:
-    """Run recorded (ufunc, args) calls in order."""
-    for f, args in ops:
-        f(*args)
-
-
 @dataclass(frozen=True, eq=False)
 class TrigTerm:
     """An action-independent trigonometric generating term, held as data::
@@ -604,7 +605,7 @@ class TrigTerm:
     coefficients c_j (``coeffs``, shape (J,)).  The callbacks `s`, `s_I`,
     `s_phi`, `s_phiphi` and the sup norms derive from (K, c).  Phases
     k_j . phi and the sums over modes run left to right over the nonzero
-    entries and never multiply by a unit factor.
+    entries, by `_dot`'s rule.
     """
 
     modes: np.ndarray
@@ -639,18 +640,13 @@ class TrigTerm:
 
     def _cosines(self, phi: np.ndarray) -> list:
         """cos(2 pi k_j . phi) for every mode j, each of shape phi.shape[:-1]."""
-        out = []
-        for k in self.modes:
-            theta, tmp = np.empty(phi.shape[:-1]), np.empty(phi.shape[:-1])
-            _run(_lincomb([(phi[..., i], k[i]) for i in np.flatnonzero(k)], theta, tmp))
-            out.append(np.cos(TWO_PI * theta))
-        return out
+        angles = np.moveaxis(phi, -1, 0)
+        return [np.cos(TWO_PI * _dot(angles, [(i, k[i]) for i in np.flatnonzero(k)]))
+                for k in self.modes]
 
     def s(self, I, phi):
         phi = np.asarray(phi, dtype=float)
-        acc, tmp = np.empty(phi.shape[:-1]), np.empty(phi.shape[:-1])
-        _run(_lincomb(list(zip(self._cosines(phi), self.coeffs)), acc, tmp))
-        return -acc / TWO_PI**2
+        return -_dot(self._cosines(phi), list(enumerate(self.coeffs))) / TWO_PI**2
 
     def s_I(self, I, phi):
         return np.zeros_like(np.asarray(I, dtype=float))
@@ -670,13 +666,11 @@ class TrigTerm:
     def s_phiphi(self, I, phi):
         phi = np.asarray(phi, dtype=float)
         cos = [x if cj == 1 else cj * x for x, cj in zip(self._cosines(phi), self.coeffs)]
-        tmp = np.empty(phi.shape[:-1])
         out = np.zeros(phi.shape[:-1] + (self.d, self.d))
         for i in range(self.d):
             for l in range(self.d):
-                terms = [(x, k[i] * k[l]) for x, k in zip(cos, self.modes) if k[i] * k[l]]
-                if terms:
-                    _run(_lincomb(terms, out[..., i, l], tmp))
+                out[..., i, l] = _dot(cos, [(j, k[i] * k[l]) for j, k in enumerate(self.modes)
+                                              if k[i] * k[l]])
         return out
 
 

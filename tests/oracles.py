@@ -208,3 +208,28 @@ def kick_rows(modes, coeffs, angles):
     return np.stack([np.divide(_lincomb_rows([(sines[j], K[j, i]) for j in range(len(K))
                                                if K[j, i]], angles[0]), TWO_PI)
                      for i in range(K.shape[1])])
+
+
+# s and s_phiphi of a trigonometric term as its callbacks computed them with
+# recorded calls, frozen: s = -sum_j c_j cos(2 pi theta_j) / (2 pi)^2 with
+# theta_j = k_j . phi, and s_phiphi_il = sum_j k_ji k_jl c_j cos(2 pi theta_j).
+
+def _cosine_rows(K, phi):
+    return [np.cos(TWO_PI * _lincomb_rows([(phi[..., i], k[i]) for i in np.flatnonzero(k)],
+                                          phi[..., 0])) for k in K]
+
+
+def s_rows(modes, coeffs, phi):
+    """s at the angles phi (..., d)."""
+    K, c = np.asarray(modes), np.asarray(coeffs, dtype=float)
+    return -_lincomb_rows(list(zip(_cosine_rows(K, phi), c)), phi[..., 0]) / TWO_PI**2
+
+
+def s_phiphi_rows(modes, coeffs, phi):
+    """s_phiphi at the angles phi (..., d), of shape (..., d, d)."""
+    K, c = np.asarray(modes), np.asarray(coeffs, dtype=float)
+    cos = [x if cj == 1 else np.multiply(x, cj) for x, cj in zip(_cosine_rows(K, phi), c)]
+    d = K.shape[1]
+    return np.stack([np.stack([_lincomb_rows([(x, k[i] * k[l]) for x, k in zip(cos, K)
+                                              if k[i] * k[l]], phi[..., 0])
+                               for l in range(d)], axis=-1) for i in range(d)], axis=-2)

@@ -357,6 +357,21 @@ class TestDeterminism:
         assert run("stability", path, out=str(out2), workers=8) == 0
         assert (out1 / "stability.csv").read_bytes() == (out2 / "stability.csv").read_bytes()
 
+    def test_embed_error_starts_no_process(self, tmp_path, monkeypatch):
+        # only stability splits its work over --workers; embed-error runs its
+        # orders in turn, in this process, whatever the worker count
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("embed-error started a worker pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        cfg = base_cfg(**{"embed-error": {**EMBED, "m_list": [2, 1]}})
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert run("embed-error", path, out=str(tmp_path / "o"), workers=8) == 0
+        lines = (tmp_path / "o" / "embed-error.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = base_cfg(resonance={"count": 5, "N": 10.0})
         path = write_cfg(tmp_path, "c.json", cfg)

@@ -29,6 +29,8 @@ from mapflow.maps import (
     TrigTerm,
     _fused_term,
     _KickWork,
+    _dot,
+    _orbits,
     _picard,
     _propagate_trig,
     _step,
@@ -41,10 +43,13 @@ from mapflow.resonance import BlockMap, ResonanceSite
 from oracles import (
     FIXED_POINT_SIN,
     STD_STEP_I,
+    _lincomb_rows,
     bisect,
     catalog_norms,
     froeschle_closed_forms,
     kick_rows,
+    s_phiphi_rows,
+    s_rows,
     standard_closed_forms,
 )
 
@@ -78,6 +83,10 @@ def _same_bits(a, b) -> bool:
 #: angles where reducing by p % 1.0 and by p - floor(p) could part: signed
 #: zero, integers, lifts beyond 2^53, tiny negatives and non-finite values
 ODD_ANGLES = [-0.0, -3.0, 2.0**60, -1e-20, np.nan, np.inf, -np.inf]
+
+
+#: weights of a weighted sum: +-1 (an add or a subtract in the frozen rule), others, integers
+WEIGHTS = st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.3, -0.7]) | st.integers(-4, 4)
 
 
 @st.composite
@@ -328,6 +337,26 @@ class TestKernel:
             assert len(orbits) == repeats  # a thread that raised stopped short
             assert all(np.array_equal(a, fwd) and np.array_equal(b, back) for a, b in orbits)
 
+    def test_orbits_drops_a_seed_its_consumer_marks(self, monkeypatch):
+        """A consumer that writes an exit index into a yielded ``first``
+        before resuming the engine drops that seed; the others step on as
+        in an undisturbed run, bit for bit."""
+        monkeypatch.setattr(maps, "WINDOW", 8)
+        m = catalog("froeschle2", 1e-3, eta=0.3)
+        x0 = np.array([[0.1, -0.2, 0.3, 0.7], [0.2, 0.1, 0.5, 0.4], [-0.3, 0.2, 0.9, 0.1]])
+        want = np.concatenate([xs[1:].copy() for _, xs, _ in _orbits(m, x0, 40, 1)])
+        assert want.shape == (40, 3, 4)
+        engine = _orbits(m, x0, 40, 1)
+        live, xs, first = next(engine)
+        assert list(live) == [0, 1, 2] and list(first) == [-1, -1, -1]
+        got = [xs[1:, [0, 2]]]
+        first[1] = 3
+        for live, xs, first in engine:
+            assert list(live) == [0, 2]
+            got.append(xs[1:].copy())
+        assert len(got) == 5
+        assert np.array_equal(np.concatenate(got), want[:, [0, 2]])
+
     def test_contains_extended_rejects_nan(self, standard_map):
         dom = standard_map.domain
         assert not dom.contains_extended(np.array([np.nan]))
@@ -461,6 +490,30 @@ class TestTrigTerm:
             work.kick(out)
             assert np.array_equal(out, want)
         assert np.array_equal(term.s_phi(None, angles.T), want.T)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(terms=st.lists(st.tuples(st.integers(0, 3), WEIGHTS), max_size=6),
+           n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_dot_on_arrays_is_dot_on_floats(self, terms, n, seed):
+        """One weighted-sum rule: on arrays, each element is the sum on its
+        floats and the frozen `_lincomb_rows`, bit for bit."""
+        rows = np.random.default_rng(seed).uniform(-3.0, 3.0, (4, n))
+        rows[0, 0], rows[1, -1] = -0.0, 0.0
+        got = np.broadcast_to(_dot(list(rows), terms), (n,))
+        floats = np.array([_dot(col, terms) for col in rows.T.tolist()])
+        frozen = np.broadcast_to(_lincomb_rows([(rows[i], w) for i, w in terms], rows[0]), (n,))
+        assert _same_bits(got, floats) and _same_bits(got, frozen)
+
+    @pytest.mark.parametrize("spec", [([[1]], [1.0]), ([[1, 0], [0, 1], [1, 1]], [1.0, 1.0, 0.3]),
+                                      GENERAL_TERM], ids=["standard", "froeschle2", "general"])
+    def test_s_and_s_phiphi_equal_frozen_rows(self, spec, rng):
+        term = TrigTerm(*map(np.array, spec))
+        for shape in [(), (7,), (4, 3)]:
+            phi = rng.uniform(-2.0, 2.0, shape + (term.d,))
+            for got, want in ((term.s(None, phi), s_rows(*spec, phi)),
+                              (term.s_phiphi(None, phi), s_phiphi_rows(*spec, phi))):
+                got, want = np.asarray(got), np.asarray(want)
+                assert got.shape == want.shape and _same_bits(got, want)
 
     @pytest.mark.parametrize("modes, coeffs", [([[1.5]], [1.0]), ([[0, 0]], [1.0]),
                                                ([[1], [2]], [1.0]), ([[1]], [np.nan])])
