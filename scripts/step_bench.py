@@ -11,8 +11,8 @@ and prints microseconds per call, with `MapModel.inverse` of the standard
 map at the same batch sizes (one backward step of the engine), next to two
 orbit calls of the windowed orbit engine: `BlockMap.orbit` of that block
 at the field shape of the embed benchmark (25 points, 6 blocks) and
-`MapModel.orbit` of one point of the standard map over 10^4 steps (40
-windows), and the fields built on them: the newton and the gauss field of
+`MapModel.orbit` of one point of the standard map over 10^4 steps (one
+window), and the fields built on them: the newton and the gauss field of
 that block at 25 points (`interpolating_vf`), at m = 6 (the embed field
 shape) and m = 20 (where symmetric averaging is meant to take over).  A
 newton field is one orbit call; a gauss field is one backward and one
@@ -103,7 +103,7 @@ def main(argv=None) -> int:
     block = scaled_block(catalog("standard", 1e-4), site, scaling="nucleus")
     for batch, calls in APPLY_CASES:  # |J| <= 0.5 stays inside the nucleus
         applies.append(("nucleus block.apply", batch, calls, block.apply, _point(1, batch)))
-    # the orbit engine: embed's field shape (25 points, m = 6), and 40 windows;
+    # the orbit engine: embed's field shape (25 points, m = 6), and one window;
     # then the newton and gauss fields on that orbit, and at m = 20
     applies.append(("nucleus block.orbit", 25, 200, lambda x: block.orbit(x, 6), _point(1, 25)))
     applies.append(("standard.orbit", 1, 3, lambda x: std.orbit(x, 10_000), _point(1, 1)))

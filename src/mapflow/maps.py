@@ -25,11 +25,12 @@ Every step, forward or inverse, runs through `propagate`, one windowed
 kernel that checks the domain once per call.  Trigonometric generating
 terms are held as data (`TrigTerm`, which keeps no state); their models
 step both ways in `_propagate_trig`, which runs one point on Python floats
-(`_propagate_point`) and every larger batch in the row program of a
-`_KickWork` built per call, both read from the term's `_KickPlan` and
-bitwise equal.  `_step` and `_step_back` are the forward and inverse
-bodies of callback models.  `_orbits` is the one orbit engine, both ways,
-and the one place where a step fails.
+in a straight-line body compiled once per term and direction
+(`_point_body`) and every larger batch in the row program of a `_KickWork`
+built per call, both read from the term's `_KickPlan` and bitwise equal.
+`_step` and `_step_back` are the forward and inverse bodies of callback
+models.  `_orbits` is the one orbit engine, both ways, in windows bounded
+in states (`WINDOW`), and the one place where a step fails.
 
 Every function takes flat phase vectors of shape (..., 2d), ordered
 (I, phi), and the kernel steps them in one buffer of that layout.
@@ -44,6 +45,7 @@ accept arrays of shape (..., d).
 
 from __future__ import annotations
 
+import array
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
@@ -55,12 +57,15 @@ from .errors import DomainEscape, FormMismatch, NoConvergence
 MAX_PICARD_ITER = 100
 PICARD_TOL = 1e-14
 
-#: map steps per `propagate` call of `_orbits`, in orbits and scans.
-#: Results do not depend on it.  At 256, a window's orbit buffers and the
-#: scan's per-window statistics at 100 seeds x d = 2 are each under 0.5 MB
-#: (an orbit buffer is 257 x 200 doubles), so they stay in cache and the
-#: scan's traced peak is about 1.9 MB instead of 15 MB at 2048.
-WINDOW = 256
+#: states (steps x live seeds) per `propagate` call of `_orbits`, in orbits
+#: and scans; a window takes at least one step (one sample at a stride).
+#: Results do not depend on it.  At 25,600, the scan's windows at 100 seeds
+#: are 256 steps: a window's orbit buffers and the scan's per-window
+#: statistics at d = 2 are each under 0.5 MB (an orbit buffer is 257 x 200
+#: doubles), so they stay in cache and the scan's traced peak is about
+#: 1.9 MB instead of 15 MB at 2048 steps.  Fewer seeds take longer windows:
+#: the pilot's 10 seeds 2,560 steps, one point 25,600.
+WINDOW = 25_600
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,25 +282,26 @@ def _propagate_trig(eps: float, term: TrigTerm, x: np.ndarray, steps: int):
     """`_step` of a fused-trig model, `_step_back` for a negative ``steps``,
     on preallocated component-major rows.
 
-    One point (n = 1) steps in `_propagate_point`, on Python floats; every
-    other batch runs the row program below, on a `_KickWork` built for the
-    call.  The orbit is stored as (|steps|+1, 2d, n) and returned in the
-    point-major layout (|steps|+1, ..., 2d) as a strided view of that
-    storage, never a copy: the transpose only swaps strides and the reshape
-    only splits the point axis.  A forward step reduces the angles into the
-    work's rows, runs its kick program and divides by 2 pi (s_phi), then
-    takes eps times it off the actions and adds the new actions to the
-    angles: `_step`'s operations with the term's callbacks, in its order
-    (frac, s_phi, times eps, I - ., phi + I').  A backward step takes the
-    actions off the angles first, then reduces those, kicks and adds eps
-    times the kick to the actions: `_step_back`'s (phi' - I', frac, s_phi,
-    times eps, I' + .).  So every state is bitwise equal to stepping `_step`
-    or `_step_back`, at any batch size.
+    One point (n = 1) steps in `_propagate_point`, on Python floats, through
+    the term's compiled body for the direction; every other batch runs the
+    row program below, on a `_KickWork` built for the call.  The orbit is
+    stored as (|steps|+1, 2d, n) and returned in the point-major layout
+    (|steps|+1, ..., 2d) as a strided view of that storage, never a copy:
+    the transpose only swaps strides and the reshape only splits the point
+    axis.  A forward step reduces the angles into the work's rows, runs its
+    kick program and divides by 2 pi (s_phi), then takes eps times it off
+    the actions and adds the new actions to the angles: `_step`'s
+    operations with the term's callbacks, in its order (frac, s_phi, times
+    eps, I - ., phi + I').  A backward step takes the actions off the angles
+    first, then reduces those, kicks and adds eps times the kick to the
+    actions: `_step_back`'s (phi' - I', frac, s_phi, times eps, I' + .).
+    So every state is bitwise equal to stepping `_step` or `_step_back`, at
+    any batch size.
     """
     shape, d = x.shape, term.d
     n, back, count = x.size // (2 * d), steps < 0, abs(steps)
     if n == 1:
-        return _propagate_point(eps, term._plan, x, steps)
+        return _propagate_point(eps, term._point[back], x, steps)
     xs = np.empty((count + 1, 2 * d, n))
     xs[0] = x.reshape(n, 2 * d).T
     Is, ps = xs[:, :d], xs[:, d:]
@@ -326,9 +332,10 @@ def _propagate_trig(eps: float, term: TrigTerm, x: np.ndarray, steps: int):
 def _dot(r, terms):
     """sum of w * r[i] over (i, w) in terms, left to right, on floats or
     arrays; 0.0 if empty.  The one rule of the package's weighted sums: the
-    trig terms' phases and sums (on floats in `_propagate_point`, on arrays
-    in `TrigTerm`) and the DOP853 stages.  No dot product over the terms, so
-    a row never depends on the rest of the batch.  x * 1 is x, and a + x * w
+    trig terms' phases and sums (on arrays in `TrigTerm`, and written out as
+    code in the one-point bodies by `_sum_source`) and the DOP853 stages.
+    No dot product over the terms, so a row never depends on the rest of
+    the batch.  x * 1 is x, and a + x * w
     is a - x * |w| for w < 0, so these are also the bits of `_lincomb`'s
     recorded calls."""
     acc = None
@@ -337,56 +344,75 @@ def _dot(r, terms):
     return 0.0 if acc is None else acc
 
 
-def _propagate_point(eps: float, plan: _KickPlan, x: np.ndarray, steps: int):
+def _propagate_point(eps: float, body: Callable, x: np.ndarray, steps: int):
     """`_propagate_trig` at one point, where numpy's per-call dispatch would
-    cost more than the arithmetic: the term's kick plan, whose weights are
-    Python floats, walked on Python floats.
+    cost more than the arithmetic: the term's compiled one-point body for
+    the direction (`_point_body`) steps the point on Python floats, and the
+    doubles it returns are the (|steps|+1, ..., 2d) orbit, as
+    `_propagate_trig` returns it, without a copy."""
+    xs = body(x.ravel().tolist(), float(eps), abs(steps))
+    return np.frombuffer(xs).reshape((abs(steps) + 1,) + x.shape)
+
+
+def _sum_source(row: str, terms) -> str:
+    """`_dot`'s rule over (i, w) in terms as a Python expression on the
+    variables row + str(i), in the form `_lincomb` records: x * 1 is x, and
+    a + x * w is a - x * |w| for w < 0 (the same bits); "0.0" if empty."""
+    out = ""
+    for i, w in terms:
+        x = f"{row}{i}"
+        if not out:
+            out = x if w == 1 else f"{x} * {w!r}"
+        else:
+            out += f" {'+' if w > 0 else '-'} {x}" + ("" if abs(w) == 1 else f" * {abs(w)!r}")
+    return out or "0.0"
+
+
+def _point_body(plan: _KickPlan, back: bool):
+    """The one-point step of a term's kick plan, forward or backward,
+    compiled once into a straight-line Python function
+    ``body(x, eps, steps)``: it takes the 2d floats x = (I, phi) through
+    ``steps`` steps and returns the (steps+1) 2d doubles, state after state,
+    in an `array.array` (8 bytes a value, where a list of floats would hold
+    32 for each).
 
     Every value takes the row program's operations in its order: backward,
     the actions taken off the angles first; angles reduced by ``p % 1.0``
     (bitwise ``p - floor(p)``, and NaN where an angle is not finite), the
     non-unit phases, sin(2 pi row) over the angle and phase rows, the scaled
     rows, the component sums, then I' = I - (G / 2 pi) eps and
-    phi' = phi + I' (backward, I = I' + (G / 2 pi) eps).  Python's float
-    arithmetic is numpy's float64 arithmetic, and `math.sin` is the libm
-    sin that numpy's float64 sin calls, so every state is bitwise the row
-    program's.  (A numpy build with a vectorized double sin of its own
-    would part the two bodies;
+    phi' = phi + I' (backward, I = I' + (G / 2 pi) eps).  The phases and
+    sums are `_dot`'s rule (`_sum_source`) and the plan's weights are float
+    literals (``repr`` round-trips).  Python's float arithmetic is numpy's
+    float64 arithmetic, and `math.sin` is the libm sin that numpy's float64
+    sin calls, so every state is bitwise the row program's.  (A numpy build
+    with a vectorized double sin of its own would part the two bodies;
     `test_point_body_bitwise_equals_its_row_in_a_batch` would show it.)
-    Returns the (|steps|+1, ..., 2d) orbit, as `_propagate_trig` does.
     """
-    full = (abs(steps) + 1,) + x.shape
-    phases, scales, sums = plan.phases, plan.scales, plan.sums
-    sin, two_pi, eps, back = math.sin, TWO_PI, float(eps), steps < 0
-    xs = x.ravel().tolist()  # the orbit, state after state
-    I, p = xs[: plan.d], xs[plan.d:]  # updated in place
-    components = range(plan.d)
-    for _ in range(abs(steps)):
-        if back:
-            for j in components:
-                p[j] -= I[j]
-        r, y = [], []  # the reduced angles, and the rows after the sine
-        for q in p:
-            a = q % 1.0
-            r.append(a)
-            y.append(sin(a * two_pi))
-        for _, terms in phases:
-            y.append(sin(_dot(r, terms) * two_pi))
-        for src, c, _ in scales:
-            y.append(y[src] * c)
-        if sums is not None:
-            y = [_dot(y, s) for s in sums]
-        if back:
-            for j in components:
-                I[j] += y[j] / two_pi * eps
-        else:
-            for j in components:
-                i = I[j] - y[j] / two_pi * eps
-                I[j] = i
-                p[j] += i
-        xs += I
-        xs += p
-    return np.array(xs).reshape(full)
+    d, two_pi = plan.d, repr(TWO_PI)
+    Is, ps = [f"I{i}" for i in range(d)], [f"p{i}" for i in range(d)]
+    step = [f"p{i} -= I{i}" for i in range(d)] if back else []
+    step += [f"r{i} = p{i} % 1.0" for i in range(d)]
+    step += [f"y{i} = sin(r{i} * {two_pi})" for i in range(d)]
+    step += [f"y{o} = sin(({_sum_source('r', terms)}) * {two_pi})" for o, terms in plan.phases]
+    step += [f"y{dst} = y{src} * {c!r}" for src, c, dst in plan.scales]
+    G = ([f"y{i}" for i in range(d)] if plan.sums is None
+         else [f"({_sum_source('y', s)})" for s in plan.sums])
+    for i, g in enumerate(G):
+        kick = f"{g} / {two_pi} * eps"
+        step += [f"I{i} += {kick}"] if back else [f"I{i} -= {kick}", f"p{i} += I{i}"]
+    step += [f"append({v})" for v in Is + ps]
+    source = "\n".join([
+        "def body(x, eps, steps, sin=sin):",
+        f"    {', '.join(Is + ps)} = x",
+        "    xs = array('d', x)",
+        "    append = xs.append",
+        "    for _ in range(steps):",
+        *("        " + line for line in step),
+        "    return xs"])
+    scope = {"sin": math.sin, "array": array.array}
+    exec(compile(source, "<kick plan point body>", "exec"), scope)
+    return scope["body"]
 
 
 def propagate(model: MapModel, x: np.ndarray, steps: int):
@@ -428,19 +454,22 @@ def propagate(model: MapModel, x: np.ndarray, steps: int):
 
 def _orbits(model: MapModel, x0: np.ndarray, count: int, every: int):
     """The orbit engine: steps the seeds x0 (n, 2d) over ``count`` samples at
-    stride ``every`` (backward if negative), one `propagate` call of at most
-    ``WINDOW`` steps per ``(live, xs, first)`` it yields: the seeds' flat
-    indices, their orbit from the window's start, and each one's first
-    escape in it, or -1.  The one rule: a state is an escape when a step is
-    taken from it outside the domain (see `propagate`), a last state when it
-    is not finite.  An escaped seed is dropped; no view of a window outlives it.
-    The engine reads ``first`` only when it is resumed, so a consumer that
-    writes an exit index (>= 0) into a seed's entry before resuming it drops
-    that seed as well."""
+    stride ``every`` (backward if negative), one `propagate` call per
+    ``(live, xs, first)`` it yields: the seeds' flat indices, their orbit
+    from the window's start, and each one's first escape in it, or -1.  A
+    window holds at most ``WINDOW`` states (steps x live seeds), in whole
+    samples, and at least one sample.  The one rule: a state is an escape
+    when a step is taken from it outside the domain (see `propagate`), a
+    last state when it is not finite.  An escaped seed is dropped, so the
+    windows after it grow; no view of a window outlives it.  The engine
+    reads ``first`` only when it is resumed, so a consumer that writes an
+    exit index (>= 0) into a seed's entry before resuming it drops that seed
+    as well."""
     stride, sign, done = abs(every), -1 if every < 0 else 1, 0
-    total, per = count * stride, max(1, WINDOW // stride) * stride
+    total = count * stride
     live, x = np.arange(len(x0)), x0
     while done < total:
+        per = max(1, WINDOW // (max(1, len(x)) * stride)) * stride
         xs, first = propagate(model, x, sign * min(per, total - done))
         end = len(xs) - 1
         done, x = done + end, xs[end]
@@ -605,7 +634,9 @@ class TrigTerm:
     coefficients c_j (``coeffs``, shape (J,)).  The callbacks `s`, `s_I`,
     `s_phi`, `s_phiphi` and the sup norms derive from (K, c).  Phases
     k_j . phi and the sums over modes run left to right over the nonzero
-    entries, by `_dot`'s rule.
+    entries, by `_dot`'s rule.  The kick plan and the one-point bodies
+    compiled from it are built with the term and never change; a copy or
+    an unpickled term builds its own from (K, c).
     """
 
     modes: np.ndarray
@@ -621,7 +652,14 @@ class TrigTerm:
             raise ValueError("modes must be nonzero integer vectors and coeffs finite")
         object.__setattr__(self, "modes", K.astype(np.int64))
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "_plan", _KickPlan.of(self.modes, c))
+        plan = _KickPlan.of(self.modes, c)
+        object.__setattr__(self, "_plan", plan)
+        # the compiled one-point bodies, forward and backward (`_point_body`)
+        object.__setattr__(self, "_point", (_point_body(plan, False), _point_body(plan, True)))
+
+    def __reduce__(self):
+        # the compiled bodies do not pickle; a copy compiles its own
+        return TrigTerm, (self.modes, self.coeffs)
 
     @property
     def d(self) -> int:
@@ -676,8 +714,8 @@ class TrigTerm:
 
 class _KickPlan(NamedTuple):
     """Row indices of the kick and its weights as Python floats, fixed per
-    term: `_KickWork` records its program from them, and `_propagate_point`
-    walks them on floats.
+    term: `_KickWork` records its program from them, and `_point_body`
+    compiles them into the one-point bodies.
 
     Rows of Y: the d angles, one phase row per mode that is not a unit
     vector e_i (a unit mode reads its angle row), then one row per mode
@@ -728,7 +766,7 @@ class _KickWork:
     `_propagate_trig` loop do; the reduced angles in ``angles`` are
     consumed.  A work belongs to the one call that builds it: each
     `_propagate_trig` call at two points and more, and each `s_phi` call;
-    one point steps in `_propagate_point` and builds no work.  At small
+    one point steps in its compiled body and builds no work.  At small
     batches the per-call cost of a ufunc dominates, so no call writes over
     its own input (numpy's overlap check would double its cost), the outputs
     are positional and the constants are 0-d arrays.

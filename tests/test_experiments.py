@@ -206,7 +206,9 @@ class TestStabilityScan:
         recs = stability_scan(m, np.array([[1.455, 0.2], [0.0, 0.3]]), 5)
         assert [r.status for r in recs] == ["ok", "ok"]
 
-    @pytest.mark.parametrize("window", [1, 7, maps.WINDOW, 2048])
+    # states: windows of 1, 7 and 2048 steps at the 8 seeds (ids in steps), and the default
+    @pytest.mark.parametrize("window", [1, pytest.param(7 * 8, id="7"), maps.WINDOW,
+                                        pytest.param(2048 * 8, id="2048")])
     def test_window_invariance(self, window, rng, monkeypatch):
         I0 = np.vstack([rng.uniform(-0.5, 0.5, (6, 1)), [[1.455]], [[1.305]]])
         phi0 = rng.uniform(0, 1, (8, 1))
@@ -221,7 +223,9 @@ class TestStabilityScan:
         assert [fields(stability_scan(m, np.hstack([I0, phi0]), h, r)) for m, h, r in cases] == want
         assert want[1][6][3] == "domain_escape@5" and want[1][7][3] == "domain_escape@20"
 
-    @pytest.mark.parametrize("window", [1, 7, maps.WINDOW, 2048])
+    # states: windows of 1, 7 and 2048 steps at the 6 seeds (ids in steps), and the default
+    @pytest.mark.parametrize("window", [1, pytest.param(7 * 6, id="7"), maps.WINDOW,
+                                        pytest.param(2048 * 6, id="2048")])
     def test_d2_statistics_match_last_axis_formulas(self, window, monkeypatch):
         # froeschle2 at d = 2: seed 1 leaves the domain at step 5, seed 3
         # crosses the radius at step 13; neither is on a window boundary;
@@ -291,6 +295,12 @@ ARRAY_DATACLASSES = {
 }
 
 
+#: a copy of a `TrigTerm` rebuilds the term from its modes and coefficients,
+#: so its fields must form a term: one mode at d = 2
+TERM_FIELDS = {(maps.TrigTerm, "modes"): np.array([[1, -1]]),
+               (maps.TrigTerm, "coeffs"): np.array([0.2])}
+
+
 def test_array_dataclasses_compare_by_identity():
     """`==`, `hash` and `in` never raise on a dataclass holding arrays at d = 2:
     equality is identity, as a generated `__eq__` over arrays cannot decide."""
@@ -300,9 +310,10 @@ def test_array_dataclasses_compare_by_identity():
             ResonanceSite(n=2, omega_star=[0.5, 0.0], I_star=[0.5, 0.0], rho_n=0.1)]
     for module, names in ARRAY_DATACLASSES.items():
         for cls in (getattr(module, name) for name in names):
-            obj = object.__new__(cls)  # every field a (2,) array
+            obj = object.__new__(cls)  # every field a (2,) array, but see TERM_FIELDS
             for f in dataclasses.fields(cls):
-                object.__setattr__(obj, f.name, np.array([0.2, -0.1]))
+                object.__setattr__(obj, f.name, TERM_FIELDS.get((cls, f.name),
+                                                                np.array([0.2, -0.1])))
             objs.append(obj)
     for a in objs:
         b = copy.copy(a)

@@ -1,6 +1,7 @@
 """Map kernel: stepping, lifts, inverse steps, Picard solver, catalog invariants."""
 
 import copy
+import gc
 import pickle
 import sys
 import threading
@@ -68,6 +69,9 @@ def _stepped(model, I, phi, steps):
 #: a term beyond the catalog: weights other than 1, a negative mode entry,
 #: three entries in one phase and three terms in one sum
 GENERAL_TERM = ([[2, -1, 0], [0, 3, 1], [1, 1, 1], [0, 0, 1]], [0.5, -1.2, 0.7, 1.0])
+#: a negative weight other than -1 in a three-entry phase and in a
+#: three-term sum, and a negative coefficient other than -1
+NEGATIVE_WEIGHT_TERM = ([[3, -2, 1], [1, 0, -1], [0, 2, 1]], [-0.7, 2.5, 1.0])
 #: no mode uses the middle angle, so that component of s_phi is 0
 UNUSED_ANGLE_TERM = ([[1, 0, 0], [2, 0, -1]], [1.0, 0.5])
 
@@ -194,7 +198,7 @@ class TestKernel:
         for i in range(4):  # one seed alone steps as it does in the batch
             orb = m.orbit(np.concatenate([I0[i], phi0[i]]), 200)
             assert np.array_equal(orb, np.concatenate([Is[:, i], ps[:, i]], axis=-1))
-        monkeypatch.setattr(maps, "WINDOW", 7)  # the scan restarts 28 times
+        monkeypatch.setattr(maps, "WINDOW", 28)  # 7 steps of 4 seeds: the scan restarts 28 times
         recs = stability_scan(m, np.hstack([I0, phi0]), 200)
         assert [r.excursion for r in recs] == list(np.max(np.abs(Is[1:] - Is[0]), axis=(0, 2)))
         assert ([r.max_step_drift for r in recs]
@@ -239,6 +243,7 @@ class TestKernel:
     @example(spec=([[1, 0], [0, 1], [1, 1]], [1.0, 1.0, 0.3]), eps=0.3, odd=ODD_ANGLES, seed=1)
     @example(spec=GENERAL_TERM, eps=0.3, odd=ODD_ANGLES, seed=2)
     @example(spec=UNUSED_ANGLE_TERM, eps=0.3, odd=ODD_ANGLES, seed=3)
+    @example(spec=NEGATIVE_WEIGHT_TERM, eps=2.0, odd=ODD_ANGLES, seed=4)
     def test_point_body_bitwise_equals_its_row_in_a_batch(self, spec, eps, odd, seed):
         """One point steps on Python floats, both ways; it must give the bits
         of its row in a batch of 7, which runs the row program, of `_step`
@@ -340,8 +345,9 @@ class TestKernel:
     def test_orbits_drops_a_seed_its_consumer_marks(self, monkeypatch):
         """A consumer that writes an exit index into a yielded ``first``
         before resuming the engine drops that seed; the others step on as
-        in an undisturbed run, bit for bit."""
-        monkeypatch.setattr(maps, "WINDOW", 8)
+        in an undisturbed run, bit for bit, in the longer windows of fewer
+        seeds."""
+        monkeypatch.setattr(maps, "WINDOW", 8)  # 2 steps of 3 seeds, then 4 of 2
         m = catalog("froeschle2", 1e-3, eta=0.3)
         x0 = np.array([[0.1, -0.2, 0.3, 0.7], [0.2, 0.1, 0.5, 0.4], [-0.3, 0.2, 0.9, 0.1]])
         want = np.concatenate([xs[1:].copy() for _, xs, _ in _orbits(m, x0, 40, 1)])
@@ -354,8 +360,41 @@ class TestKernel:
         for live, xs, first in engine:
             assert list(live) == [0, 2]
             got.append(xs[1:].copy())
-        assert len(got) == 5
+        assert [len(g) for g in got] == [2] + [4] * 9 + [2]
         assert np.array_equal(np.concatenate(got), want[:, [0, 2]])
+
+    @pytest.mark.parametrize("window", [1, 5, 8, 60, maps.WINDOW])
+    @pytest.mark.parametrize("every", [1, 3, -2])
+    def test_orbits_windows_are_bounded_in_states(self, window, every, monkeypatch):
+        """Each window holds at most ``WINDOW`` states (steps x live seeds),
+        in whole samples, or one sample where a sample alone exceeds that;
+        and it is the longest such window, so the windows grow as seeds
+        drop (here at steps 5 and 21 of the shear)."""
+        monkeypatch.setattr(maps, "WINDOW", window)
+        m, stride = nonexact_shear(0.01), abs(every)
+        if every < 0:  # only the standard map steps backward
+            m = catalog("standard", 0.5)
+        x0 = np.array([[1.455, 0.2], [1.295, 0.3], [0.0, 0.4], [0.1, 0.5]])
+        done, total = 0, 30 * stride
+        for live, xs, first in _orbits(m, x0, 30, every):
+            steps = len(xs) - 1
+            assert steps % stride == 0 and steps >= stride
+            assert steps * len(live) <= window or steps == stride
+            assert done + steps == total or (steps + stride) * len(live) > window
+            done += steps
+        assert done == total
+
+    def test_window_lengths_of_the_workloads(self):
+        """25,600 states: a scan of 100 seeds steps 256 at a time, the
+        pilot's 10 seeds 2,560 (8 windows of 2 * 10^4 steps) and one point
+        25,600 (4 windows of 10^5 steps)."""
+        m = catalog("standard", 1e-3)
+        x0 = np.concatenate([np.linspace(-0.4, 0.4, 100)[:, None],
+                             np.linspace(0.0, 1.0, 100)[:, None]], axis=-1)
+        assert len(next(_orbits(m, x0, 1000, 1))[1]) == 257
+        lengths = [[len(xs) - 1 for _, xs, _ in _orbits(m, x0[:n], steps, 1)]
+                   for n, steps in ((10, 20_000), (1, 100_000))]
+        assert lengths == [[2560] * 7 + [2080], [25_600] * 3 + [23_200]]
 
     def test_contains_extended_rejects_nan(self, standard_map):
         dom = standard_map.domain
@@ -446,6 +485,32 @@ class TestTrigTerm:
         for _ in range(10):
             x = np.concatenate([rng.uniform(-0.5, 0.5, m.d), rng.uniform(0.0, 1.0, m.d)])
             assert np.array_equal(jacobian(m, x), jacobian(old, x))
+
+    @pytest.mark.parametrize("name, params", [("standard", {}), ("froeschle2", {"eta": 0.3})])
+    def test_unpickled_model_steps_one_point_bit_for_bit(self, name, params, rng):
+        """A model sent to a worker rebuilds its term from (modes, coeffs)
+        and compiles its own one-point bodies: its orbits, both ways, are
+        the original's bit for bit."""
+        m = catalog(name, 0.3, **params)
+        clone = pickle.loads(pickle.dumps(m))
+        term, copied = m.s_phi.__self__, clone.s_phi.__self__
+        assert copied is not term and copied._point is not term._point
+        x = np.concatenate([rng.uniform(-0.5, 0.5, m.d), rng.uniform(0.0, 1.0, m.d)])
+        for steps in (500, -500):
+            assert np.array_equal(clone.orbit(x, steps), m.orbit(x, steps))
+
+    def test_each_term_steps_with_its_own_body(self, rng):
+        """Terms built and freed in turn in one process: each steps one point
+        with the body compiled from its own plan, which the row program of
+        `_step` (a `_KickWork` per call) confirms bit for bit."""
+        for name, params in [("standard", {}), ("froeschle2", {"eta": 0.3}), ("standard", {})]:
+            m = catalog(name, 0.3, **params)
+            I, phi = rng.uniform(-0.5, 0.5, m.d), rng.uniform(0.0, 1.0, m.d)
+            for steps in (200, -200):
+                got = m.orbit(np.concatenate([I, phi]), steps)
+                assert np.array_equal(got, _stepped(m, I, phi, steps))
+            del m
+            gc.collect()
 
     @pytest.mark.parametrize("spec", [GENERAL_TERM, UNUSED_ANGLE_TERM], ids=["general", "unused"])
     def test_general_term_derivatives_and_norms(self, spec, rng):

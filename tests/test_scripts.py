@@ -43,7 +43,19 @@ def test_step_bench_prints_its_four_tables(capsys):
     # 2 batch sizes, 2 orbit calls and 2 fields at each of 2 orders, one
     # writer, one scan
     assert [len(t.strip().splitlines()) - 1 for t in tables] == [12, 14, 1, 1]
-    # the scan's window buffers: about 1.9 MB at maps.WINDOW = 256 with one
-    # window alive at a time, 2.7 MB with the previous one kept, 15 MB at 2048
+    # the scan's window buffers: about 1.9 MB at maps.WINDOW = 25,600 states
+    # (256 steps of 100 seeds) with one window alive at a time, 2.7 MB with
+    # the previous one kept, 15 MB at 2048 steps
     peak_mb = float(tables[3].strip().splitlines()[1].split()[-1])
     assert 0.0 < peak_mb < 2.3
+
+
+def test_ab_bench_interval_is_the_sign_test_one():
+    order_interval = load("ab_bench").order_interval
+    # 12 pairs: (v_(3), v_(10)), coverage 1 - 2 * 79 / 4096 = 0.961
+    lo, hi, cov = order_interval(list(range(12, 0, -1)))
+    assert (lo, hi) == (3, 10) and cov == pytest.approx(1 - 2 * 79 / 4096)
+    # 16 pairs: (v_(4), v_(13)), coverage 1 - 2 * 697 / 65536 = 0.979
+    assert order_interval(list(range(16)))[:2] == (3, 12)
+    # too few pairs for 95 %: the whole range, with the coverage it has
+    assert order_interval([2.0, 1.0, 3.0]) == (1.0, 3.0, 0.75)
