@@ -11,7 +11,14 @@ host speed or a first-run penalty touches both sides alike.  A run is the
 workload's commands in turn: wall time and CPU time (user + system of the
 child and its children, from `wait4`) are summed over them, peak RSS is
 their largest.  Every run must exit 0 and write the same CSV bytes as the
-first run of the workload, on either tree.
+first run of the workload, on either tree.  The harness itself loads no
+numpy: Linux carries the RSS high-water mark of the forking process into
+its child's `ru_maxrss`, so a larger harness would floor every peak RSS.
+
+With --tier1 it also times the Tier-1 suite in the same ABBA rounds: each
+side runs its own checkout's Tier-1 command (`python -m pytest -q
+--continue-on-collection-errors` in the checkout, its `src/` first on
+PYTHONPATH), A' is a second run of A, and every run must pass.
 
 For each metric it prints the median and quartiles of each side, the median
 of the paired ratios B/A with a distribution-free interval (order statistics
@@ -20,9 +27,10 @@ and the same median and interval for A'/A.  A change counts as resolved
 only when its interval clears the A/A one.
 
     python scripts/ab_bench.py --a PARENT --b CHANGE [--workload nucleus]
-        [--pairs 12] [--seed 1] [--workers 1] [--json out.json]
+        [--tier1] [--pairs 12] [--seed 1] [--workers 1] [--json out.json]
 
-PARENT and CHANGE are checkouts (or their `src/` directories).  Run it on
+PARENT and CHANGE are checkouts (or their `src/` directories; --tier1 needs
+checkouts).  With --tier1 and no --workload only the suite runs.  Run it on
 an otherwise idle machine; it starts one process at a time.
 """
 
@@ -33,12 +41,12 @@ import math
 import os
 import platform
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
-
-import numpy as np
+from importlib.metadata import version
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -71,26 +79,32 @@ def check_import(src: str) -> None:
         raise SystemExit(f"{src}: mapflow imports from {got.stdout.strip()}")
 
 
+def timed(argv: list, src: str, cwd=None) -> tuple[dict, bytes]:
+    """Run argv to exit 0 with the tree's `src/` first on PYTHONPATH; returns
+    its wall, CPU and peak RSS and what it printed (stdout and stderr)."""
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(argv, env=environment(src), cwd=cwd, stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT)
+    out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.stdout.close()
+    proc.returncode = code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise SystemExit(f"{src}: {' '.join(argv[1:4])} exited {code}:\n{out.decode()[-2000:]}")
+    return {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime,
+            "peak_rss_mb": usage.ru_maxrss / 1024.0}, out
+
+
 def run_once(src: str, commands, workers: int, work: str) -> tuple[dict, dict]:
     """One run of a workload's commands; returns its metrics and CSV digests."""
     wall = cpu = rss = 0.0
     digests = {}
     for command, config in commands:
         out = tempfile.mkdtemp(dir=work)
-        t0 = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "mapflow.cli", command, "--config",
-                                 config, "--out", out, "--workers", str(workers)],
-                                env=environment(src), stdout=subprocess.DEVNULL,
-                                stderr=subprocess.PIPE)
-        err = proc.stderr.read()
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall += time.perf_counter() - t0
-        proc.stderr.close()
-        proc.returncode = code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            raise SystemExit(f"{src}: {command} exited {code}:\n{err.decode()[-2000:]}")
-        cpu += usage.ru_utime + usage.ru_stime
-        rss = max(rss, usage.ru_maxrss / 1024.0)
+        m, _ = timed([sys.executable, "-m", "mapflow.cli", command, "--config", config,
+                      "--out", out, "--workers", str(workers)], src)
+        wall, cpu, rss = wall + m["wall_s"], cpu + m["cpu_s"], max(rss, m["peak_rss_mb"])
         for name in sorted(f for f in os.listdir(out) if f.endswith(".csv")):
             with open(os.path.join(out, name), "rb") as fh:
                 digests[f"{command}/{name}"] = hashlib.sha256(fh.read()).hexdigest()
@@ -118,49 +132,72 @@ def summary(a, b, a2, aa) -> dict:
     """Per-side median and quartiles, the paired ratios b/a and aa/a2 with
     their intervals, the wins of b (lower is better for every metric here),
     and whether b's median gain exceeds a's interquartile range."""
-    a, b, a2, aa = (np.asarray(x, dtype=float) for x in (a, b, a2, aa))
-    ratio, control = b / a, aa / a2
+    ratio, control = [y / x for x, y in zip(a, b)], [y / x for x, y in zip(a2, aa)]
     lo, hi, cov = order_interval(ratio)
     clo, chi, _ = order_interval(control)
     verdict = "lower" if hi < clo else "higher" if lo > chi else "unresolved"
-    qa, qb = (np.percentile(x, [25, 50, 75]).tolist() for x in (a, b))
-    return {"a": list(map(float, a)), "b": list(map(float, b)),
-            "a_control": list(map(float, a2)), "aa": list(map(float, aa)),
-            "a_q1_med_q3": qa, "b_q1_med_q3": qb,
+    qa, qb = (statistics.quantiles(x, n=4, method="inclusive") if len(x) > 1 else 3 * x
+              for x in (a, b))
+    return {"a": a, "b": b, "a_control": a2, "aa": aa, "a_q1_med_q3": qa, "b_q1_med_q3": qb,
             "gain_exceeds_a_iqr": qa[1] - qb[1] > qa[2] - qa[0],
-            "ratio_median": float(np.median(ratio)), "ratio_interval": [lo, hi],
-            "coverage": cov, "b_wins": int(np.sum(b < a)), "pairs": len(a),
-            "aa_ratio_median": float(np.median(control)), "aa_ratio_interval": [clo, chi],
+            "ratio_median": statistics.median(ratio), "ratio_interval": [lo, hi],
+            "coverage": cov, "b_wins": sum(y < x for x, y in zip(a, b)), "pairs": len(a),
+            "aa_ratio_median": statistics.median(control), "aa_ratio_interval": [clo, chi],
             "verdict": verdict}
+
+
+def rounds(label: str, run, pairs: int) -> dict:
+    """``pairs`` ABBA rounds of run(side), side in a, b and aa; the summary of each metric."""
+    runs = {side: [] for side in ("a", "b", "aa")}
+    for r in range(pairs):
+        for side in ["a", "b", "a", "aa"] if r % 2 == 0 else ["b", "a", "aa", "a"]:
+            runs[side].append(run(side))
+        print(f"# {label} round {r + 1}/{pairs}: "
+              + ", ".join(f"{s} {runs[s][-1]['wall_s']:.3f} s" for s in ("a", "b", "aa")),
+              flush=True)
+    # the two A runs of a round: the first pairs with B, the second with A'
+    a_b, a_aa = runs["a"][0::2], runs["a"][1::2]
+    return {m: summary(*([x[m] for x in side] for side in (a_b, runs["b"], a_aa, runs["aa"])))
+            for m in METRICS}
 
 
 def bench(workload: str, trees: dict, pairs: int, seed: int, workers: int, work: str) -> dict:
     cfg_dir = tempfile.mkdtemp(dir=work)
     commands = workloads.write_configs(workload, seed, cfg_dir)
-    runs = {side: [] for side in trees}
     reference = None
-    for r in range(pairs):
-        order = ["a", "b", "a", "aa"] if r % 2 == 0 else ["b", "a", "aa", "a"]
-        for side in order:
-            metrics, digests = run_once(trees[side], commands, workers, work)
-            reference = reference or digests
-            if digests != reference:
-                raise SystemExit(f"{workload}: CSV bytes of tree {side} differ from the first run")
-            runs[side].append(metrics)
-        print(f"# {workload} round {r + 1}/{pairs}: "
-              + ", ".join(f"{s} {runs[s][-1]['wall_s']:.3f} s" for s in ("a", "b", "aa")),
-              flush=True)
-    # the two A runs of a round: the first pairs with B, the second with A'
-    a_b, a_aa = runs["a"][0::2], runs["a"][1::2]
-    result = {"commands": [c for c, _ in commands], "seed": seed, "workers": workers}
-    for m in METRICS:
-        result[m] = summary(*([x[m] for x in side] for side in (a_b, runs["b"], a_aa, runs["aa"])))
-    return result
+
+    def run(side):
+        nonlocal reference
+        metrics, digests = run_once(trees[side], commands, workers, work)
+        reference = reference or digests
+        if digests != reference:
+            raise SystemExit(f"{workload}: CSV bytes of tree {side} differ from the first run")
+        return metrics
+
+    return {"commands": [c for c, _ in commands], "seed": seed, "workers": workers,
+            **rounds(workload, run, pairs)}
 
 
-def report(workload: str, res: dict) -> None:
-    print(f"\n{workload} ({' + '.join(res['commands'])}, seed {res['seed']}, "
-          f"--workers {res['workers']}); CSV bytes identical on both trees")
+def bench_tier1(trees: dict, pairs: int) -> dict:
+    """The Tier-1 suite of each side's checkout; A' runs A's again."""
+    srcs = {"a": trees["a"], "b": trees["b"], "aa": trees["a"]}
+    for src in srcs.values():
+        if not os.path.isdir(os.path.join(src, os.pardir, "tests")):
+            raise SystemExit(f"--tier1: no tests/ next to {src}")
+    summaries = {}
+
+    def run(side):
+        metrics, out = timed([sys.executable, "-m", "pytest", "-q",
+                              "--continue-on-collection-errors"], srcs[side],
+                             cwd=os.path.dirname(srcs[side]))
+        summaries.setdefault(side, out.decode().strip().splitlines()[-1])
+        return metrics
+
+    return {**rounds("tier1", run, pairs), "suites": summaries}
+
+
+def report(title: str, res: dict) -> None:
+    print(f"\n{title}")
     print(f"{'metric':<12} {'A median [q1, q3]':>26} {'B median [q1, q3]':>26} "
           f"{'B/A [interval]':>24} {'wins':>6} {'A/A [interval]':>24}  verdict, gain > A IQR")
     for m in METRICS:
@@ -181,7 +218,9 @@ def main(argv=None) -> int:
     parser.add_argument("--a", required=True, help="baseline checkout or src/ directory")
     parser.add_argument("--b", required=True, help="changed checkout or src/ directory")
     parser.add_argument("--workload", action="append", choices=workloads.WORKLOADS,
-                        help="repeat for several; default: all three")
+                        help="repeat for several; default: all three, or none with --tier1")
+    parser.add_argument("--tier1", action="store_true",
+                        help="also time each checkout's Tier-1 suite")
     parser.add_argument("--pairs", type=int, default=12)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workers", type=int, default=1)
@@ -196,13 +235,18 @@ def main(argv=None) -> int:
                         ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         for src in trees.values():
             check_import(src)
-        out = {"host": {"python": platform.python_version(), "numpy": np.__version__,
+        out = {"host": {"python": platform.python_version(), "numpy": version("numpy"),
                         "machine": platform.machine(), "cpus": os.cpu_count()},
                "a": trees["a"], "b": trees["b"], "pairs": args.pairs, "workloads": {}}
-        for workload in args.workload or list(workloads.WORKLOADS):
+        for workload in args.workload or ([] if args.tier1 else list(workloads.WORKLOADS)):
             res = bench(workload, trees, args.pairs, args.seed, args.workers, work)
             out["workloads"][workload] = res
-            report(workload, res)
+            report(f"{workload} ({' + '.join(res['commands'])}, seed {res['seed']}, "
+                   f"--workers {res['workers']}); CSV bytes identical on both trees", res)
+        if args.tier1:
+            out["tier1"] = res = bench_tier1(trees, args.pairs)
+            report("tier1 (each checkout's suite; every run passed): "
+                   + "; ".join(f"{s} {res['suites'][s]}" for s in ("a", "b")), res)
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(out, fh, indent=1)

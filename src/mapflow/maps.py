@@ -379,8 +379,9 @@ def _point_body(plan: _KickPlan, back: bool):
     Every value takes the row program's operations in its order: backward,
     the actions taken off the angles first; angles reduced by ``p % 1.0``
     (bitwise ``p - floor(p)``, and NaN where an angle is not finite), the
-    non-unit phases, sin(2 pi row) over the angle and phase rows, the scaled
-    rows, the component sums, then I' = I - (G / 2 pi) eps and
+    non-unit phases, sin(2 pi row) over the phase rows and the angle rows
+    that a scale or a sum reads (every one when the plan has no sums), the
+    scaled rows, the component sums, then I' = I - (G / 2 pi) eps and
     phi' = phi + I' (backward, I = I' + (G / 2 pi) eps).  The phases and
     sums are `_dot`'s rule (`_sum_source`) and the plan's weights are float
     literals (``repr`` round-trips).  Python's float arithmetic is numpy's
@@ -393,7 +394,9 @@ def _point_body(plan: _KickPlan, back: bool):
     Is, ps = [f"I{i}" for i in range(d)], [f"p{i}" for i in range(d)]
     step = [f"p{i} -= I{i}" for i in range(d)] if back else []
     step += [f"r{i} = p{i} % 1.0" for i in range(d)]
-    step += [f"y{i} = sin(r{i} * {two_pi})" for i in range(d)]
+    read = (range(d) if plan.sums is None
+            else {src for src, _, _ in plan.scales} | {i for s in plan.sums for i, _ in s})
+    step += [f"y{i} = sin(r{i} * {two_pi})" for i in range(d) if i in read]
     step += [f"y{o} = sin(({_sum_source('r', terms)}) * {two_pi})" for o, terms in plan.phases]
     step += [f"y{dst} = y{src} * {c!r}" for src, c, dst in plan.scales]
     G = ([f"y{i}" for i in range(d)] if plan.sums is None

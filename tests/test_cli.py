@@ -544,6 +544,58 @@ def test_import_leaves_pool_and_random_out():
     assert out.strip() == "[]"
 
 
+def _child(code: str, **env) -> str:
+    """stdout of a fresh interpreter running code on this checkout's src/."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, "-c", code],
+                          env={**base, "PYTHONPATH": str(ROOT / "src"), **env},
+                          capture_output=True, text=True, check=True, timeout=60).stdout
+
+
+def test_import_mapflow_loads_no_numpy():
+    # the package resolves its names lazily, so importing it sets no BLAS threading
+    code = ("import sys, mapflow; "
+            "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'mapflow.'))))")
+    assert _child(code).strip() == "[]"
+
+
+#: the public names of `mapflow`, as they were when its imports became lazy
+PUBLIC = [
+    "AprioriMargins", "BlockMap", "Box", "CoveringParams", "DomainSpec", "DriftReport",
+    "EmbeddingReport", "FitReport", "HamiltonianField", "Loop", "MapModel", "NucleusModel",
+    "ResonanceSite", "StabilityRecord", "apriori_check", "build_nucleus", "c4_estimate",
+    "catalog", "circle_loop", "covering_params", "default_delta", "dirichlet",
+    "distance_to_identity", "embedding_error", "energy_drift", "error_law_fit", "errors",
+    "experiments", "finite_differences", "fit_log_law", "flow_map", "h2_closed_form",
+    "hamiltonian", "interp", "interpolating_field", "interpolating_vf", "is_resonant_mode",
+    "jacobian", "locate_site", "loop_action", "maps", "near_identity_family", "newton_weights",
+    "nonexact_shear", "nucleus", "nucleus_energy", "nucleus_radii", "optimal_order",
+    "orbit_window", "order_scaling_check", "pilot_confinement", "reconstruct_hamiltonian",
+    "recover_generating", "resonance", "resonant_action", "resonant_average",
+    "resonant_fourier_check", "scaled_block", "sn_decomposition", "stability_scan",
+    "symmetry_defect", "symplectic_matrix", "trapped_orbit", "unit_box"]
+
+
+def test_public_names_resolve():
+    code = ("import types, mapflow\n"
+            "print(mapflow.__all__)\n"
+            "vals = {n: getattr(mapflow, n) for n in mapflow.__all__}\n"
+            "print(sorted(n for n, v in vals.items() if isinstance(v, types.ModuleType)))\n"
+            "print(set(mapflow.__all__) <= set(dir(mapflow)))")
+    names, modules, listed = _child(code).splitlines()
+    assert eval(names) == PUBLIC and len(PUBLIC) == 64
+    assert eval(modules) == ["errors", "experiments", "hamiltonian", "interp", "maps",
+                             "nucleus", "resonance"]
+    assert listed == "True"
+
+
+@pytest.mark.parametrize("given, want", [(None, "1"), ("3", "3")])
+def test_cli_pins_blas_threads_unless_set(given, want):
+    code = "import os, mapflow.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    env = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
+    assert _child(code, **env).strip() == want
+
+
 # small configs for the fuzz test; each run takes well under a second
 FUZZ_BASES = {"embed-error": EMBED, "nucleus": NUCLEUS, "energy": ENERGY,
               "stability": STABILITY, "resonance": RESONANCE, "interp": INTERP,

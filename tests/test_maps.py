@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import math
 import pickle
 import sys
 import threading
@@ -276,6 +277,27 @@ class TestKernel:
                     else:
                         assert _same_bits(p1[1:], p1[:-1] - I1[:-1])
                         assert _same_bits(I1[1:], I1[:-1] + kick * eps)
+
+    @pytest.mark.parametrize("model, sines", [
+        (catalog("standard", 0.3), 1), (catalog("froeschle2", 0.3, eta=-0.7), 3),
+        (_trig_model("general", 0.2, *GENERAL_TERM), 4),
+        (_trig_model("unused", 0.2, *UNUSED_ANGLE_TERM), 2)],
+        ids=["standard", "froeschle2", "general", "unused_angle"])
+    def test_point_body_takes_only_the_sines_it_reads(self, model, sines):
+        # general: angles 0 and 1 feed only its phases, so their own sines are
+        # dead; unused_angle: angle 1 feeds nothing, angle 2 only a phase
+        term, steps = model.s_phi.__self__, 5
+        x = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6][:2 * model.d]
+        for back in (False, True):
+            calls = []
+
+            def sin(v):
+                calls.append(v)
+                return math.sin(v)
+
+            body = term._point[back]
+            assert body(x, 0.2, steps, sin=sin) == body(x, 0.2, steps)
+            assert len(calls) == sines * steps
 
     @pytest.mark.parametrize("name, params, site", [
         ("standard", {}, ResonanceSite(n=1, omega_star=[0.0], I_star=[0.0], rho_n=0.2)),

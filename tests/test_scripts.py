@@ -59,3 +59,23 @@ def test_ab_bench_interval_is_the_sign_test_one():
     assert order_interval(list(range(16)))[:2] == (3, 12)
     # too few pairs for 95 %: the whole range, with the coverage it has
     assert order_interval([2.0, 1.0, 3.0]) == (1.0, 3.0, 0.75)
+
+
+def test_ab_bench_rounds_alternate_and_pair():
+    ab_bench = load("ab_bench")
+    calls = []
+
+    def run(side):
+        calls.append(side)
+        wall = {"a": 20.0, "b": 10.0, "aa": 20.0}[side] + len(calls)
+        return {"wall_s": wall, "cpu_s": wall, "peak_rss_mb": 1.0}
+
+    res = ab_bench.rounds("test", run, 2)
+    # ABBA: each round one A/B pair and one A/A' pair, the order flipped every round
+    assert calls == ["a", "b", "a", "aa", "b", "a", "aa", "a"]
+    # B pairs with the first A run of its round, A' with the second
+    assert res["wall_s"]["a"] == [21, 26] and res["wall_s"]["b"] == [12, 15]
+    assert res["wall_s"]["a_control"] == [23, 28] and res["wall_s"]["aa"] == [24, 27]
+    assert res["wall_s"]["b_wins"] == 2
+    # quartiles interpolate linearly between the order statistics
+    assert res["wall_s"]["a_q1_med_q3"] == [22.25, 23.5, 24.75]
