@@ -11,7 +11,11 @@ host speed or a first-run penalty touches both sides alike.  A run is the
 workload's commands in turn: wall time and CPU time (user + system of the
 child and its children, from `wait4`) are summed over them, peak RSS is
 their largest.  Every run must exit 0 and write the same CSV bytes as the
-first run of the workload, on either tree.  The harness itself loads no
+first run of the workload, on either tree.  Each run of a workload is
+followed by its setup row (`setup_s`): the wall time of a fresh interpreter
+that imports `mapflow.cli`, validates the workload's configs and builds
+their model and site, which is what perfbench's setup probe times, without
+the probe's scipy import.  The harness itself loads no
 numpy: Linux carries the RSS high-water mark of the forking process into
 its child's `ru_maxrss`, so a larger harness would floor every peak RSS.
 
@@ -52,7 +56,19 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402  (perfbench's seeded configs)
 
-METRICS = ("wall_s", "cpu_s", "peak_rss_mb")
+METRICS = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
+#: the setup row's child: argv[1:] are COMMAND=CONFIG pairs
+SETUP = """import json, sys
+import mapflow.cli as cli
+for arg in sys.argv[1:]:
+    command, path = arg.split("=", 1)
+    with open(path) as fh:
+        cfg = json.load(fh)
+    model = cli.build_model(cfg)
+    cli.validate(command, cfg, model)
+    if "site" in cfg[command]:
+        cli.build_site(model, cfg[command]["site"])
+"""
 #: coverage the order-statistic interval must reach
 COVERAGE = 0.95
 
@@ -112,6 +128,13 @@ def run_once(src: str, commands, workers: int, work: str) -> tuple[dict, dict]:
     return {"wall_s": wall, "cpu_s": cpu, "peak_rss_mb": rss}, digests
 
 
+def setup_once(src: str, commands) -> float:
+    """Wall time of one setup row: a fresh interpreter running SETUP on the
+    workload's (command, config) pairs."""
+    m, _ = timed([sys.executable, "-c", SETUP, *(f"{c}={p}" for c, p in commands)], src)
+    return m["wall_s"]
+
+
 def order_interval(values, coverage: float = COVERAGE) -> tuple[float, float, float]:
     """Order statistics (v_(k), v_(n+1-k)) around the median of n values,
     with the largest k whose sign-test coverage 1 - 2 P(Bin(n, 1/2) < k) is
@@ -158,7 +181,7 @@ def rounds(label: str, run, pairs: int) -> dict:
     # the two A runs of a round: the first pairs with B, the second with A'
     a_b, a_aa = runs["a"][0::2], runs["a"][1::2]
     return {m: summary(*([x[m] for x in side] for side in (a_b, runs["b"], a_aa, runs["aa"])))
-            for m in METRICS}
+            for m in METRICS if m in runs["a"][0]}
 
 
 def bench(workload: str, trees: dict, pairs: int, seed: int, workers: int, work: str) -> dict:
@@ -172,7 +195,7 @@ def bench(workload: str, trees: dict, pairs: int, seed: int, workers: int, work:
         reference = reference or digests
         if digests != reference:
             raise SystemExit(f"{workload}: CSV bytes of tree {side} differ from the first run")
-        return metrics
+        return {**metrics, "setup_s": setup_once(trees[side], commands)}
 
     return {"commands": [c for c, _ in commands], "seed": seed, "workers": workers,
             **rounds(workload, run, pairs)}
@@ -200,7 +223,7 @@ def report(title: str, res: dict) -> None:
     print(f"\n{title}")
     print(f"{'metric':<12} {'A median [q1, q3]':>26} {'B median [q1, q3]':>26} "
           f"{'B/A [interval]':>24} {'wins':>6} {'A/A [interval]':>24}  verdict, gain > A IQR")
-    for m in METRICS:
+    for m in (m for m in METRICS if m in res):
         s = res[m]
         fmt = lambda q: f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"  # noqa: E731
         lo, hi = s["ratio_interval"]

@@ -32,12 +32,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, MapflowError
-from .experiments import energy_drift, pilot_confinement, stability_scan
-from .hamiltonian import (_rowwise, default_delta, embedding_error, recover_generating,
-                          unit_box)
 from .interp import M_MAX, interpolating_vf
 from .maps import CATALOG, MapModel, catalog
-from .nucleus import build_nucleus, is_resonant_mode, resonant_fourier_check, trapped_orbit
 from .resonance import (DIRICHLET_BUDGET, ResonanceSite, covering_params, locate_site,
                         resonant_action, scaled_block)
 
@@ -253,7 +249,9 @@ def build_site(model: MapModel, cfg: dict) -> tuple[ResonanceSite, str]:
 # ---------------------------------------------------------------------------
 # command implementations: each takes the validated config and the model and
 # returns (output paths, extra manifest lines); only `stability` splits its work
-# over --workers, one `stability_scan` task per seed chunk on the model built here
+# over --workers, one scan task per seed chunk on the model built here.  Each
+# imports the layers it runs, so that a command loads no other's (`hamiltonian`,
+# `experiments` and `nucleus` are not needed to validate a config)
 # ---------------------------------------------------------------------------
 
 def _pool_map(fn, tasks: list, workers: int) -> list:
@@ -270,6 +268,8 @@ def _pool_map(fn, tasks: list, workers: int) -> list:
 
 def run_embed_error(cfg, model, out, workers):
     """Write embed-error.csv, the orders in turn; the manifest gets a flow_failures line."""
+    from .hamiltonian import default_delta, embedding_error, unit_box
+
     sub = cfg["embed-error"]
     blk = scaled_block(model, *build_site(model, sub["site"]))
     delta = default_delta(model.domain.r) if sub["delta"] is None else sub["delta"]
@@ -286,6 +286,8 @@ def run_embed_error(cfg, model, out, workers):
 
 
 def run_interp(cfg, model, out, workers):
+    from .hamiltonian import _rowwise
+
     sub = cfg["interp"]
     target = model
     if sub["site"] is not None:
@@ -306,6 +308,8 @@ def run_interp(cfg, model, out, workers):
 
 
 def run_energy(cfg, model, out, workers):
+    from .experiments import energy_drift
+
     sub = cfg["energy"]
     site, scaling = build_site(model, sub["site"])
     reps = [energy_drift(model, site, m, sub["blocks"], sub["x0"], scaling, sub["quad_tol"])
@@ -336,6 +340,8 @@ def run_resonance(cfg, model, out, workers):
 
 
 def run_nucleus(cfg, model, out, workers):
+    from .nucleus import build_nucleus, is_resonant_mode, resonant_fourier_check, trapped_orbit
+
     sub = cfg["nucleus"]
     site, _ = build_site(model, sub["site"])
     nm = build_nucleus(model, site)
@@ -346,9 +352,10 @@ def run_nucleus(cfg, model, out, workers):
     if rec.escaped:  # a sampled orbit still records the block where it left
         k = np.union1d(k, rec.exit_index)
     exited = k >= (rec.exit_index if rec.escaped else n)
+    rows = slice(None) if len(k) == n else k  # every block: no copy of the orbit
     header = ["k"] + [f"J{j}" for j in range(d)] + ["E", "exited"]
     paths = [write_csv(os.path.join(out, "nucleus.csv"), header,
-                       [k, *rec.x[k, :d].T, rec.energy[k], exited])]
+                       [k, *rec.x[rows, :d].T, rec.energy[rows], exited])]
     if sub["fourier_modes"] is not None:
         modes = sub["fourier_modes"]
         mags = np.array([resonant_fourier_check(nm, j, sub["quad_n"]) for j in modes])
@@ -360,27 +367,39 @@ def run_nucleus(cfg, model, out, workers):
 
 
 def run_stability(cfg, model, out, workers):
+    """Write stability.csv and stability_calibration.txt.  Without a configured
+    radius each chunk's task carries the pilot's seeds in its batch
+    (`calibrated_scan`), so no step waits for a serial pilot; the chunks'
+    calibrations must agree."""
+    from .experiments import calibrated_scan, stability_scan
+
     sub = cfg["stability"]
     nseeds, I_box = sub["seeds"], sub["I_box"]
     d, rng = model.d, np.random.default_rng(cfg["seed"])
     # I0, then phi0: one (nseeds, 2d) draw would change the stream
     x0 = np.concatenate([rng.uniform(-I_box / np.sqrt(d), I_box / np.sqrt(d), (nseeds, d)),
                          rng.uniform(0.0, 1.0, (nseeds, d))], axis=1)
-    radius = sub["confinement_radius"]
-    pilot_c1 = float("nan")
-    if radius is None:
-        cal = pilot_confinement(model, horizon=sub["pilot_horizon"])
-        pilot_c1 = cal.c1
-        radius = 2.0 * cal.radius(model.eps) if cal.c1 > 0 else None
     # chunk granularity: at least 50 seeds per worker chunk so that chunked
     # runs do not multiply the per-step vector-dispatch overhead; per-seed
     # trajectories are element-wise, so results are chunking-independent
     k = max(1, min(workers, nseeds // 50 or 1))
     bounds = np.linspace(0, nseeds, k + 1, dtype=int)
     chunks = [x0[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    radius, pilot_c1 = sub["confinement_radius"], float("nan")
+    if radius is None:
+        task = partial(calibrated_scan, model, horizon=sub["horizon"],
+                       pilot_horizon=sub["pilot_horizon"])
+        parts = _pool_map(task, chunks, workers)
+        calibrations = {(cal, r) for _, cal, r in parts}
+        if len(calibrations) != 1:
+            raise RuntimeError(f"seed chunks calibrated differently: {calibrations}")
+        (cal, radius), = calibrations
+        pilot_c1, parts = cal.c1, [recs for recs, _, _ in parts]
+    else:
+        task = partial(stability_scan, model, horizon=sub["horizon"], confinement_radius=radius)
+        parts = _pool_map(task, chunks, workers)
     # chunks come back in seed order, one record per seed
-    task = partial(stability_scan, model, horizon=sub["horizon"], confinement_radius=radius)
-    recs = [r for part in _pool_map(task, chunks, workers) for r in part]
+    recs = [r for part in parts for r in part]
     columns = [np.arange(nseeds), *x0.T, np.array([r.excursion for r in recs]),
                np.array([-1 if r.exit_index is None else r.exit_index for r in recs]),
                np.array([r.max_step_drift for r in recs]), [r.status for r in recs]]
@@ -395,6 +414,8 @@ def run_stability(cfg, model, out, workers):
 
 
 def run_gen_recover(cfg, model, out, workers):
+    from .hamiltonian import _rowwise, recover_generating, unit_box
+
     sub = cfg["gen-recover"]
     base, d = sub["base"], model.d
     pts = unit_box(d, sub["J_radius"]).grid(sub["grid_n"])

@@ -208,17 +208,106 @@ class StabilityRecord:
     status: str = "ok"
 
 
-def _max_abs_diff(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """max over the last axis of |A - B|, built one column at a time: numpy
-    reduces over a short last axis on a slow path."""
-    out = np.subtract(A[..., 0], B[..., 0])
-    np.abs(out, out=out)
-    col = np.empty_like(out)
+def _max_abs(A: np.ndarray) -> np.ndarray:
+    """max over the last axis of |A|, one column at a time: numpy reduces
+    over a short last axis on a slow path."""
+    out = np.abs(A[..., 0])
     for j in range(1, A.shape[-1]):
-        np.subtract(A[..., j], B[..., j], out=col)
-        np.abs(col, out=col)
-        np.maximum(out, col, out=out)
+        np.maximum(out, np.abs(A[..., j]), out=out)
     return out
+
+
+def _state_maxima(Is: np.ndarray, I0: np.ndarray, first: np.ndarray):
+    """|I_k - I0|_inf and |I_k - I_{k-1}|_inf at every state k >= 1 of a
+    window Is (W+1, L, d), shape (W, L) each, and -inf where the statistics
+    stop: after a seed's escape index ``first`` (-1 for none), and at a
+    non-finite state, read from its deviation, with the step into it (its
+    escape may show only in the next window)."""
+    dev, dstep = _max_abs(Is[1:] - I0), _max_abs(Is[1:] - Is[:-1])
+    stop = ~np.isfinite(dev)
+    for c in np.flatnonzero(first >= 0):
+        stop[first[c]:, c] = True
+    dev[stop] = dstep[stop] = -np.inf
+    return dev, dstep
+
+
+def _window_maxima(Is: np.ndarray, I0: np.ndarray):
+    """Per seed, the largest |I_k - I0|_inf and |I_k - I_{k-1}|_inf over the
+    states k >= 1 of a window Is (W+1, L, d), from extrema: rounding is
+    monotone, so max_k |I_kj - I0_j| is the larger of |max_k I_kj - I0_j|
+    and |min_k I_kj - I0_j| bit for bit, and the largest step is read from
+    the extrema of the step differences alike.  Not finite where a state is
+    not."""
+    new = Is[1:]
+    steps = new - Is[:-1]
+    dev = np.maximum(_max_abs(new.max(axis=0) - I0), _max_abs(new.min(axis=0) - I0))
+    return dev, np.maximum(_max_abs(steps.max(axis=0)), _max_abs(steps.min(axis=0)))
+
+
+class _Scan:
+    """Running per-seed statistics of a confinement scan of the seeds x0
+    (N, 2d): excursion from the start action, largest step, first step over
+    the confinement radius and escape (-1 for none)."""
+
+    def __init__(self, model: MapModel, x0: np.ndarray):
+        self.model, self.x0 = model, x0
+        n = len(x0)
+        self.exc, self.step_drift = np.zeros(n), np.zeros(n)
+        self.exit_idx = np.full(n, -1, dtype=np.int64)
+        self.escape_idx = np.full(n, -1, dtype=np.int64)
+
+    def run(self, rows: np.ndarray, x: np.ndarray, steps: int,
+            radius: Optional[float], done: int = 0):
+        """Step the seeds ``rows`` on from their states x at step ``done``
+        over ``steps`` more steps in one batch through `maps._orbits`, under
+        its escape rule, and take their statistics per window.  Returns the
+        rows that did not escape and their last states.
+
+        A window's excursion and step maxima come from per-seed extrema
+        (`_window_maxima`); only a seed that escaped or reached a non-finite
+        state in the window takes them state by state (`_state_maxima`), and
+        a confinement crossing is looked up state by state only in the
+        columns of the seeds whose window maximum exceeds the radius."""
+        d, end = self.model.d, done + steps
+        left = (rows[:0], x[:0])
+        if not len(rows):  # the engine would walk its windows with no seed
+            return left
+        for live, xs, first in maps._orbits(self.model, x, steps, 1):
+            seeds, Is = rows[live], xs[..., :d]
+            I0 = self.x0[seeds, :d]
+            dev, dstep = _window_maxima(Is, I0)
+            escaped = first >= 0
+            self.escape_idx[seeds[escaped]] = done + first[escaped]
+            dirty = np.flatnonzero(escaped | ~np.isfinite(dev))
+            if dirty.size:
+                devs, dsteps = _state_maxima(Is[:, dirty], I0[dirty], first[dirty])
+                dev[dirty] = devs.max(axis=0, initial=-np.inf)
+                dstep[dirty] = dsteps.max(axis=0, initial=-np.inf)
+            if radius is not None:
+                new = np.flatnonzero((dev > radius) & (self.exit_idx[seeds] < 0))
+                if new.size:
+                    devs, _ = _state_maxima(Is[:, new], I0[new], first[new])
+                    self.exit_idx[seeds[new]] = done + 1 + np.argmax(devs > radius, axis=0)
+            self.exc[seeds] = np.maximum(self.exc[seeds], dev)
+            self.step_drift[seeds] = np.maximum(self.step_drift[seeds], dstep)
+            done += xs.shape[0] - 1
+            if done == end:
+                left = (seeds[~escaped], xs[-1, ~escaped])
+            del xs, Is  # keep no view of this window while the engine writes the next
+        return left
+
+    def records(self, horizon: int, n: int) -> list[StabilityRecord]:
+        """The records of the first n seeds."""
+        out = []
+        for i in range(n):
+            esc = self.escape_idx[i]
+            out.append(StabilityRecord(
+                seed_index=i, x0=self.x0[i],
+                excursion=float(self.exc[i]), horizon=horizon,
+                exit_index=None if self.exit_idx[i] < 0 else int(self.exit_idx[i]),
+                max_step_drift=float(self.step_drift[i]),
+                status="ok" if esc < 0 else f"domain_escape@{esc}"))
+        return out
 
 
 def stability_scan(model: MapModel, x0: np.ndarray, horizon: int,
@@ -233,46 +322,9 @@ def stability_scan(model: MapModel, x0: np.ndarray, horizon: int,
     others.  For catalog maps results do not depend on batch composition.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    nseeds = x0.shape[0]
-    exc = np.zeros(nseeds)
-    step_drift = np.zeros(nseeds)
-    exit_idx = np.full(nseeds, -1, dtype=np.int64)
-    escape_idx = np.full(nseeds, -1, dtype=np.int64)
-
-    done = 0
-    for live, xs, first in maps._orbits(model, x0, horizon, 1):
-        # statistics over the window (step indices done+1 .. done+W)
-        Is = xs[..., :model.d]
-        dev = _max_abs_diff(Is[1:], x0[live, :model.d])  # (W, live)
-        dstep = _max_abs_diff(Is[1:], Is[:-1])           # (W, live)
-        # statistics stop at the escape state; a non-finite state (read from its
-        # deviation) and the step into it take no part, as its escape may show
-        # only in the next window
-        stop = ~np.isfinite(dev)
-        left = first >= 0
-        for c in np.flatnonzero(left):
-            stop[first[c]:, c] = True
-        dev[stop] = dstep[stop] = -np.inf
-        escape_idx[live[left]] = done + first[left]
-        exc[live] = np.maximum(exc[live], dev.max(axis=0, initial=-np.inf))
-        step_drift[live] = np.maximum(step_drift[live], dstep.max(axis=0, initial=-np.inf))
-        if confinement_radius is not None:
-            crossed = dev > confinement_radius
-            newly = crossed.any(axis=0) & (exit_idx[live] < 0)
-            if np.any(newly):
-                exit_idx[live[newly]] = done + 1 + np.argmax(crossed[:, newly], axis=0)
-        done += xs.shape[0] - 1
-        del xs, Is  # keep no view of this window while the engine writes the next
-
-    out = []
-    for i in range(nseeds):
-        status = "ok" if escape_idx[i] < 0 else f"domain_escape@{escape_idx[i]}"
-        out.append(StabilityRecord(
-            seed_index=i, x0=x0[i],
-            excursion=float(exc[i]), horizon=horizon,
-            exit_index=None if exit_idx[i] < 0 else int(exit_idx[i]),
-            max_step_drift=float(step_drift[i]), status=status))
-    return out
+    scan = _Scan(model, x0)
+    scan.run(np.arange(len(x0)), x0, horizon, confinement_radius)
+    return scan.records(horizon, len(x0))
 
 
 #: safety factor applied to the pilot excursion estimate; the pilot probes
@@ -281,6 +333,8 @@ def stability_scan(model: MapModel, x0: np.ndarray, horizon: int,
 PILOT_SAFETY = 1.5
 #: pilot seeds, spread from the torus across 1.25 island halfwidths
 PILOT_SEEDS = 10
+#: `calibrated_scan`'s confinement radius, in units of the pilot's c1 eps^expo
+RADIUS_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -293,6 +347,32 @@ class PilotCalibration:
         return self.c1 * eps**self.exponent
 
 
+def _pilot_seeds(model: MapModel) -> Optional[np.ndarray]:
+    """The pilot's designed seeds (PILOT_SEEDS, 2d), or None where c1 is zero
+    without a run (eps = 0 or |s| = 0)."""
+    d, eps = model.d, model.eps
+    if eps == 0.0 or model.domain.norm_s == 0.0:
+        return None
+    omega_c = model.omega(model.domain.center)
+    I_star = resonant_action(model, np.round(omega_c), model.domain.center)
+    halfwidth = 1.25 * math.sqrt(2.0 * model.domain.norm_s * eps / model.domain.nu2)
+    offs = np.linspace(0.0, halfwidth, PILOT_SEEDS)
+    x0 = np.column_stack([np.tile(I_star, (PILOT_SEEDS, 1))]
+                         + [np.linspace(0.05, 0.95, PILOT_SEEDS)] * d)
+    for j in range(PILOT_SEEDS):
+        x0[j, j % d] += offs[j]
+    return x0
+
+
+def _calibration(model: MapModel, pilot_exc: Optional[float]) -> PilotCalibration:
+    """c1 from the pilot's largest excursion, None for no pilot run."""
+    expo = 1.0 / (2.0 * (model.d + 1))
+    if pilot_exc is None:
+        return PilotCalibration(c1=0.0, pilot_excursion=0.0, exponent=expo)
+    return PilotCalibration(c1=PILOT_SAFETY * pilot_exc / model.eps**expo,
+                            pilot_excursion=pilot_exc, exponent=expo)
+
+
 def pilot_confinement(model: MapModel, horizon: int = 20000) -> PilotCalibration:
     """Calibrate the confinement constant c1 from a designed pilot run.
 
@@ -302,23 +382,48 @@ def pilot_confinement(model: MapModel, horizon: int = 20000) -> PilotCalibration
     with far smaller excursions.  Returns c1 with
     excursion <= c1 * eps^{1/2(d+1)} expected for the whole ensemble.
     """
-    d = model.d
-    expo = 1.0 / (2.0 * (d + 1))
-    eps = model.eps
-    if eps == 0.0 or model.domain.norm_s == 0.0:
-        return PilotCalibration(c1=0.0, pilot_excursion=0.0, exponent=expo)
-    omega_c = model.omega(model.domain.center)
-    I_star = resonant_action(model, np.round(omega_c), model.domain.center)
-    halfwidth = 1.25 * math.sqrt(2.0 * model.domain.norm_s * eps / model.domain.nu2)
-    offs = np.linspace(0.0, halfwidth, PILOT_SEEDS)
-    x0 = np.column_stack([np.tile(I_star, (PILOT_SEEDS, 1))]
-                         + [np.linspace(0.05, 0.95, PILOT_SEEDS)] * d)
-    for j in range(PILOT_SEEDS):
-        x0[j, j % d] += offs[j]
-    recs = stability_scan(model, x0, horizon=horizon)
-    pilot_exc = max(r.excursion for r in recs)
-    return PilotCalibration(c1=PILOT_SAFETY * pilot_exc / eps**expo,
-                            pilot_excursion=pilot_exc, exponent=expo)
+    x0 = _pilot_seeds(model)
+    if x0 is None:
+        return _calibration(model, None)
+    return _calibration(model, max(r.excursion for r in stability_scan(model, x0, horizon)))
+
+
+def calibrated_scan(model: MapModel, x0: np.ndarray, horizon: int, pilot_horizon: int = 20000):
+    """`pilot_confinement` over ``pilot_horizon`` steps, then `stability_scan`
+    of the seeds x0 (N, 2d) at the confinement radius RADIUS_FACTOR times
+    the calibration's (none where c1 is zero), with the pilot's seeds riding
+    in the scan's batch.  Returns (records, calibration, radius), bit for
+    bit those of the two calls: for catalog maps a seed's orbit does not
+    depend on the batch, and the statistics of a run split at a step are
+    those of the whole.
+
+    The pilot seeds and x0 step together over the first min(horizon,
+    pilot_horizon) steps, where the engine's last window ends; the pilot
+    seeds alone step on to ``pilot_horizon``, and x0's seeds on to
+    ``horizon`` at the radius.  A seed whose excursion already exceeds the
+    radius at the split takes its exit index from one more scan of those
+    seeds alone over the steps before it."""
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    pilot = _pilot_seeds(model)
+    if pilot is None:
+        return stability_scan(model, x0, horizon), _calibration(model, None), None
+    n = len(x0)
+    scan = _Scan(model, np.concatenate([x0, pilot]))
+    head = min(horizon, pilot_horizon)
+    rows, x = scan.run(np.arange(len(scan.x0)), scan.x0, head, None)
+    rides, seeds = rows >= n, rows < n
+    if pilot_horizon > head:
+        scan.run(rows[rides], x[rides], pilot_horizon - head, None, head)
+    cal = _calibration(model, float(scan.exc[n:].max()))
+    radius = RADIUS_FACTOR * cal.radius(model.eps) if cal.c1 > 0 else None
+    if radius is not None:
+        over = np.flatnonzero(scan.exc[:n] > radius)
+        if over.size:
+            scan.exit_idx[over] = [r.exit_index for r in
+                                   stability_scan(model, x0[over], head, radius)]
+    if horizon > head:
+        scan.run(rows[seeds], x[seeds], horizon - head, radius, head)
+    return scan.records(horizon, n), cal, radius
 
 
 # ---------------------------------------------------------------------------

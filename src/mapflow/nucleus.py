@@ -136,32 +136,51 @@ def trapped_orbit(model: MapModel, site: ResonanceSite, x0: np.ndarray, budget: 
         nmodel = build_nucleus(model, site)
     d = model.d
     x0 = np.asarray(x0, dtype=float)
-    exit_index = None
     if budget < 0:  # the block's orbit would step backward
         raise ValueError("steps must be nonnegative")
     if model.eps == 0.0:
         # the sqrt(eps) scaling collapses: the block is the identity on the
         # resonant torus and the orbit never exits
-        X = np.tile(x0, (budget + 1, 1))
+        windows, r1 = [np.broadcast_to(x0, (budget, 2 * d))], np.inf
     else:
-        r1 = nmodel.radii.r1
-        parts = [x0[None]]
-        for part in BlockMap(model, site, "nucleus").windows(x0, budget):
-            outside = np.sum(part[:, :d] ** 2, axis=-1) > r1 * r1
-            if np.any(outside):
-                parts.append(part[: np.argmax(outside) + 1])
-                exit_index = sum(len(p) for p in parts) - 1
-                break
-            parts.append(part)
-        X = np.concatenate(parts)
-    Js = X[:, :d]
-    centered = X.copy()
-    centered[:, d:] -= 0.5 * site.n * nmodel.sqrt_eps * (Js @ nmodel.hessian.T)
-    Es = nucleus_energy(nmodel, centered)
-    return TrappedOrbitRecord(x=X, energy=Es, exit_index=exit_index,
-                              max_step_dE=float(np.max(np.abs(np.diff(Es)), initial=0.0)),
-                              max_abs_J=float(np.max(np.linalg.norm(Js, axis=-1))),
-                              budget=budget)
+        windows, r1 = BlockMap(model, site, "nucleus").windows(x0, budget), nmodel.radii.r1
+    # the orbit and its energies fill preallocated rows window by window, and
+    # each window's energies come from one segment of at most a window's length
+    X, Es = np.empty((budget + 1, 2 * d)), np.empty(budget + 1)
+    X[0] = x0
+    exit_index, end, done, max_dE, max_J = None, 1, 0, 0.0, 0.0
+    for part in windows:
+        outside = np.sum(part[:, :d] ** 2, axis=-1) > r1 * r1
+        if np.any(outside):
+            part = part[: np.argmax(outside) + 1]
+            exit_index = end + len(part) - 1
+        X[end:end + len(part)] = part
+        end += len(part)
+        if len(part):
+            dE, J = _centered_energies(nmodel, site, X, Es, max(done - 1, 0), end)
+            max_dE, max_J, done = max(max_dE, dE), max(max_J, J), end
+        if exit_index is not None:
+            break
+    if done == 0:  # no step taken
+        max_dE, max_J = _centered_energies(nmodel, site, X, Es, 0, 1)
+    return TrappedOrbitRecord(x=X[:end], energy=Es[:end], exit_index=exit_index,
+                              max_step_dE=max_dE, max_abs_J=max_J, budget=budget)
+
+
+def _centered_energies(nmodel: NucleusModel, site: ResonanceSite, X: np.ndarray,
+                       Es: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
+    """E at the drift-centered phases of the states X[lo:hi] into Es[lo:hi];
+    returns the largest |E_{k+1} - E_k| and |J_k|_2 among them.  A segment
+    after the first starts at the last state of the one before, so it spans
+    the seam's step and holds two states or more: numpy takes a one-row
+    ``J @ H.T`` on another BLAS path (gemv), whose bits may differ from a
+    batch's."""
+    d = nmodel.model.d
+    centered = X[lo:hi].copy()
+    centered[:, d:] -= 0.5 * site.n * nmodel.sqrt_eps * (centered[:, :d] @ nmodel.hessian.T)
+    Es[lo:hi] = nucleus_energy(nmodel, centered)
+    return (float(np.max(np.abs(np.diff(Es[lo:hi])), initial=0.0)),
+            float(np.max(np.linalg.norm(X[lo:hi, :d], axis=-1))))
 
 
 def resonant_fourier_check(nmodel: NucleusModel, j: np.ndarray, quad_n: int) -> float:

@@ -233,3 +233,46 @@ def s_phiphi_rows(modes, coeffs, phi):
     return np.stack([np.stack([_lincomb_rows([(x, k[i] * k[l]) for x, k in zip(cos, K)
                                               if k[i] * k[l]], phi[..., 0])
                                for l in range(d)], axis=-1) for i in range(d)], axis=-2)
+
+
+# The scan's per-window statistics as `stability_scan` took them state by
+# state before it read them from per-seed extrema, frozen: the extrema must
+# give the same bits.
+
+def _max_abs_diff(A, B):
+    out = np.abs(np.subtract(A[..., 0], B[..., 0]))
+    for j in range(1, A.shape[-1]):
+        np.maximum(out, np.abs(np.subtract(A[..., j], B[..., j])), out=out)
+    return out
+
+
+def scan_per_state(model, x0, horizon, radius=None):
+    """(excursion, exit_index, max_step_drift, status) per seed of x0 (N, 2d),
+    through the orbit engine `maps._orbits`, statistics taken per state."""
+    from mapflow import maps
+
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    n, d = len(x0), model.d
+    exc, drift = np.zeros(n), np.zeros(n)
+    exit_idx, escape_idx = np.full(n, -1), np.full(n, -1)
+    done = 0
+    for live, xs, first in maps._orbits(model, x0, horizon, 1):
+        Is = xs[..., :d]
+        dev = _max_abs_diff(Is[1:], x0[live, :d])
+        dstep = _max_abs_diff(Is[1:], Is[:-1])
+        stop = ~np.isfinite(dev)
+        left = first >= 0
+        for c in np.flatnonzero(left):
+            stop[first[c]:, c] = True
+        dev[stop] = dstep[stop] = -np.inf
+        escape_idx[live[left]] = done + first[left]
+        exc[live] = np.maximum(exc[live], dev.max(axis=0, initial=-np.inf))
+        drift[live] = np.maximum(drift[live], dstep.max(axis=0, initial=-np.inf))
+        if radius is not None:
+            crossed = dev > radius
+            newly = crossed.any(axis=0) & (exit_idx[live] < 0)
+            exit_idx[live[newly]] = done + 1 + np.argmax(crossed[:, newly], axis=0)
+        done += xs.shape[0] - 1
+        del xs, Is
+    return [(float(exc[i]), None if exit_idx[i] < 0 else int(exit_idx[i]), float(drift[i]),
+             "ok" if escape_idx[i] < 0 else f"domain_escape@{escape_idx[i]}") for i in range(n)]

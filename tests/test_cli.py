@@ -357,6 +357,39 @@ class TestDeterminism:
         assert run("stability", path, out=str(out2), workers=8) == 0
         assert (out1 / "stability.csv").read_bytes() == (out2 / "stability.csv").read_bytes()
 
+    @pytest.mark.parametrize("workers, pilot_horizon, factor",
+                             [(1, 200, None), (2, 200, None), (2, 700, None), (1, 200, 0.05)],
+                             ids=["w1", "w2", "w2_pilot_longer", "w1_rescan"])
+    def test_pilot_rides_in_the_batch(self, tmp_path, monkeypatch, workers, pilot_horizon,
+                                      factor):
+        """stability.csv and stability_calibration.txt are those of a pilot run
+        first (`pilot_confinement`) and then `stability_scan` at RADIUS_FACTOR
+        times its radius; at a fortieth of the radius seeds cross it before the
+        pilot's last step and take their exits from the re-scan."""
+        from mapflow import experiments
+
+        if factor is not None:
+            monkeypatch.setattr(experiments, "RADIUS_FACTOR", factor)
+        cfg = base_cfg(stability={"seeds": 110, "horizon": 400, "pilot_horizon": pilot_horizon})
+        cfg["map"] = {"name": "froeschle2", "eps": 1e-3, "params": {"eta": 0.3}}
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert run("stability", path, out=str(tmp_path / "riding"), workers=workers) == 0
+
+        def pilot_then_scan(model, x0, horizon, pilot_horizon):
+            cal = experiments.pilot_confinement(model, pilot_horizon)
+            radius = experiments.RADIUS_FACTOR * cal.radius(model.eps) if cal.c1 > 0 else None
+            return experiments.stability_scan(model, x0, horizon, radius), cal, radius
+
+        monkeypatch.setattr(experiments, "calibrated_scan", pilot_then_scan)
+        assert run("stability", path, out=str(tmp_path / "serial"), workers=1) == 0
+        for name in ("stability.csv", "stability_calibration.txt"):
+            assert ((tmp_path / "riding" / name).read_bytes()
+                    == (tmp_path / "serial" / name).read_bytes())
+        with open(tmp_path / "riding" / "stability.csv") as fh:
+            exits = [int(row["exit_index"]) for row in csv.DictReader(fh)]
+        early = sum(0 < e <= pilot_horizon for e in exits)
+        assert early > 10 if factor else early == 0
+
     def test_embed_error_starts_no_process(self, tmp_path, monkeypatch):
         # only stability splits its work over --workers; embed-error runs its
         # orders in turn, in this process, whatever the worker count
@@ -550,6 +583,14 @@ def _child(code: str, **env) -> str:
     return subprocess.run([sys.executable, "-c", code],
                           env={**base, "PYTHONPATH": str(ROOT / "src"), **env},
                           capture_output=True, text=True, check=True, timeout=60).stdout
+
+
+def test_import_cli_loads_only_the_config_layers():
+    # each runner imports the layers it runs: validating a config needs none of
+    # hamiltonian, experiments and nucleus
+    code = "import sys, mapflow.cli; print(sorted(m for m in sys.modules if 'mapflow' in m))"
+    assert eval(_child(code)) == ["mapflow", "mapflow.cli", "mapflow.errors", "mapflow.interp",
+                                  "mapflow.maps", "mapflow.resonance"]
 
 
 def test_import_mapflow_loads_no_numpy():

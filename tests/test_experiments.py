@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from mapflow import (
 )
 from mapflow import experiments, hamiltonian, interp, maps, nonexact_shear, nucleus, resonance
 from mapflow.experiments import SnDecomposition
+from oracles import TWO_PI, scan_per_state
 
 
 def std_site(gamma=2.0, eps=1e-4, n=1):
@@ -243,6 +245,73 @@ class TestStabilityScan:
         monkeypatch.setattr(maps, "WINDOW", window)
         recs = stability_scan(m, np.hstack([I0, phi0]), horizon, radius)
         assert [(r.excursion, r.exit_index, r.max_step_drift, r.status) for r in recs] == want
+
+    @pytest.mark.parametrize("window", [1, 7, None], ids=["1", "7n", "default"])
+    def test_statistics_match_the_per_state_oracle(self, window, rng, monkeypatch):
+        """Statistics from per-seed extrema equal the frozen per-state ones bit
+        for bit: mid-window escapes (shear seeds leave at steps 5 and 20), a
+        NaN state mid-run and at the last step, and confinement crossings."""
+        nan_past = replace(catalog("standard", 0.01),  # NaN from I_17 = 0.26 on
+                           s_phi=lambda I, p: np.where(I > 0.255, np.nan, -1.0))
+        shear_x0 = np.array([[1.455, 0.2], [1.305, 0.3], [0.0, 0.4], [-0.2, 0.5]])
+        fro_x0 = np.concatenate([rng.uniform(-0.8, 0.8, (9, 2)), rng.uniform(0, 1, (9, 2)),
+                                 ], axis=1)
+        fro_x0[0, :2] = [1.0, 1.05]  # leaves the domain at step 5
+        cases = [(nonexact_shear(0.01), shear_x0, 300, 0.05),
+                 (nonexact_shear(0.01), shear_x0, 20, None),
+                 (nan_past, np.array([[0.1, 0.2], [0.2, 0.7], [0.0, 0.1]]), 17, 0.05),
+                 (nan_past, np.array([[0.1, 0.2], [0.2, 0.7], [0.0, 0.1]]), 40, 0.05),
+                 (catalog("froeschle2", 0.05, eta=0.3), fro_x0, 300, 0.04),
+                 (catalog("standard", 5e-3), fro_x0[:, [0, 2]], 500, 0.01)]
+        want = [scan_per_state(*case) for case in cases]
+        statuses = {r[3] for w in want for r in w}
+        # the NaN state 17 is the last state at horizon 17 and a step source at 40
+        assert {"domain_escape@5", "domain_escape@20", "domain_escape@17",
+                "domain_escape@27"} <= statuses
+        assert sum(r[1] is not None for w in want for r in w) >= 6
+        for (m, x0, h, r), ref in zip(cases, want):
+            monkeypatch.setattr(maps, "WINDOW", maps.WINDOW if window is None
+                                else window * len(x0))
+            got = stability_scan(m, x0, h, r)
+            assert [(g.excursion, g.exit_index, g.max_step_drift, g.status)
+                    for g in got] == ref
+
+    @pytest.mark.parametrize("case", ["pilot_shorter", "pilot_longer", "rescan", "steep",
+                                      "twist"])
+    def test_calibrated_scan_is_pilot_then_scan(self, case, rng, monkeypatch):
+        """The pilot riding in the scan's batch gives the records, calibration
+        and radius of `pilot_confinement` followed by `stability_scan` at
+        RADIUS_FACTOR times its radius, bit for bit; seeds over the radius
+        before the pilot's last step take their exit from a re-scan."""
+        m, horizon, pilot_horizon = catalog("froeschle2", 1e-3, eta=0.3), 400, 250
+        x0 = np.concatenate([rng.uniform(-0.6, 0.6, (12, 2)), rng.uniform(0, 1, (12, 2))], 1)
+        if case == "pilot_longer":
+            pilot_horizon = 600
+        if case == "rescan":  # a tenth of the radius: seeds cross it early
+            monkeypatch.setattr(experiments, "RADIUS_FACTOR", 0.2)
+        if case == "steep":  # kicks grow with |I|: the resonance at I = 1 has a
+            # wider island than the pilot's at I = 0, and its seeds cross early
+            m = replace(catalog("standard", 1e-3),
+                        s_phi=lambda I, p: np.sin(TWO_PI * p) / TWO_PI * (1.0 + 30.0 * I * I))
+            x0 = x0[:, [0, 2]]
+            x0[:3, 0] = [1.0, 1.01, 0.99]
+        if case == "twist":
+            m, x0 = catalog("twist", 0.0, d=2), x0
+        recs, cal, radius = experiments.calibrated_scan(m, x0, horizon, pilot_horizon)
+        want_cal = pilot_confinement(m, horizon=pilot_horizon)
+        want_radius = (experiments.RADIUS_FACTOR * want_cal.radius(m.eps)
+                       if want_cal.c1 > 0 else None)
+        want = stability_scan(m, x0, horizon, want_radius)
+        assert (cal, radius) == (want_cal, want_radius)
+        fields = lambda rs: [(r.seed_index, r.excursion, r.exit_index, r.max_step_drift,  # noqa: E731
+                              r.status, r.horizon, tuple(r.x0)) for r in rs]
+        assert fields(recs) == fields(want)
+        exits = [r.exit_index for r in recs if r.exit_index is not None]
+        early = sum(e <= min(horizon, pilot_horizon) for e in exits)
+        if case in ("rescan", "steep"):
+            assert early >= 1
+        if case == "twist":
+            assert radius is None and cal.c1 == 0.0 and not exits
 
     def test_pilot_calibration_scales(self):
         m = catalog("standard", 1e-3)

@@ -480,6 +480,65 @@ class TestKernel:
             replace(m, s_phi=lambda I, p: np.full_like(I, np.nan)).orbit(np.array([0.1, 0.2]), 5)
 
 
+def _first_outside_per_state(domain, Is):
+    """The domain rule at every state: per seed, the first index along axis 0
+    of a state outside, or -1."""
+    inside = domain.contains_extended(Is)
+    return np.where(inside.all(axis=0), -1, inside.argmin(axis=0))
+
+
+class TestFirstOutside:
+    # (steps, seeds): 1, 7 and 25,600 states, and None for one point's (steps, d)
+    SHAPES = [(1, 1), (7, 1), (1, 7), (7, 40), (40, 33), (256, 100), (25_600, None)]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(d=st.sampled_from([1, 2, 3]), shape=st.sampled_from(SHAPES),
+           corner_min=st.sampled_from([1, maps.CORNER_MIN]), specials=st.integers(0, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_worst_corner_gives_the_per_state_rule(self, d, shape, corner_min, specials, seed):
+        """Windows whose seeds reach dist = sigma within a few ulps, along an
+        axis (the corner is a state) or any direction, with NaN, +-inf and
+        1e200 entries and a centre off the origin; no RuntimeWarning."""
+        rng = np.random.default_rng(seed)
+        dom = DomainSpec(center=rng.uniform(-2.0, 2.0, d), R=rng.uniform(0.5, 2.0),
+                         sigma=rng.uniform(0.1, 1.0), r=1.0, nu=1.0, nu2=1.0)
+        steps, seeds = shape
+        n = seeds or 1
+        u = rng.normal(size=(steps, n, d))
+        axis = rng.random(n) < 0.5  # these seeds move along one axis only
+        u[:, axis] = 0.0
+        u[:, axis, rng.integers(0, d)] = rng.choice([-1.0, 1.0], size=(steps, axis.sum()))
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        rim = (dom.R + dom.sigma) * (1.0 + rng.integers(-4, 5, (steps, n, 1)) * 2.0**-52)
+        Is = dom.center + u * np.where(rng.random((steps, n, 1)) < 0.2, rim,
+                                       rim * rng.random((steps, n, 1)))
+        for _ in range(specials):
+            Is[rng.integers(steps), rng.integers(n), rng.integers(d)] = rng.choice(
+                [np.nan, np.inf, -np.inf, 1e200, -1e200])
+        if seeds is None:
+            Is = Is[:, 0]
+        want = _first_outside_per_state(dom, Is)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(maps, "CORNER_MIN", corner_min)
+            got = maps._first_outside(dom, Is)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("corner_min", [1, maps.CORNER_MIN])
+    @pytest.mark.parametrize("steps", [256, -256])
+    def test_propagate_escapes_both_ways(self, steps, corner_min, monkeypatch):
+        """100 seeds of a chaotic standard map, 25,600 states, forward and
+        backward: a forward escape is the first state outside a step is taken
+        from, a backward one the first result outside, less one."""
+        monkeypatch.setattr(maps, "CORNER_MIN", corner_min)
+        m = catalog("standard", 1.5)
+        x0 = np.column_stack([np.linspace(-1.49, 1.49, 100), np.linspace(0.0, 1.0, 100)])
+        xs, first = maps.propagate(m, x0, steps)
+        back = int(steps < 0)
+        assert np.array_equal(first, _first_outside_per_state(
+            m.domain, xs[back:abs(steps) + back, :, :1]))
+        assert 20 < np.sum(first >= 0) < 30 and np.sum(first > 100) > 2
+
+
 class TestTrigTerm:
     """The catalog's generating terms as (modes, coefficients) against the
     closed forms the catalog used to hold."""

@@ -198,6 +198,21 @@ class TestTrappedOrbitWindows:
                 assert np.array_equal(getattr(rec, f), getattr(ref, f))
             assert (rec.max_step_dE, rec.max_abs_J) == (ref.max_step_dE, ref.max_abs_J)
 
+    @pytest.mark.parametrize("window", [1, 7, maps.WINDOW])
+    def test_energies_are_those_of_the_whole_orbit(self, window, monkeypatch):
+        """Energies filled window by window equal one evaluation over the whole
+        orbit, and the step and |J| maxima run across the windows' seams."""
+        monkeypatch.setattr(maps, "WINDOW", window)
+        for m, site, J0, p0, b in WINDOW_CASES + [WINDOW_CASES[2][:4] + (0,)]:
+            rec = trapped_orbit(m, site, np.array(J0 + p0), b)
+            nm, X, d = build_nucleus(m, site), rec.x, m.d
+            centered = X.copy()
+            centered[:, d:] -= 0.5 * site.n * nm.sqrt_eps * (X[:, :d] @ nm.hessian.T)
+            E = nucleus_energy(nm, centered)
+            assert np.array_equal(rec.energy, E)
+            assert rec.max_step_dE == float(np.max(np.abs(np.diff(E)), initial=0.0))
+            assert rec.max_abs_J == float(np.max(np.linalg.norm(X[:, :d], axis=-1)))
+
     def test_exit_index_matches_per_block_loop(self):
         exits = []
         for m, site, J0, p0, b in WINDOW_CASES:

@@ -68,9 +68,15 @@ def test_ab_bench_rounds_alternate_and_pair():
     def run(side):
         calls.append(side)
         wall = {"a": 20.0, "b": 10.0, "aa": 20.0}[side] + len(calls)
-        return {"wall_s": wall, "cpu_s": wall, "peak_rss_mb": 1.0}
+        return {"wall_s": wall, "cpu_s": wall, "peak_rss_mb": 1.0, "setup_s": wall / 100}
 
     res = ab_bench.rounds("test", run, 2)
+    # a workload's run carries its setup row, paired like the others
+    assert list(res) == ["wall_s", "cpu_s", "peak_rss_mb", "setup_s"]
+    assert res["setup_s"]["b"] == [0.12, 0.15] and res["setup_s"]["b_wins"] == 2
+    # a Tier-1 run has no setup row
+    assert "setup_s" not in ab_bench.rounds("tier1", lambda side: {"wall_s": 1.0, "cpu_s": 1.0,
+                                                                     "peak_rss_mb": 1.0}, 1)
     # ABBA: each round one A/B pair and one A/A' pair, the order flipped every round
     assert calls == ["a", "b", "a", "aa", "b", "a", "aa", "a"]
     # B pairs with the first A run of its round, A' with the second
@@ -79,3 +85,16 @@ def test_ab_bench_rounds_alternate_and_pair():
     assert res["wall_s"]["b_wins"] == 2
     # quartiles interpolate linearly between the order statistics
     assert res["wall_s"]["a_q1_med_q3"] == [22.25, 23.5, 24.75]
+
+
+@pytest.mark.parametrize("workload", ["scan", "nucleus", "embed"])
+def test_ab_bench_setup_row_validates_the_workload_configs(workload, tmp_path):
+    ab_bench = load("ab_bench")
+    commands = ab_bench.workloads.write_configs(workload, 1, str(tmp_path))
+    src = str(SCRIPTS.parent / "src")
+    assert 0.0 < ab_bench.setup_once(src, commands) < 60.0
+    # a config the CLI refuses fails the row
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"map": {"name": "standard", "eps": 1e-4}, "nucleus": {}}')
+    with pytest.raises(SystemExit, match="exited 1"):
+        ab_bench.setup_once(src, [("nucleus", str(bad))])
