@@ -16,7 +16,7 @@ import os
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # Set before numpy loads, since its bundled OpenBLAS reads it once at start.
-# The kernels avoid BLAS (see `maps._KickWork`) and its few calls are on
+# The kernels avoid BLAS (see `maps._kick_body`) and its few calls are on
 # 2d x 2d matrices, but by default OpenBLAS starts a worker thread that
 # spin-waits for about 0.1 s of CPU in every CLI process, and a `--workers`
 # pool would fork a multi-threaded parent.  A caller's own value is kept.

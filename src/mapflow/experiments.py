@@ -268,10 +268,7 @@ class _Scan:
         state in the window takes them state by state (`_state_maxima`), and
         a confinement crossing is looked up state by state only in the
         columns of the seeds whose window maximum exceeds the radius."""
-        d, end = self.model.d, done + steps
-        left = (rows[:0], x[:0])
-        if not len(rows):  # the engine would walk its windows with no seed
-            return left
+        d, left = self.model.d, (rows, x)
         for live, xs, first in maps._orbits(self.model, x, steps, 1):
             seeds, Is = rows[live], xs[..., :d]
             I0 = self.x0[seeds, :d]
@@ -291,8 +288,7 @@ class _Scan:
             self.exc[seeds] = np.maximum(self.exc[seeds], dev)
             self.step_drift[seeds] = np.maximum(self.step_drift[seeds], dstep)
             done += xs.shape[0] - 1
-            if done == end:
-                left = (seeds[~escaped], xs[-1, ~escaped])
+            left = (seeds[~escaped], xs[-1, ~escaped])
             del xs, Is  # keep no view of this window while the engine writes the next
         return left
 

@@ -24,10 +24,10 @@ the tolerance, so a batched solve is its one-point solves bit for bit.
 Every step, forward or inverse, runs through `propagate`, one windowed
 kernel that checks the domain once per call.  Trigonometric generating
 terms are held as data (`TrigTerm`, which keeps no state); their models
-step both ways in `_propagate_trig`, which runs one point on Python floats
-in a straight-line body compiled once per term and direction
-(`_point_body`) and every larger batch in the row program of a `_KickWork`
-built per call, both read from the term's `_KickPlan` and bitwise equal.
+step both ways in `_propagate_trig`, in straight-line bodies that one
+compiler (`_kick_body`) writes from the term's `_KickPlan` once per term,
+batch size (one point on Python floats, or a batch of rows) and direction,
+all bitwise equal.
 `_step` and `_step_back` are the forward and inverse bodies of callback
 models.  `_orbits` is the one orbit engine, both ways, in windows bounded
 in states (`WINDOW`), and the one place where a step fails.
@@ -310,52 +310,30 @@ def _fused_term(model: MapModel) -> Optional[TrigTerm]:
 
 def _propagate_trig(eps: float, term: TrigTerm, x: np.ndarray, steps: int):
     """`_step` of a fused-trig model, `_step_back` for a negative ``steps``,
-    on preallocated component-major rows.
-
-    One point (n = 1) steps in `_propagate_point`, on Python floats, through
-    the term's compiled body for the direction; every other batch runs the
-    row program below, on a `_KickWork` built for the call.  The orbit is
+    in the term's compiled body for the batch size and direction
+    (`_kick_body`).  One point (n = 1) steps on Python floats, where numpy's
+    per-call dispatch would cost more than the arithmetic, and the doubles
+    its body returns are the orbit without a copy.  Every other batch is
     stored as (|steps|+1, 2d, n) and returned in the point-major layout
     (|steps|+1, ..., 2d) as a strided view of that storage, never a copy:
     the transpose only swaps strides and the reshape only splits the point
-    axis.  A forward step reduces the angles into the work's rows, runs its
-    kick program and divides by 2 pi (s_phi), then takes eps times it off
-    the actions and adds the new actions to the angles: `_step`'s
-    operations with the term's callbacks, in its order (frac, s_phi, times
-    eps, I - ., phi + I').  A backward step takes the actions off the angles
-    first, then reduces those, kicks and adds eps times the kick to the
-    actions: `_step_back`'s (phi' - I', frac, s_phi, times eps, I' + .).
-    So every state is bitwise equal to stepping `_step` or `_step_back`, at
-    any batch size.
+    axis.  A forward step reduces the angles, kicks (s_phi), takes eps
+    times the kick off the actions and adds the new actions to the angles:
+    `_step`'s operations with the term's callbacks, in its order (frac,
+    s_phi, times eps, I - ., phi + I').  A backward step takes the actions
+    off the angles first, then reduces those, kicks and adds eps times the
+    kick to the actions: `_step_back`'s (phi' - I', frac, s_phi, times eps,
+    I' + .).  So every state is bitwise equal to stepping `_step` or
+    `_step_back`, at any batch size.
     """
     shape, d = x.shape, term.d
     n, back, count = x.size // (2 * d), steps < 0, abs(steps)
     if n == 1:
-        return _propagate_point(eps, term._point[back], x, steps)
+        xs = term._point[back](x.ravel().tolist(), float(eps), count)
+        return np.frombuffer(xs).reshape((count + 1,) + shape)
     xs = np.empty((count + 1, 2 * d, n))
     xs[0] = x.reshape(n, 2 * d).T
-    Is, ps = xs[:, :d], xs[:, d:]
-    work = _KickWork(term._plan, n)
-    # grad and the consumed angles serve as scratch rows around the program
-    ops, G, two_pi = work.ops, work.G, work.two_pi
-    ang, grad, eps = work.angles, work.grad, np.array(eps)
-    I0, p0 = Is[0], ps[0]
-    for I1, p1 in zip(Is[1:], ps[1:]):
-        if back:
-            np.subtract(p0, I0, p1)
-        src = p1 if back else p0  # the angles the kick reads
-        np.floor(src, grad)
-        np.subtract(src, grad, ang)
-        for f, args in ops:
-            f(*args)
-        np.divide(G, two_pi, grad)
-        np.multiply(grad, eps, ang)
-        if back:
-            np.add(I0, ang, I1)
-        else:
-            np.subtract(I0, ang, I1)
-            np.add(p0, I1, p1)
-        I0, p0 = I1, p1
+    term._batch[back](xs, eps)
     return xs.transpose(0, 2, 1).reshape((count + 1,) + shape)
 
 
@@ -363,88 +341,143 @@ def _dot(r, terms):
     """sum of w * r[i] over (i, w) in terms, left to right, on floats or
     arrays; 0.0 if empty.  The one rule of the package's weighted sums: the
     trig terms' phases and sums (on arrays in `TrigTerm`, and written out as
-    code in the one-point bodies by `_sum_source`) and the DOP853 stages.
-    No dot product over the terms, so a row never depends on the rest of
-    the batch.  x * 1 is x, and a + x * w
-    is a - x * |w| for w < 0, so these are also the bits of `_lincomb`'s
-    recorded calls."""
+    code in its step bodies by `_sum_source`) and the DOP853 stages.  No dot
+    product over the terms, so a row never depends on the rest of the batch.
+    x * 1 is x, and a + x * w is a - x * |w| for w < 0, so these are also
+    the bits of the code that `_sum_source` writes."""
     acc = None
     for i, w in terms:
         acc = r[i] * w if acc is None else acc + r[i] * w
     return 0.0 if acc is None else acc
 
 
-def _propagate_point(eps: float, body: Callable, x: np.ndarray, steps: int):
-    """`_propagate_trig` at one point, where numpy's per-call dispatch would
-    cost more than the arithmetic: the term's compiled one-point body for
-    the direction (`_point_body`) steps the point on Python floats, and the
-    doubles it returns are the (|steps|+1, ..., 2d) orbit, as
-    `_propagate_trig` returns it, without a copy."""
-    xs = body(x.ravel().tolist(), float(eps), abs(steps))
-    return np.frombuffer(xs).reshape((abs(steps) + 1,) + x.shape)
-
-
-def _sum_source(row: str, terms) -> str:
-    """`_dot`'s rule over (i, w) in terms as a Python expression on the
-    variables row + str(i), in the form `_lincomb` records: x * 1 is x, and
-    a + x * w is a - x * |w| for w < 0 (the same bits); "0.0" if empty."""
-    out = ""
+def _sum_source(row: str, terms, out: Optional[str] = None, const=repr) -> str | list:
+    """`_dot`'s rule over (i, w) in terms as source on the variables
+    row + str(i), in one of two forms: with no ``out``, one float
+    expression ("0.0" if empty); with the name of an output row, the lines
+    of ufunc calls that write the sum into it, with positional outputs and
+    the row ``tmp`` as scratch (an empty sum fills it with zeros).  x * 1
+    is x, and a + x * w is a - x * |w| for w < 0 (the same bits).
+    ``const`` writes a weight as source."""
+    code, acc = [], None
     for i, w in terms:
-        x = f"{row}{i}"
-        if not out:
-            out = x if w == 1 else f"{x} * {w!r}"
+        x, k = f"{row}{i}", w if acc is None else abs(w)
+        if k != 1 and out is None:
+            x = f"{x} * {const(k)}"
+        elif k != 1:
+            dst = out if acc is None else "tmp"
+            code.append(f"multiply({x}, {const(k)}, {dst})")
+            x = dst
+        if acc is None:
+            acc = x
+        elif out is None:
+            acc += f" {'+' if w > 0 else '-'} {x}"
         else:
-            out += f" {'+' if w > 0 else '-'} {x}" + ("" if abs(w) == 1 else f" * {abs(w)!r}")
-    return out or "0.0"
+            code.append(f"{'add' if w > 0 else 'subtract'}({acc}, {x}, {out})")
+            acc = out
+    if out is None:
+        return acc or "0.0"
+    if acc is None:
+        return [f"{out}.fill(0.0)"]
+    return code if acc == out else code + [f"copyto({out}, {acc})"]
 
 
-def _point_body(plan: _KickPlan, back: bool):
-    """The one-point step of a term's kick plan, forward or backward,
-    compiled once into a straight-line Python function
-    ``body(x, eps, steps)``: it takes the 2d floats x = (I, phi) through
-    ``steps`` steps and returns the (steps+1) 2d doubles, state after state,
-    in an `array.array` (8 bytes a value, where a list of floats would hold
-    32 for each).
+def _kick_body(plan: _KickPlan, back: bool, batch: bool):
+    """The step of a term's kick plan, forward or backward, compiled once
+    into a straight-line Python function.  For one point, ``body(x, eps,
+    steps)`` takes the 2d floats x = (I, phi) through ``steps`` steps and
+    returns the (steps+1) 2d doubles, state after state, in an
+    `array.array` (8 bytes a value, where a list of floats would hold 32
+    for each).  For a batch, ``body(xs, eps)`` steps the component-major
+    orbit buffer xs (steps+1, 2d, n) on from xs[0], in place.
 
-    Every value takes the row program's operations in its order: backward,
-    the actions taken off the angles first; angles reduced by ``p % 1.0``
-    (bitwise ``p - floor(p)``, and NaN where an angle is not finite), the
-    non-unit phases, sin(2 pi row) over the phase rows and the angle rows
-    that a scale or a sum reads (every one when the plan has no sums), the
-    scaled rows, the component sums, then I' = I - (G / 2 pi) eps and
-    phi' = phi + I' (backward, I = I' + (G / 2 pi) eps).  The phases and
-    sums are `_dot`'s rule (`_sum_source`) and the plan's weights are float
-    literals (``repr`` round-trips).  Python's float arithmetic is numpy's
-    float64 arithmetic, and `math.sin` is the libm sin that numpy's float64
-    sin calls, so every state is bitwise the row program's.  (A numpy build
-    with a vectorized double sin of its own would part the two bodies;
-    `test_point_body_bitwise_equals_its_row_in_a_batch` would show it.)
+    Both take the same operations in the same order: backward, the actions
+    taken off the angles first; the angles reduced (p - floor(p), bitwise
+    ``p % 1.0``, NaN where an angle is not finite), the non-unit phases,
+    sin(2 pi row) over the plan's ``sines``, the scaled rows, the component
+    sums, then I' = I - (G / 2 pi) eps and phi' = phi + I' (backward,
+    I = I' + (G / 2 pi) eps).  The phases and sums are `_dot`'s rule
+    (`_sum_source`).  The point body runs them on Python floats, with the
+    plan's weights as float literals (``repr`` round-trips).  The batch
+    body runs each as one ufunc call on a block of rows of one buffer
+    allocated per call, a sine over each run of consecutive rows: no
+    reduction over a short axis, and no dot or matmul, whose BLAS kernels
+    could make a row depend on the batch.  At small batches the per-call
+    cost of a ufunc dominates, so no call but a sum's running total writes
+    over its own input (numpy's overlap check would double its cost), the
+    outputs are positional and the constants are 0-d arrays.
+
+    Python's float arithmetic is numpy's float64 arithmetic, and `math.sin`
+    is the libm sin that numpy's float64 sin calls, so the two bodies are
+    bitwise equal.  (A numpy build with a vectorized double sin of its own
+    would part them; `test_point_body_bitwise_equals_its_row_in_a_batch`
+    would show it.)  ``sin`` is an argument of both, for tests to count its
+    calls.
     """
-    d, two_pi = plan.d, repr(TWO_PI)
-    Is, ps = [f"I{i}" for i in range(d)], [f"p{i}" for i in range(d)]
-    step = [f"p{i} -= I{i}" for i in range(d)] if back else []
-    step += [f"r{i} = p{i} % 1.0" for i in range(d)]
-    read = (range(d) if plan.sums is None
-            else {src for src, _, _ in plan.scales} | {i for s in plan.sums for i, _ in s})
-    step += [f"y{i} = sin(r{i} * {two_pi})" for i in range(d) if i in read]
-    step += [f"y{o} = sin(({_sum_source('r', terms)}) * {two_pi})" for o, terms in plan.phases]
-    step += [f"y{dst} = y{src} * {c!r}" for src, c, dst in plan.scales]
-    G = ([f"y{i}" for i in range(d)] if plan.sums is None
-         else [f"({_sum_source('y', s)})" for s in plan.sums])
-    for i, g in enumerate(G):
-        kick = f"{g} / {two_pi} * eps"
-        step += [f"I{i} += {kick}"] if back else [f"I{i} -= {kick}", f"p{i} += I{i}"]
-    step += [f"append({v})" for v in Is + ps]
-    source = "\n".join([
-        "def body(x, eps, steps, sin=sin):",
-        f"    {', '.join(Is + ps)} = x",
-        "    xs = array('d', x)",
-        "    append = xs.append",
-        "    for _ in range(steps):",
-        *("        " + line for line in step),
-        "    return xs"])
-    scope = {"sin": math.sin, "array": array.array}
-    exec(compile(source, "<kick plan point body>", "exec"), scope)
+    d, rows, top = plan.d, plan.rows, plan.sin_rows
+    scope = {"sin": math.sin, "array": array.array}  # the batch body takes numpy's
+
+    def const(w):  # a weight as source: a 0-d array in the batch body's scope
+        if not batch:
+            return repr(w)
+        name = f"k{len(scope)}"
+        scope[name] = np.array(w)
+        return name
+
+    two_pi, Is, ps = const(TWO_PI), [f"I{i}" for i in range(d)], [f"p{i}" for i in range(d)]
+    if not batch:
+        step = [f"p{i} -= I{i}" for i in range(d)] if back else []
+        phase = {o: f"({_sum_source('r', terms)})" for o, terms in plan.phases}
+        step += [f"r{i} = p{i} % 1.0" for i in range(d)]
+        step += [f"b{r} = sin({phase.get(r, f'r{r}')} * {two_pi})" for r in plan.sines]
+        step += [f"b{dst} = b{src} * {c!r}" for src, c, dst in plan.scales]
+        G = ([f"b{i}" for i in range(d)] if plan.sums is None
+             else [f"({_sum_source('b', s)})" for s in plan.sums])
+        for i, g in enumerate(G):
+            kick = f"{g} / {two_pi} * eps"
+            step += [f"I{i} += {kick}"] if back else [f"I{i} -= {kick}", f"p{i} += I{i}"]
+        step += [f"append({v})" for v in Is + ps]
+        args, tail = "x, eps, steps", ["return xs"]
+        head = [f"{', '.join(Is + ps)} = x", "xs = array('d', x)", "append = xs.append",
+                "for _ in range(steps):"]
+    else:
+        g = rows + top  # the buffer: rows of Y, of X (the first d: grad), of G (if any), tmp
+        size = g + (0 if plan.sums is None else d) + 1
+        runs = []  # [first, last + 1] of each run of consecutive sine rows
+        for r in plan.sines:
+            if runs and runs[-1][1] == r:
+                runs[-1][1] += 1
+            else:
+                runs.append([r, r + 1])
+        angles = "p1" if back else "p0"  # the angles the kick reads
+        step = ["subtract(p0, I0, p1)"] if back else []
+        step += [f"floor({angles}, grad)", f"subtract({angles}, grad, ang)"]
+        for o, terms in plan.phases:
+            step += _sum_source("b", terms, f"b{o}", const)
+        for r, end in runs:
+            step += [f"multiply(Y{r}, {two_pi}, X{r})", f"sin(X{r}, Y{r})"]
+        step += [f"multiply(b{src}, {const(c)}, b{dst})" for src, c, dst in plan.scales]
+        for i, s in enumerate(plan.sums or ()):
+            step += _sum_source("b", s, f"b{g + i}", const)
+        step += [f"divide(G, {two_pi}, grad)", "multiply(grad, eps, ang)"]
+        step += ["add(I0, ang, I1)"] if back else ["subtract(I0, ang, I1)", "add(p0, I1, p1)"]
+        step += ["I0, p0 = I1, p1"]
+        args, tail = "xs, eps", []
+        head = [f"buf = empty(({size}, xs.shape[2]))",
+                ", ".join(f"b{i}" for i in range(size)) + ", = buf",
+                f"ang, grad, tmp = buf[:{d}], buf[{rows}:{rows + d}], b{size - 1}",
+                "G = ang" if plan.sums is None else f"G = buf[{g}:{g + d}]",
+                *(f"Y{r}, X{r} = buf[{r}:{end}], buf[{rows + r}:{rows + end}]" for r, end in runs),
+                "eps = array(eps)",
+                f"Is, ps = xs[:, :{d}], xs[:, {d}:]",
+                "I0, p0 = Is[0], ps[0]",
+                "for I1, p1 in zip(Is[1:], ps[1:]):"]
+        scope.update((f.__name__, f) for f in (np.sin, np.add, np.subtract, np.multiply,
+                                                np.divide, np.floor, np.copyto, np.empty,
+                                                np.array))
+    source = "\n".join([f"def body({args}, sin=sin):", *("    " + line for line in head),
+                        *("        " + line for line in step), *("    " + line for line in tail)])
+    exec(compile(source, "<kick plan body>", "exec"), scope)
     return scope["body"]
 
 
@@ -458,11 +491,10 @@ def propagate(model: MapModel, x: np.ndarray, steps: int):
     sigma-extended domain from which a step was taken; backward, the first
     result outside, less one (a result is the start of a forward step).
     Models with a `TrigTerm` in place step through `_propagate_trig` both
-    ways: one point on Python floats, a larger batch in the term's row
-    program.  Callback models step through `_step` or `_step_back` on the
-    (I, phi) halves of the orbit buffer; a NoConvergence after an escape
-    ends the orbit at the failing step's source state and is dropped, so
-    the escape is reported first.
+    ways, in the term's compiled bodies.  Callback models step through
+    `_step` or `_step_back` on the (I, phi) halves of the orbit buffer; a
+    NoConvergence after an escape ends the orbit at the failing step's
+    source state and is dropped, so the escape is reported first.
     """
     x = np.asarray(x, dtype=float)
     d, back, n = model.d, int(steps < 0), abs(steps)
@@ -497,12 +529,15 @@ def _orbits(model: MapModel, x0: np.ndarray, count: int, every: int):
     windows after it grow; no view of a window outlives it.  The engine
     reads ``first`` only when it is resumed, so a consumer that writes an
     exit index (>= 0) into a seed's entry before resuming it drops that seed
-    as well."""
+    as well.  No seed takes no step: one window of the orbit's shape."""
     stride, sign, done = abs(every), -1 if every < 0 else 1, 0
     total = count * stride
     live, x = np.arange(len(x0)), x0
+    if not len(x0) and total:
+        yield live, np.empty((total + 1,) + x0.shape), np.full(0, -1)
+        return
     while done < total:
-        per = max(1, WINDOW // (max(1, len(x)) * stride)) * stride
+        per = max(1, WINDOW // (len(x) * stride)) * stride
         xs, first = propagate(model, x, sign * min(per, total - done))
         end = len(xs) - 1
         done, x = done + end, xs[end]
@@ -510,7 +545,7 @@ def _orbits(model: MapModel, x0: np.ndarray, count: int, every: int):
             first[(first < 0) & ~np.isfinite(x).all(-1)] = end
         yield live, xs, first
         keep = first < 0
-        if done == total or len(keep) and not keep.any():  # last window, or all escaped
+        if done == total or not keep.any():  # last window, or all escaped
             return
         live, x = live[keep], x[keep]  # copies, not views of xs
         del xs
@@ -627,36 +662,6 @@ def _zero_matrix(I, phi):
     return np.zeros(I.shape[:-1] + (d, d))
 
 
-def _lincomb(terms, out, tmp) -> list:
-    """`_dot`'s rule recorded into a `_KickWork` program: the calls that put
-    out = sum of w * x over the (x, w) in terms, left to right, as (ufunc,
-    args) pairs, so the rows are read when the program runs.
-
-    A weight of +-1 is not multiplied out, which saves one ufunc call per
-    term at batch 1 and gives `_dot`'s bits; an empty sum is zero (the s_phi
-    row of an angle that no mode uses).  ``tmp`` is scratch of out's shape.
-    Outputs are positional (see `_KickWork`).
-    """
-    ops, acc = [], None
-    for x, w in terms:
-        if acc is None:
-            if w != 1:
-                ops.append((np.multiply, (x, w, out)))
-                x = out
-            acc = x
-            continue
-        if abs(w) != 1:
-            ops.append((np.multiply, (x, abs(w), tmp)))
-            x = tmp
-        ops.append((np.add if w >= 0 else np.subtract, (acc, x, out)))
-        acc = out
-    if acc is None:
-        ops.append((out.fill, (0.0,)))
-    elif acc is not out:
-        ops.append((np.copyto, (out, acc)))
-    return ops
-
-
 @dataclass(frozen=True, eq=False)
 class TrigTerm:
     """An action-independent trigonometric generating term, held as data::
@@ -667,9 +672,9 @@ class TrigTerm:
     coefficients c_j (``coeffs``, shape (J,)).  The callbacks `s`, `s_I`,
     `s_phi`, `s_phiphi` and the sup norms derive from (K, c).  Phases
     k_j . phi and the sums over modes run left to right over the nonzero
-    entries, by `_dot`'s rule.  The kick plan and the one-point bodies
-    compiled from it are built with the term and never change; a copy or
-    an unpickled term builds its own from (K, c).
+    entries, by `_dot`'s rule.  The kick plan and the step bodies compiled
+    from it are built with the term and never change; a copy or an
+    unpickled term builds its own from (K, c).
     """
 
     modes: np.ndarray
@@ -687,8 +692,11 @@ class TrigTerm:
         object.__setattr__(self, "coeffs", c)
         plan = _KickPlan.of(self.modes, c)
         object.__setattr__(self, "_plan", plan)
-        # the compiled one-point bodies, forward and backward (`_point_body`)
-        object.__setattr__(self, "_point", (_point_body(plan, False), _point_body(plan, True)))
+        # the compiled step bodies (`_kick_body`), forward and backward
+        object.__setattr__(self, "_point", (_kick_body(plan, False, False),
+                                            _kick_body(plan, True, False)))
+        object.__setattr__(self, "_batch", (_kick_body(plan, False, True),
+                                            _kick_body(plan, True, True)))
 
     def __reduce__(self):
         # the compiled bodies do not pickle; a copy compiles its own
@@ -723,15 +731,18 @@ class TrigTerm:
         return np.zeros_like(np.asarray(I, dtype=float))
 
     def s_phi(self, I, phi):
-        """The kick program of the fused body, on the rows of a `_KickWork`
-        built for the call."""
+        """The kick of the step bodies on arrays: the plan's phases and sums
+        by `_dot`, and the sines of its ``sines`` rows."""
         phi = np.asarray(phi, dtype=float)
-        d = self.d
-        n = phi.size // d
-        work = _KickWork(self._plan, n)
-        work.angles[...] = phi.reshape(n, d).T
+        plan = self._plan
+        y = list(np.moveaxis(phi, -1, 0))
+        y += [_dot(y, terms) for _, terms in plan.phases]
+        for r in plan.sines:
+            y[r] = np.sin(y[r] * TWO_PI)
+        y += [y[src] * c for src, c, _ in plan.scales]
         out = np.empty(phi.shape)
-        work.kick(out.reshape(n, d).T)
+        for i in range(self.d):
+            out[..., i] = (y[i] if plan.sums is None else _dot(y, plan.sums[i])) / TWO_PI
         return out
 
     def s_phiphi(self, I, phi):
@@ -747,8 +758,8 @@ class TrigTerm:
 
 class _KickPlan(NamedTuple):
     """Row indices of the kick and its weights as Python floats, fixed per
-    term: `_KickWork` records its program from them, and `_point_body`
-    compiles them into the one-point bodies.
+    term: `_kick_body` compiles them into the term's step bodies, and
+    `TrigTerm.s_phi` evaluates them.
 
     Rows of Y: the d angles, one phase row per mode that is not a unit
     vector e_i (a unit mode reads its angle row), then one row per mode
@@ -761,6 +772,7 @@ class _KickPlan(NamedTuple):
     phases: list                # (row, [(angle row, k_ji)]) per non-unit mode
     scales: list                # (sine row, c_j, row)
     sums: Optional[list]        # [(row, k_ji)] per component; None: row i alone
+    sines: list                 # the angle and phase rows that a scale or a sum reads
 
     @classmethod
     def of(cls, K: np.ndarray, c: np.ndarray) -> "_KickPlan":
@@ -776,61 +788,11 @@ class _KickPlan(NamedTuple):
         scales = [(row[j], float(c[j]), top + t) for t, j in enumerate(scaled)]
         row.update((j, top + t) for t, j in enumerate(scaled))  # now c_j sin(2 pi theta_j)
         sums = [[(row[j], float(K[j, i])) for j in range(len(K)) if K[j, i]] for i in range(d)]
+        read = {src for src, _, _ in scales} | {j for s in sums for j, _ in s}
+        sines = sorted(r for r in read if r < top)
         if all(s_i == [(i, 1)] for i, s_i in enumerate(sums)):
             sums = None  # s_phi_i is the sine of angle i alone
-        return cls(d, top + len(scaled), top, phases, scales, sums)
-
-
-class _KickWork:
-    """Work rows and the compiled kick program for s_phi of a `TrigTerm`,
-    on component-major arrays.
-
-    Component i of the angles and of s_phi is the row ``angles[i]``, resp.
-    ``grad[i]``, of n points, so every operation is one element-wise ufunc
-    on contiguous rows: no reduction over a short axis, and no dot or
-    matmul, whose BLAS kernels could make a row depend on the batch.
-
-    ``ops`` is the kick as a program, recorded once from the plan: a tuple
-    of (ufunc, args) calls on these rows, which forms the non-unit phases
-    (`_lincomb`), takes sin(2 pi Y) into Y, scales the rows of coefficients
-    other than 1 and sums the rows of each component (`_lincomb`) into
-    ``G``.  Running it is ``for f, args in ops: f(*args)`` followed by the
-    divide of ``G`` by 2 pi into the caller's rows, as `kick` and the
-    `_propagate_trig` loop do; the reduced angles in ``angles`` are
-    consumed.  A work belongs to the one call that builds it: each
-    `_propagate_trig` call at two points and more, and each `s_phi` call;
-    one point steps in its compiled body and builds no work.  At small
-    batches the per-call cost of a ufunc dominates, so no call writes over
-    its own input (numpy's overlap check would double its cost), the outputs
-    are positional and the constants are 0-d arrays.
-    """
-
-    two_pi = np.array(TWO_PI)
-
-    def __init__(self, plan: _KickPlan, n: int):
-        # one buffer: the rows of Y, of X, of the sums G (if any), scratch
-        d, rows, top = plan.d, plan.rows, plan.sin_rows
-        g = rows + top
-        buf = np.empty((g + (0 if plan.sums is None else d) + 1, n))
-        Y, X, tmp = buf[:top], buf[rows:g], buf[-1]
-        self.angles, self.grad = buf[:d], buf[rows:rows + d]
-        self.G = self.angles if plan.sums is None else buf[g:g + d]
-        ops = []
-        for o, terms in plan.phases:
-            ops += _lincomb([(buf[i], k) for i, k in terms], buf[o], tmp)
-        ops += [(np.multiply, (Y, self.two_pi, X)), (np.sin, (X, Y))]
-        ops += [(np.multiply, (buf[src], np.array(cj), buf[dst])) for src, cj, dst in plan.scales]
-        for i, s_i in enumerate(plan.sums or ()):
-            ops += _lincomb([(buf[j], k) for j, k in s_i], buf[g + i], tmp)
-        self.ops = tuple(ops)
-
-    def kick(self, grad):
-        """s_phi into the (d, n) rows ``grad`` from the reduced angles in
-        ``angles``.  ``grad`` may be the work's own ``grad`` rows or any
-        array outside the work buffer."""
-        for f, args in self.ops:
-            f(*args)
-        np.divide(self.G, self.two_pi, grad)
+        return cls(d, top + len(scaled), top, phases, scales, sums, sines)
 
 
 def _catalog_domain(d: int, norm_a: float = 0.0, norm_b: float = 0.0,

@@ -173,8 +173,8 @@ def write_csv_rows(path, header, rows):
 
 
 # The s_phi kick of a trigonometric term as the fused body ran it before its
-# calls were recorded as a program, frozen: the program must give the same
-# bits.  s = -sum_j c_j cos(2 pi k_j . phi) / (2 pi)^2, so s_phi_i =
+# calls were recorded as a program, frozen: s_phi and the compiled step
+# bodies must give the same bits.  s = -sum_j c_j cos(2 pi k_j . phi) / (2 pi)^2, so s_phi_i =
 # sum_j k_ji c_j sin(2 pi k_j . phi) / 2 pi.
 
 def _lincomb_rows(terms, like):

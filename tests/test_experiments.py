@@ -277,7 +277,7 @@ class TestStabilityScan:
                     for g in got] == ref
 
     @pytest.mark.parametrize("case", ["pilot_shorter", "pilot_longer", "rescan", "steep",
-                                      "twist"])
+                                      "twist", "no_pilot", "no_scan"])
     def test_calibrated_scan_is_pilot_then_scan(self, case, rng, monkeypatch):
         """The pilot riding in the scan's batch gives the records, calibration
         and radius of `pilot_confinement` followed by `stability_scan` at
@@ -297,6 +297,10 @@ class TestStabilityScan:
             x0[:3, 0] = [1.0, 1.01, 0.99]
         if case == "twist":
             m, x0 = catalog("twist", 0.0, d=2), x0
+        if case == "no_pilot":  # a run of zero steps keeps its seeds
+            pilot_horizon = 0
+        if case == "no_scan":
+            horizon = 0
         recs, cal, radius = experiments.calibrated_scan(m, x0, horizon, pilot_horizon)
         want_cal = pilot_confinement(m, horizon=pilot_horizon)
         want_radius = (experiments.RADIUS_FACTOR * want_cal.radius(m.eps)
@@ -312,6 +316,10 @@ class TestStabilityScan:
             assert early >= 1
         if case == "twist":
             assert radius is None and cal.c1 == 0.0 and not exits
+        if case == "no_pilot":
+            assert cal.c1 == 0.0 and all(r.excursion > 0 for r in recs)
+        if case == "no_scan":
+            assert cal.c1 > 0 and all(r.excursion == 0 for r in recs)
 
     def test_pilot_calibration_scales(self):
         m = catalog("standard", 1e-3)

@@ -30,7 +30,6 @@ from mapflow.maps import (
     MapModel,
     TrigTerm,
     _fused_term,
-    _KickWork,
     _dot,
     _orbits,
     _picard,
@@ -149,6 +148,17 @@ class TestIterate:
         assert back.shape == (2, 2) and np.array_equal(back[0], x0)
         assert np.allclose(standard_map.apply(back[1]), x0, atol=1e-14)
 
+    @pytest.mark.parametrize("name", ["froeschle2", "twist"])
+    def test_empty_batch_takes_no_step(self, name, monkeypatch):
+        """No seed: the orbits have their shapes, both ways, and the scan its
+        records, without a call of `propagate`."""
+        m, calls = catalog(name, 1e-3, **({"d": 2} if name == "twist" else {})), []
+        monkeypatch.setattr(maps, "propagate", lambda *args: calls.append(args))
+        for steps in (10**5, -7, 0):
+            assert m.orbit(np.empty((0, 4)), steps).shape == (abs(steps) + 1, 0, 4)
+        assert stability_scan(m, np.empty((0, 4)), 10**5, 0.1) == []
+        assert calls == []
+
     def test_twist_angles(self):
         m = catalog("twist", 0.0)
         orb = m.orbit(np.array([0.5, 0.0]), 3)
@@ -247,7 +257,7 @@ class TestKernel:
     @example(spec=NEGATIVE_WEIGHT_TERM, eps=2.0, odd=ODD_ANGLES, seed=4)
     def test_point_body_bitwise_equals_its_row_in_a_batch(self, spec, eps, odd, seed):
         """One point steps on Python floats, both ways; it must give the bits
-        of its row in a batch of 7, which runs the row program, of `_step`
+        of its row in a batch of 7, which runs the batch body, of `_step`
         (forward) or `_step_back` (backward), and of the frozen kick."""
         model = _trig_model("term", eps, *spec)
         term, d, steps = model.s_phi.__self__, model.d, 320
@@ -256,11 +266,11 @@ class TestKernel:
         phi0[np.arange(7), rng.integers(0, d, 7)] = odd  # one odd angle per point
         x0 = np.concatenate([I0, phi0], axis=-1)
         def refuse(*args):
-            raise AssertionError("one point built a row program")
+            raise AssertionError("one point ran a batch body")
 
         for n in (steps, -steps):
             with pytest.MonkeyPatch.context() as mp:  # one point takes the float body
-                mp.setattr(maps, "_KickWork", refuse)
+                mp.setitem(term.__dict__, "_batch", (refuse, refuse))
                 alone = [_propagate_trig(eps, term, x0[k], n) for k in range(7)]
             with np.errstate(all="ignore"):
                 xs = _propagate_trig(eps, term, x0, n)
@@ -278,26 +288,39 @@ class TestKernel:
                         assert _same_bits(p1[1:], p1[:-1] - I1[:-1])
                         assert _same_bits(I1[1:], I1[:-1] + kick * eps)
 
-    @pytest.mark.parametrize("model, sines", [
-        (catalog("standard", 0.3), 1), (catalog("froeschle2", 0.3, eta=-0.7), 3),
-        (_trig_model("general", 0.2, *GENERAL_TERM), 4),
-        (_trig_model("unused", 0.2, *UNUSED_ANGLE_TERM), 2)],
+    @pytest.mark.parametrize("model, sines, runs", [
+        (catalog("standard", 0.3), 1, 1), (catalog("froeschle2", 0.3, eta=-0.7), 3, 1),
+        (_trig_model("general", 0.2, *GENERAL_TERM), 4, 1),
+        (_trig_model("unused", 0.2, *UNUSED_ANGLE_TERM), 2, 2)],
         ids=["standard", "froeschle2", "general", "unused_angle"])
-    def test_point_body_takes_only_the_sines_it_reads(self, model, sines):
+    def test_point_body_takes_only_the_sines_it_reads(self, model, sines, runs):
         # general: angles 0 and 1 feed only its phases, so their own sines are
-        # dead; unused_angle: angle 1 feeds nothing, angle 2 only a phase
+        # dead; unused_angle: angle 1 feeds nothing, angle 2 only a phase, so
+        # its sine rows 0 and 3 are two runs.  The batch body takes a sine per
+        # run of consecutive rows: one call per step for the catalog maps.
         term, steps = model.s_phi.__self__, 5
         x = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6][:2 * model.d]
+        xs = np.empty((steps + 1, 2 * model.d, 3))
+        xs[0] = np.array(x)[:, None] + [0.0, 0.1, 0.2]
         for back in (False, True):
-            calls = []
+            calls, rows = [], []
 
             def sin(v):
                 calls.append(v)
                 return math.sin(v)
 
+            def sin_rows(v, out):
+                rows.append(len(v))
+                return np.sin(v, out)
+
             body = term._point[back]
             assert body(x, 0.2, steps, sin=sin) == body(x, 0.2, steps)
             assert len(calls) == sines * steps
+            batch, plain = term._batch[back], xs.copy()
+            batch(xs, 0.2, sin=sin_rows)
+            batch(plain, 0.2)
+            assert np.array_equal(xs, plain)
+            assert sum(rows) == sines * steps and len(rows) == runs * steps
 
     @pytest.mark.parametrize("name, params, site", [
         ("standard", {}, ResonanceSite(n=1, omega_star=[0.0], I_star=[0.0], rho_n=0.2)),
@@ -570,7 +593,7 @@ class TestTrigTerm:
     @pytest.mark.parametrize("name, params", [("standard", {}), ("froeschle2", {"eta": 0.3})])
     def test_unpickled_model_steps_one_point_bit_for_bit(self, name, params, rng):
         """A model sent to a worker rebuilds its term from (modes, coeffs)
-        and compiles its own one-point bodies: its orbits, both ways, are
+        and compiles its own step bodies: its orbits, both ways, are
         the original's bit for bit."""
         m = catalog(name, 0.3, **params)
         clone = pickle.loads(pickle.dumps(m))
@@ -582,8 +605,8 @@ class TestTrigTerm:
 
     def test_each_term_steps_with_its_own_body(self, rng):
         """Terms built and freed in turn in one process: each steps one point
-        with the body compiled from its own plan, which the row program of
-        `_step` (a `_KickWork` per call) confirms bit for bit."""
+        with the body compiled from its own plan, which `_step` (its s_phi
+        on arrays) confirms bit for bit."""
         for name, params in [("standard", {}), ("froeschle2", {"eta": 0.3}), ("standard", {})]:
             m = catalog(name, 0.3, **params)
             I, phi = rng.uniform(-0.5, 0.5, m.d), rng.uniform(0.0, 1.0, m.d)
@@ -627,15 +650,22 @@ class TestTrigTerm:
     @example(spec=UNUSED_ANGLE_TERM, batch=100, seed=1)
     @example(spec=([[1, 0], [0, 1], [1, 1]], [1.0, 1.0, 0.3]), batch=1, seed=2)
     def test_kick_program_equals_frozen_sequence(self, spec, batch, seed):
-        term = TrigTerm(*map(np.array, spec))
-        angles = np.random.default_rng(seed).uniform(0.0, 1.0, (term.d, batch))
-        want = kick_rows(*spec, angles)
-        work = _KickWork(term._plan, batch)
-        for out in (work.grad, np.empty((term.d, batch))):  # its own rows, or the caller's
-            work.angles[...] = angles
-            work.kick(out)
-            assert np.array_equal(out, want)
-        assert np.array_equal(term.s_phi(None, angles.T), want.T)
+        """s_phi, and one step of each batch body, kick by the frozen rows."""
+        term, d, eps = TrigTerm(*map(np.array, spec)), len(spec[0][0]), 0.3
+        rng = np.random.default_rng(seed)
+        angles = rng.uniform(0.0, 1.0, (d, batch))
+        assert np.array_equal(term.s_phi(None, angles.T), kick_rows(*spec, angles).T)
+        for back in (False, True):
+            xs = np.empty((2, 2 * d, batch))
+            xs[0] = np.concatenate([rng.uniform(-0.5, 0.5, (d, batch)), angles + 3.0])
+            term._batch[back](xs, eps)
+            (I0, I1), (p0, p1) = xs[:, :d], xs[:, d:]
+            src = p0 - I0 if back else p0  # the angles the kick reads
+            kick = kick_rows(*spec, src - np.floor(src)) * eps
+            if back:
+                assert np.array_equal(p1, src) and np.array_equal(I1, I0 + kick)
+            else:
+                assert np.array_equal(I1, I0 - kick) and np.array_equal(p1, p0 + I1)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(terms=st.lists(st.tuples(st.integers(0, 3), WEIGHTS), max_size=6),
