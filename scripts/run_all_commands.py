@@ -2,10 +2,14 @@
 """Run every sample config in scripts/configs/ once, through its CLI command.
 
 Outputs land in runs/<config name>/, e.g. runs/stability_froeschle/, so
-that two configs of one command keep apart.  Useful as a smoke check and
-as a template for custom experiment configs.
+that two configs of one command keep apart.  After each command's exit
+line comes one line per CSV in its output directory, its sha256 and its
+path relative to the repository, so two trees' outputs compare with one
+``diff``.  Useful as a smoke check and as a template for custom experiment
+configs.
 """
 
+import hashlib
 import pathlib
 import sys
 
@@ -31,7 +35,10 @@ def main() -> int:
     for command, cfg in JOBS:
         out = RUNS / pathlib.Path(cfg).stem
         code = run(command, str(HERE / "configs" / cfg), out=str(out))
-        print(f"{command:<12} exit={code}  ->  {out}")
+        print(f"{command:<12} exit={code}  ->  {out.relative_to(RUNS.parent)}")
+        for csv in sorted(out.glob("*.csv")):
+            digest = hashlib.sha256(csv.read_bytes()).hexdigest()
+            print(f"  {digest}  {csv.relative_to(RUNS.parent)}")
         worst = max(worst, code)
     return worst
 

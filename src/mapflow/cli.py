@@ -491,7 +491,7 @@ def _write_manifest(out_dir, command, cfg, model, seed_val, wall, status, paths,
         f"status: {status}",
         f"seed: {seed_val}",
         f"wall_seconds: {wall:.3f}",
-        f"map: {model.name} d={model.d} form={model.form} eps={fmt(model.eps)}",
+        f"map: {model.name} d={model.d} eps={fmt(model.eps)}",
         ("catalog_norms: "
          f"a={fmt(dom.norm_a)} b={fmt(dom.norm_b)} omega_prime={fmt(dom.norm_omega_prime)} "
          f"s={fmt(dom.norm_s)} h0pp={fmt(dom.norm_h0pp)} nu={fmt(dom.nu)} nu2={fmt(dom.nu2)}"),

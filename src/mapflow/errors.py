@@ -59,7 +59,7 @@ class StepFailure(MapflowError):
 
 
 class FormMismatch(MapflowError):
-    """Operation requires a generating-form map but got an explicit one."""
+    """Operation needs a callback the model lacks: s or one of its derivatives."""
 
 
 class SearchExhausted(MapflowError):

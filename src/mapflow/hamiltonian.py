@@ -663,14 +663,13 @@ def cross_form_fields(map_like):
     """The fields u = p - pbar and v = qbar - q of a map, parametrized by (pbar, q).
 
     Returns one function of points x = (pbar, q) of shape (..., 2d) that
-    gives the pair (u, v), each (..., d).  Generating-form models (and any
-    model at eps = 0) give them in closed form from the derivatives of s.
-    For any other map, explicit models and block maps included, the old
-    action p with F(p, q)_I = pbar is solved by Picard iteration through the
-    map's ``apply``, once per evaluation, and qbar is read off F(p, q).
+    gives the pair (u, v), each (..., d).  A `MapModel` gives them in closed
+    form from the derivatives of s.  For any other map, block maps included,
+    the old action p with F(p, q)_I = pbar is solved by Picard iteration
+    through the map's ``apply``, once per evaluation, and qbar is read off
+    F(p, q).
     """
-    if isinstance(map_like, MapModel) and (map_like.form == "generating"
-                                           or map_like.eps == 0.0):
+    if isinstance(map_like, MapModel):
         model, d, e = map_like, map_like.d, map_like.eps
 
         def closed(x):

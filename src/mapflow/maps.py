@@ -2,18 +2,14 @@
 
 A map acts on action-angle coordinates (I, phi) in R^d x R^d.  Angles are
 tracked as full lifts (never reduced mod 1); periodic coefficient functions
-reduce their angle argument internally.  Two representations are supported:
-
-* explicit form::
-
-    I'   = I + eps * a(I, phi)
-    phi' = phi + omega(I) + eps * b(I, phi)
-
-* generating form, defined implicitly through a scalar function s that is
-  1-periodic in every angle::
+reduce their angle argument internally.  Every map is given by a generating
+function: a step is defined implicitly through a scalar function s::
 
     I'   = I - eps * ds/dphi(I', phi)
     phi' = phi + omega(I') + eps * ds/dI(I', phi)
+
+An s that is 1-periodic in every angle gives an exact symplectic map; one
+that is not (`nonexact_shear`) gives a symplectic map that is not exact.
 
 The implicit step is resolved by plain Picard iteration (`_picard`), which
 contracts whenever sup|g| over the search ball is below R/(d+1).  It is the
@@ -78,9 +74,10 @@ class DomainSpec:
     The action domain is the Euclidean ball B(center, R) widened by sigma;
     r is the angle strip width.  sigma and r are treated as user-supplied
     bound parameters (no complex continuation is performed).  The norms are
-    sup norms of the effective perturbation data over the real domain and
-    feed the a-priori orbit bounds with constants C1 = norm_a and
-    C2 = norm_omega_prime * norm_a / 2 + norm_b.
+    sup norms over the real domain: norm_a bounds the action kick
+    (I' - I) / eps = -s_phi, norm_b the angle kick
+    (phi' - phi - omega(I)) / eps.  They feed the a-priori orbit bounds with
+    constants C1 = norm_a and C2 = norm_omega_prime * norm_a / 2 + norm_b.
     """
 
     center: np.ndarray
@@ -135,37 +132,31 @@ class DomainSpec:
 
 @dataclass(frozen=True, eq=False)
 class MapModel:
-    """A quasi-integrable exact symplectic map in explicit or generating form.
+    """A quasi-integrable symplectic map given by a generating function.
 
     Integrable data: ``h0`` (scalar), ``omega = h0'`` and ``hess = h0''``.
-    Explicit form supplies the perturbation fields ``a`` and ``b``;
-    generating form supplies ``s`` and its first derivatives ``s_I`` (w.r.t.
-    the implicit new action) and ``s_phi``.  Optional second derivatives of s
-    (``s_II``, ``s_Iphi``, ``s_phiphi``) enable analytic Jacobians.
+    The perturbation is the generating term ``s`` (optional: only
+    diagnostics read its values) with its first derivatives ``s_I`` (w.r.t.
+    the implicit new action) and ``s_phi``, required at eps > 0.  Optional
+    second derivatives of s (``s_II``, ``s_Iphi``, ``s_phiphi``) enable
+    analytic Jacobians.
 
-    At eps = 0 both forms reduce to the integrable twist (I, phi + omega(I)).
+    At eps = 0 the map is the integrable twist (I, phi + omega(I)).
     Instances are immutable; construct a fresh instance per eps value.
     """
 
     d: int
-    form: str  # "explicit" | "generating"
     eps: float
     h0: Callable[[np.ndarray], np.ndarray]
     omega: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
     domain: DomainSpec
-    a: Optional[Callable] = None
-    b: Optional[Callable] = None
     s: Optional[Callable] = None
     s_I: Optional[Callable] = None
     s_phi: Optional[Callable] = None
     s_II: Optional[Callable] = None
     s_Iphi: Optional[Callable] = None
     s_phiphi: Optional[Callable] = None
-    a_I: Optional[Callable] = None
-    a_phi: Optional[Callable] = None
-    b_I: Optional[Callable] = None
-    b_phi: Optional[Callable] = None
     #: generating term does not depend on the new action: the implicit step
     #: collapses to one explicit evaluation (holds for all catalog maps) and
     #: batched stepping involves no cross-batch reductions
@@ -173,12 +164,10 @@ class MapModel:
     name: str = "custom"
 
     def __post_init__(self):
-        if self.form not in ("explicit", "generating"):
-            raise ValueError(f"unknown map form {self.form!r}")
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
-        if self.form == "generating" and self.eps > 0 and (self.s_phi is None or self.s_I is None):
-            raise ValueError("generating form requires s_I and s_phi callbacks")
+        if self.eps > 0 and (self.s_phi is None or self.s_I is None):
+            raise ValueError("a map with eps > 0 requires s_I and s_phi callbacks")
 
     # -- flat-map protocol on phase vectors of shape (..., 2d) ---------------
 
@@ -187,8 +176,7 @@ class MapModel:
         return self.orbit(x, 1)[1]
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
-        """One inverse map step, ``orbit(x, -1)[1]``: generating-form and
-        integrable maps only; any other map raises FormMismatch."""
+        """One inverse map step, ``orbit(x, -1)[1]``."""
         return self.orbit(x, -1)[1]
 
     def orbit(self, x0: np.ndarray, steps: int) -> np.ndarray:
@@ -229,9 +217,6 @@ def _step(model: MapModel, I: np.ndarray, phi: np.ndarray):
     ph = _frac(phi)
     if model.eps == 0.0:
         return I.copy(), phi + model.omega(I)
-    if model.form == "explicit":
-        return (I + model.eps * model.a(I, ph),
-                phi + model.omega(I) + model.eps * model.b(I, ph))
     if model.s_action_independent:
         # s does not depend on the action, so its derivative s_I vanishes
         In = I - model.eps * model.s_phi(I, ph)
@@ -244,17 +229,13 @@ def _step_back(model: MapModel, I: np.ndarray, phi: np.ndarray):
     """One unguarded inverse map step on arrays of shape (..., d), for
     callback models (a fused-trig model steps back in `_propagate_trig`).
 
-    A generating-form map solves its implicit system with the roles of
-    (I, phi) and (I', phi') exchanged: phi by `_picard` (skipped when s is
-    action-independent, where the start solves it), then I explicitly.  An
-    integrable map (eps = 0, or an explicit map whose a and b are both
-    `_zero_field`) undoes the twist.  Any other map raises FormMismatch.
+    It solves the generating system with the roles of (I, phi) and
+    (I', phi') exchanged: phi by `_picard` (skipped when s is
+    action-independent, where the start solves it), then I explicitly.  At
+    eps = 0 it undoes the twist.
     """
-    if model.eps == 0.0 or (model.form == "explicit" and model.a is _zero_field
-                            and model.b is _zero_field):
+    if model.eps == 0.0:
         return I, phi - model.omega(I)
-    if model.form != "generating":
-        raise FormMismatch("inverse step requires a generating-form map (or an integrable one)")
     ph = phi - model.omega(I)  # the solution when s_I vanishes
     if not model.s_action_independent:
         ph = _picard(lambda y: -model.eps * model.s_I(I, _frac(y)), ph)
@@ -302,8 +283,8 @@ def _fused_term(model: MapModel) -> Optional[TrigTerm]:
     omega is in place too.  A `replace` that swaps either callback, as
     `near_identity_family` does, falls back to `_step` and `_step_back`."""
     t = getattr(model.s_phi, "__self__", None)
-    if (isinstance(t, TrigTerm) and model.form == "generating" and model.eps > 0.0
-            and model.s_action_independent and model.omega is _identity_omega):
+    if (isinstance(t, TrigTerm) and model.eps > 0.0 and model.s_action_independent
+            and model.omega is _identity_omega):
         return t
     return None
 
@@ -576,12 +557,9 @@ def jacobian(model: MapModel, x: np.ndarray) -> np.ndarray:
     """Analytic Jacobian d(I', phi')/d(I, phi) of one map step at the phase
     vectors x of shape (..., 2d), of shape (..., 2d, 2d): one callback call
     per derivative on the whole batch, and each point's matrix bit for bit
-    its one-point call.
-
-    Requires derivative callbacks: a_I/a_phi/b_I/b_phi for the explicit form,
-    the second derivatives of s for the generating form (implicit
-    differentiation of the generating system, at the new action that
-    `_step` solves for, bit for bit the one `apply` steps to); else raises
+    its one-point call.  Implicit differentiation of the generating system
+    at the new action that `_step` solves for, bit for bit the one `apply`
+    steps to; at eps > 0 a model without the second derivatives of s raises
     FormMismatch.
     """
     d = model.d
@@ -593,20 +571,9 @@ def jacobian(model: MapModel, x: np.ndarray) -> np.ndarray:
         J[..., :d, :d] = J[..., d:, d:] = eye
         J[..., d:, :d] = model.hess(I).reshape(sq)
         return J
-    e = model.eps
-    if model.form == "explicit":
-        need = (model.a_I, model.a_phi, model.b_I, model.b_phi)
-        if any(f is None for f in need):
-            raise FormMismatch("explicit-form Jacobian requires a/b derivative callbacks")
-        J[..., :d, :d] = eye + e * model.a_I(I, ph).reshape(sq)
-        J[..., :d, d:] = e * model.a_phi(I, ph).reshape(sq)
-        J[..., d:, :d] = model.hess(I).reshape(sq) + e * model.b_I(I, ph).reshape(sq)
-        J[..., d:, d:] = eye + e * model.b_phi(I, ph).reshape(sq)
-        return J
-    need = (model.s_II, model.s_Iphi, model.s_phiphi)
-    if any(f is None for f in need):
-        raise FormMismatch("generating-form Jacobian requires second derivatives of s")
-    In = _step(model, I, x[..., d:])[0]  # I' by the step's own solve
+    if any(f is None for f in (model.s_II, model.s_Iphi, model.s_phiphi)):
+        raise FormMismatch("the Jacobian needs the second derivatives of s")
+    e, In = model.eps, _step(model, I, x[..., d:])[0]  # I' by the step's own solve
     S_II = model.s_II(In, ph).reshape(sq)
     S_Ip = model.s_Iphi(In, ph).reshape(sq)  # d^2 s / dI dphi
     S_pp = model.s_phiphi(In, ph).reshape(sq)
@@ -652,8 +619,13 @@ def _identity_hess(I):
 
 
 def _zero_field(I, phi):
-    """a = 0 or b = 0 of an explicit map; `_step_back` recognises it."""
+    """s_I = s_phi = 0 of the twist."""
     return np.zeros_like(I)
+
+
+def _minus_one(I, phi):
+    """s_I = s_phi = -1 of `nonexact_shear`."""
+    return -np.ones_like(I)
 
 
 def _zero_matrix(I, phi):
@@ -805,12 +777,12 @@ def _catalog_domain(d: int, norm_a: float = 0.0, norm_b: float = 0.0,
 
 
 def _trig_model(name: str, eps: float, modes, coeffs) -> MapModel:
-    """A catalog generating-form map with h0 = |I|^2/2 and a `TrigTerm`."""
+    """A catalog map with h0 = |I|^2/2 and a `TrigTerm`."""
     term = TrigTerm(np.array(modes), np.array(coeffs))
     d = term.d
     # omega is the identity, so the angle kick -eps s_phi has the action kick's norm
     dom = _catalog_domain(d, norm_a=term.norm_a, norm_b=term.norm_a, norm_s=term.norm_s)
-    return MapModel(d=d, form="generating", eps=float(eps), h0=_quad_h0,
+    return MapModel(d=d, eps=float(eps), h0=_quad_h0,
                     omega=_identity_omega, hess=_identity_hess, domain=dom,
                     s=term.s, s_I=term.s_I, s_phi=term.s_phi, s_II=_zero_matrix,
                     s_Iphi=_zero_matrix, s_phiphi=term.s_phiphi, s_action_independent=True,
@@ -832,11 +804,10 @@ def catalog(name: str, eps: float, **params) -> MapModel:
         d = int(params.pop("d", 1))
         if params:
             raise ValueError(f"unknown twist parameters {sorted(params)}")
-        return MapModel(d=d, form="explicit", eps=float(eps), h0=_quad_h0,
-                        omega=_identity_omega, hess=_identity_hess,
-                        domain=_catalog_domain(d), a=_zero_field, b=_zero_field,
-                        a_I=_zero_matrix, a_phi=_zero_matrix, b_I=_zero_matrix,
-                        b_phi=_zero_matrix, name="twist")
+        return MapModel(d=d, eps=float(eps), h0=_quad_h0, omega=_identity_omega,
+                        hess=_identity_hess, domain=_catalog_domain(d), s_I=_zero_field,
+                        s_phi=_zero_field, s_II=_zero_matrix, s_Iphi=_zero_matrix,
+                        s_phiphi=_zero_matrix, s_action_independent=True, name="twist")
     if name == "standard":
         if params:
             raise ValueError(f"unknown standard-map parameters {sorted(params)}")
@@ -852,16 +823,17 @@ def catalog(name: str, eps: float, **params) -> MapModel:
 def nonexact_shear(eps: float) -> MapModel:
     """Test map (I, phi) -> (I + eps, phi + I): symplectic but not exact.
 
-    Its loop-action defect on a phi-winding loop equals eps per winding turn,
-    which makes it the reference counterexample for exactness diagnostics.
+    Its generating term s = -I' - phi (s_I = s_phi = -1) is not periodic in
+    phi, which is why the map is not exact; the angle step is
+    phi + (I + eps) - eps, equal to phi + I up to rounding.  Its loop-action
+    defect on a phi-winding loop equals eps per winding turn, which makes it
+    the reference counterexample for exactness diagnostics.
     """
     d = 1
-    return MapModel(d=d, form="explicit", eps=float(eps), h0=_quad_h0,
-                    omega=_identity_omega, hess=_identity_hess,
-                    domain=_catalog_domain(d, norm_a=1.0),
-                    a=lambda I, p: np.ones_like(I), b=_zero_field,
-                    a_I=_zero_matrix, a_phi=_zero_matrix, b_I=_zero_matrix,
-                    b_phi=_zero_matrix, name="nonexact_shear")
+    return MapModel(d=d, eps=float(eps), h0=_quad_h0, omega=_identity_omega,
+                    hess=_identity_hess, domain=_catalog_domain(d, norm_a=1.0),
+                    s_I=_minus_one, s_phi=_minus_one, s_II=_zero_matrix,
+                    s_Iphi=_zero_matrix, s_phiphi=_zero_matrix, name="nonexact_shear")
 
 
 def near_identity_family(model: MapModel) -> Callable[[float], MapModel]:
@@ -874,10 +846,8 @@ def near_identity_family(model: MapModel) -> Callable[[float], MapModel]:
     a genuine order-(m+1) scaling; the raw eps-family is quasi-integrable but
     not near-identity, and its finite differences are only O(eps).
     """
-    if model.form != "generating":
-        raise FormMismatch("near_identity_family requires a generating-form model")
     if model.s_phi is None or model.s_I is None:
-        raise FormMismatch("near_identity_family needs the s derivative callbacks")
+        raise FormMismatch("near_identity_family needs the derivatives of s (s_I, s_phi)")
     base_omega, base_hess, base_h0 = model.omega, model.hess, model.h0
     eps0 = model.eps
 

@@ -51,11 +51,11 @@ def nucleus_radii(model: MapModel) -> NucleusRadii:
 def resonant_average(model: MapModel, site: ResonanceSite, phi: np.ndarray) -> np.ndarray:
     """Average of the generating term over the unperturbed periodic orbit.
 
-    V_*(phi) = (1/n) sum_{k=0}^{n-1} s(I_*, phi + k omega_*).  Requires a
-    generating-form model; evaluation is by direct n-term summation.
+    V_*(phi) = (1/n) sum_{k=0}^{n-1} s(I_*, phi + k omega_*).  Requires the
+    generating term s; evaluation is by direct n-term summation.
     """
-    if model.form != "generating" or model.s is None:
-        raise FormMismatch("resonant average requires a generating-form model with s")
+    if model.s is None:
+        raise FormMismatch("resonant average needs the generating term s")
     phi = np.asarray(phi, dtype=float)
     I = np.broadcast_to(site.I_star, phi.shape).copy()
     total = None

@@ -40,8 +40,8 @@ class TestResonantAverage:
             want = -np.cos(TWO_PI * phi[0]) / TWO_PI**2
             assert resonant_average(m, site, phi) == pytest.approx(want, abs=1e-15)
 
-    def test_explicit_form_rejected(self):
-        m = catalog("twist", 0.0)
+    def test_model_without_s_rejected(self):
+        m = catalog("twist", 0.0)  # the twist carries no generating term s
         with pytest.raises(FormMismatch):
             resonant_average(m, std_site(), np.array([0.1]))
 

@@ -78,7 +78,7 @@ class TestResonantAction:
         d = 1
         dom = DomainSpec(center=np.zeros(1), R=1.0, sigma=0.5, r=1.0, nu=1.0, nu2=2.0,
                          norm_omega_prime=2.0, norm_h0pp=2.0)
-        m = MapModel(d=d, form="explicit", eps=0.0,
+        m = MapModel(d=d, eps=0.0,
                      h0=lambda I: 0.5 * I[..., 0] ** 2 + I[..., 0] ** 4 / 12.0,
                      omega=lambda I: I + I**3 / 3.0,
                      hess=lambda I: (1.0 + I[..., 0] ** 2)[..., None, None],

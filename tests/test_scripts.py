@@ -1,5 +1,6 @@
 """The sweep scripts in scripts/ run end to end and write their CSV tables."""
 
+import hashlib
 import importlib.util
 import pathlib
 
@@ -28,6 +29,19 @@ def test_sweep_script_writes_tables(script, tables, tmp_path, monkeypatch):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == header
         assert len(lines) == rows + 1
+
+
+def test_run_all_commands_prints_a_hash_per_csv(tmp_path, monkeypatch, capsys):
+    module = load("run_all_commands")
+    monkeypatch.setattr(module, "JOBS", [("interp", "interp_standard.json")])
+    monkeypatch.setattr(module, "RUNS", tmp_path / "runs")
+    assert module.main() == 0
+    exit_line, *hash_lines = capsys.readouterr().out.splitlines()
+    assert exit_line.split() == ["interp", "exit=0", "->", "runs/interp_standard"]
+    csvs = sorted((tmp_path / "runs" / "interp_standard").glob("*.csv"))
+    assert csvs
+    assert [line.split() for line in hash_lines] == [
+        [hashlib.sha256(p.read_bytes()).hexdigest(), str(p.relative_to(tmp_path))] for p in csvs]
 
 
 def test_step_bench_prints_its_four_tables(capsys):
