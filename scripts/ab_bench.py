@@ -4,10 +4,14 @@
 Runs the commands of perfbench's workloads (`scan`, `nucleus`, `embed`; the
 configs come from `perfbench/workloads.py` of this checkout, at one seed)
 as fresh `python -m mapflow.cli` processes, each tree's `src/` first on
-PYTHONPATH.  Every round runs one A/B pair and one A/A' pair, where A' is a
-copy of A's `src/` made for the run; the order within the pairs alternates
-from round to round (A B, A A'; then B A, A' A; ...), so that a drift of
-host speed or a first-run penalty touches both sides alike.  A run is the
+PYTHONPATH.  Every round runs one A/B pair and one A/A' pair.  The three
+sides run from copies made for the run in its temp dir, under paths of one
+length: A's `src/` twice (A and A') and B's `src/` once.  A tree's
+location is then the same for all three: the same `src/` read a peak RSS
+up to 0.45 MB apart when run in place from three directories.  The order
+within the pairs alternates from round to round (A B, A A'; then B A,
+A' A; ...), so that a drift of host speed or a first-run penalty touches
+both sides alike.  A run is the
 workload's commands in turn: wall time and CPU time (user + system of the
 child and its children, from `wait4`) are summed over them, peak RSS is
 their largest.  Every run must exit 0 and write the same CSV bytes as the
@@ -21,8 +25,8 @@ its child's `ru_maxrss`, so a larger harness would floor every peak RSS.
 
 With --tier1 it also times the Tier-1 suite in the same ABBA rounds: each
 side runs its own checkout's Tier-1 command (`python -m pytest -q
---continue-on-collection-errors` in the checkout, its `src/` first on
-PYTHONPATH), A' is a second run of A, and every run must pass.
+--continue-on-collection-errors` in the checkout itself, its `src/` first
+on PYTHONPATH), A' is a second run of A, and every run must pass.
 
 For each metric it prints the median and quartiles of each side, the median
 of the paired ratios B/A with a distribution-free interval (order statistics
@@ -201,9 +205,9 @@ def bench(workload: str, trees: dict, pairs: int, seed: int, workers: int, work:
             **rounds(workload, run, pairs)}
 
 
-def bench_tier1(trees: dict, pairs: int) -> dict:
+def bench_tier1(sources: dict, pairs: int) -> dict:
     """The Tier-1 suite of each side's checkout; A' runs A's again."""
-    srcs = {"a": trees["a"], "b": trees["b"], "aa": trees["a"]}
+    srcs = {"a": sources["a"], "b": sources["b"], "aa": sources["a"]}
     for src in srcs.values():
         if not os.path.isdir(os.path.join(src, os.pardir, "tests")):
             raise SystemExit(f"--tier1: no tests/ next to {src}")
@@ -252,22 +256,23 @@ def main(argv=None) -> int:
     if args.pairs < 1 or args.workers < 1:
         parser.error("--pairs and --workers must be at least 1")
     with tempfile.TemporaryDirectory(prefix="ab_bench_") as work:
-        trees = {"a": source_dir(args.a), "b": source_dir(args.b)}
-        trees["aa"] = os.path.join(work, "a_copy")
-        shutil.copytree(trees["a"], trees["aa"],
-                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-        for src in trees.values():
-            check_import(src)
+        sources = {"a": source_dir(args.a), "b": source_dir(args.b)}
+        trees = {}
+        for side, name in (("a", "src_a"), ("b", "src_b"), ("aa", "src_c")):
+            trees[side] = os.path.join(work, name)
+            shutil.copytree(sources[side[0]], trees[side],
+                            ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+            check_import(trees[side])
         out = {"host": {"python": platform.python_version(), "numpy": version("numpy"),
                         "machine": platform.machine(), "cpus": os.cpu_count()},
-               "a": trees["a"], "b": trees["b"], "pairs": args.pairs, "workloads": {}}
+               "a": sources["a"], "b": sources["b"], "pairs": args.pairs, "workloads": {}}
         for workload in args.workload or ([] if args.tier1 else list(workloads.WORKLOADS)):
             res = bench(workload, trees, args.pairs, args.seed, args.workers, work)
             out["workloads"][workload] = res
             report(f"{workload} ({' + '.join(res['commands'])}, seed {res['seed']}, "
                    f"--workers {res['workers']}); CSV bytes identical on both trees", res)
         if args.tier1:
-            out["tier1"] = res = bench_tier1(trees, args.pairs)
+            out["tier1"] = res = bench_tier1(sources, args.pairs)
             report("tier1 (each checkout's suite; every run passed): "
                    + "; ".join(f"{s} {res['suites'][s]}" for s in ("a", "b")), res)
     if args.json:

@@ -17,15 +17,16 @@ that block at 25 points (`interpolating_vf`), at m = 6 (the embed field
 shape) and m = 20 (where symmetric averaging is meant to take over).  A
 newton field is one orbit call; a gauss field is one backward and one
 forward orbit call and one checking `apply`.  Then times `cli.write_csv`
-on a table of 10^5 rows and the columns of a nucleus orbit (int, float,
-float, int) and prints microseconds per row.  Last, times one
-`stability_scan` of froeschle2 (100 seeds x 2 * 10^4 steps), which steps
-through the same orbit engine as the orbit calls, and prints seconds per
-scan, with the peak of memory that `tracemalloc` sees in one more scan;
-numpy reports its array buffers there, so the peak shows the scan's window
-buffers: about 1.9 MB while one window is alive at a time, 2.7 MB if the
-previous one is kept while the next is written.  Each repeat runs every
-case once, in turn, so that a drift in host speed touches all cases alike.
+on the 10^5-row table of a nucleus orbit (`nucleus.csv`'s columns k, J0,
+E and exited: int, float, float, bool) and prints microseconds per row.
+Last, times one `stability_scan` of froeschle2 (100 seeds x 2 * 10^4
+steps), which steps through the same orbit engine as the orbit calls, and
+prints seconds per scan, with the peak of memory that `tracemalloc` sees
+in one more scan; numpy reports its array buffers there, so the peak
+shows the scan's window buffers: about 1.9 MB while one window is alive
+at a time, 2.7 MB if the previous one is kept while the next is written.
+Each repeat runs every case once, in turn, so that a drift in host speed
+touches all cases alike.
 
     PYTHONPATH=src python scripts/step_bench.py [--repeats 9]
 
@@ -71,10 +72,13 @@ def _point(d: int, batch: int) -> np.ndarray:
 
 
 def _table(rows: int) -> list:
-    """Columns k, J, E, exited of a nucleus orbit's CSV, filled at random."""
+    """The columns `run_nucleus` writes for a trapped orbit of the standard map
+    (d = 1), filled at random at its magnitudes: the block k, the action J
+    about 0.05 N(0, 1), the energy E about -0.0123 with a small spread, and
+    the bool `exited`."""
     rng = np.random.default_rng(rows)
-    return [np.arange(rows), rng.normal(size=rows), rng.normal(size=rows),
-            np.zeros(rows, dtype=int)]
+    return [np.arange(rows), 0.05 * rng.normal(size=rows),
+            -0.0123 + 1e-4 * rng.normal(size=rows), np.zeros(rows, dtype=bool)]
 
 
 def _stats(vals, digits: int = 1):

@@ -1,9 +1,13 @@
 """Configuration-driven experiment runner.
 
 Every subcommand reads a strict JSON config, runs one experiment and writes
-a CSV (17-significant-digit floats, LF endings, stable column order) plus a
-run manifest.  Identical config and seed give byte-identical CSV bodies
-regardless of the worker count.
+a CSV (LF endings, stable column order) plus a run manifest.  Identical
+config and seed give byte-identical CSV bodies regardless of the worker
+count.  A CSV's bytes are those of `%.17g` for float columns and `%d` for
+int and bool columns, and `fmt` of the numbers in a list column (strings
+and numbers mixed).  `write_csv` formats float, int and bool ndarrays in
+numpy, exactly for 1e-11 < |x| < 1e16; any other float (zero, subnormal,
+tiny, huge, nan, inf) takes `fmt`, value by value.
 
 The config is checked against SCHEMA, with the --out, --workers and --seed
 flags in place of their keys, before the output directory is created.
@@ -25,7 +29,7 @@ import argparse
 import json
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -46,25 +50,219 @@ def fmt(x) -> str:
     return f"{x:d}" if isinstance(x, (int, np.integer, np.bool_)) else f"{float(x):.17g}"
 
 
-CSV_BLOCK = 4096  # rows formatted at once: bounds the cell strings held
+#: rows formatted at once: bounds one block's uint64 digit arrays and uint8
+#: cell matrix, a few MB at most (4096 to 8192 rows wrote nucleus.csv fastest)
+CSV_BLOCK = 4096
+
+U64 = np.uint64
+ASCII_0 = U64(0x3030303030303030)
+LOW_BYTES = np.array([(1 << 8 * c) - 1 for c in range(9)], U64)  # the low c bytes
+POW10 = np.array([10**k for k in range(20)], U64)
 
 
-def _cells(col) -> tuple[str, list]:
-    """A column's %-format and values: float, int and bool ndarrays give Python
-    numbers, any other column (strings and numbers mixed) the strings of `fmt`."""
-    if isinstance(col, np.ndarray):
-        return {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}[col.dtype.kind], col.tolist()
-    return "%s", [v if isinstance(v, str) else fmt(v) for v in col]
+def _low_bytes(c: np.ndarray) -> np.ndarray:
+    """Masks of the low c bytes of a word, c clipped to 0..8."""
+    return LOW_BYTES[np.clip(c, 0, 8)]
+
+
+def _digit_words(parts: list) -> list:
+    """Each part (uint64, below 10^8) as a word of its eight decimal digits,
+    the most significant in the low byte."""
+    x = np.stack(parts)
+    # split in lanes: 32-bit lanes of four digits, 16-bit of two, bytes of one;
+    # (v * 5243) >> 19 is v // 100 below 43699, (v * 103) >> 10 is v // 10 below 179
+    q = x // U64(10_000)
+    x = q | ((x - q * U64(10_000)) << U64(32))
+    q = ((x * U64(5243)) >> U64(19)) & U64(0x0000007F0000007F)
+    x = q | ((x - q * U64(100)) << U64(16))
+    q = ((x * U64(103)) >> U64(10)) & U64(0x000F000F000F000F)
+    return list(q | ((x - q * U64(10)) << U64(8)))
+
+
+def _split(u: np.ndarray, words: int) -> list:
+    """u as `words` base-10^8 digits, the most significant first."""
+    parts = []
+    for _ in range(words - 1):
+        head = u // U64(10**8)
+        parts.append(u - head * U64(10**8))
+        u = head
+    return [u, *parts[::-1]]
+
+
+def _byte_index(w: np.ndarray) -> np.ndarray:
+    """Index of the highest nonzero byte of each word whose bytes are below 16
+    (-1 for 0): the exponent of the nearest float is exact enough for that."""
+    return (np.frexp(w)[1] - 1) >> 3
+
+
+def _pack(fields: list) -> np.ndarray:
+    """Cells from fields, 1-d arrays that each hold the next bytes of every
+    cell (little-endian): an (n, width) uint8 matrix, without the fields that
+    are NUL in every cell."""
+    fields = [f for f in fields if f.dtype.kind == "S" or f.any()]
+    cells = np.empty((len(fields[0]), sum(f.itemsize for f in fields)), np.uint8)
+    at = 0
+    for f in fields:
+        cells[:, at:at + f.itemsize].view(f.dtype.newbyteorder("<"))[:, 0] = f
+        at += f.itemsize
+    return cells
+
+
+def _int_cells(cols: list) -> np.ndarray:
+    """`%d` and "," of int, uint and bool columns: (rows, ncols, width) cells, a
+    sign and the digits of as many words as the largest magnitude needs, the
+    leading zeros blank."""
+    neg = np.stack([col < 0 for col in cols], axis=1).ravel()
+    u = np.stack([col.astype(U64) for col in cols], axis=1).ravel()
+    u = np.where(neg, -u, u)  # the magnitude, int64's minimum too
+    top = int(u.max())
+    w = _digit_words(_split(u, 1 + (top >= 10**8) + (top >= 10**16)))
+    # the leading zeros: all digits but u's own (0 keeps its last digit)
+    lead = 8 * len(w) - np.maximum(np.searchsorted(POW10, u, side="right"), 1)
+    digits = [(w[k] | ASCII_0) & ~_low_bytes(lead - 8 * k) for k in range(len(w))]
+    cells = _pack([neg * np.uint8(ord("-")), *digits, np.full(len(u), ord(","), np.uint8)])
+    return cells.reshape(len(cols[0]), len(cols), -1)
+
+
+class _Decades(NamedTuple):
+    """Per decade e in -11..16 of |x| (at index e + 11): 5^(16 - e), which
+    scales x to its 17 digits d0..d16, and `%g`'s layout of them: the digit
+    before the point (de in fixed notation, d0 in exponent notation below
+    e = -4, none (-1) for "0." from e = -4 to -1), the zeros between that
+    point and d0 (-e - 1 of them) and the exponent after the digits ("e-XX"
+    below e = -4), little-endian."""
+
+    pow5: np.ndarray
+    point: np.ndarray
+    zeros: np.ndarray
+    exp: np.ndarray
+
+
+@cache
+def _decades() -> _Decades:
+    es = range(-11, 17)
+    return _Decades(
+        np.array([5 ** (16 - e) for e in es], U64),
+        np.array([e if e >= 0 else -1 if e >= -4 else 0 for e in es]),
+        np.array([int.from_bytes(b"0" * (-e - 1), "little") if -4 <= e < 0 else 0
+                  for e in es], np.uint32),
+        np.array([int.from_bytes(b"e-%02d" % -e, "little") if e < -4 else 0 for e in es],
+                 np.uint32))
+
+
+def _scaled(m: np.ndarray, q: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T = floor(m 2^q 10^(16 - e)) and whether rounding half to even takes T up,
+    exactly: the product m 5^k (k = 16 - e in 1..27, below 2^116) in 32-bit
+    limbs, shifted by q + k (right by at most 63 bits, left by at most 3)."""
+    p = _decades().pow5[e + 11]
+    low = U64(0xFFFFFFFF)
+    m1, m0, p1, p0 = m >> U64(32), m & low, p >> U64(32), p & low
+    m0p0 = m0 * p0
+    mid = (m0p0 >> U64(32)) + m1 * p0 + m0 * p1
+    lo = (mid << U64(32)) | (m0p0 & low)
+    hi = m1 * p1 + (mid >> U64(32))
+    s = q + 16 - e
+    r = np.maximum(-s, 0).astype(U64)
+    t = (((hi << (U64(63) - r)) << U64(1)) | (lo >> r)) << np.maximum(s, 0).astype(U64)
+    mask = (U64(1) << r) - U64(1)  # the bits shifted out, their half (mask >> 1) + 1
+    return t, (lo & mask) + (t & U64(1)) > (mask >> U64(1)) + U64(1)
+
+
+def _float_cells(cols: list) -> np.ndarray:
+    """`%.17g` and "," of float columns: (rows, ncols, width) cells, exact for
+    1e-11 < |x| < 1e16; any other value takes `fmt`.
+
+    With x = m 2^q, the 17 digits are N = m 2^q 10^(16-e) rounded half to
+    even, where e = floor(log10 |x|).  np.log10 gives e only as an estimate,
+    which the truncated product corrects both ways (10^16 <= T < 10^17); a
+    round-up to 10^17 moves x to the next decade.  The digits up to the point
+    are kept, those after it up to the last nonzero one."""
+    with np.errstate(invalid="ignore"):  # a float32 signaling nan turns quiet
+        x = np.stack(cols, axis=1).astype(np.float64).ravel()
+    a = np.abs(x)
+    fast = (a > 1e-11) & (a < 1e16)
+    a = np.where(fast, a, 1.0)
+    bits = a.view(U64)
+    m = (bits & U64(2**52 - 1)) | U64(2**52)
+    q = (bits >> U64(52)).astype(np.int64) - 1075
+    e = np.clip(np.floor(np.log10(a)).astype(np.int64), -11, 15)
+    t, up = _scaled(m, q, e)
+    while True:
+        off = (t >= U64(10**17)).astype(np.int64) - (t < U64(10**16))
+        wrong = np.flatnonzero(off)
+        if not len(wrong):
+            break
+        e[wrong] += off[wrong]
+        t[wrong], up[wrong] = _scaled(m[wrong], q[wrong], e[wrong])
+    n = t + up
+    top = n == U64(10**17)
+    n[top] = U64(10**16)
+    e += top
+    decades, at = _decades(), e + 11
+    point, zeros, exp = decades.point[at], decades.zeros[at], decades.exp[at]
+    d0, w1, w2 = _split(n, 3)
+    w1, w2 = _digit_words([w1, w2])
+    last = np.where(w2 != 0, 9, 1) + _byte_index(np.where(w2 != 0, w2, w1))
+    d0 = d0.astype(np.uint8) | np.uint8(ord("0"))
+    w1, w2 = w1 | ASCII_0, w2 | ASCII_0
+    whole, whole1, whole2 = point >= 0, _low_bytes(point), _low_bytes(point - 8)
+    # the sign, "0" of "0.", the digits before the point, ".", the zeros after
+    # it, the digits after them, the exponent
+    fields = [(x < 0) * np.uint8(ord("-")), ~whole * np.uint8(ord("0")), d0 * whole,
+              w1 & whole1, w2 & whole2, (last > point) * np.uint8(ord(".")), zeros,
+              d0 * ~whole, w1 & ~whole1 & _low_bytes(last), w2 & ~whole2 & _low_bytes(last - 8),
+              exp, np.full(len(x), ord(","), np.uint8)]
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        text = np.zeros(len(x), "S24")
+        text[slow] = list(map(fmt, x[slow].tolist()))
+        cells = _pack([text, *fields])
+        cells[slow, 24:-1] = 0
+    else:
+        cells = _pack(fields)
+    return cells.reshape(len(cols[0]), len(cols), -1)
+
+
+def _lines(cols: list, encoding: str) -> bytes:
+    """One block's lines: its cells joined by "," and ended by "\n", each
+    cell its bytes without NULs.  Float columns, then int and bool columns,
+    are formatted together; any other column (strings and numbers mixed) is
+    its strings as given and `fmt` of its other values."""
+    cells = {}
+    for kinds, to_cells in (("f", _float_cells), ("iub", _int_cells)):
+        js = [j for j, col in enumerate(cols)
+              if isinstance(col, np.ndarray) and col.dtype.kind in kinds]
+        if js:
+            grid = to_cells([cols[j] for j in js])
+            cells.update((j, grid[:, i]) for i, j in enumerate(js))
+    for j, col in enumerate(cols):
+        if j not in cells:  # right-aligned, so that "," is the last byte
+            text = [(v if isinstance(v, str) else fmt(v)).encode(encoding) + b"," for v in col]
+            width = max(map(len, text))
+            cells[j] = np.frombuffer(b"".join(t.rjust(width, b"\0") for t in text),
+                                     np.uint8).reshape(len(col), width)
+    mat = np.concatenate([cells[j] for j in range(len(cols))], axis=1)
+    mat[:, -1] = ord("\n")
+    return mat[mat != 0].tobytes()
 
 
 def write_csv(path: str, header: list[str], columns: list) -> str:
-    """Write a CSV from columns of equal length, CSV_BLOCK rows at a time."""
+    """Write a CSV from columns of equal length, CSV_BLOCK rows at a time.
+
+    The bytes are those of `%.17g` for float ndarrays, `%d` for int, uint and
+    bool ndarrays, and for any other column (a list of strings and numbers)
+    its strings as given and `fmt` of its other values.  Each block's cells
+    are formatted in numpy (see `_float_cells` and `_int_cells`); a float
+    outside 1e-11 < |x| < 1e16 takes `fmt`, value by value.  NUL bytes pad
+    the cells, so a string cell loses any NUL of its own."""
     n = max(map(len, columns), default=0)
+    if any(len(col) != n for col in columns):
+        raise ValueError(f"columns of unequal length: {[len(col) for col in columns]}")
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
+        fh.flush()
         for lo in range(0, n, CSV_BLOCK):
-            specs, values = zip(*(_cells(col[lo:lo + CSV_BLOCK]) for col in columns))
-            fh.write("".join(map((",".join(specs) + "\n").__mod__, zip(*values, strict=True))))
+            fh.buffer.write(_lines([col[lo:lo + CSV_BLOCK] for col in columns], fh.encoding))
     return path
 
 

@@ -13,17 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hamiltonian import (
-    Box,
-    _reconstruct,
-    _staircase,
-    cross_form_fields,
-    distance_to_identity,
-    embedding_error,
-    interpolating_field,
-    optimal_order,
-    unit_box,
-)
+# `hamiltonian` is imported by the functions that use it: a stability scan,
+# the `stability` command's whole work, needs none of it
 from . import maps
 from .maps import MapModel
 from .resonance import BlockMap, ResonanceSite, resonant_action, scaled_block
@@ -115,6 +106,8 @@ class SnDecomposition:
 
         x is (2d,) (a float) or (N, 2d), one path per row.
         """
+        from .hamiltonian import _staircase, cross_form_fields
+
         d = self.block.d
         uv = cross_form_fields(self.block)
 
@@ -132,6 +125,8 @@ class SnDecomposition:
 
     def w_report(self, grid_n: int = 5) -> WnReport:
         """Sup |w_n| on a (J, phi) grid against d C2 n^2 eps + d C1 n eps / rho."""
+        from .hamiltonian import unit_box
+
         b = self.block
         dom = b.model.domain
         pts = unit_box(b.d).grid(grid_n)
@@ -179,6 +174,8 @@ def energy_drift(model: MapModel, site: ResonanceSite, m: int, blocks: int,
     point come from one batched path integral.  Increments are H_m
     differences between consecutive block boundaries.
     """
+    from .hamiltonian import _reconstruct, interpolating_field
+
     block = scaled_block(model, site, scaling)
     X = interpolating_field(block, m)
     orbit = block.orbit(np.asarray(x0, dtype=float), blocks)
@@ -491,6 +488,8 @@ def error_law_fit(blocks, box: Box, mode: str, m_list: Optional[Sequence[int]] =
     to identity; each is measured at its optimal order and log(error) is
     fitted against 1/eps_hat (negative slope = exponential law).
     """
+    from .hamiltonian import distance_to_identity, embedding_error, optimal_order
+
     if floor is None:
         floor = max(1e-15, 10.0 * tol)
     if mode == "vs_m":

@@ -423,25 +423,51 @@ class TestDeterminism:
         assert fmt(7) == "7"
 
 
+#: powers of ten and their neighbours an ulp away
+_POWERS = 10.0 ** np.arange(-30, 31)
+#: the edges of the writer's exact range, 1e-11 < |x| < 1e16, and values whose
+#: 17 digits sit at a decade's edge: rounding up to the next decade,
+#: staying below it, or ending in a zero of the integer part
+_EDGES = np.array([1e-11, 1e16, 9.9999999999999995e-08, 999999999999999.94,
+                   4460756219856090.0, 9999999999999998.0, 0.0001, 9.9999999999999991e-05])
+
+
 def _float_column(rng, n):
     """Random bit patterns (nan payloads, subnormals, extremes), ordinary
-    magnitudes and the special values, mixed."""
-    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
-                        2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308,
-                        1 / 3, 1e16, 1e17, -123456789.125])
+    magnitudes, exact binary ties (j + 1/2) 2^-s and the special values, mixed."""
+    special = np.concatenate([
+        [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+         1e308, -1e308, 1.7976931348623157e308, 1 / 3, 1e16, 1e17, -123456789.125],
+        *(np.nextafter(v, target) for v in (_POWERS, _EDGES) for target in (-np.inf, np.inf)),
+        _POWERS, _EDGES])
     bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
     plain = rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, n)
-    pick = rng.integers(0, 3, n)
-    return np.where(pick == 0, bits, np.where(pick == 1, plain, rng.choice(special, n)))
+    ties = (rng.integers(0, 2**40, n) + 0.5) * 2.0 ** -rng.integers(1, 60, n)
+    pick = rng.integers(0, 4, n)
+    sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    return np.choose(pick, [bits, plain, sign * ties, sign * rng.choice(special, n)])
+
+
+#: ints at +-10^k and 10^k - 1, and the int64 extremes
+_INT_EDGES = np.array([s * v for k in range(19) for v in (10**k, 10**k - 1) for s in (1, -1)]
+                      + [np.iinfo(np.int64).min, np.iinfo(np.int64).max], dtype=np.int64)
 
 
 def _random_column(rng, kind, n):
     if kind == "float":
         return _float_column(rng, n)
+    if kind == "float32":
+        bits = rng.integers(0, 2**32, n, dtype=np.uint64).astype(np.uint32).view(np.float32)
+        plain = (rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, n)).astype(np.float32)
+        return np.where(rng.random(n) < 0.5, bits, plain)
     if kind == "int":
         info = np.iinfo(np.int64)
         wide = rng.integers(info.min, info.max, n, endpoint=True, dtype=np.int64)
-        return np.where(rng.random(n) < 0.5, wide, rng.integers(-1000, 1000, n))
+        return np.choose(rng.integers(0, 3, n),
+                         [wide, rng.integers(-1000, 1000, n), rng.choice(_INT_EDGES, n)])
+    if kind == "uint":  # above 2^63 too, which int64 does not hold
+        high = rng.integers(2**63, 2**64, n, endpoint=False, dtype=np.uint64)
+        return np.where(rng.random(n) < 0.5, high, rng.integers(0, 1000, n, dtype=np.uint64))
     if kind == "bool":
         return rng.random(n) < 0.5
     # a list column, as gen-recover's s_catalog or embed-error's bound_satisfied,
@@ -456,8 +482,8 @@ class TestCsvWriter:
     """The column writer against the frozen row writer, byte for byte."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(kinds=st.lists(st.sampled_from(["float", "int", "bool", "mixed"]),
-                          min_size=1, max_size=5),
+    @given(kinds=st.lists(st.sampled_from(["float", "float32", "int", "uint", "bool",
+                                           "mixed"]), min_size=1, max_size=5),
            n=st.sampled_from([0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
            | st.integers(0, 30),
            seed=st.integers(0, 2**32 - 1))
@@ -470,6 +496,21 @@ class TestCsvWriter:
             want = pathlib.Path(write_csv_rows(os.path.join(tmp, "rows.csv"), header,
                                                [list(row) for row in zip(*columns)]))
             assert got.read_bytes() == want.read_bytes()
+
+    def test_every_line_is_the_percent_format(self, tmp_path):
+        # 10^5 values of each kind, every block mixing values the writer
+        # formats itself with those it leaves to `fmt` (nan, inf, zero,
+        # subnormal, tiny and huge floats)
+        rng = np.random.default_rng(33)
+        n = 100_000
+        kinds = ("float", "float32", "int", "uint", "bool")
+        columns = [_random_column(rng, kind, n) for kind in kinds]
+        path = write_csv(str(tmp_path / "c.csv"), list(kinds), columns)
+        lines = pathlib.Path(path).read_bytes().decode().split("\n")
+        assert lines[0] == ",".join(kinds) and lines[-1] == ""
+        line = "%.17g,%.17g,%d,%d,%d"
+        for got, row in zip(lines[1:-1], zip(*(col.tolist() for col in columns)), strict=True):
+            assert got == line % row
 
     def test_columns_of_unequal_length_raise(self, tmp_path):
         with pytest.raises(ValueError):
@@ -591,6 +632,12 @@ def test_import_cli_loads_only_the_config_layers():
     code = "import sys, mapflow.cli; print(sorted(m for m in sys.modules if 'mapflow' in m))"
     assert eval(_child(code)) == ["mapflow", "mapflow.cli", "mapflow.errors", "mapflow.interp",
                                   "mapflow.maps", "mapflow.resonance"]
+
+
+def test_import_experiments_leaves_hamiltonian_out():
+    # a stability scan needs none of hamiltonian: its functions import it
+    code = "import sys, mapflow.experiments; print('mapflow.hamiltonian' in sys.modules)"
+    assert _child(code).strip() == "False"
 
 
 def test_import_mapflow_loads_no_numpy():

@@ -29,7 +29,7 @@ from mapflow import (
 from mapflow.errors import DomainEscape, NoConvergence, QuadratureFailure, StepFailure
 from mapflow.hamiltonian import MAX_PANELS, _gauss_kronrod, _rowwise, cross_form_fields
 from mapflow.interp import as_map
-from mapflow import experiments, hamiltonian
+from mapflow import hamiltonian
 from mapflow.experiments import SnDecomposition
 from mapflow.maps import PICARD_TOL, _picard
 from mapflow.resonance import BlockMap
@@ -410,7 +410,7 @@ class TestCrossFormFields:
         monkeypatch.setattr(BlockMap, "apply", lambda self, x: calls.append(x) or apply(self, x))
         got = SnDecomposition(block=blk).w_report(grid_n=4).values
         assert len(calls) == 2
-        monkeypatch.setattr(experiments, "cross_form_fields", _reapplied_cross_form)
+        monkeypatch.setattr(hamiltonian, "cross_form_fields", _reapplied_cross_form)
         want = SnDecomposition(block=blk).w_report(grid_n=4).values
         assert len(calls) == 2 + 3
         assert np.array_equal(got, want)
