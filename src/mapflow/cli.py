@@ -452,18 +452,6 @@ def build_site(model: MapModel, cfg: dict) -> tuple[ResonanceSite, str]:
 # `experiments` and `nucleus` are not needed to validate a config)
 # ---------------------------------------------------------------------------
 
-def _pool_map(fn, tasks: list, workers: int) -> list:
-    """[fn(t) for t in tasks], in worker processes when there are several of each
-    (the seed chunks of `run_stability`).  concurrent.futures, and with it
-    multiprocessing, is imported only then, so a one-worker run does not load them."""
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, tasks))
-    return [fn(t) for t in tasks]
-
-
 def run_embed_error(cfg, model, out, workers):
     """Write embed-error.csv, the orders in turn; the manifest gets a flow_failures line."""
     from .hamiltonian import default_delta, embedding_error, unit_box
@@ -568,7 +556,9 @@ def run_stability(cfg, model, out, workers):
     """Write stability.csv and stability_calibration.txt.  Without a configured
     radius each chunk's task carries the pilot's seeds in its batch
     (`calibrated_scan`), so no step waits for a serial pilot; the chunks'
-    calibrations must agree."""
+    calibrations must agree.  The chunks run in worker processes when there
+    are several of each; concurrent.futures, and with it multiprocessing, is
+    imported only then, so a one-worker run does not load them."""
     from .experiments import calibrated_scan, stability_scan
 
     sub = cfg["stability"]
@@ -587,20 +577,26 @@ def run_stability(cfg, model, out, workers):
     if radius is None:
         task = partial(calibrated_scan, model, horizon=sub["horizon"],
                        pilot_horizon=sub["pilot_horizon"])
-        parts = _pool_map(task, chunks, workers)
+    else:
+        task = partial(stability_scan, model, horizon=sub["horizon"], confinement_radius=radius)
+    if workers > 1 and len(chunks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            parts = list(ex.map(task, chunks))
+    else:
+        parts = [task(c) for c in chunks]
+    if radius is None:
         calibrations = {(cal, r) for _, cal, r in parts}
         if len(calibrations) != 1:
             raise RuntimeError(f"seed chunks calibrated differently: {calibrations}")
         (cal, radius), = calibrations
-        pilot_c1, parts = cal.c1, [recs for recs, _, _ in parts]
-    else:
-        task = partial(stability_scan, model, horizon=sub["horizon"], confinement_radius=radius)
-        parts = _pool_map(task, chunks, workers)
-    # chunks come back in seed order, one record per seed
-    recs = [r for part in parts for r in part]
-    columns = [np.arange(nseeds), *x0.T, np.array([r.excursion for r in recs]),
-               np.array([-1 if r.exit_index is None else r.exit_index for r in recs]),
-               np.array([r.max_step_drift for r in recs]), [r.status for r in recs]]
+        pilot_c1, parts = cal.c1, [rec for rec, _, _ in parts]
+    # chunks come back in seed order
+    exc, exits, drift, escapes = (np.concatenate([getattr(rec, f) for rec in parts]) for f in
+                                  ("excursion", "exit_index", "max_step_drift", "escape_index"))
+    status = ["ok" if e < 0 else f"domain_escape@{e}" for e in escapes.tolist()]
+    columns = [np.arange(nseeds), *x0.T, exc, exits, drift, status]
     header = (["seed"] + [f"I0_{j}" for j in range(d)] + [f"phi0_{j}" for j in range(d)]
               + ["excursion", "exit_index", "max_step_drift", "status"])
     path = write_csv(os.path.join(out, "stability.csv"), header, columns)

@@ -194,15 +194,16 @@ def energy_drift(model: MapModel, site: ResonanceSite, m: int, blocks: int,
 
 @dataclass(frozen=True, eq=False)
 class StabilityRecord:
-    """Per-seed outcome of a confinement scan."""
+    """Outcome of a confinement scan of N seeds over ``horizon`` steps, one
+    array entry per seed in seed order.  The statistics stop at a seed's
+    escape state."""
 
-    seed_index: int
-    x0: np.ndarray             # (2d,) start point (I0, phi0)
-    excursion: float           # max_k |I_k - I_0|_inf over the horizon
+    x0: np.ndarray              # (N, 2d) start points (I0, phi0)
+    excursion: np.ndarray       # (N,) max_k |I_k - I_0|_inf over the horizon
+    max_step_drift: np.ndarray  # (N,) max per-step |I_{k+1} - I_k|_inf
+    exit_index: np.ndarray      # (N,) int64, first k with excursion > radius, -1 for none
+    escape_index: np.ndarray    # (N,) int64, the escape state's k, -1 for none
     horizon: int
-    exit_index: Optional[int]  # first k with excursion > confinement radius
-    max_step_drift: float      # max per-step |I_{k+1} - I_k|_inf
-    status: str = "ok"
 
 
 def _max_abs(A: np.ndarray) -> np.ndarray:
@@ -289,24 +290,19 @@ class _Scan:
             del xs, Is  # keep no view of this window while the engine writes the next
         return left
 
-    def records(self, horizon: int, n: int) -> list[StabilityRecord]:
-        """The records of the first n seeds."""
-        out = []
-        for i in range(n):
-            esc = self.escape_idx[i]
-            out.append(StabilityRecord(
-                seed_index=i, x0=self.x0[i],
-                excursion=float(self.exc[i]), horizon=horizon,
-                exit_index=None if self.exit_idx[i] < 0 else int(self.exit_idx[i]),
-                max_step_drift=float(self.step_drift[i]),
-                status="ok" if esc < 0 else f"domain_escape@{esc}"))
-        return out
+    def records(self, horizon: int, n: int) -> StabilityRecord:
+        """The record of the first n seeds, views of the scan's arrays."""
+        return StabilityRecord(x0=self.x0[:n], excursion=self.exc[:n],
+                               max_step_drift=self.step_drift[:n],
+                               exit_index=self.exit_idx[:n],
+                               escape_index=self.escape_idx[:n], horizon=horizon)
 
 
 def stability_scan(model: MapModel, x0: np.ndarray, horizon: int,
-                   confinement_radius: Optional[float] = None) -> list[StabilityRecord]:
+                   confinement_radius: Optional[float] = None) -> StabilityRecord:
     """Vectorized long-horizon scan of action excursions from the seeds
-    x0 = (I0, phi0), shape (2d,) or (N, 2d), one seed per row.
+    x0 = (I0, phi0), shape (2d,) or (N, 2d), one seed per row; returns one
+    record of per-seed arrays (a (2d,) x0 is one seed, N = 1).
 
     Seeds step in one batch through `maps._orbits`, the orbit engine of
     `maps.windows`, under its escape rule.  Per-seed statistics (running
@@ -378,14 +374,14 @@ def pilot_confinement(model: MapModel, horizon: int = 20000) -> PilotCalibration
     x0 = _pilot_seeds(model)
     if x0 is None:
         return _calibration(model, None)
-    return _calibration(model, max(r.excursion for r in stability_scan(model, x0, horizon)))
+    return _calibration(model, float(stability_scan(model, x0, horizon).excursion.max()))
 
 
 def calibrated_scan(model: MapModel, x0: np.ndarray, horizon: int, pilot_horizon: int = 20000):
     """`pilot_confinement` over ``pilot_horizon`` steps, then `stability_scan`
     of the seeds x0 (N, 2d) at the confinement radius RADIUS_FACTOR times
     the calibration's (none where c1 is zero), with the pilot's seeds riding
-    in the scan's batch.  Returns (records, calibration, radius), bit for
+    in the scan's batch.  Returns (record, calibration, radius), bit for
     bit those of the two calls: for catalog maps a seed's orbit does not
     depend on the batch, and the statistics of a run split at a step are
     those of the whole.
@@ -412,8 +408,7 @@ def calibrated_scan(model: MapModel, x0: np.ndarray, horizon: int, pilot_horizon
     if radius is not None:
         over = np.flatnonzero(scan.exc[:n] > radius)
         if over.size:
-            scan.exit_idx[over] = [r.exit_index for r in
-                                   stability_scan(model, x0[over], head, radius)]
+            scan.exit_idx[over] = stability_scan(model, x0[over], head, radius).exit_index
     if horizon > head:
         scan.run(rows[seeds], x[seeds], horizon - head, radius, head)
     return scan.records(horizon, n), cal, radius

@@ -337,8 +337,9 @@ def _sum_source(row: str, terms, out: Optional[str] = None, const=repr) -> str |
     row + str(i), in one of two forms: with no ``out``, one float
     expression ("0.0" if empty); with the name of an output row, the lines
     of ufunc calls that write the sum into it, with positional outputs and
-    the row ``tmp`` as scratch (an empty sum fills it with zeros).  x * 1
-    is x, and a + x * w is a - x * |w| for w < 0 (the same bits).
+    the row ``tmp`` as scratch (none for an empty sum: its caller fills the
+    row with zeros once).  x * 1 is x, and a + x * w is a - x * |w| for
+    w < 0 (the same bits).
     ``const`` writes a weight as source."""
     code, acc = [], None
     for i, w in terms:
@@ -358,9 +359,7 @@ def _sum_source(row: str, terms, out: Optional[str] = None, const=repr) -> str |
             acc = out
     if out is None:
         return acc or "0.0"
-    if acc is None:
-        return [f"{out}.fill(0.0)"]
-    return code if acc == out else code + [f"copyto({out}, {acc})"]
+    return code if acc in (None, out) else code + [f"copyto({out}, {acc})"]
 
 
 def _kick_body(plan: _KickPlan, back: bool, batch: bool):
@@ -374,14 +373,16 @@ def _kick_body(plan: _KickPlan, back: bool, batch: bool):
 
     Both take the same operations in the same order: backward, the actions
     taken off the angles first; the angles reduced (p - floor(p), bitwise
-    ``p % 1.0``, NaN where an angle is not finite), the non-unit phases,
+    ``p % 1.0``, NaN where an angle is not finite; the point body reduces
+    only those that a phase or a sine reads), the non-unit phases,
     sin(2 pi row) over the plan's ``sines``, the scaled rows, the component
     sums, then I' = I - (G / 2 pi) eps and phi' = phi + I' (backward,
     I = I' + (G / 2 pi) eps).  The phases and sums are `_dot`'s rule
     (`_sum_source`).  The point body runs them on Python floats, with the
     plan's weights as float literals (``repr`` round-trips).  The batch
     body runs each as one ufunc call on a block of rows of one buffer
-    allocated per call, a sine over each run of consecutive rows: no
+    allocated per call (an empty sum's row filled with zeros once, before
+    the steps), a sine over each run of consecutive rows: no
     reduction over a short axis, and no dot or matmul, whose BLAS kernels
     could make a row depend on the batch.  At small batches the per-call
     cost of a ufunc dominates, so no call but a sum's running total writes
@@ -409,7 +410,8 @@ def _kick_body(plan: _KickPlan, back: bool, batch: bool):
     if not batch:
         step = [f"p{i} -= I{i}" for i in range(d)] if back else []
         phase = {o: f"({_sum_source('r', terms)})" for o, terms in plan.phases}
-        step += [f"r{i} = p{i} % 1.0" for i in range(d)]
+        read = {i for _, terms in plan.phases for i, _ in terms} | set(plan.sines)
+        step += [f"r{i} = p{i} % 1.0" for i in range(d) if i in read]
         step += [f"b{r} = sin({phase.get(r, f'r{r}')} * {two_pi})" for r in plan.sines]
         step += [f"b{dst} = b{src} * {c!r}" for src, c, dst in plan.scales]
         G = ([f"b{i}" for i in range(d)] if plan.sums is None
@@ -448,6 +450,7 @@ def _kick_body(plan: _KickPlan, back: bool, batch: bool):
                 ", ".join(f"b{i}" for i in range(size)) + ", = buf",
                 f"ang, grad, tmp = buf[:{d}], buf[{rows}:{rows + d}], b{size - 1}",
                 "G = ang" if plan.sums is None else f"G = buf[{g}:{g + d}]",
+                *(f"b{g + i}.fill(0.0)" for i, s in enumerate(plan.sums or ()) if not s),
                 *(f"Y{r}, X{r} = buf[{r}:{end}], buf[{rows + r}:{rows + end}]" for r, end in runs),
                 "eps = array(eps)",
                 f"Is, ps = xs[:, :{d}], xs[:, {d}:]",

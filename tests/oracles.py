@@ -6,6 +6,7 @@ by those oracles.
 """
 
 import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -276,3 +277,20 @@ def scan_per_state(model, x0, horizon, radius=None):
         del xs, Is
     return [(float(exc[i]), None if exit_idx[i] < 0 else int(exit_idx[i]), float(drift[i]),
              "ok" if escape_idx[i] < 0 else f"domain_escape@{escape_idx[i]}") for i in range(n)]
+
+
+class SeedRow(NamedTuple):
+    """One seed of a scan record, in `scan_per_state`'s tuple form."""
+
+    excursion: float
+    exit_index: Optional[int]
+    max_step_drift: float
+    status: str
+
+
+def per_seed(rec):
+    """A `StabilityRecord`'s per-seed arrays as `scan_per_state`'s tuples:
+    exit None for -1, status "ok" or "domain_escape@k" from the escape."""
+    return [SeedRow(e, None if k < 0 else k, s, "ok" if q < 0 else f"domain_escape@{q}")
+            for e, k, s, q in zip(rec.excursion.tolist(), rec.exit_index.tolist(),
+                                  rec.max_step_drift.tolist(), rec.escape_index.tolist())]

@@ -357,6 +357,20 @@ class TestDeterminism:
         assert run("stability", path, out=str(out2), workers=8) == 0
         assert (out1 / "stability.csv").read_bytes() == (out2 / "stability.csv").read_bytes()
 
+    def test_configured_radius_workers_byte_identical(self, tmp_path):
+        # 110 seeds: two chunks at --workers 2, each a `stability_scan` at the
+        # configured radius, which some seeds cross
+        cfg = base_cfg(stability={"seeds": 110, "horizon": 400, "confinement_radius": 1e-3})
+        cfg["map"] = {"name": "froeschle2", "eps": 1e-3, "params": {"eta": 0.3}}
+        path = write_cfg(tmp_path, "c.json", cfg)
+        out1, out2 = tmp_path / "w1", tmp_path / "w2"
+        assert run("stability", path, out=str(out1), workers=1) == 0
+        assert run("stability", path, out=str(out2), workers=2) == 0
+        assert (out1 / "stability.csv").read_bytes() == (out2 / "stability.csv").read_bytes()
+        with open(out1 / "stability.csv") as fh:
+            exits = [int(row["exit_index"]) for row in csv.DictReader(fh)]
+        assert len(exits) == 110 and max(exits) >= 0
+
     @pytest.mark.parametrize("workers, pilot_horizon, factor",
                              [(1, 200, None), (2, 200, None), (2, 700, None), (1, 200, 0.05)],
                              ids=["w1", "w2", "w2_pilot_longer", "w1_rescan"])

@@ -24,7 +24,7 @@ from mapflow import (
 )
 from mapflow import experiments, hamiltonian, interp, maps, nonexact_shear, nucleus, resonance
 from mapflow.experiments import SnDecomposition
-from oracles import TWO_PI, scan_per_state
+from oracles import TWO_PI, per_seed, scan_per_state
 
 
 def std_site(gamma=2.0, eps=1e-4, n=1):
@@ -172,7 +172,7 @@ class TestEnergyDrift:
 class TestStabilityScan:
     def test_integrable_zero_excursion(self):
         m = catalog("standard", 0.0)
-        recs = stability_scan(m, np.array([[0.1, 0.0], [0.4, 0.3]]), 500)
+        recs = per_seed(stability_scan(m, np.array([[0.1, 0.0], [0.4, 0.3]]), 500))
         assert all(r.excursion == 0.0 for r in recs)
         assert all(r.exit_index is None for r in recs)
 
@@ -180,23 +180,23 @@ class TestStabilityScan:
         m = catalog("standard", 5e-3)
         I0 = rng.uniform(-0.5, 0.5, (8, 1))
         phi0 = rng.uniform(0, 1, (8, 1))
-        e1 = [r.excursion for r in stability_scan(m, np.hstack([I0, phi0]), 200)]
-        e2 = [r.excursion for r in stability_scan(m, np.hstack([I0, phi0]), 1000)]
+        e1 = stability_scan(m, np.hstack([I0, phi0]), 200).excursion
+        e2 = stability_scan(m, np.hstack([I0, phi0]), 1000).excursion
         assert all(b >= a for a, b in zip(e1, e2))
 
     def test_exit_detection(self):
         from mapflow import nonexact_shear
 
         m = nonexact_shear(0.01)
-        recs = stability_scan(m, np.array([[0.0, 0.2]]), 100,
-                              confinement_radius=0.05)
-        assert recs[0].exit_index == 6  # excursion passes 0.05 on step 6
+        rec = stability_scan(m, np.array([[0.0, 0.2]]), 100,
+                             confinement_radius=0.05)
+        assert rec.exit_index[0] == 6  # excursion passes 0.05 on step 6
 
     def test_seed_isolation_on_domain_escape(self):
         from mapflow import nonexact_shear
 
         m = nonexact_shear(0.01)
-        recs = stability_scan(m, np.array([[1.45, 0.2], [0.0, 0.3]]), 100)
+        recs = per_seed(stability_scan(m, np.array([[1.45, 0.2], [0.0, 0.3]]), 100))
         assert recs[0].status.startswith("domain_escape")
         assert recs[1].status == "ok"
         assert recs[1].excursion == pytest.approx(100 * 0.01, abs=1e-12)
@@ -205,8 +205,8 @@ class TestStabilityScan:
         # I_k = 1.455 + 0.01 k leaves |I| <= 1.5 at k = 5, the final state:
         # no step is taken from it and it is finite, so it is no escape
         m = nonexact_shear(0.01)
-        recs = stability_scan(m, np.array([[1.455, 0.2], [0.0, 0.3]]), 5)
-        assert [r.status for r in recs] == ["ok", "ok"]
+        rec = stability_scan(m, np.array([[1.455, 0.2], [0.0, 0.3]]), 5)
+        assert [r.status for r in per_seed(rec)] == ["ok", "ok"]
 
     # states: windows of 1, 7 and 2048 steps at the 8 seeds (ids in steps), and the default
     @pytest.mark.parametrize("window", [1, pytest.param(7 * 8, id="7"), maps.WINDOW,
@@ -217,12 +217,10 @@ class TestStabilityScan:
         cases = [(catalog("standard", 5e-3), 300, 0.01), (nonexact_shear(0.01), 300, 0.05),
                  (nonexact_shear(0.01), 20, 0.05)]
 
-        def fields(recs):
-            return [(r.excursion, r.exit_index, r.max_step_drift, r.status) for r in recs]
-
-        want = [fields(stability_scan(m, np.hstack([I0, phi0]), h, r)) for m, h, r in cases]
+        want = [per_seed(stability_scan(m, np.hstack([I0, phi0]), h, r)) for m, h, r in cases]
         monkeypatch.setattr(maps, "WINDOW", window)
-        assert [fields(stability_scan(m, np.hstack([I0, phi0]), h, r)) for m, h, r in cases] == want
+        assert [per_seed(stability_scan(m, np.hstack([I0, phi0]), h, r))
+                for m, h, r in cases] == want
         assert want[1][6][3] == "domain_escape@5" and want[1][7][3] == "domain_escape@20"
 
     # states: windows of 1, 7 and 2048 steps at the 6 seeds (ids in steps), and the default
@@ -243,8 +241,7 @@ class TestStabilityScan:
         last = maps.propagate(m, np.concatenate([I0[5], phi0[5]]), horizon)[0][horizon]
         assert want[5][3] == "ok" and not m.domain.contains_extended(last[: m.d])
         monkeypatch.setattr(maps, "WINDOW", window)
-        recs = stability_scan(m, np.hstack([I0, phi0]), horizon, radius)
-        assert [(r.excursion, r.exit_index, r.max_step_drift, r.status) for r in recs] == want
+        assert per_seed(stability_scan(m, np.hstack([I0, phi0]), horizon, radius)) == want
 
     @pytest.mark.parametrize("window", [1, 7, None], ids=["1", "7n", "default"])
     def test_statistics_match_the_per_state_oracle(self, window, rng, monkeypatch):
@@ -272,9 +269,7 @@ class TestStabilityScan:
         for (m, x0, h, r), ref in zip(cases, want):
             monkeypatch.setattr(maps, "WINDOW", maps.WINDOW if window is None
                                 else window * len(x0))
-            got = stability_scan(m, x0, h, r)
-            assert [(g.excursion, g.exit_index, g.max_step_drift, g.status)
-                    for g in got] == ref
+            assert per_seed(stability_scan(m, x0, h, r)) == ref
 
     @pytest.mark.parametrize("case", ["pilot_shorter", "pilot_longer", "rescan", "steep",
                                       "twist", "no_pilot", "no_scan"])
@@ -301,15 +296,16 @@ class TestStabilityScan:
             pilot_horizon = 0
         if case == "no_scan":
             horizon = 0
-        recs, cal, radius = experiments.calibrated_scan(m, x0, horizon, pilot_horizon)
+        rec, cal, radius = experiments.calibrated_scan(m, x0, horizon, pilot_horizon)
         want_cal = pilot_confinement(m, horizon=pilot_horizon)
         want_radius = (experiments.RADIUS_FACTOR * want_cal.radius(m.eps)
                        if want_cal.c1 > 0 else None)
         want = stability_scan(m, x0, horizon, want_radius)
         assert (cal, radius) == (want_cal, want_radius)
-        fields = lambda rs: [(r.seed_index, r.excursion, r.exit_index, r.max_step_drift,  # noqa: E731
-                              r.status, r.horizon, tuple(r.x0)) for r in rs]
-        assert fields(recs) == fields(want)
+        recs = per_seed(rec)
+        assert recs == per_seed(want)
+        assert rec.horizon == want.horizon and np.array_equal(rec.x0, want.x0)
+        assert rec.exit_index.dtype == rec.escape_index.dtype == np.int64
         exits = [r.exit_index for r in recs if r.exit_index is not None]
         early = sum(e <= min(horizon, pilot_horizon) for e in exits)
         if case in ("rescan", "steep"):

@@ -49,6 +49,7 @@ from oracles import (
     catalog_norms,
     froeschle_closed_forms,
     kick_rows,
+    per_seed,
     s_phiphi_rows,
     s_rows,
     standard_closed_forms,
@@ -156,7 +157,7 @@ class TestIterate:
         monkeypatch.setattr(maps, "propagate", lambda *args: calls.append(args))
         for steps in (10**5, -7, 0):
             assert m.orbit(np.empty((0, 4)), steps).shape == (abs(steps) + 1, 0, 4)
-        assert stability_scan(m, np.empty((0, 4)), 10**5, 0.1) == []
+        assert per_seed(stability_scan(m, np.empty((0, 4)), 10**5, 0.1)) == []
         assert calls == []
 
     def test_twist_angles(self):
@@ -210,10 +211,9 @@ class TestKernel:
             orb = m.orbit(np.concatenate([I0[i], phi0[i]]), 200)
             assert np.array_equal(orb, np.concatenate([Is[:, i], ps[:, i]], axis=-1))
         monkeypatch.setattr(maps, "WINDOW", 28)  # 7 steps of 4 seeds: the scan restarts 28 times
-        recs = stability_scan(m, np.hstack([I0, phi0]), 200)
-        assert [r.excursion for r in recs] == list(np.max(np.abs(Is[1:] - Is[0]), axis=(0, 2)))
-        assert ([r.max_step_drift for r in recs]
-                == list(np.max(np.abs(np.diff(Is, axis=0)), axis=(0, 2))))
+        rec = stability_scan(m, np.hstack([I0, phi0]), 200)
+        assert np.array_equal(rec.excursion, np.max(np.abs(Is[1:] - Is[0]), axis=(0, 2)))
+        assert np.array_equal(rec.max_step_drift, np.max(np.abs(np.diff(Is, axis=0)), axis=(0, 2)))
 
     @pytest.mark.parametrize("window", [1, 7, 2048])
     @pytest.mark.parametrize("name, x0", [("standard", [[0.31, 0.42], [-0.2, 0.9]]),
@@ -322,6 +322,28 @@ class TestKernel:
             assert np.array_equal(xs, plain)
             assert sum(rows) == sines * steps and len(rows) == runs * steps
 
+    def test_unused_angle_takes_no_dead_work(self, monkeypatch):
+        # angle 1 of UNUSED_ANGLE_TERM feeds no phase, sine or sum: the point
+        # bodies do not reduce it, and the batch bodies fill its empty sum's
+        # row once per call.  Its kick line stays: I + 0.0 turns -0.0 into
+        # +0.0, and a non-finite eps makes it NaN, as in `_step` and `_step_back`
+        sources = []
+
+        def spy(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+
+        monkeypatch.setattr(maps, "compile", spy, raising=False)
+        TrigTerm(*map(np.array, UNUSED_ANGLE_TERM))
+        point, batch = sources[:2], sources[2:]  # forward, then backward
+        for source, op in zip(point, "-+"):
+            loop = source.split("for _ in", 1)[1]
+            assert "r0 = p0 % 1.0" in loop and "r2 = p2 % 1.0" in loop
+            assert "p1 %" not in source and f"I1 {op}= (0.0) / " in loop
+        for source in batch:
+            head, loop = source.split("for I1, p1 in", 1)
+            assert "b10.fill(0.0)" in head and "fill" not in loop
+
     @pytest.mark.parametrize("name, params, site", [
         ("standard", {}, ResonanceSite(n=1, omega_star=[0.0], I_star=[0.0], rho_n=0.2)),
         ("froeschle2", {"eta": 0.3},
@@ -337,7 +359,7 @@ class TestKernel:
         x = np.concatenate([np.full(m.d, 0.1), np.full(m.d, 0.3)])
         xb = np.concatenate([np.full(m.d, 0.2), np.full(m.d, 0.3)])
         assert np.array_equal(m.apply(x), m.orbit(x, 20)[1])
-        assert stability_scan(m, np.stack([x, -x]), 20)[1].status == "ok"
+        assert per_seed(stability_scan(m, np.stack([x, -x]), 20))[1].status == "ok"
         assert np.array_equal(block.apply(xb), block.orbit(xb, 5)[1])
         assert trapped_orbit(m, site, xb, 30).x.shape == (31, 2 * m.d)
         for F, y in ((m, x), (block, xb)):
