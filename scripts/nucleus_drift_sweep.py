@@ -3,14 +3,15 @@
 
 Writes runs/nucleus_sweep/drift.csv and prints the fitted exponent
 (expected >= 1.4: the centered-phase energy samples drift at the
-eps^{3/2} scale).
+eps^{3/2} scale), a `fit_log_law` fit of log(drift) against log(eps),
+with its R^2.
 """
 
 import pathlib
 
 import numpy as np
 
-from mapflow import ResonanceSite, catalog, trapped_orbit
+from mapflow import ResonanceSite, catalog, fit_log_law, trapped_orbit
 from mapflow.cli import write_csv
 
 OUT = pathlib.Path(__file__).parent.parent / "runs" / "nucleus_sweep"
@@ -27,8 +28,8 @@ def main():
         drifts.append(rec.max_step_dE)
         print(f"eps={eps:g}: max per-step |dE| = {rec.max_step_dE:.4g}, "
               f"max |J| = {rec.max_abs_J:.4g}, escaped = {rec.escaped}")
-    slope = np.polyfit(np.log(grid), np.log(drifts), 1)[0]
-    print(f"fitted exponent: {slope:.3f}")
+    fit = fit_log_law(np.log(grid), drifts, "vs_log_eps")
+    print(f"fitted exponent: {fit.slope:.3f}, R^2 {fit.r_squared:.4f}")
     write_csv(OUT / "drift.csv", ["eps", "max_step_dE"], [np.array(grid), np.array(drifts)])
 
 

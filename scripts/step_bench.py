@@ -25,6 +25,14 @@ prints seconds per scan, with the peak of memory that `tracemalloc` sees
 in one more scan; numpy reports its array buffers there, so the peak
 shows the scan's window buffers: about 1.9 MB while one window is alive
 at a time, 2.7 MB if the previous one is kept while the next is written.
+Last, times the layers that the tables above do not reach, each with its
+count of work: `flow_map` (time one, tol 1e-12) of the nucleus block's
+X_2 and X_5 on 16 and 64 points, in ms and field rows per point; the path
+integral of `reconstruct_hamiltonian` of its X_2 at 31 queries, in ms and
+integrand rows per query; and `resonance.dirichlet` in d = 1 and 2 at
+N = 10^4, in us per candidate, with the candidates tried.  A counting
+wrapper around the field counts the rows; the Dirichlet search tries
+n = 1, 2, ... in turn, so the n it returns is its count.
 Each repeat runs every case once, in turn, so that a drift in host speed
 touches all cases alike.
 
@@ -35,14 +43,17 @@ version on PYTHONPATH, alternating.
 """
 
 import argparse
+import math
 import os
 import tempfile
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 
-from mapflow import ResonanceSite, catalog, interpolating_vf, scaled_block, stability_scan
+from mapflow import (ResonanceSite, catalog, dirichlet, flow_map, interpolating_field,
+                     interpolating_vf, reconstruct_hamiltonian, scaled_block, stability_scan)
 from mapflow.cli import write_csv
 from mapflow.maps import propagate
 
@@ -56,6 +67,12 @@ APPLY_CASES = ((1, 2_000), (100, 500))
 CSV_ROWS = 100_000
 #: seeds, steps and confinement radius of the froeschle2 scan case
 SCAN_SEEDS, SCAN_STEPS, SCAN_RADIUS = 100, 20_000, 0.05
+#: points of the flow cases, and queries of the path integral from its base
+FLOW_POINTS, QUERIES, BASE = (16, 64), 31, np.array([0.05, 0.0])
+#: badly approximable frequencies, the golden mean in d = 1 and a cubic pair
+#: in d = 2, searched up to N
+DIRICHLET_OMEGAS = ([(math.sqrt(5) - 1) / 2], [2 ** (1 / 3) - 1, 4 ** (1 / 3) - 1])
+DIRICHLET_N = 1e4
 
 
 def _states(d: int, batch: int) -> np.ndarray:
@@ -79,6 +96,38 @@ def _table(rows: int) -> list:
     rng = np.random.default_rng(rows)
     return [np.arange(rows), 0.05 * rng.normal(size=rows),
             -0.0123 + 1e-4 * rng.normal(size=rows), np.zeros(rows, dtype=bool)]
+
+
+class _Counted:
+    """A field that counts the rows it is called on."""
+
+    def __init__(self, X):
+        self.X, self.rows = X, 0
+
+    def __call__(self, x):
+        x = np.asarray(x)
+        self.rows += x.size // x.shape[-1]
+        return self.X(x)
+
+
+def _flow_rows(X: _Counted, x: np.ndarray):
+    """One time-one flow of the points x: (points, field rows per point)."""
+    X.rows = 0
+    flow_map(X, x, 1.0)
+    return len(x), X.rows / len(x)
+
+
+def _path_rows(H, queries: np.ndarray):
+    """H at the queries, one path integral: (queries, integrand rows per query)."""
+    H.X.rows = 0
+    H.evaluate(queries)
+    return len(queries), H.X.rows / len(queries)
+
+
+def _candidates(omega):
+    """One Dirichlet search: (candidates tried, candidates tried)."""
+    n = dirichlet(np.array(omega), DIRICHLET_N)[0]
+    return n, n
 
 
 def _stats(vals, digits: int = 1):
@@ -116,11 +165,26 @@ def main(argv=None) -> int:
             applies.append((f"nucleus block X_{m} {scheme}", 25, calls,
                             lambda x, m=m, s=scheme: interpolating_vf(block, x, m, s),
                             _point(1, 25)))
+    # (name, size, time scale, unit, run): run() returns the units that the
+    # time is divided by and the count per unit
+    layers = []
+    for m in (2, 5):
+        X = _Counted(interpolating_field(block, m))
+        for n in FLOW_POINTS:
+            layers.append((f"flow_map X_{m}", n, 1e3, "ms and field rows per point",
+                           partial(_flow_rows, X, _point(1, n))))
+    H = reconstruct_hamiltonian(_Counted(interpolating_field(block, 2)), BASE, quad_tol=1e-12)
+    layers.append(("path integral X_2", QUERIES, 1e3, "ms and integrand rows per query",
+                   partial(_path_rows, H, _point(1, QUERIES))))
+    for omega in DIRICHLET_OMEGAS:
+        layers.append((f"dirichlet d={len(omega)}", int(DIRICHLET_N), 1e6,
+                       "us per candidate; candidates tried", partial(_candidates, omega)))
     for _, _, steps, model, x in cases:  # warm up every path once
         propagate(model, x, 10 if steps > 0 else -10)
     for *_, fn, x in applies:
         fn(x)
-    samples = {case[:2]: [] for case in cases + applies}
+    counts = {layer[:2]: layer[-1]()[1] for layer in layers}  # and warm up each layer
+    samples = {case[:2]: [] for case in cases + applies + layers}
     table, csv_us = _table(CSV_ROWS), []
     scan_model = catalog("froeschle2", EPS, eta=0.3)
     seeds, scan_s = _point(scan_model.d, SCAN_SEEDS), []
@@ -142,6 +206,10 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         stability_scan(scan_model, seeds, SCAN_STEPS, SCAN_RADIUS)
         scan_s.append(time.perf_counter() - t0)
+        for name, size, scale, _, run in layers:
+            t0 = time.perf_counter()
+            units, _ = run()
+            samples[name, size].append(scale * (time.perf_counter() - t0) / units)
     tmp.cleanup()
     tracemalloc.start()
     stability_scan(scan_model, seeds, SCAN_STEPS, SCAN_RADIUS)
@@ -161,6 +229,11 @@ def main(argv=None) -> int:
     print(f"\n{'scan':<19} {'seeds':>6} {'median':>9} {'q1':>9} {'q3':>9} {'peak MB':>9}"
           f"  s per scan of {SCAN_STEPS} steps, {args.repeats} repeats; traced peak")
     print(f"{'froeschle2':<19} {SCAN_SEEDS:>6} {_stats(scan_s, 3)} {scan_mb:9.2f}")
+    print(f"\n{'layer':<19} {'size':>6} {'median':>9} {'q1':>9} {'q3':>9} {'count':>9}"
+          f"  time and count per unit, {args.repeats} repeats")
+    for name, size, _, unit, _ in layers:
+        print(f"{name:<19} {size:>6} {_stats(samples[name, size], 3)} "
+              f"{counts[name, size]:9.1f}  {unit}")
     return 0
 
 

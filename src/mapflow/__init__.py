@@ -15,8 +15,7 @@ _EXPORTS = {
     "errors": (),
     "maps": ("DomainSpec", "MapModel", "catalog", "jacobian", "near_identity_family",
              "nonexact_shear", "symplectic_matrix"),
-    "interp": ("finite_differences", "interpolating_vf", "newton_weights",
-               "order_scaling_check", "orbit_window"),
+    "interp": ("finite_differences", "interpolating_vf", "newton_weights", "orbit_window"),
     "hamiltonian": ("Box", "EmbeddingReport", "HamiltonianField", "Loop", "circle_loop",
                     "default_delta", "distance_to_identity", "embedding_error", "flow_map",
                     "h2_closed_form", "interpolating_field", "loop_action", "optimal_order",
@@ -30,7 +29,8 @@ _EXPORTS = {
                 "trapped_orbit"),
     "experiments": ("AprioriMargins", "DriftReport", "FitReport", "StabilityRecord",
                     "apriori_check", "energy_drift", "error_law_fit", "fit_log_law",
-                    "pilot_confinement", "sn_decomposition", "stability_scan"),
+                    "order_scaling_check", "pilot_confinement", "sn_decomposition",
+                    "stability_scan"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

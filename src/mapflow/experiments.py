@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 # `hamiltonian` is imported by the functions that use it: a stability scan,
 # the `stability` command's whole work, needs none of it
 from . import maps
+from .errors import DegenerateFit, FitFailed
+from .interp import interpolating_vf
 from .maps import MapModel
 from .resonance import BlockMap, ResonanceSite, resonant_action, scaled_block
 
@@ -429,9 +431,17 @@ class FitReport:
     x: np.ndarray
     y_log: np.ndarray
     used: np.ndarray
-    n_excluded: int
-    degenerate: bool
     reports: tuple = ()
+
+    @property
+    def n_excluded(self) -> int:
+        """Points at or below the floor, left out of the fit."""
+        return int(np.sum(~self.used))
+
+    @property
+    def degenerate(self) -> bool:
+        """Fewer than two points above the floor: no slope."""
+        return int(np.sum(self.used)) < 2
 
     @property
     def ratios(self) -> np.ndarray:
@@ -440,6 +450,7 @@ class FitReport:
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """The package's one least-squares rule: slope, intercept and R^2 of y on x."""
     A = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     yhat = A @ coef
@@ -460,15 +471,44 @@ def fit_log_law(x: np.ndarray, values: np.ndarray, mode: str,
     x = np.asarray(x, dtype=float)
     values = np.asarray(values, dtype=float)
     used = values > floor
-    n_excluded = int(np.sum(~used))
-    if int(np.sum(used)) < 2:
-        return FitReport(mode=mode, slope=float("nan"), intercept=float("nan"),
-                         r_squared=float("nan"), x=x, y_log=np.log(np.maximum(values, 1e-300)),
-                         used=used, n_excluded=n_excluded, degenerate=True, reports=reports)
-    slope, intercept, r2 = _ols(x[used], np.log(values[used]))
-    return FitReport(mode=mode, slope=slope, intercept=intercept, r_squared=r2,
-                     x=x, y_log=np.log(np.maximum(values, 1e-300)), used=used,
-                     n_excluded=n_excluded, degenerate=False, reports=reports)
+    slope = intercept = r2 = float("nan")
+    if int(np.sum(used)) >= 2:
+        slope, intercept, r2 = _ols(x[used], np.log(values[used]))
+    return FitReport(mode=mode, slope=slope, intercept=intercept, r_squared=r2, x=x,
+                     y_log=np.log(np.maximum(values, 1e-300)), used=used, reports=reports)
+
+
+def order_scaling_check(model_family: Callable, x0, m: int, eps_grid: Sequence[float],
+                        scheme: str = "newton") -> FitReport:
+    """Fit the scaling exponent of |X_{m+1} - X_m| along a map family.
+
+    ``model_family`` must map the grid parameter to a map that tends to the
+    identity as the parameter goes to 0 (see
+    `mapflow.maps.near_identity_family`); only then does the difference of
+    consecutive interpolation orders scale like the (m+1)-st power.  For
+    catalog families the fitted slope satisfies slope >= m + 1 - 0.2.
+
+    The differences max|X_{m+1} - X_m| are fitted against log(eps) by
+    `fit_log_law` at a floor of 1e-15 (mode "vs_log_eps").  Raises
+    DegenerateFit when that fit excludes any point (e.g. for integrable
+    maps, whose windows are exactly polynomial).
+    """
+    eps_grid = np.asarray(list(eps_grid), dtype=float)
+    if eps_grid.size < 4:
+        raise FitFailed("need at least 4 grid points")
+    diffs = np.empty(eps_grid.size)
+    for i, e in enumerate(eps_grid):
+        mp = model_family(float(e))
+        try:
+            lo = interpolating_vf(mp, x0, m, scheme)
+            hi = interpolating_vf(mp, x0, m + 1, scheme)
+        except Exception as exc:  # noqa: BLE001 - re-raise with fit context
+            raise FitFailed(f"field evaluation failed at eps={e:g}: {exc}") from exc
+        diffs[i] = float(np.max(np.abs(hi - lo)))
+    fit = fit_log_law(np.log(eps_grid), diffs, "vs_log_eps", floor=1e-15)
+    if fit.n_excluded:
+        raise DegenerateFit("order differences at the numerical floor")
+    return fit
 
 
 def error_law_fit(blocks, box: Box, mode: str, m_list: Optional[Sequence[int]] = None,

@@ -38,19 +38,16 @@ and a non-finite state raise DomainEscape there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateFit, FitFailed, OrderTooLarge
-from .maps import MapModel
+from .errors import OrderTooLarge
+from .maps import _inexact
 
 M_MAX = 30
 #: a window step F(x_k) -> x_{k+1} may miss by this much, relative to the point's size
 VERIFY_TOL = 1e-12
-#: differences below this magnitude are considered numerically degenerate
-DIFF_FLOOR = 1e-15
 
 FlatMap = Callable[[np.ndarray], np.ndarray]
 
@@ -161,9 +158,9 @@ def difference_table(points: np.ndarray) -> list[np.ndarray]:
     """Forward-difference table: table[k][i] = D_k at anchor index i.
 
     Row k has len(points) - k entries and is computed by the recursive
-    scheme D_k = D_{k-1} shifted minus D_{k-1}.
+    scheme D_k = D_{k-1} shifted minus D_{k-1}.  Complex points stay complex.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _inexact(points)
     table = [pts]
     for _ in range(pts.shape[0] - 1):
         prev = table[-1]
@@ -230,48 +227,3 @@ def interpolating_vf(map_like, x0, m: int, scheme: str = "newton") -> np.ndarray
     the field of that point alone, bit for bit.
     """
     return field_from_window(orbit_window(map_like, x0, m, scheme), scheme)
-
-
-@dataclass(frozen=True, eq=False)
-class OrderScalingFit:
-    """Least-squares slope of log|X_{m+1} - X_m| against log(parameter)."""
-
-    m: int
-    slope: float
-    intercept: float
-    eps_grid: np.ndarray
-    diffs: np.ndarray
-
-
-def order_scaling_check(model_family: Callable[[float], Union[MapModel, FlatMap]],
-                        x0, m: int, eps_grid: Sequence[float],
-                        scheme: str = "newton") -> OrderScalingFit:
-    """Fit the scaling exponent of |X_{m+1} - X_m| along a map family.
-
-    ``model_family`` must map the grid parameter to a map that tends to the
-    identity as the parameter goes to 0 (see
-    `mapflow.maps.near_identity_family`); only then does the difference of
-    consecutive interpolation orders scale like the (m+1)-st power.  For
-    catalog families the fitted slope satisfies slope >= m + 1 - 0.2.
-
-    Raises DegenerateFit when any difference underflows the 1e-15 floor
-    (e.g. for integrable maps, whose windows are exactly polynomial).
-    """
-    eps_grid = np.asarray(list(eps_grid), dtype=float)
-    if eps_grid.size < 4:
-        raise FitFailed("need at least 4 grid points")
-    x0 = np.asarray(x0, dtype=float)
-    diffs = np.empty(eps_grid.size)
-    for i, e in enumerate(eps_grid):
-        mp = model_family(float(e))
-        try:
-            lo = interpolating_vf(mp, x0, m, scheme)
-            hi = interpolating_vf(mp, x0, m + 1, scheme)
-        except Exception as exc:  # noqa: BLE001 - re-raise with fit context
-            raise FitFailed(f"field evaluation failed at eps={e:g}: {exc}") from exc
-        diffs[i] = float(np.max(np.abs(hi - lo)))
-    if np.any(diffs < DIFF_FLOOR):
-        raise DegenerateFit("order differences at the numerical floor")
-    slope, intercept = np.polyfit(np.log(eps_grid), np.log(diffs), 1)
-    return OrderScalingFit(m=m, slope=float(slope), intercept=float(intercept),
-                           eps_grid=eps_grid, diffs=diffs)

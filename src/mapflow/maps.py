@@ -189,8 +189,14 @@ class MapModel:
 
 
 def _frac(phi):
-    """Reduce an angle lift to the fundamental domain [0, 1)."""
-    return phi - np.floor(phi)
+    """Reduce an angle lift to [0, 1); a complex angle by its real part."""
+    return phi - np.floor(phi.real)
+
+
+def _inexact(x) -> np.ndarray:
+    """x as an array of x's dtype promoted with float: complex x stays complex."""
+    x = np.asarray(x)
+    return x.astype(np.promote_types(x.dtype, float), copy=False)
 
 
 def _picard(g, y0):
@@ -612,8 +618,7 @@ def _quad_h0(I):
     return 0.5 * np.sum(np.asarray(I) ** 2, axis=-1)
 
 
-def _identity_omega(I):
-    return np.asarray(I, dtype=float)
+_identity_omega = _inexact  # omega(I) = I of h0 = |I|^2/2
 
 
 def _identity_hess(I):
@@ -699,7 +704,7 @@ class TrigTerm:
                 for k in self.modes]
 
     def s(self, I, phi):
-        phi = np.asarray(phi, dtype=float)
+        phi = _inexact(phi)
         return -_dot(self._cosines(phi), list(enumerate(self.coeffs))) / TWO_PI**2
 
     def s_I(self, I, phi):
@@ -708,22 +713,22 @@ class TrigTerm:
     def s_phi(self, I, phi):
         """The kick of the step bodies on arrays: the plan's phases and sums
         by `_dot`, and the sines of its ``sines`` rows."""
-        phi = np.asarray(phi, dtype=float)
+        phi = _inexact(phi)
         plan = self._plan
         y = list(np.moveaxis(phi, -1, 0))
         y += [_dot(y, terms) for _, terms in plan.phases]
         for r in plan.sines:
             y[r] = np.sin(y[r] * TWO_PI)
         y += [y[src] * c for src, c, _ in plan.scales]
-        out = np.empty(phi.shape)
+        out = np.empty(phi.shape, phi.dtype)
         for i in range(self.d):
             out[..., i] = (y[i] if plan.sums is None else _dot(y, plan.sums[i])) / TWO_PI
         return out
 
     def s_phiphi(self, I, phi):
-        phi = np.asarray(phi, dtype=float)
+        phi = _inexact(phi)
         cos = [x if cj == 1 else cj * x for x, cj in zip(self._cosines(phi), self.coeffs)]
-        out = np.zeros(phi.shape[:-1] + (self.d, self.d))
+        out = np.zeros(phi.shape[:-1] + (self.d, self.d), phi.dtype)
         for i in range(self.d):
             for l in range(self.d):
                 out[..., i, l] = _dot(cos, [(j, k[i] * k[l]) for j, k in enumerate(self.modes)

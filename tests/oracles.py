@@ -5,7 +5,9 @@ binomial sums, scalar root finding via bisection, and frozen values computed
 by those oracles.
 """
 
+import functools
 import math
+from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -110,7 +112,7 @@ def standard_closed_forms():
         return np.sin(TWO_PI * phi) / TWO_PI
 
     def s_phiphi(I, phi):
-        out = np.zeros(phi.shape[:-1] + (1, 1))
+        out = np.zeros(phi.shape[:-1] + (1, 1), np.result_type(phi, 1.0))
         out[..., 0, 0] = np.cos(TWO_PI * phi[..., 0])
         return out
 
@@ -133,7 +135,7 @@ def froeschle_closed_forms(eta):
     def s_phiphi(I, phi):
         p1, p2 = phi[..., 0], phi[..., 1]
         cc = eta * np.cos(TWO_PI * (p1 + p2))
-        out = np.zeros(phi.shape[:-1] + (2, 2))
+        out = np.zeros(phi.shape[:-1] + (2, 2), np.result_type(phi, 1.0))
         out[..., 0, 0] = np.cos(TWO_PI * p1) + cc
         out[..., 0, 1] = cc
         out[..., 1, 0] = cc
@@ -294,3 +296,146 @@ def per_seed(rec):
     return [SeedRow(e, None if k < 0 else k, s, "ok" if q < 0 else f"domain_escape@{q}")
             for e, k, s, q in zip(rec.excursion.tolist(), rec.exit_index.tolist(),
                                   rec.max_step_drift.tolist(), rec.escape_index.tolist())]
+
+
+# The modified Hamiltonian of a kick-drift map in closed form, by the
+# Baker-Campbell-Hausdorff series (Hairer, Lubich and Wanner, Geometric
+# Numerical Integration, ch. IX).  The member of
+# `near_identity_family(catalog(name, eps0))` at mu is F = drift(mu T) o
+# kick(mu V), T = |I|^2/2 and V = eps0 s(phi), so for the Lie operators
+# L_H f = {f, H}, with {f, g} = f_phi . g_I - f_I . g_phi, the pull-back by
+# F is exp(mu L_V) exp(mu L_T) = exp(L_Htilde).  Since [L_A, L_B] = L_{B,A},
+# Htilde is log(e^x e^y) with x -> mu V, y -> mu T and each bracket [a, b]
+# read as br(A, B) = {B, A}.  Hamiltonians are dicts {(a, k): c} of
+# monomials c I^a e^(2 pi i k . phi), on which the bracket is closed.
+
+BCH_EPS0 = 0.5
+BCH_ETA = 0.3
+#: the degree at which the series is truncated, per catalog map
+BCH_DEGREE = {"standard": 10, "froeschle2": 8}
+
+
+def bch_words(K):
+    """log(e^x e^y) in the free associative algebra on the letters 0 (x) and
+    1 (y), truncated at degree K: {word: Fraction}.
+
+    With W = e^x e^y - 1 = sum x^i y^j / (i! j!) over i + j >= 1, the
+    coefficient of a word w in log(1 + W) = sum_k (-1)^(k+1) W^k / k needs
+    P_k(w), its coefficient in W^k: w's last factor of W is a suffix of the
+    form x^i y^j, so P_k(w) = sum over those suffixes of P_(k-1)(prefix) / (i! j!).
+    """
+    P = {(): [Fraction(1)]}
+    coef = {}
+    last = [()]
+    for n in range(1, K + 1):
+        level = [u + (letter,) for u in last for letter in (0, 1)]
+        for w in level:
+            pk = [Fraction(0)] * (n + 1)
+            for i, j in _suffix_blocks(w):
+                weight = Fraction(1, math.factorial(i) * math.factorial(j))
+                for k, p in enumerate(P[w[:n - i - j]]):
+                    pk[k + 1] += p * weight
+            P[w] = pk
+            c = sum(Fraction((-1) ** (k + 1), k) * pk[k] for k in range(1, n + 1))
+            if c:
+                coef[w] = c
+        last = level
+    return coef
+
+
+def _suffix_blocks(w):
+    """(i, j) of every suffix x^i y^j of the word w, i + j >= 1."""
+    n, b, a = len(w), 0, 0
+    while b < n and w[n - 1 - b] == 1:
+        b += 1
+    while a + b < n and w[n - 1 - b - a] == 0:
+        a += 1
+    return [(0, j) for j in range(1, b + 1)] + [(i, b) for i in range(1, a + 1)]
+
+
+def poisson(F, G):
+    """{F, G} = F_phi . G_I - F_I . G_phi of two monomial dicts:
+    {c1 I^a e^(2 pi i k.phi), c2 I^b e^(2 pi i l.phi)}
+    = 2 pi i c1 c2 sum_j (k_j b_j - a_j l_j) I^(a+b-e_j) e^(2 pi i (k+l).phi)."""
+    out = {}
+    for (a, k), c1 in F.items():
+        for (b, l), c2 in G.items():
+            kl = tuple(x + y for x, y in zip(k, l))
+            for j in range(len(a)):
+                f = k[j] * b[j] - a[j] * l[j]
+                if f:
+                    key = (tuple(x + y - (i == j) for i, (x, y) in enumerate(zip(a, b))), kl)
+                    out[key] = out.get(key, 0.0) + 2j * math.pi * f * c1 * c2
+    return out
+
+
+def _kick_drift_letters(name):
+    """(V, T) of the near-identity member at mu = 1, as monomial dicts."""
+    if name == "standard":
+        modes, coeffs = [(1,)], [1.0]
+    else:
+        modes, coeffs = [(1, 0), (0, 1), (1, 1)], [1.0, 1.0, BCH_ETA]
+    d = len(modes[0])
+    zero = (0,) * d
+    V = {}
+    for k, c in zip(modes, coeffs):  # -eps0 c cos(2 pi k.phi) / (2 pi)^2
+        for sign in (1, -1):
+            V[zero, tuple(sign * x for x in k)] = -BCH_EPS0 * c / (2 * TWO_PI**2)
+    T = {(tuple(2 * (i == j) for i in range(d)), zero): 0.5 for j in range(d)}
+    return V, T
+
+
+@functools.cache
+def bch_hamiltonian(name):
+    """The degree parts (H_1, ..., H_K) of the modified Hamiltonian at mu = 1 of
+    `near_identity_family(catalog(name, 0.5))` ("froeschle2" at eta = 0.3);
+    at mu the Hamiltonian is sum_n mu^n H_n.  Degree n is the
+    Dynkin-Specht-Wever image (1/n) sum c_w [w_1, [w_2, ... w_n]] of the
+    words of `bch_words`."""
+    letters = _kick_drift_letters(name)
+    nested = {}
+
+    def right_normed(w):  # [w_1, [w_2, ... w_n]] with [a, b] -> {B, A}
+        if len(w) == 1:
+            return letters[w[0]]
+        if w not in nested:
+            nested[w] = poisson(right_normed(w[1:]), letters[w[0]])
+        return nested[w]
+
+    K = BCH_DEGREE[name]
+    parts = [{} for _ in range(K)]
+    for w, c in bch_words(K).items():
+        if len(w) > 1 and w[-1] == w[-2]:
+            continue  # [x, x] = [y, y] = 0
+        Hn = parts[len(w) - 1]
+        for key, v in right_normed(w).items():
+            Hn[key] = Hn.get(key, 0.0) + float(c / len(w)) * v
+    return tuple(parts)
+
+
+def _waves(H, x):
+    """Per monomial c I^a e^(2 pi i k.phi) of H: a, k and c e^(2 pi i k.phi)
+    at the points x (P, 2d)."""
+    d = x.shape[-1] // 2
+    for (a, k), c in H.items():
+        yield np.array(a), np.array(k), c * np.exp(2j * math.pi * (x[:, d:] @ np.array(k)))
+
+
+def bch_value(H, x):
+    """H at the points x (P, 2d), real."""
+    I = x[:, :x.shape[-1] // 2]
+    return sum(w * np.prod(I**a, axis=-1) for a, _, w in _waves(H, x)).real
+
+
+def bch_field(name, x, mu):
+    """The field (-H_phi, H_I) of the modified Hamiltonian at mu, at the points x (P, 2d)."""
+    d = x.shape[-1] // 2
+    I = x[:, :d]
+    out = np.zeros(x.shape, dtype=complex)
+    for n, Hn in enumerate(bch_hamiltonian(name), start=1):
+        for a, k, w in _waves(Hn, x):
+            w = mu**n * w
+            out[:, :d] -= 2j * math.pi * k * (w * np.prod(I**a, axis=-1))[:, None]
+            for j in np.flatnonzero(a):
+                out[:, d + j] += a[j] * w * np.prod(I ** (a - (np.arange(d) == j)), axis=-1)
+    return out.real

@@ -22,7 +22,7 @@ from mapflow import (
     stability_scan,
     unit_box,
 )
-from mapflow import experiments, hamiltonian, interp, maps, nonexact_shear, nucleus, resonance
+from mapflow import experiments, hamiltonian, maps, nonexact_shear, nucleus, resonance
 from mapflow.experiments import SnDecomposition
 from oracles import TWO_PI, per_seed, scan_per_state
 
@@ -361,7 +361,6 @@ class TestFits:
 ARRAY_DATACLASSES = {
     maps: ["DomainSpec", "MapModel", "TrigTerm"],
     hamiltonian: ["Box", "EmbeddingReport", "HamiltonianField", "Loop"],
-    interp: ["OrderScalingFit"],
     experiments: ["WnReport", "DriftReport", "StabilityRecord", "FitReport"],
     nucleus: ["NucleusModel", "TrappedOrbitRecord"],
     resonance: ["ResonanceSite"],

@@ -1,6 +1,8 @@
 """Discrete averaging: weights, differences, exactness, order scaling."""
 
+import time
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,14 +21,16 @@ from mapflow import (
     stability_scan,
     trapped_orbit,
 )
-from mapflow import ResonanceSite, distance_to_identity, maps, scaled_block
+from mapflow import (ResonanceSite, distance_to_identity, fit_log_law, h2_closed_form, maps,
+                     scaled_block)
 from mapflow.errors import DegenerateFit, DomainEscape, OrderTooLarge
 from mapflow.hamiltonian import Box, embedding_error, interpolating_field, unit_box
 from mapflow.interp import M_MAX, VERIFY_TOL, as_map, field_from_window
 from mapflow.maps import MapModel
 from mapflow.resonance import BlockMap
 
-from oracles import binomial_difference, binomial_weights, per_seed
+from oracles import (BCH_EPS0, BCH_ETA, TWO_PI, bch_field, bch_hamiltonian, bch_value,
+                     bch_words, binomial_difference, binomial_weights, per_seed)
 
 
 class TestFiniteDifferences:
@@ -540,3 +544,59 @@ class TestOrderScaling:
         fam = near_identity_family(catalog("standard", 0.5))
         with pytest.raises(FitFailed):
             order_scaling_check(fam, np.array([0.3, 0.11]), 1, [1e-2, 5e-3])
+
+
+class TestModifiedHamiltonian:
+    """X_m against the field of the map's modified Hamiltonian in closed form
+    (the BCH series of `oracles.bch_hamiltonian`): the error falls as
+    mu^(m+1) along the near-identity family."""
+
+    MUS = np.array([0.04, 0.02, 0.01, 0.005])
+    #: ten times newton's double floor (about 1e-15): every compared error
+    #: must lie above it, so that the slopes measure truncation, not roundoff
+    FLOOR = 1e-14
+
+    def test_words_of_degree_two_and_three(self):
+        """log(e^x e^y) = x + y + [x, y]/2 + ([x, [x, y]] + [y, [y, x]])/12 + ..."""
+        assert bch_words(3) == {(0,): 1, (1,): 1, (0, 1): Fraction(1, 2),
+                                 (1, 0): Fraction(-1, 2),
+                                 (0, 0, 1): Fraction(1, 12), (0, 1, 0): Fraction(-1, 6),
+                                 (1, 0, 0): Fraction(1, 12), (1, 1, 0): Fraction(1, 12),
+                                 (1, 0, 1): Fraction(-1, 6), (0, 1, 1): Fraction(1, 12)}
+
+    def test_order_two_part_is_h2_closed_form(self, rng):
+        """mu H_1 + mu^2 H_2 is `h2_closed_form` of the member's generating
+        function mu (I^2/2 - eps0 cos(2 pi phi)/4 pi^2): H_2 = -eps0 I sin(2 pi phi)/4 pi."""
+        H1, H2 = bch_hamiltonian("standard")[:2]
+        x = np.stack([rng.uniform(-0.5, 0.5, 8), rng.uniform(0.0, 1.0, 8)], axis=-1)
+        eps0, mu = 0.5, 0.02
+
+        def S(p):
+            return mu * (p[0] ** 2 / 2 - eps0 * np.cos(TWO_PI * p[1]) / TWO_PI**2)
+
+        def grad(p):
+            return np.array([mu * p[0], mu * eps0 * np.sin(TWO_PI * p[1]) / TWO_PI])
+
+        want = [h2_closed_form(S, grad, p) for p in x]
+        got = mu * bch_value(H1, x) + mu**2 * bch_value(H2, x)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-17)
+        np.testing.assert_allclose(bch_value(H2, x), -eps0 * x[:, 0] * np.sin(TWO_PI * x[:, 1])
+                                   / (2 * TWO_PI), rtol=1e-13, atol=1e-17)
+
+    def test_field_slopes(self, rng):
+        t0 = time.perf_counter()
+        cases = [("standard", {}, "newton", range(1, 6)), ("standard", {}, "gauss", (2, 4)),
+                 ("froeschle2", {"eta": BCH_ETA}, "newton", range(1, 6))]
+        for name, params, scheme, orders in cases:
+            fam = near_identity_family(catalog(name, BCH_EPS0, **params))
+            d = 1 if name == "standard" else 2
+            x = np.concatenate([rng.uniform(-0.5, 0.5, (16, d)),
+                                rng.uniform(0.0, 1.0, (16, d))], axis=-1)
+            fields = [bch_field(name, x, mu) for mu in self.MUS]
+            for m in orders:
+                errs = [np.max(np.abs(interpolating_vf(fam(mu), x, m, scheme) - X))
+                        for mu, X in zip(self.MUS, fields)]
+                fit = fit_log_law(np.log(self.MUS), errs, "vs_log_mu", floor=self.FLOOR)
+                assert fit.n_excluded == 0, (name, scheme, m, errs)
+                assert fit.slope == pytest.approx(m + 1, abs=0.2), (name, scheme, m)
+        assert time.perf_counter() - t0 < 2.0

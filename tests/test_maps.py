@@ -25,6 +25,7 @@ from mapflow import (
 )
 from mapflow import maps
 from mapflow.errors import DomainEscape, NoConvergence
+from mapflow.interp import difference_table
 from mapflow.maps import (
     DomainSpec,
     MapModel,
@@ -602,6 +603,31 @@ class TestTrigTerm:
                 assert np.array_equal(derived(I, phi), closed(I, phi))
         want = catalog_norms(name, params.get("eta"))
         assert {k: getattr(m.domain, k) for k in want} == want
+
+    def test_complex_points_stay_complex(self, rng):
+        """At complex points the callbacks, the identity frequency map, the
+        angle reduction and the difference table keep the imaginary part and
+        match their closed forms (e.g. the standard kick sin(2 pi z)/2 pi)."""
+        z = rng.uniform(-1.0, 1.0, (50, 2)) + 1j * rng.uniform(-0.5, 0.5, (50, 2))
+        for name, params, forms in self.CASES:
+            m = catalog(name, 0.1, **params)
+            phi = z[:, :m.d]
+            for derived, closed in zip((m.s, m.s_phi, m.s_phiphi), forms):
+                got = derived(phi, phi)
+                assert got.dtype == complex
+                np.testing.assert_allclose(got, closed(phi, phi), rtol=1e-12, atol=1e-15)
+        assert np.array_equal(maps._identity_omega(z), z)
+        reduced = maps._frac(z + 3.0)
+        assert np.array_equal(reduced.imag, z.imag)
+        assert np.all((0.0 <= reduced.real) & (reduced.real < 1.0))
+        np.testing.assert_allclose(reduced.real, np.mod(z.real, 1.0), rtol=0, atol=1e-15)
+        # a quadratic orbit a + b k + c k^2: D_1 = b + c (2i + 1), D_2 = 2c, D_3 = 0
+        a, b, c = z[:3]
+        k = np.arange(5)[:, None]
+        table = difference_table(a + b * k + c * k**2)
+        np.testing.assert_allclose(table[1], b + c * (2 * k[:4] + 1), rtol=1e-12)
+        np.testing.assert_allclose(table[2], np.broadcast_to(2 * c, (3, 2)), rtol=1e-12)
+        np.testing.assert_allclose(table[3], 0.0, atol=1e-14)
 
     @pytest.mark.parametrize("name, params, forms", CASES, ids=["std", "fro0.3", "fro-0.7"])
     def test_jacobian_matches_closed_form_model(self, name, params, forms, rng):

@@ -33,35 +33,48 @@ def test_sweep_script_writes_tables(script, tables, tmp_path, monkeypatch):
 
 def test_run_all_commands_prints_a_hash_per_csv(tmp_path, monkeypatch, capsys):
     module = load("run_all_commands")
-    monkeypatch.setattr(module, "JOBS", [("interp", "interp_standard.json")])
+    jobs = [("interp", "interp_standard.json"), ("energy", "energy_standard.json"),
+            ("resonance", "resonance_standard.json"), ("gen-recover", "genrecover_standard.json")]
+    monkeypatch.setattr(module, "JOBS", jobs)
     monkeypatch.setattr(module, "RUNS", tmp_path / "runs")
     assert module.main() == 0
-    exit_line, *hash_lines = capsys.readouterr().out.splitlines()
-    assert exit_line.split() == ["interp", "exit=0", "->", "runs/interp_standard"]
-    csvs = sorted((tmp_path / "runs" / "interp_standard").glob("*.csv"))
-    assert csvs
-    assert [line.split() for line in hash_lines] == [
-        [hashlib.sha256(p.read_bytes()).hexdigest(), str(p.relative_to(tmp_path))] for p in csvs]
+    lines = capsys.readouterr().out.splitlines()
+    for command, cfg in jobs:
+        out = tmp_path / "runs" / cfg.removesuffix(".json")
+        csvs = sorted(out.glob("*.csv"))
+        assert csvs
+        exit_line, *hash_lines = lines[:1 + len(csvs)]
+        assert exit_line.split() == [command, "exit=0", "->", str(out.relative_to(tmp_path))]
+        assert [line.split() for line in hash_lines] == [
+            [hashlib.sha256(p.read_bytes()).hexdigest(), str(p.relative_to(tmp_path))]
+            for p in csvs]
+        lines = lines[1 + len(csvs):]
+    assert lines == []
 
 
-def test_step_bench_prints_its_four_tables(capsys):
+def test_step_bench_prints_its_five_tables(capsys):
     assert load("step_bench").main(["--repeats", "1"]) == 0
     out = capsys.readouterr().out
     tables = out.split("\n\n")
-    assert len(tables) == 4
+    assert len(tables) == 5
     assert "ns per seed-step, 1 repeats" in tables[0]
     assert "us per call, 1 repeats" in tables[1]
     assert "us per row, 1 repeats" in tables[2]
     assert "s per scan of 20000 steps, 1 repeats; traced peak" in tables[3]
+    assert "time and count per unit, 1 repeats" in tables[4]
     # one row per case: 2 maps x 2 directions x 3 batch sizes, 4 callables x
     # 2 batch sizes, 2 orbit calls and 2 fields at each of 2 orders, one
-    # writer, one scan
-    assert [len(t.strip().splitlines()) - 1 for t in tables] == [12, 14, 1, 1]
+    # writer, one scan, and 2 flows at each of 2 sizes, one path integral
+    # and 2 Dirichlet searches
+    assert [len(t.strip().splitlines()) - 1 for t in tables] == [12, 14, 1, 1, 7]
     # the scan's window buffers: about 1.9 MB at maps.WINDOW = 25,600 states
     # (256 steps of 100 seeds) with one window alive at a time, 2.7 MB with
     # the previous one kept, 15 MB at 2048 steps
     peak_mb = float(tables[3].strip().splitlines()[1].split()[-1])
     assert 0.0 < peak_mb < 2.3
+    # every layer did work: field rows, integrand rows or candidates (after
+    # the 19-character name: size, median, q1, q3, count)
+    assert all(float(row[19:].split()[4]) > 0 for row in tables[4].strip().splitlines()[1:])
 
 
 def test_ab_bench_interval_is_the_sign_test_one():
