@@ -32,7 +32,11 @@ For each metric it prints the median and quartiles of each side, the median
 of the paired ratios B/A with a distribution-free interval (order statistics
 of the ratios, sign-test style, at least 95 % coverage), the pairs B won,
 and the same median and interval for A'/A.  A change counts as resolved
-only when its interval clears the A/A one.
+only when its interval clears the A/A one.  A peak-RSS verdict within
+about 1 % is not evidence by itself: two trees that differ only by a
+comment have read 0.2-0.3 MB apart on `nucleus`, in either direction from
+one invocation to the next, while A/A' read equal (see ROADMAP.md,
+Housekeeping); repeat such a verdict with --a and --b swapped.
 
     python scripts/ab_bench.py --a PARENT --b CHANGE [--workload nucleus]
         [--tier1] [--pairs 12] [--seed 1] [--workers 1] [--json out.json]

@@ -30,9 +30,10 @@ count of work: `flow_map` (time one, tol 1e-12) of the nucleus block's
 X_2 and X_5 on 16 and 64 points, in ms and field rows per point; the path
 integral of `reconstruct_hamiltonian` of its X_2 at 31 queries, in ms and
 integrand rows per query; and `resonance.dirichlet` in d = 1 and 2 at
-N = 10^4, in us per candidate, with the candidates tried.  A counting
-wrapper around the field counts the rows; the Dirichlet search tries
-n = 1, 2, ... in turn, so the n it returns is its count.
+N = 10^4 and 10^5, in us per candidate, with the candidates tried.  A
+counting wrapper around the field counts the rows; the Dirichlet search
+returns the first n of 1, 2, ... that passes, so that n is its count (in
+chunks it tests up to about twice as many).
 Each repeat runs every case once, in turn, so that a drift in host speed
 touches all cases alike.
 
@@ -70,9 +71,9 @@ SCAN_SEEDS, SCAN_STEPS, SCAN_RADIUS = 100, 20_000, 0.05
 #: points of the flow cases, and queries of the path integral from its base
 FLOW_POINTS, QUERIES, BASE = (16, 64), 31, np.array([0.05, 0.0])
 #: badly approximable frequencies, the golden mean in d = 1 and a cubic pair
-#: in d = 2, searched up to N
+#: in d = 2, each searched up to every N
 DIRICHLET_OMEGAS = ([(math.sqrt(5) - 1) / 2], [2 ** (1 / 3) - 1, 4 ** (1 / 3) - 1])
-DIRICHLET_N = 1e4
+DIRICHLET_NS = (1e4, 1e5)
 
 
 def _states(d: int, batch: int) -> np.ndarray:
@@ -124,9 +125,9 @@ def _path_rows(H, queries: np.ndarray):
     return len(queries), H.X.rows / len(queries)
 
 
-def _candidates(omega):
+def _candidates(omega, N):
     """One Dirichlet search: (candidates tried, candidates tried)."""
-    n = dirichlet(np.array(omega), DIRICHLET_N)[0]
+    n = dirichlet(np.array(omega), N)[0]
     return n, n
 
 
@@ -176,9 +177,10 @@ def main(argv=None) -> int:
     H = reconstruct_hamiltonian(_Counted(interpolating_field(block, 2)), BASE, quad_tol=1e-12)
     layers.append(("path integral X_2", QUERIES, 1e3, "ms and integrand rows per query",
                    partial(_path_rows, H, _point(1, QUERIES))))
-    for omega in DIRICHLET_OMEGAS:
-        layers.append((f"dirichlet d={len(omega)}", int(DIRICHLET_N), 1e6,
-                       "us per candidate; candidates tried", partial(_candidates, omega)))
+    for N in DIRICHLET_NS:
+        for omega in DIRICHLET_OMEGAS:
+            layers.append((f"dirichlet d={len(omega)}", int(N), 1e6,
+                           "us per candidate; candidates tried", partial(_candidates, omega, N)))
     for _, _, steps, model, x in cases:  # warm up every path once
         propagate(model, x, 10 if steps > 0 else -10)
     for *_, fn, x in applies:

@@ -223,11 +223,11 @@ def _float_cells(cols: list) -> np.ndarray:
     return cells.reshape(len(cols[0]), len(cols), -1)
 
 
-def _lines(cols: list, encoding: str) -> bytes:
+def _lines(cols: list) -> bytes:
     """One block's lines: its cells joined by "," and ended by "\n", each
-    cell its bytes without NULs.  Float columns, then int and bool columns,
-    are formatted together; any other column (strings and numbers mixed) is
-    its strings as given and `fmt` of its other values."""
+    cell its UTF-8 bytes without NULs.  Float columns, then int and bool
+    columns, are formatted together; any other column (strings and numbers
+    mixed) is its strings as given and `fmt` of its other values."""
     cells = {}
     for kinds, to_cells in (("f", _float_cells), ("iub", _int_cells)):
         js = [j for j, col in enumerate(cols)
@@ -237,7 +237,7 @@ def _lines(cols: list, encoding: str) -> bytes:
             cells.update((j, grid[:, i]) for i, j in enumerate(js))
     for j, col in enumerate(cols):
         if j not in cells:  # right-aligned, so that "," is the last byte
-            text = [(v if isinstance(v, str) else fmt(v)).encode(encoding) + b"," for v in col]
+            text = [(v if isinstance(v, str) else fmt(v)).encode() + b"," for v in col]
             width = max(map(len, text))
             cells[j] = np.frombuffer(b"".join(t.rjust(width, b"\0") for t in text),
                                      np.uint8).reshape(len(col), width)
@@ -253,16 +253,16 @@ def write_csv(path: str, header: list[str], columns: list) -> str:
     bool ndarrays, and for any other column (a list of strings and numbers)
     its strings as given and `fmt` of its other values.  Each block's cells
     are formatted in numpy (see `_float_cells` and `_int_cells`); a float
-    outside 1e-11 < |x| < 1e16 takes `fmt`, value by value.  NUL bytes pad
-    the cells, so a string cell loses any NUL of its own."""
+    outside 1e-11 < |x| < 1e16 takes `fmt`, value by value.  The header
+    and the string cells are written in UTF-8.  NUL bytes pad the cells, so
+    a string cell loses any NUL of its own."""
     n = max(map(len, columns), default=0)
     if any(len(col) != n for col in columns):
         raise ValueError(f"columns of unequal length: {[len(col) for col in columns]}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.flush()
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for lo in range(0, n, CSV_BLOCK):
-            fh.buffer.write(_lines([col[lo:lo + CSV_BLOCK] for col in columns], fh.encoding))
+            fh.write(_lines([col[lo:lo + CSV_BLOCK] for col in columns]))
     return path
 
 

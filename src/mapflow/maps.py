@@ -19,14 +19,16 @@ the tolerance, so a batched solve is its one-point solves bit for bit.
 
 Every step, forward or inverse, runs through `propagate`, one windowed
 kernel that checks the domain once per call.  Trigonometric generating
-terms are held as data (`TrigTerm`, which keeps no state); their models
-step both ways in `_propagate_trig`, in straight-line bodies that one
-compiler (`_kick_body`) writes from the term's `_KickPlan` once per term,
-batch size (one point on Python floats, or a batch of rows) and direction,
-all bitwise equal.
+terms are held as data (`TrigTerm`, which keeps no state), and every
+catalog map is one: the integrable twist is the term with no modes.  At
+eps > 0 their models step both ways in `_propagate_trig`, in
+straight-line bodies that one compiler (`_kick_body`) writes from the
+term's `_KickPlan` once per term, batch size (one point on Python floats,
+or a batch of rows) and direction, all bitwise equal.
 `_step` and `_step_back` are the forward and inverse bodies of callback
-models.  `_orbits` is the one orbit engine, both ways, in windows bounded
-in states (`WINDOW`), and the one place where a step fails.
+models, and of every model at eps = 0.  `_orbits` is the one orbit
+engine, both ways, in windows bounded in states (`WINDOW`), and the one
+place where a step fails.
 
 Every function takes flat phase vectors of shape (..., 2d), ordered
 (I, phi), and the kernel steps them in one buffer of that layout.
@@ -157,9 +159,12 @@ class MapModel:
     s_II: Optional[Callable] = None
     s_Iphi: Optional[Callable] = None
     s_phiphi: Optional[Callable] = None
-    #: generating term does not depend on the new action: the implicit step
-    #: collapses to one explicit evaluation (holds for all catalog maps) and
-    #: batched stepping involves no cross-batch reductions
+    #: True: `_step` and `_step_back` take no Picard solve.  They evaluate
+    #: s_phi once, at the action the step starts from, and drop s_I, which is
+    #: the step exactly when s does not depend on the new action (every
+    #: catalog map; the fused trig bodies require it).  A model whose s
+    #: depends on the new action must leave it False.  Tests rely on the
+    #: evaluation at the start action: their NaN-escape models' s_phi reads it.
     s_action_independent: bool = False
     name: str = "custom"
 
@@ -626,11 +631,6 @@ def _identity_hess(I):
     return np.zeros(I.shape[:-1] + (1, 1)) + np.eye(I.shape[-1])
 
 
-def _zero_field(I, phi):
-    """s_I = s_phi = 0 of the twist."""
-    return np.zeros_like(I)
-
-
 def _minus_one(I, phi):
     """s_I = s_phi = -1 of `nonexact_shear`."""
     return -np.ones_like(I)
@@ -649,8 +649,9 @@ class TrigTerm:
         s(phi) = -sum_j c_j cos(2 pi k_j . phi) / (2 pi)^2
 
     with integer modes k_j (the rows of ``modes``, shape (J, d)) and real
-    coefficients c_j (``coeffs``, shape (J,)).  The callbacks `s`, `s_I`,
-    `s_phi`, `s_phiphi` and the sup norms derive from (K, c).  Phases
+    coefficients c_j (``coeffs``, shape (J,)), J >= 0: with no modes, s = 0
+    and the term is the twist's.  The callbacks `s`, `s_I`, `s_phi`,
+    `s_phiphi` and the sup norms derive from (K, c).  Phases
     k_j . phi and the sums over modes run left to right over the nonzero
     entries, by `_dot`'s rule.  The kick plan and the step bodies compiled
     from it are built with the term and never change; a copy or an
@@ -663,8 +664,8 @@ class TrigTerm:
     def __post_init__(self):
         K = np.asarray(self.modes, dtype=float)
         c = np.asarray(self.coeffs, dtype=float)
-        if K.ndim != 2 or K.shape[0] == 0 or c.shape != K.shape[:1]:
-            raise ValueError("modes must have shape (J, d) and coeffs (J,), J >= 1")
+        if K.ndim != 2 or K.shape[1] == 0 or c.shape != K.shape[:1]:
+            raise ValueError("modes must have shape (J, d) and coeffs (J,), J >= 0, d >= 1")
         if not (np.all(K == np.round(K)) and np.all(np.any(K != 0, axis=1))
                 and np.all(np.isfinite(c))):
             raise ValueError("modes must be nonzero integer vectors and coeffs finite")
@@ -785,16 +786,18 @@ def _catalog_domain(d: int, norm_a: float = 0.0, norm_b: float = 0.0,
 
 
 def _trig_model(name: str, eps: float, modes, coeffs) -> MapModel:
-    """A catalog map with h0 = |I|^2/2 and a `TrigTerm`."""
+    """A map with h0 = |I|^2/2 and the `TrigTerm` of (modes, coeffs).  A
+    term with no modes gives s = None: the twist has no perturbation for
+    `resonant_average`, the nucleus runner or gen-recover's s column to read."""
     term = TrigTerm(np.array(modes), np.array(coeffs))
     d = term.d
     # omega is the identity, so the angle kick -eps s_phi has the action kick's norm
     dom = _catalog_domain(d, norm_a=term.norm_a, norm_b=term.norm_a, norm_s=term.norm_s)
     return MapModel(d=d, eps=float(eps), h0=_quad_h0,
                     omega=_identity_omega, hess=_identity_hess, domain=dom,
-                    s=term.s, s_I=term.s_I, s_phi=term.s_phi, s_II=_zero_matrix,
-                    s_Iphi=_zero_matrix, s_phiphi=term.s_phiphi, s_action_independent=True,
-                    name=name)
+                    s=term.s if len(term.coeffs) else None, s_I=term.s_I, s_phi=term.s_phi,
+                    s_II=_zero_matrix, s_Iphi=_zero_matrix, s_phiphi=term.s_phiphi,
+                    s_action_independent=True, name=name)
 
 
 CATALOG = ("twist", "standard", "froeschle2")
@@ -803,29 +806,25 @@ CATALOG = ("twist", "standard", "froeschle2")
 def catalog(name: str, eps: float, **params) -> MapModel:
     """Construct the catalog map of a name in CATALOG: "twist", "standard" or "froeschle2".
 
-    All catalog entries use h0 = |I|^2/2 (so omega is the identity), the
-    Euclidean action ball B(0, 1) widened by sigma = 0.5 and angle strip
-    r = 1.  "standard" and "froeschle2" hold their generating terms as a
-    `TrigTerm`, from which the callbacks and sup-norm bounds derive.
+    Every catalog map is a `_trig_model`: h0 = |I|^2/2 (so omega is the
+    identity), the Euclidean action ball B(0, 1) widened by sigma = 0.5,
+    angle strip r = 1, and a `TrigTerm` from which the callbacks and
+    sup-norm bounds derive.  The twist (parameter ``d``, default 1) is the
+    term with no modes; "standard" has the one mode k = 1, and "froeschle2"
+    (parameter ``eta``, default 0.3) the modes (1, 0), (0, 1) and (1, 1)
+    with coefficients 1, 1 and eta.
     """
     if name == "twist":
-        d = int(params.pop("d", 1))
-        if params:
-            raise ValueError(f"unknown twist parameters {sorted(params)}")
-        return MapModel(d=d, eps=float(eps), h0=_quad_h0, omega=_identity_omega,
-                        hess=_identity_hess, domain=_catalog_domain(d), s_I=_zero_field,
-                        s_phi=_zero_field, s_II=_zero_matrix, s_Iphi=_zero_matrix,
-                        s_phiphi=_zero_matrix, s_action_independent=True, name="twist")
-    if name == "standard":
-        if params:
-            raise ValueError(f"unknown standard-map parameters {sorted(params)}")
-        return _trig_model("standard", eps, [[1]], [1.0])
-    if name == "froeschle2":
-        eta = float(params.pop("eta", 0.3))
-        if params:
-            raise ValueError(f"unknown froeschle2 parameters {sorted(params)}")
-        return _trig_model("froeschle2", eps, [[1, 0], [0, 1], [1, 1]], [1.0, 1.0, eta])
-    raise ValueError(f"unknown catalog map {name!r}")
+        modes, coeffs = np.zeros((0, int(params.pop("d", 1)))), []
+    elif name == "standard":
+        modes, coeffs = [[1]], [1.0]
+    elif name == "froeschle2":
+        modes, coeffs = [[1, 0], [0, 1], [1, 1]], [1.0, 1.0, float(params.pop("eta", 0.3))]
+    else:
+        raise ValueError(f"unknown catalog map {name!r}")
+    if params:
+        raise ValueError(f"unknown {name} parameters {sorted(params)}")
+    return _trig_model(name, eps, modes, coeffs)
 
 
 def nonexact_shear(eps: float) -> MapModel:

@@ -28,6 +28,8 @@ DIRICHLET_SLACK = 1e-15
 
 #: search budget: exhaustive scan is capped at N <= 10^6 / d
 DIRICHLET_BUDGET = 1_000_000
+#: most candidates per chunk of the scan: a chunk's arrays are 128 kB each
+DIRICHLET_CHUNK = 1 << 14
 
 #: frequency inversion: residual target, Newton steps, and halvings per Newton step
 FREQ_TOL = 1e-12
@@ -82,6 +84,12 @@ def dirichlet(omega: np.ndarray, N: float) -> tuple[int, np.ndarray]:
     1e-15 slack against strict-inequality ties in floating point).  Existence
     is guaranteed for exact arithmetic; SearchExhausted therefore signals a
     floating-point edge case, not a theory failure.
+
+    The candidates are tested in chunks of doubling length, at most
+    `DIRICHLET_CHUNK`, each with the one-candidate operations on arrays
+    (round(n omega) / n, the error and the bound, all elementwise in
+    doubles), so the n and omega_* returned are those of the candidate loop
+    bit for bit, in about twice the candidates the loop takes.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     d = omega.shape[0]
@@ -91,12 +99,17 @@ def dirichlet(omega: np.ndarray, N: float) -> tuple[int, np.ndarray]:
         raise ValueError(f"N={N:g} exceeds the exhaustive search budget")
     n_top = int(math.ceil(N))
     root = N ** (1.0 / d)
-    for n in range(1, n_top):
-        scaled = n * omega
-        omega_star = np.round(scaled) / n
-        err = float(np.max(np.abs(omega - omega_star)))
-        if err < 1.0 / (n * root) + DIRICHLET_SLACK:
-            return n, omega_star
+    lo = 1
+    while lo < n_top:
+        hi = min(n_top, 2 * lo, lo + DIRICHLET_CHUNK)
+        n, err = np.arange(lo, hi, dtype=float), 0.0
+        for w in omega:  # column by column: a reduction over the short axis is slow
+            err = np.maximum(err, np.abs(w - np.round(n * w) / n))
+        hit = np.flatnonzero(err < 1.0 / (n * root) + DIRICHLET_SLACK)
+        if hit.size:
+            k = lo + int(hit[0])
+            return k, np.round(k * omega) / k
+        lo = hi
     raise SearchExhausted(f"no certified approximation below N={N:g}")
 
 

@@ -145,6 +145,49 @@ def froeschle_closed_forms(eta):
     return s, s_phi, s_phiphi
 
 
+def action_dependent_forms():
+    """(s, s_I, s_phi, s_II, s_Iphi, s_phiphi) of a d = 1 generating term
+    that depends on the new action, on (..., 1) arrays:
+
+        s(I', phi) = -(1 + I'^2 / 2) cos(2 pi phi) / (2 pi)^2
+
+    so the step's Picard solve for I' and the inverse step's solve for phi
+    both take more than one iterate.  s is 1-periodic in phi: the map is
+    exact."""
+    def s(I, phi):
+        return -(1 + I[..., 0] ** 2 / 2) * np.cos(TWO_PI * phi[..., 0]) / TWO_PI**2
+
+    def s_I(I, phi):
+        return -I * np.cos(TWO_PI * phi) / TWO_PI**2
+
+    def s_phi(I, phi):
+        return (1 + I**2 / 2) * np.sin(TWO_PI * phi) / TWO_PI
+
+    def s_II(I, phi):
+        return (-np.cos(TWO_PI * phi) / TWO_PI**2)[..., None]
+
+    def s_Iphi(I, phi):
+        return (I * np.sin(TWO_PI * phi) / TWO_PI)[..., None]
+
+    def s_phiphi(I, phi):
+        return ((1 + I**2 / 2) * np.cos(TWO_PI * phi))[..., None]
+
+    return s, s_I, s_phi, s_II, s_Iphi, s_phiphi
+
+
+def dirichlet_loop(omega, N, slack=1e-15):
+    """`resonance.dirichlet`'s search as the one-candidate loop it was:
+    (n, omega_*) of the first n < N with max|omega - round(n omega) / n|
+    below 1 / (n N^(1/d)) + slack, or None."""
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    root = N ** (1.0 / omega.shape[0])
+    for n in range(1, int(math.ceil(N))):
+        omega_star = np.round(n * omega) / n
+        if float(np.max(np.abs(omega - omega_star))) < 1.0 / (n * root) + slack:
+            return n, omega_star
+    return None
+
+
 def catalog_norms(name, eta=None):
     """The hand-entered DomainSpec norms of a catalog trig map."""
     if name == "standard":

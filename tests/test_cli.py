@@ -563,6 +563,13 @@ def _shipped_configs():
     return found
 
 
+#: the README table's value cell of each SCHEMA kind with a fixed wording,
+#: given the rule's bound
+README_VALUES = {"string": "non-empty string", "orders": "non-empty list of orders",
+                 "vector": "{}-vector", "vectors": "non-empty list of {}-vectors",
+                 "modes": "non-empty list of nonzero integer {}-vectors"}
+
+
 class TestSchema:
     def test_accepts_every_shipped_config(self):
         shipped = _shipped_configs()
@@ -586,22 +593,26 @@ class TestSchema:
         for block, table in SCHEMA.items():
             for key, rule in table.items():
                 value, default = listed[block][key]
+                path = key if block == "config" else f"{block}.{key}"
                 if rule.kind == "enum":
-                    assert re.findall(r'`"([^"`]+)"`', value) == list(rule.bound), (block, key)
-                    expected = "required" if rule.default is REQUIRED else f'`"{rule.default}"`'
-                    assert default == expected, (block, key)
-                if rule.kind in ("vector", "vectors", "modes"):
-                    assert re.findall(r"\b(2?d)-vectors?\b", value) == [rule.bound], (block, key)
-                if rule.kind not in ("int", "number"):
-                    continue
-                kind = "integer" if rule.kind == "int" else "number"
-                assert value.startswith(f"{kind} {rule.bound or ''}".rstrip()), (block, key)
-                if rule.default is REQUIRED:
-                    assert default.startswith("required"), (block, key)
-                elif rule.default is None:
-                    assert not default.startswith("required"), (block, key)
+                    choices = [f'`"{c}"`' for c in rule.bound]
+                    assert value == f"{', '.join(choices[:-1])} or {choices[-1]}", path
+                elif rule.kind == "block":  # a nested table, or a block used in several
+                    assert value == ("object" if rule.bound == path
+                                     else f"`{rule.bound}` object"), path
+                elif rule.kind in ("int", "number"):
+                    kind = "integer" if rule.kind == "int" else "number"
+                    assert value.startswith(f"{kind} {rule.bound or ''}".rstrip()), path
                 else:
-                    assert float(default.split()[0]) == rule.default, (block, key)
+                    assert value == README_VALUES[rule.kind].format(rule.bound), path
+                if rule.default is REQUIRED:
+                    assert default == "required", path
+                elif rule.default is None:  # the runner derives it: the table says how
+                    assert not default.startswith("required"), path
+                elif rule.kind in ("int", "number"):
+                    assert float(default.split()[0]) == rule.default, path
+                else:
+                    assert default == f"`{json.dumps(rule.default)}`", path
 
 
 def test_readme_quick_start_runs(capsys):

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 from mapflow import (
     catalog,
+    circle_loop,
     interpolating_vf,
     jacobian,
+    loop_action,
     near_identity_family,
     nonexact_shear,
     stability_scan,
@@ -25,6 +27,7 @@ from mapflow import (
 )
 from mapflow import maps
 from mapflow.errors import DomainEscape, NoConvergence
+from mapflow.hamiltonian import _fd_jacobian
 from mapflow.interp import difference_table
 from mapflow.maps import (
     DomainSpec,
@@ -46,6 +49,7 @@ from oracles import (
     FIXED_POINT_SIN,
     STD_STEP_I,
     _lincomb_rows,
+    action_dependent_forms,
     bisect,
     catalog_norms,
     froeschle_closed_forms,
@@ -247,6 +251,24 @@ class TestKernel:
                 assert xs.shape == want.shape and first.shape == shape
                 assert np.array_equal(xs, want)
                 assert not xs.flags.owndata  # a view, no layout copy
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_twist_steps_in_the_fused_body(self, d, rng):
+        """The twist is the term with no modes: at eps > 0 it steps in the
+        compiled bodies, bit for bit as its callbacks step through `_step`
+        and `_step_back` (a wrapped s_phi is not fused), signed zeros too."""
+        twist = catalog("twist", 0.01, d=d)
+        assert _fused_term(twist) is twist.s_phi.__self__
+        callback = replace(twist, s_phi=lambda I, p: twist.s_phi(I, p))
+        assert _fused_term(callback) is None
+        for batch in (1, 100, 10**4):
+            x = np.concatenate([rng.uniform(-0.5, 0.5, (batch, d)),
+                                rng.uniform(-2.0, 2.0, (batch, d))], axis=-1)
+            x[-1, :d], x[0] = 0.0, -0.0
+            for steps in (7, -7):
+                for start in (x, x[0]) if batch == 1 else (x,):
+                    got, want = propagate(twist, start, steps), propagate(callback, start, steps)
+                    assert _same_bits(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(spec=trig_terms(), eps=st.sampled_from([1e-3, 0.3, 2.0]),
@@ -740,7 +762,8 @@ class TestTrigTerm:
                 assert got.shape == want.shape and _same_bits(got, want)
 
     @pytest.mark.parametrize("modes, coeffs", [([[1.5]], [1.0]), ([[0, 0]], [1.0]),
-                                               ([[1], [2]], [1.0]), ([[1]], [np.nan])])
+                                               ([[1], [2]], [1.0]), ([[1]], [np.nan]),
+                                               (np.zeros((0, 0)), [])])
     def test_malformed_term_rejected(self, modes, coeffs):
         with pytest.raises(ValueError):
             TrigTerm(np.array(modes), np.array(coeffs))
@@ -947,6 +970,38 @@ class TestSymplecticity:
         # every model is given by a generating function, so each has an inverse step
         x = np.array(x)
         assert np.max(np.abs(m.inverse(m.apply(x)) - x)) <= 1e-15
+
+    def test_action_dependent_term_takes_the_solve(self, monkeypatch):
+        """A term that depends on the new action: the solves iterate, the
+        inverse undoes the step, the analytic Jacobian is the finite
+        differences' and symplectic, and the map is exact."""
+        s, s_I, s_phi, s_II, s_Iphi, s_phiphi = action_dependent_forms()
+        m = replace(catalog("standard", 0.5), s=s, s_I=s_I, s_phi=s_phi, s_II=s_II,
+                    s_Iphi=s_Iphi, s_phiphi=s_phiphi, s_action_independent=False)
+        calls, picard = [], maps._picard  # calls of g per solve
+
+        def counted(g, y0):
+            calls.append(0)
+
+            def g_counted(y):
+                calls[-1] += 1
+                return g(y)
+
+            return picard(g_counted, y0)
+
+        monkeypatch.setattr(maps, "_picard", counted)
+        x = np.array([0.4, 0.3])
+        back = m.inverse(m.apply(x))
+        # one solve per step; a solve that stops at its first iterate calls g twice
+        assert len(calls) == 2 and min(calls) > 2
+        assert np.max(np.abs(back - x)) <= 1e-13
+        Omega = symplectic_matrix(1)
+        for x in (np.array([0.4, 0.3]), np.array([-0.6, 0.85])):
+            J = jacobian(m, x)
+            assert np.max(np.abs(J - _fd_jacobian(m.apply, x, 1e-6))) <= 1e-8
+            assert np.max(np.abs(J.T @ Omega @ J - Omega)) <= 1e-12
+        A0, A1 = loop_action(m, circle_loop(np.array([0.3])), quad_tol=1e-11)
+        assert abs(A1 - A0) <= 10 * 1e-11
 
 
 def _lochak_n3(eps: float) -> BlockMap:

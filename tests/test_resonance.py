@@ -19,12 +19,12 @@ from mapflow import (
     scaled_block,
     trapped_orbit,
 )
-from mapflow import maps
-from mapflow.errors import DomainEscape, NotResonant, OutOfDomain
+from mapflow import maps, resonance
+from mapflow.errors import DomainEscape, NotResonant, OutOfDomain, SearchExhausted
 from mapflow.interp import VERIFY_TOL, as_map
 from mapflow.maps import DomainSpec, MapModel, propagate
 
-from oracles import CUBIC_FREQ_ROOT, bisect
+from oracles import CUBIC_FREQ_ROOT, bisect, dirichlet_loop
 
 
 class TestDirichlet:
@@ -58,6 +58,24 @@ class TestDirichlet:
         assert np.max(np.abs(n * ws - np.round(n * ws))) <= 1e-9
         # independent recomputation of the certificate
         assert np.max(np.abs(omega - ws)) < 1.0 / (n * N ** (1.0 / d)) + 1e-12
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(omega=st.lists(st.floats(-2.0, 2.0) | st.builds(lambda p, q: p / q,
+                                                          st.integers(-20, 20),
+                                                          st.integers(1, 40)),
+                          min_size=1, max_size=3),
+           N=st.floats(1.5, 3000.0), chunk=st.sampled_from([1, 3, resonance.DIRICHLET_CHUNK]))
+    def test_chunked_search_is_the_candidate_loop(self, omega, N, chunk):
+        # the same n and omega_* bit for bit, across chunk boundaries too
+        want = dirichlet_loop(omega, N, resonance.DIRICHLET_SLACK)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(resonance, "DIRICHLET_CHUNK", chunk)
+            if want is None:
+                with pytest.raises(SearchExhausted):
+                    dirichlet(np.array(omega), N)
+                return
+            n, ws = dirichlet(np.array(omega), N)
+        assert n == want[0] and np.array_equal(ws.view(np.int64), want[1].view(np.int64))
 
     def test_returns_smallest_qualifying_n(self):
         omega = np.array([(math.sqrt(5) - 1) / 2])
