@@ -30,10 +30,12 @@ count of work: `flow_map` (time one, tol 1e-12) of the nucleus block's
 X_2 and X_5 on 16 and 64 points, in ms and field rows per point; the path
 integral of `reconstruct_hamiltonian` of its X_2 at 31 queries, in ms and
 integrand rows per query; and `resonance.dirichlet` in d = 1 and 2 at
+N = 10 and 50 (the N of a default site search and of criterion 9) and at
 N = 10^4 and 10^5, in us per candidate, with the candidates tried.  A
 counting wrapper around the field counts the rows; the Dirichlet search
-returns the first n of 1, 2, ... that passes, so that n is its count (in
-chunks it tests up to about twice as many).
+returns the first n of 1, 2, ... that passes, so that n is its count (it
+tests more, in chunks: the first 64 candidates, then chunks of doubling
+length, so up to about twice n).
 Each repeat runs every case once, in turn, so that a drift in host speed
 touches all cases alike.
 
@@ -73,7 +75,7 @@ FLOW_POINTS, QUERIES, BASE = (16, 64), 31, np.array([0.05, 0.0])
 #: badly approximable frequencies, the golden mean in d = 1 and a cubic pair
 #: in d = 2, each searched up to every N
 DIRICHLET_OMEGAS = ([(math.sqrt(5) - 1) / 2], [2 ** (1 / 3) - 1, 4 ** (1 / 3) - 1])
-DIRICHLET_NS = (1e4, 1e5)
+DIRICHLET_NS = (10, 50, 1e4, 1e5)
 
 
 def _states(d: int, batch: int) -> np.ndarray:

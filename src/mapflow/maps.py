@@ -20,11 +20,11 @@ the tolerance, so a batched solve is its one-point solves bit for bit.
 Every step, forward or inverse, runs through `propagate`, one windowed
 kernel that checks the domain once per call.  Trigonometric generating
 terms are held as data (`TrigTerm`, which keeps no state), and every
-catalog map is one: the integrable twist is the term with no modes.  At
-eps > 0 their models step both ways in `_propagate_trig`, in
-straight-line bodies that one compiler (`_kick_body`) writes from the
-term's `_KickPlan` once per term, batch size (one point on Python floats,
-or a batch of rows) and direction, all bitwise equal.
+catalog map is one (the integrable twist has no modes).  At eps > 0 their
+models step both ways in `_propagate_trig`, in straight-line bodies that
+one compiler (`_kick_body`) writes from the term's `_KickPlan` once per
+term, batch size (one point on Python floats, or a batch of rows) and
+direction, all bitwise equal.
 `_step` and `_step_back` are the forward and inverse bodies of callback
 models, and of every model at eps = 0.  `_orbits` is the one orbit
 engine, both ways, in windows bounded in states (`WINDOW`), and the one
@@ -159,12 +159,10 @@ class MapModel:
     s_II: Optional[Callable] = None
     s_Iphi: Optional[Callable] = None
     s_phiphi: Optional[Callable] = None
-    #: True: `_step` and `_step_back` take no Picard solve.  They evaluate
-    #: s_phi once, at the action the step starts from, and drop s_I, which is
-    #: the step exactly when s does not depend on the new action (every
-    #: catalog map; the fused trig bodies require it).  A model whose s
-    #: depends on the new action must leave it False.  Tests rely on the
-    #: evaluation at the start action: their NaN-escape models' s_phi reads it.
+    #: True: `_step` and `_step_back` evaluate s_phi once, at the start action,
+    #: and drop s_I (no Picard solve): exact only if s does not depend on the
+    #: new action (every catalog map; the fused trig bodies need it), so leave it
+    #: False otherwise.  The NaN-escape test models' s_phi reads the start action.
     s_action_independent: bool = False
     name: str = "custom"
 
@@ -786,9 +784,8 @@ def _catalog_domain(d: int, norm_a: float = 0.0, norm_b: float = 0.0,
 
 
 def _trig_model(name: str, eps: float, modes, coeffs) -> MapModel:
-    """A map with h0 = |I|^2/2 and the `TrigTerm` of (modes, coeffs).  A
-    term with no modes gives s = None: the twist has no perturbation for
-    `resonant_average`, the nucleus runner or gen-recover's s column to read."""
+    """A map with h0 = |I|^2/2 and the `TrigTerm` of (modes, coeffs).  With no modes, s = None:
+    the twist has no perturbation for `resonant_average`, `nucleus` or gen-recover to read."""
     term = TrigTerm(np.array(modes), np.array(coeffs))
     d = term.d
     # omega is the identity, so the angle kick -eps s_phi has the action kick's norm
@@ -815,7 +812,10 @@ def catalog(name: str, eps: float, **params) -> MapModel:
     with coefficients 1, 1 and eta.
     """
     if name == "twist":
-        modes, coeffs = np.zeros((0, int(params.pop("d", 1)))), []
+        d = params.pop("d", 1)
+        if d != int(d):
+            raise ValueError(f"twist dimension d={d!r} is not an integer")
+        modes, coeffs = np.zeros((0, int(d))), []
     elif name == "standard":
         modes, coeffs = [[1]], [1.0]
     elif name == "froeschle2":

@@ -28,6 +28,10 @@ DIRICHLET_SLACK = 1e-15
 
 #: search budget: exhaustive scan is capped at N <= 10^6 / d
 DIRICHLET_BUDGET = 1_000_000
+#: candidates in the scan's first chunk, whose length then doubles: a
+#: chunk costs about two one-candidate steps however short, so the N of a
+#: default site search (N_eps, 10 at eps = 1e-4 in d = 1) takes one chunk
+DIRICHLET_FIRST = 64
 #: most candidates per chunk of the scan: a chunk's arrays are 128 kB each
 DIRICHLET_CHUNK = 1 << 14
 
@@ -85,11 +89,11 @@ def dirichlet(omega: np.ndarray, N: float) -> tuple[int, np.ndarray]:
     is guaranteed for exact arithmetic; SearchExhausted therefore signals a
     floating-point edge case, not a theory failure.
 
-    The candidates are tested in chunks of doubling length, at most
-    `DIRICHLET_CHUNK`, each with the one-candidate operations on arrays
-    (round(n omega) / n, the error and the bound, all elementwise in
-    doubles), so the n and omega_* returned are those of the candidate loop
-    bit for bit, in about twice the candidates the loop takes.
+    The candidates are tested in chunks, `DIRICHLET_FIRST` long and then
+    of doubling length up to `DIRICHLET_CHUNK`, each with the one-candidate
+    operations on arrays (round(n omega) / n, the error and the bound, all
+    elementwise in doubles), so the n and omega_* returned are those of the
+    candidate loop bit for bit.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     d = omega.shape[0]
@@ -99,9 +103,9 @@ def dirichlet(omega: np.ndarray, N: float) -> tuple[int, np.ndarray]:
         raise ValueError(f"N={N:g} exceeds the exhaustive search budget")
     n_top = int(math.ceil(N))
     root = N ** (1.0 / d)
-    lo = 1
+    lo, size = 1, DIRICHLET_FIRST
     while lo < n_top:
-        hi = min(n_top, 2 * lo, lo + DIRICHLET_CHUNK)
+        hi = min(n_top, lo + size)
         n, err = np.arange(lo, hi, dtype=float), 0.0
         for w in omega:  # column by column: a reduction over the short axis is slow
             err = np.maximum(err, np.abs(w - np.round(n * w) / n))
@@ -109,7 +113,7 @@ def dirichlet(omega: np.ndarray, N: float) -> tuple[int, np.ndarray]:
         if hit.size:
             k = lo + int(hit[0])
             return k, np.round(k * omega) / k
-        lo = hi
+        lo, size = hi, min(2 * size, DIRICHLET_CHUNK)
     raise SearchExhausted(f"no certified approximation below N={N:g}")
 
 

@@ -1083,6 +1083,12 @@ class TestCatalog:
         with pytest.raises(ValueError):
             catalog("standard", 0.1, bogus=1.0)
 
+    @pytest.mark.parametrize("d", [2.5, 0.5])
+    def test_non_integral_twist_dimension_rejected(self, d):
+        with pytest.raises(ValueError, match="not an integer"):
+            catalog("twist", 0.1, d=d)
+        assert catalog("twist", 0.1, d=2.0).d == 2
+
     def test_nu_le_nu2(self):
         for name, kw in (("standard", {}), ("froeschle2", {"eta": 0.3})):
             m = catalog(name, 0.1, **kw)

@@ -64,12 +64,15 @@ class TestDirichlet:
                                                           st.integers(-20, 20),
                                                           st.integers(1, 40)),
                           min_size=1, max_size=3),
-           N=st.floats(1.5, 3000.0), chunk=st.sampled_from([1, 3, resonance.DIRICHLET_CHUNK]))
-    def test_chunked_search_is_the_candidate_loop(self, omega, N, chunk):
+           N=st.floats(1.5, 3000.0),
+           chunks=st.sampled_from([(1, 1), (1, 3), (2, 8),
+                                   (resonance.DIRICHLET_FIRST, resonance.DIRICHLET_CHUNK)]))
+    def test_chunked_search_is_the_candidate_loop(self, omega, N, chunks):
         # the same n and omega_* bit for bit, across chunk boundaries too
         want = dirichlet_loop(omega, N, resonance.DIRICHLET_SLACK)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(resonance, "DIRICHLET_CHUNK", chunk)
+            mp.setattr(resonance, "DIRICHLET_FIRST", chunks[0])
+            mp.setattr(resonance, "DIRICHLET_CHUNK", chunks[1])
             if want is None:
                 with pytest.raises(SearchExhausted):
                     dirichlet(np.array(omega), N)

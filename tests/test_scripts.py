@@ -65,8 +65,8 @@ def test_step_bench_prints_its_five_tables(capsys):
     # one row per case: 2 maps x 2 directions x 3 batch sizes, 4 callables x
     # 2 batch sizes, 2 orbit calls and 2 fields at each of 2 orders, one
     # writer, one scan, and 2 flows at each of 2 sizes, one path integral
-    # and 2 Dirichlet searches at each of 2 N
-    assert [len(t.strip().splitlines()) - 1 for t in tables] == [12, 14, 1, 1, 9]
+    # and 2 Dirichlet searches at each of 4 N
+    assert [len(t.strip().splitlines()) - 1 for t in tables] == [12, 14, 1, 1, 13]
     # the scan's window buffers: about 1.9 MB at maps.WINDOW = 25,600 states
     # (256 steps of 100 seeds) with one window alive at a time, 2.7 MB with
     # the previous one kept, 15 MB at 2048 steps
